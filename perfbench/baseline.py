@@ -1,12 +1,13 @@
 """Run every workload over several seeds and record the result as a baseline.
 
-    python3 perfbench/baseline.py --label NAME [--seeds N] [--first-seed K]
-                                  [--workload NAME ...] [--record FILE]
+    python3 perfbench/baseline.py --label NAME [--workload NAME ...] [--record FILE]
 
-Each workload runs N times untraced, one seed each, then once traced.  For
-every end-to-end metric this prints the median, the quartiles and the
-spread (quartile distance over median) of the N runs.  With --record the
-summary is appended as one entry to FILE (a JSON list).
+Each workload runs ten times untraced, with seeds 1 to 10, then once traced.
+For every end-to-end metric this prints the median, the quartiles and the
+spread (quartile distance over median) of the ten runs.  A spread above a
+third of the metric's bound is marked NOT STEADY, and one above the bound
+OVER BOUND; either makes the exit status 1.  With --record the summary is
+appended as one entry to FILE (a JSON list).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 BENCHMARK = json.loads((HERE.parent / "BENCHMARK.json").read_text())
+SEEDS = list(range(1, 11))
 
 
 def run(workload: str, seed: int, trace: int) -> tuple[dict, dict]:
@@ -44,23 +46,20 @@ def summarise(values: list[float]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workload", action="append",
                         default=None, choices=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--record", type=Path)
     args = parser.parse_args(argv)
 
-    seeds = list(range(args.first_seed, args.first_seed + args.seeds))
     entry = {"label": args.label, "run_seconds": BENCHMARK["run_seconds"],
-             "seeds": seeds, "workloads": {}}
+             "seeds": SEEDS, "workloads": {}}
     ok = True
     for workload in args.workload or [w["name"] for w in BENCHMARK["workloads"]]:
         results = []
-        for seed in seeds:
+        for seed in SEEDS:
             result, info = run(workload, seed, 0)
             results.append(result)
-        traced, _ = run(workload, seeds[0], 1)
+        traced, _ = run(workload, SEEDS[0], 1)
         entry["env"] = info["env"]
         summary = {"params": info["params"],
                    "attempted": sum(r["attempted"] for r in results),
@@ -72,11 +71,16 @@ def main(argv=None) -> int:
             stats = summarise([r["metrics"][name]["value"] for r in results])
             stats["unit"] = metric["unit"]
             summary["end_to_end"][name] = stats
-            steady = name == "setup_s" or stats["spread"] <= metric["bound"] / 3
-            ok &= steady
+            if stats["spread"] > metric["bound"]:
+                verdict = "  OVER BOUND"
+            elif stats["spread"] > metric["bound"] / 3:
+                verdict = "  NOT STEADY"
+            else:
+                verdict = ""
+            ok &= not verdict
             print(f"{workload:20s} {name:12s} median {stats['median']:.6g} "
                   f"{metric['unit']:4s} spread {stats['spread']:.4f} "
-                  f"(bound {metric['bound']}){'' if steady else '  NOT STEADY'}")
+                  f"(bound {metric['bound']}){verdict}")
         summary["per_layer"] = {name: m["value"] for name, m in traced["metrics"].items()}
         ok &= summary["correct"]
         print(f"{workload:20s} correct {summary['correct']} "

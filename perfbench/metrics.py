@@ -158,6 +158,29 @@ def pass_layer_metrics(spans: list[Span], files_out: int, bytes_out: int) -> dic
     return {name: float(totals[name]) for name in PER_LAYER}
 
 
+def paired_overhead(pass_walls: list[float], traced: list[bool]) -> list[float]:
+    """For each traced pass, its wall time minus the mean of its untraced
+    neighbours.  Pairing neighbours cancels host speed drift that a
+    difference of two medians would keep."""
+    diffs = []
+    for k, wall in enumerate(pass_walls):
+        if not traced[k]:
+            continue
+        near = [pass_walls[j] for j in (k - 1, k + 1)
+                if 0 <= j < len(pass_walls) and not traced[j]]
+        if near:
+            diffs.append(wall - statistics.fmean(near))
+    return diffs
+
+
+def overhead_note(diffs: list[float]) -> str:
+    note = (f"median of {len(diffs)} paired differences, "
+            f"range {min(diffs):.3g} to {max(diffs):.3g} s")
+    if min(diffs) < 0 < max(diffs):
+        note += "; not resolved: the pairs disagree in sign"
+    return note
+
+
 def layer_metrics(passes: list[dict], overhead_s: float) -> dict:
     """Median over traced passes of each per-layer metric."""
     merged = {name: statistics.median(p[name] for p in passes) for name in PER_LAYER}

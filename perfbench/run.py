@@ -4,7 +4,9 @@
 
 One client in this process sends one job at a time (a closed loop) through
 ``infospread.cli.main(argv)``.  Set-up is timed in fresh interpreters that
-import ``infospread.cli`` and build the seeded inputs.  One untimed warm-up
+import ``infospread.cli`` and build the seeded inputs: one before the first
+job, and the rest spread between the timed passes, so that the median
+samples the whole run rather than its first seconds.  One untimed warm-up
 job per job kind and the pinned anchor jobs run next; then the workload's
 fixed job list runs in passes.  With ``--trace 1`` every second pass is
 traced and the per-layer metrics come from those passes.  The last line of
@@ -35,7 +37,7 @@ import program
 
 HERE = Path(__file__).resolve().parent
 OUT = program.ROOT / ".perfbench_out"
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 PROBE_TIMEOUT_S = 60
 MIN_JOBS = 11  # job_s_tail needs ten samples above it
 
@@ -45,6 +47,7 @@ class Pass:
     traced: bool
     wall_s: float
     job_s: list[float]
+    keys: list[str]
     failures: list[str | None]
     files_out: int = 0
     bytes_out: int = 0
@@ -60,35 +63,34 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def measure_setup(workload, seed: int, run_dir: Path) -> tuple[list[float], Path]:
-    """Time SETUP_REPEATS fresh interpreters building the inputs; every
-    build must write the same bytes.  Returns the times and the last build."""
-    from workloads import output_digests
-    times, builds = [], []
-    for k in range(SETUP_REPEATS):
-        inputs = run_dir / f"inputs-{k}"
-        inputs.mkdir(parents=True)
-        argv = [sys.executable, str(HERE / "probe.py"), workload.name,
-                str(seed), str(inputs)]
-        start = time.perf_counter()
-        probe = subprocess.Popen(argv)
-        # wait(timeout=...) polls in steps of up to 50 ms, which would
-        # quantise the measurement; a plain wait with a watchdog does not.
-        watchdog = threading.Timer(PROBE_TIMEOUT_S, probe.kill)
-        watchdog.start()
-        try:
-            code = probe.wait()
-        finally:
-            watchdog.cancel()
-        times.append(time.perf_counter() - start)
-        if code != 0:
-            raise subprocess.CalledProcessError(code, argv)
-        builds.append(output_digests(inputs))
-        if k:
-            shutil.rmtree(run_dir / f"inputs-{k - 1}")
-    if any(b != builds[0] for b in builds):
-        raise RuntimeError("input builds with one seed wrote different bytes")
-    return times, inputs
+def time_setup(workload, seed: int, inputs: Path) -> float:
+    """Wall time of one fresh interpreter building the inputs in ``inputs``."""
+    inputs.mkdir(parents=True)
+    argv = [sys.executable, str(HERE / "probe.py"), workload.name, str(seed),
+            str(inputs)]
+    start = time.perf_counter()
+    probe = subprocess.Popen(argv)
+    # wait(timeout=...) polls in steps of up to 50 ms, which would quantise
+    # the measurement; a plain wait with a watchdog does not.
+    watchdog = threading.Timer(PROBE_TIMEOUT_S, probe.kill)
+    watchdog.start()
+    try:
+        code = probe.wait()
+    finally:
+        watchdog.cancel()
+    elapsed = time.perf_counter() - start
+    if code != 0:
+        raise subprocess.CalledProcessError(code, argv)
+    return elapsed
+
+
+def setup_schedule(passes: int, repeats: int) -> list[int]:
+    """How many repeat set-ups follow each timed pass: ``repeats - 1`` of
+    them, spread evenly over the run (the first set-up precedes it)."""
+    after = [0] * passes
+    for k in range(1, repeats):
+        after[min(k * passes // repeats, passes - 1)] += 1
+    return after
 
 
 def _malloc_trim():
@@ -111,11 +113,11 @@ def fresh_heap() -> None:
     _trim()
 
 
-def run_pass(cli, jobs, base: Path, references: dict, tracer=None,
+def run_pass(cli, jobs, base: Path, checker, tracer=None,
              label: str = "") -> Pass:
-    """Run ``jobs`` one after another, then check every output.  The pass's
-    wall time is the sum of its job times."""
-    from workloads import clear, verify
+    """Run ``jobs`` one after another, then record every output with
+    ``checker``.  The pass's wall time is the sum of its job times."""
+    from workloads import clear
     dirs = [base / job.key for job in jobs]
     for out in dirs:
         clear(out)
@@ -138,9 +140,8 @@ def run_pass(cli, jobs, base: Path, references: dict, tracer=None,
     finally:
         if tracer is not None:
             tracer.uninstall()
-    done = Pass(tracer is not None, sum(job_s), job_s,
-                [verify(job, out, code, references)
-                 for job, out, code in zip(jobs, dirs, codes)],
+    done = Pass(tracer is not None, sum(job_s), job_s, [job.key for job in jobs],
+                checker.record(list(zip(jobs, dirs, codes))),
                 spans=tracer.spans if tracer is not None else [])
     for out in dirs:
         for path in out.iterdir():
@@ -210,29 +211,48 @@ def pass_count(workload, jobs_per_pass: int, seconds: float, trace: bool) -> int
 def bench(args, cli, workload, run_dir: Path) -> tuple[dict, int, int]:
     import metrics
     from tracing import Tracer, write_spans
-    setup_times, inputs = measure_setup(workload, args.seed, run_dir)
+    from workloads import Checker, output_digests
+    inputs = run_dir / "inputs"
+    setup_times = [time_setup(workload, args.seed, inputs)]
+    built = output_digests(inputs)
+
+    def set_up_again() -> None:
+        again = run_dir / "inputs-again"
+        setup_times.append(time_setup(workload, args.seed, again))
+        if output_digests(again) != built:
+            raise RuntimeError("input builds with one seed wrote different bytes")
+        shutil.rmtree(again)
+
     jobs = workload.jobs(inputs, args.seed)
-    references: dict = {}
+    checker = Checker(run_dir / "held")
     first_of_kind: dict = {}
     for job in jobs:
         first_of_kind.setdefault(job.kind, job)
     untimed = [run_pass(cli, list(first_of_kind.values()), run_dir / "jobs",
-                        references)]
+                        checker)]
     anchors = run_dir / "anchors"
     anchors.mkdir()
-    untimed.append(run_pass(cli, workload.anchors(anchors), anchors, references))
+    untimed.append(run_pass(cli, workload.anchors(anchors), anchors, checker))
 
     passes = []
-    for k in range(pass_count(workload, len(jobs), args.seconds, bool(args.trace))):
+    count = pass_count(workload, len(jobs), args.seconds, bool(args.trace))
+    # setup_s is not reported with tracing on, so one set-up is enough there.
+    repeats = 1 if args.trace else SETUP_REPEATS
+    for k, setups in enumerate(setup_schedule(count, repeats)):
         tracer = Tracer() if args.trace and k % 2 else None
-        passes.append(run_pass(cli, jobs, run_dir / "jobs", references,
+        passes.append(run_pass(cli, jobs, run_dir / "jobs", checker,
                                tracer, label=f"pass{k}"))
+        for _ in range(setups):
+            set_up_again()
 
+    # The oracles run only now, so that the peak RSS is the program's.
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    wrong = checker.check()
     plain = [p for p in passes if not p.traced]
-    failures = [(f"warm-up/anchor {k}", f) for k, f in
-                enumerate(f for p in untimed for f in p.failures)]
-    failures += [(f"pass {k} job {j}", f) for k, p in enumerate(passes)
-                 for j, f in enumerate(p.failures)]
+    failures = [(f"{where} job {key}", reason or wrong.get(key))
+                for where, p in [("warm-up", untimed[0]), ("anchor", untimed[1])]
+                + [(f"pass {k}", p) for k, p in enumerate(passes)]
+                for key, reason in zip(p.keys, p.failures)]
     failed = [(where, f) for where, f in failures if f is not None]
     for where, reason in failed:
         print(f"FAILED {where}: {reason}", file=sys.stderr)
@@ -251,16 +271,19 @@ def bench(args, cli, workload, run_dir: Path) -> tuple[dict, int, int]:
 
     if args.trace:
         traced = [p for p in passes if p.traced]
-        overhead = (statistics.median(p.wall_s for p in traced)
-                    - statistics.median(p.wall_s for p in plain))
+        overhead = metrics.paired_overhead([p.wall_s for p in passes],
+                                           [p.traced for p in passes])
         values = metrics.layer_metrics(
             [metrics.pass_layer_metrics(p.spans, p.files_out, p.bytes_out)
-             for p in traced], overhead)
+             for p in traced], statistics.median(overhead))
         for name, value in values.items():
             unit, computed = metrics.PER_LAYER[name]
-            note = ", computed from sizes" if computed else ""
-            print(f"{name} {value:.6g} {unit} (median of {len(traced)} traced "
-                  f"passes{note})")
+            if name == "trace.overhead_s":
+                note = metrics.overhead_note(overhead)
+            else:
+                note = (f"median of {len(traced)} traced passes"
+                        + (", computed from sizes" if computed else ""))
+            print(f"{name} {value:.6g} {unit} ({note})")
         OUT.mkdir(exist_ok=True)
         write_spans([p.spans for p in traced],
                     OUT / f"spans-{workload.name}-seed{args.seed}.jsonl")
@@ -268,7 +291,7 @@ def bench(args, cli, workload, run_dir: Path) -> tuple[dict, int, int]:
     else:
         values, notes = metrics.e2e_metrics(
             [p.wall_s for p in plain], [s for p in plain for s in p.job_s],
-            setup_times, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+            setup_times, peak_rss_mb)
         print("pass_wall_s " + " ".join(f"{p.wall_s:.4f}" for p in plain))
         for name, value in values.items():
             print(f"{name} {value:.6g} {metrics.E2E[name]} ({notes[name]})")
@@ -295,7 +318,7 @@ def main(argv=None) -> int:
     try:
         values, attempted, failed = bench(args, cli, workload, run_dir)
     except (subprocess.SubprocessError, RuntimeError) as exc:
-        print(f"perfbench: set-up failed: {exc}", file=sys.stderr)
+        print(f"perfbench: {exc}", file=sys.stderr)
         return 1
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)

@@ -17,6 +17,7 @@ import program
 cli = program.load()
 
 import metrics  # noqa: E402  (needs the package on the path)
+import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 from infospread import fundstats, netdiff  # noqa: E402
@@ -31,9 +32,15 @@ def _job(workload: str, key: str, inputs: Path) -> workloads.Job:
     raise LookupError(key)
 
 
-def _run(job: workloads.Job, out: Path, references: dict) -> str | None:
+def _verify(job: workloads.Job, out: Path, code, checker) -> str | None:
+    """The verdict on one run: recorded, then checked by its oracle."""
+    reason = checker.record([(job, out, code)])[0]
+    return reason or checker.check().get(job.key)
+
+
+def _run(job: workloads.Job, out: Path, checker) -> str | None:
     workloads.clear(out)
-    return workloads.verify(job, out, cli.main(job.argv_in(out)), references)
+    return _verify(job, out, cli.main(job.argv_in(out)), checker)
 
 
 def test_metric_names_match_benchmark_json():
@@ -57,31 +64,56 @@ def test_tail_is_highest_percentile_with_ten_samples_above():
     assert metrics.tail([float(k) for k in range(100)]) == (89.0, 90.0)
 
 
+def test_repeat_setups_spread_over_the_run():
+    assert run.setup_schedule(6, 5) == [0, 1, 1, 1, 1, 0]
+    assert run.setup_schedule(4, 5) == [1, 1, 1, 1]
+    assert run.setup_schedule(3, 1) == [0, 0, 0]
+
+
+def test_trace_overhead_cancels_drift():
+    # Untraced passes slow down steadily; tracing adds nothing.
+    walls = [1.0, 1.5, 2.0, 2.5, 3.0]
+    traced = [False, True, False, True, False]
+    assert metrics.paired_overhead(walls, traced) == [0.0, 0.0]
+    # A last traced pass has one neighbour.
+    assert metrics.paired_overhead([1.0, 2.0, 1.0, 2.0], [False, True] * 2) == [1.0, 1.0]
+
+
 def test_corrupted_outputs_count_as_failed():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         # A pinned digest and the repeat-run digest both catch a corrupt byte.
         tiny = _job("fund-reports", "tiny-00-summarize-category", tmp)
-        references: dict = {}
-        assert _run(tiny, tmp / "tiny", references) is None
+        checker = workloads.Checker(tmp / "held")
+        assert _run(tiny, tmp / "tiny", checker) is None
         with open(tmp / "tiny" / "report.csv", "a") as fh:
             fh.write("0")
-        assert "pinned" in workloads.verify(tiny, tmp / "tiny", 0, {})
-        assert "differ" in workloads.verify(tiny, tmp / "tiny", 0, references)
+        assert "pinned" in _verify(tiny, tmp / "tiny", 0,
+                                   workloads.Checker(tmp / "held-2"))
+        assert "differ" in _verify(tiny, tmp / "tiny", 0, checker)
         (tmp / "tiny" / "report.csv").unlink()
-        assert "missing" in workloads.verify(tiny, tmp / "tiny", 0, references)
-        assert "exit status 1" == workloads.verify(tiny, tmp / "tiny", 1, references)
+        assert "missing" in _verify(tiny, tmp / "tiny", 0, checker)
+        assert "exit status 1" == _verify(tiny, tmp / "tiny", 1, checker)
 
         # An oracle catches a wrong value in a float trajectory.
         sir = _job("field-dynamics", "sir", tmp)
-        assert _run(sir, tmp / "sir", {}) is None
+        assert _run(sir, tmp / "sir", workloads.Checker(tmp / "held-3")) is None
         path = tmp / "sir" / "sir.csv"
         lines = path.read_text().splitlines()
         t, s, i, r = lines[-1].split(",")
         # Moved from R to S, so S+I+R still holds and only the final size fails.
         lines[-1] = ",".join([t, repr(float(s) + 1e-3), i, repr(float(r) - 1e-3)])
         path.write_text("\n".join(lines) + "\n")
-        assert "final S" in workloads.verify(sir, tmp / "sir", 0, {})
+        assert "final S" in _verify(sir, tmp / "sir", 0, workloads.Checker(tmp / "held-4"))
+
+        # The oracle judges the first run's bytes even after a later pass
+        # has cleared and rewritten the job's directory.
+        checker = workloads.Checker(tmp / "held-5")
+        assert checker.record([(sir, tmp / "sir", 0)]) == [None]
+        workloads.clear(tmp / "sir")
+        code = cli.main(sir.argv_in(tmp / "sir"))
+        assert "differ" in checker.record([(sir, tmp / "sir", code)])[0]
+        assert "final S" in checker.check()["sir"]
 
 
 def test_child_self_times_never_exceed_parent_span():

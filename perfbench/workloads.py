@@ -2,9 +2,10 @@
 
 Every job is one ``infospread.cli.main(argv)`` call that writes into its own
 directory.  The first run of a job in a benchmark run is checked against an
-independent oracle; every later run of the same job must reproduce its
-output bytes exactly.  Anchor jobs have fixed inputs whatever the workload
-seed, and their outputs must match the digests pinned in ``digests.json``.
+independent oracle when the timing is over; every later run of the same job
+must reproduce its output bytes exactly.  Anchor jobs have fixed inputs whatever
+the workload seed, and their outputs must match the digests pinned in
+``digests.json``.
 
 Import this module only after ``program.load()`` has put the package on the
 path.
@@ -17,6 +18,7 @@ import hashlib
 import importlib.resources
 import json
 import math
+import os
 import shutil
 from collections import defaultdict
 from dataclasses import dataclass
@@ -85,28 +87,53 @@ def output_digests(out: Path) -> dict[str, str]:
     return {p.name: sha256(p) for p in sorted(out.iterdir()) if p.is_file()}
 
 
-def verify(job: Job, out: Path, code, references: dict) -> str | None:
-    """Reason the job failed, or None.  ``references`` maps job keys to the
-    digests of their first checked run (or to the reason it failed)."""
-    if code != 0:
-        return f"exit status {code}"
-    missing = [name for name in job.outputs if not (out / name).is_file()]
-    if missing:
-        return f"missing output {missing[0]}"
-    digests = output_digests(out)
-    if job.key not in references:
-        try:
-            job.check(out)
-        except (CheckError, OSError, ValueError, KeyError) as exc:
-            references[job.key] = f"{type(exc).__name__}: {exc}"
-        else:
-            references[job.key] = digests
-    reference = references[job.key]
-    if isinstance(reference, str):
-        return reference
-    if digests != reference:
-        return "output bytes differ from the first run of this job"
-    return None
+class Checker:
+    """Judges every run of a benchmark run's jobs.
+
+    ``record`` notes a pass's runs.  A run fails at once if its exit status
+    is not 0, if an expected file is missing, or if its bytes differ from
+    the first run of the same job.  The first run of each job is kept, by
+    hard links under ``hold``, and ``check`` runs its oracle at the end of
+    the benchmark run.  The oracles rebuild inputs such as the n=2000
+    matrix, so the caller reads the program's peak RSS before ``check``."""
+
+    def __init__(self, hold: Path):
+        self.hold = hold
+        self.references: dict[str, dict[str, str]] = {}
+        self.pending: list[Job] = []
+
+    def record(self, runs: list[tuple[Job, Path, object]]) -> list[str | None]:
+        """For each (job, output directory, exit code), the reason the run
+        failed, or None if only the job's oracle check is left."""
+        reasons = []
+        for job, out, code in runs:
+            missing = [name for name in job.outputs if not (out / name).is_file()]
+            if code != 0:
+                reasons.append(f"exit status {code}")
+            elif missing:
+                reasons.append(f"missing output {missing[0]}")
+            elif job.key not in self.references:
+                self.references[job.key] = output_digests(out)
+                shutil.copytree(out, self.hold / job.key, copy_function=os.link)
+                self.pending.append(job)
+                reasons.append(None)
+            elif output_digests(out) != self.references[job.key]:
+                reasons.append("output bytes differ from the first run of this job")
+            else:
+                reasons.append(None)
+        return reasons
+
+    def check(self) -> dict[str, str]:
+        """Run the oracle of every recorded job; the reason for each job key
+        whose first output is wrong."""
+        wrong = {}
+        for job in self.pending:
+            try:
+                job.check(self.hold / job.key)
+            except (CheckError, OSError, ValueError, KeyError) as exc:
+                wrong[job.key] = f"{type(exc).__name__}: {exc}"
+        self.pending = []
+        return wrong
 
 
 def clear(out: Path) -> None:
@@ -466,17 +493,32 @@ def _close(got: str, expected: float, rel: float) -> bool:
 
 
 def _fund_oracle(path: Path) -> dict:
-    """Every report on a fund CSV, computed with plain Python from its rows."""
-    with open(path, newline="") as fh:
-        rows = [dict(zip(fundstats.CSV_COLUMNS, row)) for row in csv.reader(fh)][1:]
-    for row in rows:
-        row["assets"] = float(row["assets"])
-        row["performance"] = float(row["performance"])
+    """Every report on a fund CSV, computed with plain Python from its rows.
 
-    def summary(group_by, value):
-        groups = defaultdict(list)
-        for row in rows:
-            groups[row[group_by]].append(row[value])
+    Rows are streamed into per-group value lists and are not kept, so the
+    oracle's memory stays far below the program's and the run's peak RSS
+    is the program's."""
+    by_category, by_family = defaultdict(list), defaultdict(list)
+    share_keys = {"provinces": lambda row: row["province"],
+                  "demographics": lambda row: (row["manager_race"],
+                                               row["manager_gender"])}
+    share_assets = {report: defaultdict(list) for report in share_keys}
+    share_families = {report: defaultdict(set) for report in share_keys}
+    rows = 0
+    with open(path, newline="") as fh:
+        lines = csv.reader(fh)
+        next(lines)
+        for line in lines:
+            row = dict(zip(fundstats.CSV_COLUMNS, line))
+            assets = float(row["assets"])
+            rows += 1
+            by_category[row["category"]].append(float(row["performance"]))
+            by_family[row["family"]].append(assets)
+            for report, key in share_keys.items():
+                share_assets[report][key(row)].append(assets)
+                share_families[report][key(row)].add(row["family"])
+
+    def summary(groups):
         out = []
         for group in sorted(groups):
             xs = groups[group]
@@ -486,21 +528,17 @@ def _fund_oracle(path: Path) -> dict:
             out.append((group, len(xs), mean, std, min(xs), max(xs)))
         return out
 
-    def shares(key):
-        counts, assets, families = defaultdict(int), defaultdict(list), defaultdict(set)
-        for row in rows:
-            counts[key(row)] += 1
-            assets[key(row)].append(row["assets"])
-            families[key(row)].add(row["family"])
+    def shares(report):
+        assets, families = share_assets[report], share_families[report]
         total = math.fsum(math.fsum(v) for v in assets.values())
-        return {k: (len(families[k]), counts[k], 100.0 * counts[k] / len(rows),
-                    100.0 * math.fsum(assets[k]) / total) for k in counts}
+        return {k: (len(families[k]), len(assets[k]), 100.0 * len(assets[k]) / rows,
+                    100.0 * math.fsum(assets[k]) / total) for k in assets}
 
     return {
-        "summarize-category": summary("category", "performance"),
-        "summarize-family": summary("family", "assets"),
-        "provinces": shares(lambda row: row["province"]),
-        "demographics": shares(lambda row: (row["manager_race"], row["manager_gender"])),
+        "summarize-category": summary(by_category),
+        "summarize-family": summary(by_family),
+        "provinces": shares("provinces"),
+        "demographics": shares("demographics"),
     }
 
 
