@@ -140,14 +140,17 @@ def e2e_metrics(pass_walls, job_times, setup_times, peak_rss_mb):
     return values, notes
 
 
-def pass_layer_metrics(spans: list[Span], files_out: int, bytes_out: int) -> dict:
-    """Per-layer totals of one pass.  Layers the pass never called read 0."""
+def pass_layer_metrics(spans: list[Span], files_out: int, bytes_out: int,
+                       scale: float) -> dict:
+    """Per-layer totals of one pass, its span times multiplied by ``scale``
+    (reference seconds per wall-clock second).  Layers the pass never called
+    read 0."""
     totals: dict[str, float] = defaultdict(float)
     for span, own in zip(spans, self_times(spans)):
         if span.name == "cli.run":
-            totals["cli.self_s"] += own
+            totals["cli.self_s"] += own * scale
         elif span.name in _SPAN_TIME:
-            totals[_SPAN_TIME[span.name]] += span.duration
+            totals[_SPAN_TIME[span.name]] += span.duration * scale
         for count, value in span.counts.items():
             metric, combine = _SPAN_COUNT[count]
             totals[metric] = combine([totals[metric], value])

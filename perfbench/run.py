@@ -6,7 +6,9 @@ One client in this process sends one job at a time (a closed loop) through
 ``infospread.cli.main(argv)``.  Set-up is timed in fresh interpreters that
 import ``infospread.cli`` and build the seeded inputs: one before the first
 job, and the rest spread between the timed passes, so that the median
-samples the whole run rather than its first seconds.  One untimed warm-up
+samples the whole run rather than its first seconds.  Every time is reported
+in reference seconds, scaled by the host speed a fixed kernel measures next
+to it (see ``hostspeed``).  One untimed warm-up
 job per job kind and the pinned anchor jobs run next; then the workload's
 fixed job list runs in passes.  With ``--trace 1`` every second pass is
 traced and the per-layer metrics come from those passes.  The last line of
@@ -34,19 +36,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import program
+from hostspeed import Gauge
 
 HERE = Path(__file__).resolve().parent
 OUT = program.ROOT / ".perfbench_out"
 SETUP_REPEATS = 5
 PROBE_TIMEOUT_S = 60
 MIN_JOBS = 11  # job_s_tail needs ten samples above it
+PROBES = 32  # host-speed kernel samples per timed pass and per timed set-up
 
 
 @dataclass
 class Pass:
     traced: bool
-    wall_s: float
+    wall_s: float  # wall clock; times ``scale`` it is in reference seconds
     job_s: list[float]
+    scale: float
     keys: list[str]
     failures: list[str | None]
     files_out: int = 0
@@ -63,11 +68,13 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def time_setup(workload, seed: int, inputs: Path) -> float:
-    """Wall time of one fresh interpreter building the inputs in ``inputs``."""
+def time_setup(workload, seed: int, inputs: Path, gauge: Gauge) -> tuple[float, float]:
+    """Wall time of one fresh interpreter building the inputs in ``inputs``,
+    and the host-speed scale sampled just before and after it."""
     inputs.mkdir(parents=True)
     argv = [sys.executable, str(HERE / "probe.py"), workload.name, str(seed),
             str(inputs)]
+    gauge.sample(PROBES // 2)
     start = time.perf_counter()
     probe = subprocess.Popen(argv)
     # wait(timeout=...) polls in steps of up to 50 ms, which would quantise
@@ -81,7 +88,8 @@ def time_setup(workload, seed: int, inputs: Path) -> float:
     elapsed = time.perf_counter() - start
     if code != 0:
         raise subprocess.CalledProcessError(code, argv)
-    return elapsed
+    gauge.sample(PROBES // 2)
+    return elapsed, gauge.scale()
 
 
 def setup_schedule(passes: int, repeats: int) -> list[int]:
@@ -113,22 +121,27 @@ def fresh_heap() -> None:
     _trim()
 
 
-def run_pass(cli, jobs, base: Path, checker, tracer=None,
-             label: str = "") -> Pass:
+def run_pass(cli, jobs, base: Path, checker, gauge: Gauge | None = None,
+             tracer=None, label: str = "") -> Pass:
     """Run ``jobs`` one after another, then record every output with
-    ``checker``.  The pass's wall time is the sum of its job times."""
+    ``checker``.  The pass's wall time is the sum of its job times.  For a
+    timed pass, ``gauge`` samples the host speed before each job, outside
+    its timing."""
     from workloads import clear
     dirs = [base / job.key for job in jobs]
     for out in dirs:
         clear(out)
     argvs = [job.argv_in(out) for job, out in zip(jobs, dirs)]
     job_s, codes = [], []
+    probes = math.ceil(PROBES / len(jobs)) if gauge is not None else 0
     if tracer is not None:
         tracer.install()
     try:
         for pos, argv in enumerate(argvs):
             if tracer is not None:
                 tracer.job = f"{label}.{pos}"
+            if gauge is not None:
+                gauge.sample(probes)
             fresh_heap()
             began = time.perf_counter()
             try:
@@ -140,7 +153,9 @@ def run_pass(cli, jobs, base: Path, checker, tracer=None,
     finally:
         if tracer is not None:
             tracer.uninstall()
-    done = Pass(tracer is not None, sum(job_s), job_s, [job.key for job in jobs],
+    done = Pass(tracer is not None, sum(job_s), job_s,
+                gauge.scale() if gauge is not None else 1.0,
+                [job.key for job in jobs],
                 checker.record(list(zip(jobs, dirs, codes))),
                 spans=tracer.spans if tracer is not None else [])
     for out in dirs:
@@ -213,12 +228,13 @@ def bench(args, cli, workload, run_dir: Path) -> tuple[dict, int, int]:
     from tracing import Tracer, write_spans
     from workloads import Checker, output_digests
     inputs = run_dir / "inputs"
-    setup_times = [time_setup(workload, args.seed, inputs)]
+    gauge = Gauge()
+    setup_runs = [time_setup(workload, args.seed, inputs, gauge)]
     built = output_digests(inputs)
 
     def set_up_again() -> None:
         again = run_dir / "inputs-again"
-        setup_times.append(time_setup(workload, args.seed, again))
+        setup_runs.append(time_setup(workload, args.seed, again, gauge))
         if output_digests(again) != built:
             raise RuntimeError("input builds with one seed wrote different bytes")
         shutil.rmtree(again)
@@ -240,7 +256,7 @@ def bench(args, cli, workload, run_dir: Path) -> tuple[dict, int, int]:
     repeats = 1 if args.trace else SETUP_REPEATS
     for k, setups in enumerate(setup_schedule(count, repeats)):
         tracer = Tracer() if args.trace and k % 2 else None
-        passes.append(run_pass(cli, jobs, run_dir / "jobs", checker,
+        passes.append(run_pass(cli, jobs, run_dir / "jobs", checker, gauge,
                                tracer, label=f"pass{k}"))
         for _ in range(setups):
             set_up_again()
@@ -271,10 +287,10 @@ def bench(args, cli, workload, run_dir: Path) -> tuple[dict, int, int]:
 
     if args.trace:
         traced = [p for p in passes if p.traced]
-        overhead = metrics.paired_overhead([p.wall_s for p in passes],
+        overhead = metrics.paired_overhead([p.wall_s * p.scale for p in passes],
                                            [p.traced for p in passes])
         values = metrics.layer_metrics(
-            [metrics.pass_layer_metrics(p.spans, p.files_out, p.bytes_out)
+            [metrics.pass_layer_metrics(p.spans, p.files_out, p.bytes_out, p.scale)
              for p in traced], statistics.median(overhead))
         for name, value in values.items():
             unit, computed = metrics.PER_LAYER[name]
@@ -290,11 +306,19 @@ def bench(args, cli, workload, run_dir: Path) -> tuple[dict, int, int]:
         units = {name: unit for name, (unit, _) in metrics.PER_LAYER.items()}
     else:
         values, notes = metrics.e2e_metrics(
+            [p.wall_s * p.scale for p in plain],
+            [s * p.scale for p in plain for s in p.job_s],
+            [s * scale for s, scale in setup_runs], peak_rss_mb)
+        clock, _ = metrics.e2e_metrics(
             [p.wall_s for p in plain], [s for p in plain for s in p.job_s],
-            setup_times, peak_rss_mb)
+            [s for s, _ in setup_runs], peak_rss_mb)
         print("pass_wall_s " + " ".join(f"{p.wall_s:.4f}" for p in plain))
+        print("host_scale " + " ".join(f"{p.scale:.4f}" for p in plain))
         for name, value in values.items():
-            print(f"{name} {value:.6g} {metrics.E2E[name]} ({notes[name]})")
+            unit = metrics.E2E[name]
+            shown = (f", wall clock {clock[name]:.6g} {unit}"
+                     if unit == "s" else "")
+            print(f"{name} {value:.6g} {unit} ({notes[name]}{shown})")
         units = metrics.E2E
     result = {name: {"value": value, "unit": units[name]}
               for name, value in values.items()}

@@ -16,6 +16,7 @@ import program
 
 cli = program.load()
 
+import hostspeed  # noqa: E402
 import metrics  # noqa: E402  (needs the package on the path)
 import run  # noqa: E402
 import tracing  # noqa: E402
@@ -54,7 +55,7 @@ def test_metric_names_match_benchmark_json():
     values, notes = metrics.e2e_metrics([1.0, 2.0], [0.1] * 12, [0.5] * 3, 60.0)
     assert list(values) == list(e2e) and list(notes) == list(e2e)
     spans = [tracing.Span("cli.run", "p.0", None, 0.0, 1.0)]
-    per_pass = metrics.pass_layer_metrics(spans, files_out=2, bytes_out=10)
+    per_pass = metrics.pass_layer_metrics(spans, files_out=2, bytes_out=10, scale=1.0)
     assert set(metrics.layer_metrics([per_pass], 0.1)) == set(layer)
     assert per_pass["gossip.simulate_s"] == 0.0  # a layer not called reads 0
 
@@ -68,6 +69,18 @@ def test_repeat_setups_spread_over_the_run():
     assert run.setup_schedule(6, 5) == [0, 1, 1, 1, 1, 0]
     assert run.setup_schedule(4, 5) == [1, 1, 1, 1]
     assert run.setup_schedule(3, 1) == [0, 0, 0]
+
+
+def test_host_scale_turns_wall_time_into_reference_seconds():
+    gauge = hostspeed.Gauge()
+    gauge.samples = [2 * hostspeed.REFERENCE_S] * 3 + [9.0]
+    assert gauge.scale() == 0.5  # the host ran at half the reference speed
+    assert gauge.samples == []
+    spans = [tracing.Span("cli.run", "p.0", None, 0.0, 2.0),
+             tracing.Span("fundstats.ingest_csv", "p.0", 0, 0.5, 1.5, {"rows": 10})]
+    layer = metrics.pass_layer_metrics(spans, files_out=1, bytes_out=10, scale=0.5)
+    assert layer["fundstats.ingest_s"] == 0.5 and layer["cli.self_s"] == 0.5
+    assert layer["fundstats.rows"] == 10  # counts are not scaled
 
 
 def test_trace_overhead_cancels_drift():
