@@ -47,7 +47,8 @@ class ConvergenceError(ModelError):
 # gossip ----------------------------------------------------------------
 
 class ParamRangeError(ModelError):
-    """Exchange probability outside [0, 1]."""
+    """Exchange probability outside [0, 1], or an initially informed node
+    index outside [0, n)."""
 
 
 class ReducibleChainError(ModelError):
@@ -58,10 +59,6 @@ class ReducibleChainError(ModelError):
     def __init__(self, message, closed_classes=()):
         super().__init__(message)
         self.closed_classes = tuple(closed_classes)
-
-
-class IsolatedNodeError(ModelError):
-    """A node with zero out-weight was asked to initiate a contact."""
 
 
 # epi_sir ---------------------------------------------------------------

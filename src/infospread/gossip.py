@@ -24,6 +24,7 @@ The chain is time-homogeneous; no per-round parameter schedules.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -312,6 +313,27 @@ def replicate_generator(seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, replicate]))
 
 
+def _partner_table(weights: np.ndarray):
+    """Partner-sampling thresholds of every initiator with out-weight.
+
+    Returns the active initiator indices in index order and two padded
+    (m, max_degree) matrices: row r holds initiator active[r]'s _cumulative
+    thresholds at its positive-weight columns, padded with +inf, and those
+    columns.  For a uniform u in [0, 1), cols[r, count(thresholds[r] <= u)]
+    equals searchsorted(_cumulative(row), u, side="right"): the first
+    threshold above u always sits at a positive-weight column.
+    """
+    active = np.flatnonzero(weights.any(axis=1))
+    support = [np.flatnonzero(weights[i]) for i in active]
+    width = max((s.size for s in support), default=0)
+    thresholds = np.full((active.size, width), np.inf)
+    cols = np.zeros((active.size, width), dtype=np.intp)
+    for r, (i, nz) in enumerate(zip(active, support)):
+        thresholds[r, :nz.size] = _cumulative(weights[i])[nz]
+        cols[r, :nz.size] = nz
+    return active, thresholds, cols
+
+
 def simulate_population(net: ManagerNetwork, params: ExchangeParams,
                         initially_informed, rounds: int,
                         seed: int) -> GossipTrace:
@@ -323,24 +345,37 @@ def simulate_population(net: ManagerNetwork, params: ExchangeParams,
     with i in the initiator role.  Bits update in place sequentially, so the
     run is deterministic for fixed inputs and seed.  Initiators with zero
     out-weight are skipped and counted in the trace.
+
+    Draw contract (keep it, or traces for a given seed change): each round
+    draws one block of 2m uniforms with ``rng.random(2 * m)``, m being the
+    number of initiators with out-weight.  Positions 2r and 2r + 1 are the
+    partner draw and the transition draw of the r-th such initiator in
+    index order.  Isolated initiators draw nothing, and once the population
+    is frozen (everyone informed with p_drop = 0, or nobody with p_ext = 0)
+    no round draws at all.  Each draw is compared with its thresholds as
+    by ``searchsorted(..., side="right")``.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     n = net.n
-    informed = [False] * n
+    bits = [0] * n
     for idx in initially_informed:
         if not 0 <= idx < n:
-            raise ValueError(f"informed index {idx} outside [0, {n})")
-        informed[idx] = True
+            raise ParamRangeError(
+                f"informed index {idx} outside [0, {n}) for a network of "
+                f"n={n} nodes")
+        bits[idx] = 1
 
     weights = np.array(net.w, dtype=float)
     np.fill_diagonal(weights, 0.0)
-    partner_cums = [_cumulative(weights[i]) if weights[i].any() else None
-                    for i in range(n)]
-    row_cums = _row_cumsums(params)
+    active, thresholds, cols = _partner_table(weights)
+    m = active.size
+    rows = np.arange(m)
+    initiators = active.tolist()
+    row_cums = [row.tolist() for row in _row_cumsums(params)]
 
     rng = np.random.default_rng(seed)
-    counts = [sum(informed)]
+    counts = [sum(bits)]
     skips = 0
     for rnd in range(rounds):
         k = counts[-1]
@@ -350,17 +385,16 @@ def simulate_population(net: ManagerNetwork, params: ExchangeParams,
             # No transition can change any bit; fill without consuming draws.
             counts.extend([k] * (rounds - rnd))
             break
-        for i in range(n):
-            cums = partner_cums[i]
-            if cums is None:
-                skips += 1
-                continue
-            j = int(np.searchsorted(cums, rng.random(), side="right"))
-            state_idx = 2 * informed[i] + informed[j]
-            nxt = STATE_ORDER[_sample_row(row_cums[state_idx], rng)]
-            informed[i] = bool(nxt[0])
-            informed[j] = bool(nxt[1])
-        counts.append(sum(informed))
+        draws = rng.random(2 * m)
+        picks = np.count_nonzero(thresholds <= draws[0::2, None], axis=1)
+        partners = cols[rows, picks].tolist()
+        for i, j, u in zip(initiators, partners, draws[1::2].tolist()):
+            # STATE_ORDER puts the pair state (a, b) at index 2a + b.
+            nxt = bisect_right(row_cums[2 * bits[i] + bits[j]], u)
+            bits[i] = nxt >> 1
+            bits[j] = nxt & 1
+        skips += n - m
+        counts.append(sum(bits))
     return GossipTrace(
         rounds=rounds,
         informed_count=tuple(counts),

@@ -122,6 +122,18 @@ def test_reducible_chain_exits_1(tmp_path, capsys):
     assert "ReducibleChainError" in capsys.readouterr().err
 
 
+def test_out_of_range_informed_index_exits_1(tmp_path, capsys):
+    args = list(GOSSIP_ARGS)
+    args[args.index("--informed") + 1] = "99"
+    out = tmp_path / "trace.csv"
+    assert cli.main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParamRangeError:")
+    assert "99" in err and "n=10" in err
+    assert "\n" not in err.rstrip("\n")
+    assert not out.exists()
+
+
 def test_sir_run_writes_csv_and_manifest(tmp_path):
     out = tmp_path / "sir.csv"
     status = cli.main(["sir", "--preset", "fig6b", "--horizon", "10",

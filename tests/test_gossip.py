@@ -5,9 +5,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infospread import gossip, netdiff
-from infospread.errors import ParamRangeError, ReducibleChainError
+from infospread.errors import ModelError, ParamRangeError, ReducibleChainError
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -93,6 +94,57 @@ def closed_class_count(p: np.ndarray) -> int:
                for reach_ok in (j in members or p[m][j] == 0 for j in range(n))):
             count += 1
     return count
+
+
+def reference_simulate_population(net, params, initially_informed, rounds,
+                                  seed):
+    """Per-contact population run: two scalar draws and two searchsorted
+    calls per contact.  simulate_population must return the same trace."""
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    n = net.n
+    informed = [False] * n
+    for idx in initially_informed:
+        if not 0 <= idx < n:
+            raise ValueError(f"informed index {idx} outside [0, {n})")
+        informed[idx] = True
+
+    weights = np.array(net.w, dtype=float)
+    np.fill_diagonal(weights, 0.0)
+    partner_cums = [gossip._cumulative(weights[i]) if weights[i].any() else None
+                    for i in range(n)]
+    row_cums = gossip._row_cumsums(params)
+
+    rng = np.random.default_rng(seed)
+    counts = [sum(informed)]
+    skips = 0
+    for rnd in range(rounds):
+        k = counts[-1]
+        frozen = (k == n and params.p_drop == 0.0) or \
+                 (k == 0 and params.p_ext == 0.0)
+        if frozen:
+            # No transition can change any bit; fill without consuming draws.
+            counts.extend([k] * (rounds - rnd))
+            break
+        for i in range(n):
+            cums = partner_cums[i]
+            if cums is None:
+                skips += 1
+                continue
+            j = int(np.searchsorted(cums, rng.random(), side="right"))
+            state_idx = 2 * informed[i] + informed[j]
+            nxt = gossip.STATE_ORDER[gossip._sample_row(row_cums[state_idx], rng)]
+            informed[i] = bool(nxt[0])
+            informed[j] = bool(nxt[1])
+        counts.append(sum(informed))
+    return gossip.GossipTrace(
+        rounds=rounds,
+        informed_count=tuple(counts),
+        informed_fraction=tuple(c / n for c in counts),
+        seed=seed,
+        params=params,
+        isolated_skips=skips,
+    )
 
 
 def param_grid():
@@ -368,7 +420,7 @@ def test_population_deterministic_for_seed():
 def test_population_validates_inputs():
     params = gossip.ExchangeParams(0.5, 0.1, 0.2, 0.8)
     net = complete_network(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelError):
         gossip.simulate_population(net, params, [4], rounds=10, seed=0)
     with pytest.raises(ValueError):
         gossip.simulate_population(net, params, [0], rounds=0, seed=0)
@@ -380,6 +432,79 @@ def test_population_fraction_matches_count():
                                        rounds=25, seed=3)
     for c, f in zip(trace.informed_count, trace.informed_fraction):
         assert f == c / 8
+
+
+def equivalence_networks():
+    """Weight matrices covering the edge cases of partner sampling."""
+    rng = np.random.default_rng(2024)
+    mixed = rng.random((9, 9)) * (rng.random((9, 9)) < 0.5)
+    np.fill_diagonal(mixed, rng.random(9))    # self-weights everywhere
+    mixed[3] = 0.0
+    mixed[3, 3] = 0.8                         # weight only on the diagonal
+    mixed[6] = 0.0                            # no weight at all
+    # Weights far below one ulp of the running sum leave a threshold equal
+    # to its predecessor at a positive-weight column.
+    tiny = np.ones((6, 6))
+    tiny[:, 2] = 1e-300
+    tiny[:, 4] = 1e-17
+    return {
+        "single": np.zeros((1, 1)),
+        "single-self": np.full((1, 1), 0.5),
+        "pair-one-way": np.array([[0.0, 1.0], [0.0, 0.0]]),
+        "mixed": mixed,
+        "tiny": tiny,
+        "complete": netdiff.generate_random_network(10, 1.0, seed=3).w,
+        "sparse": netdiff.generate_random_network(40, 0.03, seed=5).w,
+    }
+
+
+EQUIVALENCE_PARAMS = (
+    gossip.ExchangeParams(0.5, 0.1, 0.2, 0.8),
+    gossip.ExchangeParams(1.0, 0.0, 0.0, 1.0, 0.0),   # freezes at full coverage
+    gossip.ExchangeParams(0.6, 0.0, 0.3, 0.7, 0.2),   # freezes at full coverage
+    gossip.ExchangeParams(0.5, 0.4, 0.25, 0.8, 0.0),  # freezes at zero from ()
+    gossip.ExchangeParams(0.3, 0.6, 0.1, 0.9, 0.05),
+)
+
+
+@pytest.mark.parametrize("name", sorted(equivalence_networks()))
+def test_population_matches_per_contact_reference(name):
+    net = netdiff.validate_network(equivalence_networks()[name])
+    n = net.n
+    informed_sets = {(0,), tuple(sorted({0, n // 2, n - 1})), ()}
+    frozen = set()
+    for params, informed, seed in itertools.product(
+            EQUIVALENCE_PARAMS, sorted(informed_sets), range(20)):
+        expected = reference_simulate_population(net, params, informed,
+                                                 rounds=12, seed=seed)
+        got = gossip.simulate_population(net, params, informed,
+                                         rounds=12, seed=seed)
+        assert got == expected, (name, params, informed, seed)
+        last = got.informed_count[-1]
+        if last == n and params.p_drop == 0.0 or last == 0 and params.p_ext == 0.0:
+            frozen.add(last)
+    assert frozen == {0, n}
+
+
+@st.composite
+def small_population_runs(draw):
+    n = draw(st.integers(1, 6))
+    weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    w = np.array(draw(st.lists(weight, min_size=n * n, max_size=n * n)))
+    prob = st.floats(0.0, 1.0)
+    params = gossip.ExchangeParams(*(draw(prob) for _ in range(5)))
+    informed = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return (netdiff.validate_network(w.reshape(n, n)), params,
+            sorted(informed), draw(st.integers(1, 15)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_population_runs())
+def test_population_matches_reference_on_random_inputs(run):
+    net, params, informed, rounds, seed = run
+    assert gossip.simulate_population(net, params, informed, rounds, seed) == \
+        reference_simulate_population(net, params, informed, rounds, seed)
 
 
 # -- empirical estimates -------------------------------------------------------
