@@ -1,6 +1,7 @@
 """Command-line front end binding all modules.
 
-Exit statuses: 0 ok, 1 model error, 2 usage error, 3 missing input file.
+Exit statuses: 0 ok, 1 model error, 2 usage error, 3 missing input file
+(or a directory given as one).
 Every file-writing invocation writes atomically (temp file + rename) and
 drops a sidecar ``<out>.manifest.json`` echoing the effective parameters,
 including defaulted ones, so identical config and seed reproduce identical
@@ -113,11 +114,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pick(args, cfg: dict, name: str, default=None):
+def _pick(args, cfg: dict, name: str, default=None, kind=None):
+    """Flag value, else config value, else default; converted by ``kind``
+    (float or int) unless None, so a config value of the wrong type is a
+    usage error like a bad flag."""
     value = getattr(args, name, None)
     if value is None:
         value = cfg.get(name, default)
-    return value
+    if kind is None or value is None:
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise UsageError(f"--{name} must be {noun}, got {value!r}") from None
 
 
 def _require(value, flag: str):
@@ -126,18 +136,13 @@ def _require(value, flag: str):
     return value
 
 
-def _check_prob(name: str, value) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"--{name} must be a number") from None
+def _check_prob(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise UsageError(f"--{name} must lie in [0, 1], got {value!r}")
     return value
 
 
-def _check_positive(name: str, value) -> float:
-    value = float(value)
+def _check_positive(name: str, value: float) -> float:
     if value <= 0:
         raise UsageError(f"--{name} must be positive, got {value!r}")
     return value
@@ -168,11 +173,14 @@ def parse_args(argv=None) -> RunConfig:
     cfg: dict = {}
     if args.config is not None:
         _check_input_file(args.config)
-        cfg = json.loads(Path(args.config).read_text())
+        try:
+            cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise UsageError(f"--config is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise UsageError("--config must contain a JSON object")
 
-    seed = int(_pick(args, cfg, "seed", 0))
+    seed = _pick(args, cfg, "seed", 0, int)
     if not 0 <= seed < 2 ** 64:
         raise UsageError(f"--seed must be a 64-bit nonnegative integer, got {seed}")
     out = _pick(args, cfg, "out")
@@ -195,10 +203,10 @@ def _params_network(args, cfg):
     action = _check_action("network", args.action, ("gen", "centrality", "eigen"))
     params: dict = {}
     if action == "gen":
-        params["n"] = int(_require(_pick(args, cfg, "n"), "n"))
+        params["n"] = _require(_pick(args, cfg, "n", kind=int), "n")
         if params["n"] < 1:
             raise UsageError("--n must be >= 1")
-        density = float(_require(_pick(args, cfg, "density"), "density"))
+        density = _require(_pick(args, cfg, "density", kind=float), "density")
         if not 0.0 <= density <= 1.0:
             raise UsageError(f"--density must lie in [0, 1], got {density!r}")
         params["density"] = density
@@ -206,13 +214,14 @@ def _params_network(args, cfg):
         params["network"] = _check_input_file(
             _require(_pick(args, cfg, "network"), "network"))
         if action == "centrality":
-            horizon = int(_require(_pick(args, cfg, "horizon"), "horizon"))
+            horizon = _require(_pick(args, cfg, "horizon", kind=int), "horizon")
             if horizon < 1:
                 raise UsageError("--horizon must be >= 1")
             params["horizon"] = horizon
         else:
-            params["tol"] = _check_positive("tol", _pick(args, cfg, "tol", 1e-10))
-            params["max_iter"] = int(_pick(args, cfg, "max_iter", 10000))
+            params["tol"] = _check_positive(
+                "tol", _pick(args, cfg, "tol", 1e-10, float))
+            params["max_iter"] = _pick(args, cfg, "max_iter", 10000, int)
             if params["max_iter"] < 1:
                 raise UsageError("--max_iter must be >= 1")
     return action, params
@@ -223,7 +232,7 @@ def _params_gossip(args, cfg):
     # reported even when the action is missing.
     given = {}
     for name in _GOSSIP_PROBS:
-        value = _pick(args, cfg, name)
+        value = _pick(args, cfg, name, kind=float)
         if value is not None:
             given[name] = _check_prob(name, value)
     tie = bool(args.tie_gain_to_loss or cfg.get("tie_gain_to_loss", False))
@@ -246,7 +255,7 @@ def _params_gossip(args, cfg):
     if action == "simulate":
         params["network"] = _check_input_file(
             _require(_pick(args, cfg, "network"), "network"))
-        params["rounds"] = int(_require(_pick(args, cfg, "rounds"), "rounds"))
+        params["rounds"] = _require(_pick(args, cfg, "rounds", kind=int), "rounds")
         if params["rounds"] < 1:
             raise UsageError("--rounds must be >= 1")
         informed = _pick(args, cfg, "informed", "0")
@@ -272,23 +281,23 @@ def _params_sir(args, cfg):
         preset = {"beta": p.beta, "alpha": p.alpha, "mu": p.mu, "n": p.n_total}
 
     def value_of(name, default=None):
-        v = _pick(args, cfg, name)
+        v = _pick(args, cfg, name, kind=float)
         if v is None:
             v = preset.get(name, default)
         return v
 
-    beta = float(_require(value_of("beta"), "beta"))
-    alpha = float(_require(value_of("alpha"), "alpha"))
-    mu = float(value_of("mu", 0.0))
-    n_total = float(value_of("n", 1.0))
+    beta = _require(value_of("beta"), "beta")
+    alpha = _require(value_of("alpha"), "alpha")
+    mu = value_of("mu", 0.0)
+    n_total = value_of("n", 1.0)
     if beta < 0 or alpha < 0 or mu < 0:
         raise UsageError("--beta/--alpha/--mu must be nonnegative")
     if n_total <= 0:
         raise UsageError("--n must be positive")
-    i0 = float(value_of("i0", 1e-3))
-    r0 = float(value_of("r0", 0.0))
+    i0 = value_of("i0", 1e-3)
+    r0 = value_of("r0", 0.0)
     s0 = value_of("s0")
-    s0 = n_total - i0 - r0 if s0 is None else float(s0)
+    s0 = n_total - i0 - r0 if s0 is None else s0
     h = _check_positive("h", value_of("h", 0.01))
     horizon = _check_positive("horizon", value_of("horizon", 200.0))
     return None, {"preset": preset_name, "beta": beta, "alpha": alpha,
@@ -298,15 +307,15 @@ def _params_sir(args, cfg):
 
 def _params_rd(args, cfg):
     params = {
-        "D": _check_positive("D", _pick(args, cfg, "D", 1.0)),
-        "r": float(_pick(args, cfg, "r", 1.0)),
-        "K": _check_positive("K", _pick(args, cfg, "K", 1.0)),
-        "dx": _check_positive("dx", _pick(args, cfg, "dx", 0.1)),
-        "dt": _check_positive("dt", _pick(args, cfg, "dt", 0.002)),
-        "length": _check_positive("length", _pick(args, cfg, "length", 200.0)),
-        "horizon": _check_positive("horizon", _pick(args, cfg, "horizon", 80.0)),
+        "D": _check_positive("D", _pick(args, cfg, "D", 1.0, float)),
+        "r": _pick(args, cfg, "r", 1.0, float),
+        "K": _check_positive("K", _pick(args, cfg, "K", 1.0, float)),
+        "dx": _check_positive("dx", _pick(args, cfg, "dx", 0.1, float)),
+        "dt": _check_positive("dt", _pick(args, cfg, "dt", 0.002, float)),
+        "length": _check_positive("length", _pick(args, cfg, "length", 200.0, float)),
+        "horizon": _check_positive("horizon", _pick(args, cfg, "horizon", 80.0, float)),
         "init": str(_pick(args, cfg, "init", "step")),
-        "snapshot_every": int(_pick(args, cfg, "snapshot_every", 500)),
+        "snapshot_every": _pick(args, cfg, "snapshot_every", 500, int),
     }
     if params["r"] < 0:
         raise UsageError("--r must be nonnegative")
@@ -328,15 +337,15 @@ def _params_fastslow(args, cfg):
     # is uniformly attracting there, so the QSS deviation shrinks with
     # epsilon (supercritical rates spike to order 1/epsilon instead).
     params = {
-        "beta": float(_pick(args, cfg, "beta", 0.1)),
-        "alpha": float(_pick(args, cfg, "alpha", 0.2)),
-        "mu": float(_pick(args, cfg, "mu", 0.05)),
-        "n": _check_positive("n", _pick(args, cfg, "n", 1.0)),
-        "epsilon": float(_pick(args, cfg, "epsilon", 0.1)),
-        "h": _check_positive("h", _pick(args, cfg, "h", 0.05)),
-        "horizon": _check_positive("horizon", _pick(args, cfg, "horizon", 30.0)),
-        "layer_time": float(_pick(args, cfg, "layer_time", 5.0)),
-        "i0": float(_pick(args, cfg, "i0", 0.2)),
+        "beta": _pick(args, cfg, "beta", 0.1, float),
+        "alpha": _pick(args, cfg, "alpha", 0.2, float),
+        "mu": _pick(args, cfg, "mu", 0.05, float),
+        "n": _check_positive("n", _pick(args, cfg, "n", 1.0, float)),
+        "epsilon": _pick(args, cfg, "epsilon", 0.1, float),
+        "h": _check_positive("h", _pick(args, cfg, "h", 0.05, float)),
+        "horizon": _check_positive("horizon", _pick(args, cfg, "horizon", 30.0, float)),
+        "layer_time": _pick(args, cfg, "layer_time", 5.0, float),
+        "i0": _pick(args, cfg, "i0", 0.2, float),
     }
     if params["beta"] < 0 or params["alpha"] < 0 or params["mu"] < 0:
         raise UsageError("--beta/--alpha/--mu must be nonnegative")
@@ -344,8 +353,8 @@ def _params_fastslow(args, cfg):
         raise UsageError(f"--epsilon must lie in (0, 1], got {params['epsilon']!r}")
     if not params["layer_time"] < params["horizon"]:
         raise UsageError("--layer_time must be smaller than --horizon")
-    s0 = _pick(args, cfg, "s0")
-    params["s0"] = (params["n"] - params["i0"]) if s0 is None else float(s0)
+    s0 = _pick(args, cfg, "s0", kind=float)
+    params["s0"] = (params["n"] - params["i0"]) if s0 is None else s0
     return None, params
 
 
@@ -427,8 +436,7 @@ def _run_network(config: RunConfig) -> None:
     p = config.params
     if config.action == "gen":
         net = netdiff.generate_random_network(p["n"], p["density"], config.seed)
-        lines = [",".join(repr(float(x)) for x in row) for row in net.w]
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(config, netdiff.network_csv_text(net))
     elif config.action == "centrality":
         net = netdiff.read_network_csv(p["network"])
         report = netdiff.centrality_report(net, p["horizon"])
@@ -591,8 +599,8 @@ def run(config: RunConfig) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: FileNotFoundError: {exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (ModelError, OverflowError) as exc:
         message = " ".join(str(exc).split())
@@ -609,8 +617,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: FileNotFoundError: {exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return run(config)
 

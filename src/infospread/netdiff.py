@@ -13,7 +13,6 @@ concurrently.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +38,7 @@ __all__ = [
     "centrality_report",
     "generate_random_network",
     "read_network_csv",
+    "network_csv_text",
     "write_network_csv",
 ]
 
@@ -88,6 +88,12 @@ def validate_network(raw) -> ManagerNetwork:
         w = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise EntryRangeError(f"network entries must be real numbers: {exc}") from None
+    return _own_network(w)
+
+
+def _own_network(w: np.ndarray) -> ManagerNetwork:
+    """``validate_network`` for a float array nothing else refers to: it is
+    checked and frozen in place, without the copy."""
     if w.ndim != 2:
         raise DimensionError(f"network must be a 2-d matrix, got ndim={w.ndim}")
     if w.shape[0] != w.shape[1]:
@@ -184,13 +190,12 @@ def hearing_matrix(net: ManagerNetwork, T: int) -> np.ndarray:
     repeated multiply-accumulate; raises the builtin OverflowError with the
     failing term index if an entry leaves the finite float range.
     """
-    if int(T) != T or T < 1:
-        raise HorizonError(f"horizon must be an integer >= 1, got {T!r}")
+    T = _horizon(T)
     w = net.w
     power = w.copy()
     total = w.copy()
     with np.errstate(over="ignore"):
-        for t in range(2, int(T) + 1):
+        for t in range(2, T + 1):
             power = power @ w
             if not np.isfinite(power).all():
                 raise OverflowError(
@@ -200,8 +205,32 @@ def hearing_matrix(net: ManagerNetwork, T: int) -> np.ndarray:
 
 
 def diffusion_centrality(net: ManagerNetwork, T: int) -> np.ndarray:
-    """Row sums of the hearing matrix: expected total hearings per source."""
-    return hearing_matrix(net, T).sum(axis=1)
+    """Row sums of the hearing matrix: expected total hearings per source.
+
+    Computed as the sum of the walk-count vectors w^t 1 for t = 1..T, by T-1
+    mat-vecs from the row sums of w, so the hearing matrix is never formed;
+    the horizon-1 result is exactly ``w.sum(axis=1)``.  Raises the builtin
+    OverflowError with the failing term index if an entry leaves the finite
+    float range.
+    """
+    T = _horizon(T)
+    w = net.w
+    walks = w.sum(axis=1)
+    total = walks.copy()
+    with np.errstate(over="ignore"):
+        for t in range(2, T + 1):
+            walks = w @ walks
+            if not np.isfinite(walks).all():
+                raise OverflowError(
+                    f"diffusion centrality left the finite float range at term t={t}")
+            total += walks
+    return total
+
+
+def _horizon(T) -> int:
+    if int(T) != T or T < 1:
+        raise HorizonError(f"horizon must be an integer >= 1, got {T!r}")
+    return int(T)
 
 
 def centrality_report(net: ManagerNetwork, T: int) -> CentralityReport:
@@ -224,28 +253,72 @@ def generate_random_network(n: int, density: float, seed: int) -> ManagerNetwork
     weights = 1.0 - rng.random((n, n))  # uniform on (0, 1]
     w = np.where(gate < density, weights, 0.0)
     np.fill_diagonal(w, 0.0)
-    return validate_network(w)
+    return _own_network(w)
 
 
 def read_network_csv(path) -> ManagerNetwork:
-    """Read a headerless n-by-n CSV weight matrix; rejects ragged rows."""
-    rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise EntryRangeError(f"line {lineno}: {exc}") from None
-            if len(rows[-1]) != len(rows[0]):
-                raise DimensionError(
-                    f"line {lineno}: ragged row of width {len(rows[-1])}, "
-                    f"expected {len(rows[0])}")
-    return validate_network(rows)
+    """Read a headerless n-by-n CSV weight matrix.
+
+    Syntax: one matrix row per line, cells separated by commas, each cell a
+    decimal or exponent float literal that ``numpy.loadtxt`` accepts, with
+    optional spaces around it and optional double quotes (``"0.5"``).  Empty
+    lines are skipped, LF, CRLF and CR line endings are all accepted, and the
+    file must be UTF-8.  There are no comment lines, and ``_`` digit
+    separators are rejected.
+
+    Raises DimensionError naming the line for a row whose width differs from
+    the first row's, and for a file with no rows; EntryRangeError for text
+    that is not UTF-8 or a cell that is not a number, carrying numpy's
+    message (its rows count the non-empty lines from 0, its columns from 1);
+    and otherwise whatever ``validate_network`` raises.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            w = np.loadtxt(_even_rows(fh), delimiter=",", quotechar='"',
+                           comments=None, ndmin=2)
+        except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+            raise EntryRangeError(f"network CSV: {exc}") from None
+    return _own_network(w)
+
+
+def _even_rows(lines):
+    """Yield the non-empty lines, raising DimensionError at the first one
+    whose comma count differs from the first row's, or after the last line
+    if there was no row at all."""
+    width = None
+    for lineno, line in enumerate(lines, start=1):
+        if line == "\n":
+            continue
+        commas = line.count(",")
+        if width is None:
+            width = commas
+        elif commas != width:
+            raise DimensionError(
+                f"line {lineno}: ragged row of width {commas + 1}, "
+                f"expected {width + 1}")
+        yield line
+    if width is None:
+        raise DimensionError("network needs at least one node")
+
+
+def network_csv_text(net: ManagerNetwork) -> str:
+    """Headerless CSV text of a network, one row per line.
+
+    Each cell is ``repr`` of the float, so the text reads back to the same
+    bits.  Zero cells are filled in bulk; only the cells that are nonzero or
+    carry a sign bit (``-0.0``) are formatted one by one.
+    """
+    zeros = ["0.0"] * net.n
+    lines = []
+    for row in net.w:
+        cols = np.flatnonzero((row != 0.0) | np.signbit(row))
+        cells = zeros.copy()
+        for j, text in zip(cols.tolist(), map(repr, row[cols].tolist())):
+            cells[j] = text
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def write_network_csv(path, net: ManagerNetwork) -> None:
     """Write a network as headerless CSV with round-trip float precision."""
-    lines = [",".join(repr(float(x)) for x in row) for row in net.w]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(network_csv_text(net))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from infospread import cli
+from infospread import cli, netdiff
 from infospread.errors import UsageError
 
 NETWORK10 = str(importlib.resources.files("infospread.data") / "network10.csv")
@@ -134,6 +134,49 @@ def test_out_of_range_informed_index_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def one_error_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert "\n" not in err.rstrip("\n"), err
+    return err
+
+
+def test_non_utf8_network_exits_1(tmp_path, capsys):
+    path = tmp_path / "net.csv"
+    path.write_bytes(b"0,\xe9\n1,0\n")
+    assert cli.main(["network", "eigen", "--network", str(path)]) == 1
+    one_error_line(capsys, "error: EntryRangeError:")
+
+
+def test_network_directory_exits_3(tmp_path, capsys):
+    assert cli.main(["network", "centrality", "--network", str(tmp_path),
+                     "--horizon", "2"]) == 3
+    one_error_line(capsys, "error: IsADirectoryError:")
+
+
+def test_empty_network_exits_1_naming_the_cause(tmp_path, capsys):
+    path = tmp_path / "net.csv"
+    path.write_text("")
+    assert cli.main(["network", "eigen", "--network", str(path)]) == 1
+    err = one_error_line(capsys, "error: DimensionError:")
+    assert "at least one node" in err
+
+
+def test_malformed_config_json_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"h": ')
+    assert cli.main(["sir", "--preset", "fig6b", "--config", str(cfg)]) == 2
+    one_error_line(capsys, "usage error: --config")
+
+
+def test_non_numeric_config_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dx": "abc"}))
+    assert cli.main(["rd", "--config", str(cfg), "--out", str(tmp_path / "rd")]) == 2
+    err = one_error_line(capsys, "usage error: --dx")
+    assert "abc" in err
+
+
 def test_sir_run_writes_csv_and_manifest(tmp_path):
     out = tmp_path / "sir.csv"
     status = cli.main(["sir", "--preset", "fig6b", "--horizon", "10",
@@ -157,6 +200,16 @@ def test_network_gen_roundtrips_through_centrality(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "node,centrality"
     assert len(lines) == 7
+
+
+def test_network_gen_writes_write_network_csv_bytes(tmp_path):
+    out = tmp_path / "gen.csv"
+    assert cli.main(["network", "gen", "--n", "40", "--density", "0.2",
+                     "--seed", "8", "--out", str(out), "--quiet"]) == 0
+    expected = tmp_path / "lib.csv"
+    netdiff.write_network_csv(expected,
+                              netdiff.generate_random_network(40, 0.2, 8))
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_network_eigen_reports_eigenvalue_in_manifest(tmp_path):

@@ -1,7 +1,13 @@
-"""Network validation, connectivity, eigenpairs, and centrality."""
+"""Network validation, connectivity, eigenpairs, centrality, and CSV I/O."""
+
+import csv
+import tempfile
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infospread import netdiff
 from infospread.errors import (
@@ -29,6 +35,32 @@ def closure_connected(w) -> bool:
 def hearing_oracle(w: np.ndarray, T: int) -> np.ndarray:
     """Sum of matrix powers computed independently per term."""
     return sum(np.linalg.matrix_power(w, t) for t in range(1, T + 1))
+
+
+def reference_read_network_csv(path) -> netdiff.ManagerNetwork:
+    """Per-cell reader: csv.reader plus float() on every cell.
+    read_network_csv must return the same bits wherever this accepts."""
+    rows: list[list[float]] = []
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            try:
+                rows.append([float(x) for x in row])
+            except ValueError as exc:
+                raise EntryRangeError(f"line {lineno}: {exc}") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise DimensionError(
+                    f"line {lineno}: ragged row of width {len(rows[-1])}, "
+                    f"expected {len(rows[0])}")
+    return netdiff.validate_network(rows)
+
+
+def reference_network_csv_text(net: netdiff.ManagerNetwork) -> str:
+    """Per-cell writer: repr(float(x)) for every cell.  network_csv_text
+    must return the same text."""
+    lines = [",".join(repr(float(x)) for x in row) for row in net.w]
+    return "\n".join(lines) + "\n"
 
 
 def is_primitive(w: np.ndarray) -> bool:
@@ -242,6 +274,28 @@ def test_centrality_matches_power_oracle():
         assert np.max(np.abs(netdiff.diffusion_centrality(net, T) - oracle)) <= 1e-10
 
 
+def test_centrality_rejects_bad_horizon():
+    net = netdiff.validate_network(LINE)
+    for bad in (0, -1, 1.5):
+        with pytest.raises(HorizonError):
+            netdiff.diffusion_centrality(net, bad)
+
+
+def test_centrality_overflow_reports_term():
+    net = netdiff.validate_network(np.ones((2, 2)))
+    with pytest.raises(OverflowError) as err:
+        netdiff.diffusion_centrality(net, 2000)
+    assert "t=" in str(err.value)
+
+
+def test_centrality_matches_hearing_row_sums_on_larger_network():
+    net = netdiff.generate_random_network(200, 0.05, seed=4)
+    for T in (1, 2, 7):
+        report = netdiff.centrality_report(net, T)
+        dc = netdiff.diffusion_centrality(net, T)
+        assert np.allclose(dc, report.centrality, rtol=1e-12, atol=0.0)
+
+
 def test_centrality_report_consistent():
     net = netdiff.generate_random_network(5, 0.8, seed=2)
     report = netdiff.centrality_report(net, 4)
@@ -290,3 +344,130 @@ def test_csv_rejects_non_numeric(tmp_path):
     path.write_text("0,x\n0,0\n")
     with pytest.raises(EntryRangeError):
         netdiff.read_network_csv(path)
+
+
+def test_read_and_generated_networks_are_frozen(tmp_path):
+    path = tmp_path / "net.csv"
+    path.write_text("0,0.25,0\n0,0,1\n0.5,0,0\n")
+    for net in (netdiff.read_network_csv(path),
+                netdiff.generate_random_network(3, 0.5, seed=1)):
+        with pytest.raises(ValueError):
+            net.w[0, 0] = 0.5
+
+
+# -- CSV I/O against the per-cell reference ----------------------------------
+
+def exact_tie(a: float) -> str:
+    """The decimal exactly halfway between ``a`` and the next float up:
+    the parser has to break the tie to even."""
+    with localcontext() as ctx:
+        ctx.prec = 2000
+        return str((Decimal(a) + Decimal(np.nextafter(a, 2.0))) / 2)
+
+
+BELOW_ONE = float(np.nextafter(1.0, 0.0))
+EDGE_WEIGHTS = (0.0, -0.0, 5e-324, 1e-310, 2.225073858507201e-308,
+                2.2250738585072014e-308, 0.1, 1 / 3, BELOW_ONE, 1.0)
+TIE_BASES = (0.0, 5e-324, 1e-310, 0.5, 1 / 3, BELOW_ONE)
+
+
+def read_both(text: str):
+    """Parse one file with read_network_csv and with the reference."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.csv"
+        path.write_text(text)
+        return (netdiff.read_network_csv(path).w,
+                reference_read_network_csv(path).w)
+
+
+@st.composite
+def square_matrices(draw, cell):
+    n = draw(st.integers(1, 8))
+    return n, draw(st.lists(cell, min_size=n * n, max_size=n * n))
+
+
+WEIGHTS = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_WEIGHTS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices(WEIGHTS))
+def test_csv_io_matches_per_cell_reference(matrix):
+    n, cells = matrix
+    net = netdiff.validate_network(np.array(cells).reshape(n, n))
+    text = netdiff.network_csv_text(net)
+    assert text == reference_network_csv_text(net)
+    got, expected = read_both(text)
+    assert got.tobytes() == expected.tobytes() == net.w.tobytes()
+
+
+CELL_TEXTS = st.one_of(
+    WEIGHTS.map(repr),
+    st.sampled_from(TIE_BASES).map(exact_tie),
+    st.floats(0.0, 1.0).map(exact_tie),
+    st.floats(0.0, 1.0).map(lambda x: f" {x!r} "),
+    st.floats(0.0, 1.0).map(lambda x: f'"{x!r}"'),
+    st.floats(0.0, 1.0).map(lambda x: f"{x:.3e}"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices(CELL_TEXTS))
+def test_csv_reader_matches_per_cell_reference_on_cell_syntax(matrix):
+    n, cells = matrix
+    rows = [",".join(cells[i * n:(i + 1) * n]) for i in range(n)]
+    got, expected = read_both("\n".join(rows) + "\n")
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_exact_ties_round_to_even():
+    got, _ = read_both(f"{exact_tie(0.0)},{exact_tie(0.5)}\n"
+                       f"{exact_tie(BELOW_ONE)},0\n")
+    assert got.tolist() == [[0.0, 0.5], [1.0, 0.0]]
+
+
+def test_generated_network_text_matches_per_cell_writer(tmp_path):
+    net = netdiff.generate_random_network(300, 0.05, seed=17)
+    path = tmp_path / "net.csv"
+    netdiff.write_network_csv(path, net)
+    assert path.read_bytes() == reference_network_csv_text(net).encode()
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("\n0,1\n\n1,0\n\n", [[0, 1], [1, 0]]),           # blank lines
+    ("0,0.5\r\n1,0\r\n", [[0, 0.5], [1, 0]]),           # CRLF
+    (" 0 , 0.5\n1 ,0 \n", [[0, 0.5], [1, 0]]),           # spaces
+    ('"0.5",0\n0,"1"\n', [[0.5, 0], [0, 1]]),            # quoted cells
+    ("0.75\n", [[0.75]]),                                # 1x1
+    ("0.75", [[0.75]]),                                  # no final newline
+])
+def test_csv_reader_syntax(text, expected):
+    got, reference = read_both(text)
+    assert got.tolist() == expected
+    assert got.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("text, error, fragment", [
+    ("0,1,\n1,0,\n", EntryRangeError, "column 3"),      # trailing comma
+    ("0,1\n\n1,0,0\n", DimensionError, "line 3"),        # ragged row
+    ("0,1\nabc,0\n", EntryRangeError, "abc"),             # non-numeric
+    ("0,1_0\n1,0\n", EntryRangeError, "1_0"),             # digit separator
+    ("0 1\n1 0\n", EntryRangeError, "0 1"),               # not comma-separated
+    ("", DimensionError, "at least one node"),           # empty file
+    ("\n\n", DimensionError, "at least one node"),       # blank lines only
+    ("0,1\n1,0\n0,0\n", DimensionError, "square"),
+    ("0,2\n1,0\n", EntryRangeError, "w[0,1]"),
+])
+def test_csv_reader_rejects(tmp_path, text, error, fragment):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(error) as err:
+        netdiff.read_network_csv(path)
+    assert fragment in str(err.value)
+
+
+def test_csv_reader_rejects_non_utf8(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"0,\xff\n1,0\n")
+    with pytest.raises(EntryRangeError) as err:
+        netdiff.read_network_csv(path)
+    assert "utf-8" in str(err.value)
