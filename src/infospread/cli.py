@@ -1,7 +1,9 @@
 """Command-line front end binding all modules.
 
-Exit statuses: 0 ok, 1 model error, 2 usage error, 3 missing input file
-(or a directory given as one).
+Exit statuses: 0 ok, 1 model error, 2 usage error or a parameter outside its
+domain, 3 missing input file (or a directory given as a file).
+Flags are declared once, in ``_SUBCOMMANDS``; parameter domains are checked
+by the model types alone.
 Every file-writing invocation writes atomically (temp file + rename) and
 drops a sidecar ``<out>.manifest.json`` echoing the effective parameters,
 including defaulted ones, so identical config and seed reproduce identical
@@ -11,17 +13,19 @@ bytes.  Numeric CSV cells use full round-trip decimal precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import epi_sir, fundstats, gossip, netdiff, rdwave
-from .errors import ModelError, UsageError
+from .errors import ModelError, ParamError, ParamRangeError, UsageError
 
 __all__ = ["RunConfig", "parse_args", "run", "main", "app"]
 
@@ -40,288 +44,164 @@ class RunConfig:
     params: dict
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="deterministic run seed (default 0)")
-    common.add_argument("--out", type=str, default=None,
-                        help="output CSV path (rd: output prefix)")
-    common.add_argument("--config", type=str, default=None,
-                        help="JSON file merged with flags; flags win")
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress informational output")
+class _Flag(NamedTuple):
+    """A flag's kind (int, float, str or bool), its default, the actions
+    that use it (None: every action), and whether they require it."""
 
-    parser = argparse.ArgumentParser(
-        prog="infospread",
-        description="Deterministic information-diffusion simulators")
+    kind: type
+    default: object = None
+    actions: tuple | None = None
+    required: bool = False
+    help: str | None = None
+    choices: tuple | None = None
+
+
+_COMMON = {
+    "seed": _Flag(int, 0, help="deterministic run seed (default 0)"),
+    "out": _Flag(str, help="output CSV path (rd: output prefix)"),
+    "config": _Flag(str, help="JSON file merged with flags; flags win"),
+    "quiet": _Flag(bool, False, help="suppress informational output"),
+}
+
+# Each subcommand: (help, actions or None, {flag name: _Flag}), in help order.
+_SUBCOMMANDS = {
+    "network": (
+        "contact-network generation and centrality", ("gen", "centrality", "eigen"), {
+            "n": _Flag(int, actions=("gen",), required=True),
+            "density": _Flag(float, actions=("gen",), required=True),
+            "network": _Flag(str, actions=("centrality", "eigen"), required=True,
+                             help="input network CSV (headerless n x n)"),
+            "horizon": _Flag(int, actions=("centrality",), required=True),
+            "tol": _Flag(float, 1e-10, actions=("eigen",)),
+            "max_iter": _Flag(int, 10000, actions=("eigen",)),
+        }),
+    # Missing probabilities are reported by gossip.ExchangeParams.from_config.
+    "gossip": (
+        "pair-wise exchange chain and population runs",
+        ("matrix", "stationary", "simulate"), {
+            **{name: _Flag(float) for name in _GOSSIP_PROBS},
+            "tie_gain_to_loss": _Flag(bool, False, help="force p_gain = 1 - p_loss"),
+            "network": _Flag(str, actions=("simulate",), required=True),
+            "rounds": _Flag(int, actions=("simulate",), required=True),
+            "informed": _Flag(str, "0", actions=("simulate",),
+                              help="comma-separated initially informed node indices"),
+        }),
+    # A preset supplies beta, alpha, mu and n; s0 defaults to n - i0 - r0.
+    "sir": ("compartment contagion trajectory", None, {
+        "preset": _Flag(str, choices=tuple(sorted(epi_sir.PRESETS))),
+        "beta": _Flag(float, required=True),
+        "alpha": _Flag(float, required=True),
+        "mu": _Flag(float, 0.0),
+        "n": _Flag(float, 1.0),
+        "s0": _Flag(float),
+        "i0": _Flag(float, 1e-3),
+        "r0": _Flag(float, 0.0),
+        "h": _Flag(float, 0.01),
+        "horizon": _Flag(float, 200.0),
+    }),
+    "rd": ("reaction-diffusion field snapshots", None, {
+        "D": _Flag(float, 1.0),
+        "r": _Flag(float, 1.0),
+        "K": _Flag(float, 1.0),
+        "dx": _Flag(float, 0.1),
+        "dt": _Flag(float, 0.002),
+        "length": _Flag(float, 200.0),
+        "horizon": _Flag(float, 80.0),
+        "init": _Flag(str, "step", help="initial profile: step | uniform:<value>"),
+        "snapshot_every": _Flag(int, 500),
+    }),
+    # Defaults are the documented subcritical preset: the uninformed branch
+    # is uniformly attracting there, so the QSS deviation shrinks with
+    # epsilon (supercritical rates spike to order 1/epsilon instead).
+    # rdwave.FastSlowConfig defaults s0 to n - i0.
+    "fastslow": ("fast-slow sweep against the QSS limit", None, {
+        "beta": _Flag(float, 0.1),
+        "alpha": _Flag(float, 0.2),
+        "mu": _Flag(float, 0.05),
+        "n": _Flag(float, 1.0),
+        "epsilon": _Flag(float, 0.1),
+        "h": _Flag(float, 0.05),
+        "horizon": _Flag(float, 30.0),
+        "layer_time": _Flag(float, 5.0),
+        "s0": _Flag(float),
+        "i0": _Flag(float, 0.2),
+    }),
+    "funds": (
+        "fund record reports", ("summarize", "provinces", "demographics"), {
+            "input": _Flag(str, help="fund CSV (default: bundled synthetic sample)"),
+            "group_by": _Flag(str, "category", actions=("summarize",)),
+            "value": _Flag(str, "performance", actions=("summarize",)),
+            "show_reference": _Flag(bool, False,
+                                    help="also print the published reference table"),
+        }),
+}
+
+# Model parameter names that differ from their flag's name.
+_FLAG_NAMES = {"d_coeff": "D", "r_rate": "r", "k_cap": "K", "n_total": "n"}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags: dict) -> None:
+    # Values stay strings here; _convert turns flag and config values alike.
+    for name, flag in flags.items():
+        if flag.kind is bool:
+            parser.add_argument(f"--{name}", action="store_true", default=None,
+                                help=flag.help)
+        else:
+            parser.add_argument(f"--{name}", choices=flag.choices, help=flag.help)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="infospread",
+                     description="Deterministic information-diffusion simulators")
     sub = parser.add_subparsers(dest="subcommand")
-
-    network = sub.add_parser("network", parents=[common],
-                             help="contact-network generation and centrality")
-    network.add_argument("action", nargs="?", default=None,
-                         metavar="{gen,centrality,eigen}")
-    network.add_argument("--n", type=int, default=None)
-    network.add_argument("--density", type=float, default=None)
-    network.add_argument("--network", type=str, default=None,
-                         help="input network CSV (headerless n x n)")
-    network.add_argument("--horizon", type=int, default=None)
-    network.add_argument("--tol", type=float, default=None)
-    network.add_argument("--max_iter", type=int, default=None)
-
-    gsp = sub.add_parser("gossip", parents=[common],
-                         help="pair-wise exchange chain and population runs")
-    gsp.add_argument("action", nargs="?", default=None,
-                     metavar="{matrix,stationary,simulate}")
-    for name in _GOSSIP_PROBS:
-        gsp.add_argument(f"--{name}", type=float, default=None)
-    gsp.add_argument("--tie_gain_to_loss", action="store_true",
-                     help="force p_gain = 1 - p_loss")
-    gsp.add_argument("--network", type=str, default=None)
-    gsp.add_argument("--rounds", type=int, default=None)
-    gsp.add_argument("--informed", type=str, default=None,
-                     help="comma-separated initially informed node indices")
-
-    sir = sub.add_parser("sir", parents=[common],
-                         help="compartment contagion trajectory")
-    sir.add_argument("--preset", choices=sorted(epi_sir.PRESETS), default=None)
-    for name in ("beta", "alpha", "mu", "n", "s0", "i0", "r0", "h", "horizon"):
-        sir.add_argument(f"--{name}", type=float, default=None)
-
-    rd = sub.add_parser("rd", parents=[common],
-                        help="reaction-diffusion field snapshots")
-    for name in ("D", "r", "K", "dx", "dt", "length", "horizon"):
-        rd.add_argument(f"--{name}", type=float, default=None)
-    rd.add_argument("--init", type=str, default=None,
-                    help="initial profile: step | uniform:<value>")
-    rd.add_argument("--snapshot_every", type=int, default=None)
-
-    fsl = sub.add_parser("fastslow", parents=[common],
-                         help="fast-slow sweep against the QSS limit")
-    for name in ("beta", "alpha", "mu", "n", "epsilon", "h", "horizon",
-                 "layer_time", "s0", "i0"):
-        fsl.add_argument(f"--{name}", type=float, default=None)
-
-    funds = sub.add_parser("funds", parents=[common],
-                           help="fund record reports")
-    funds.add_argument("action", nargs="?", default=None,
-                       metavar="{summarize,provinces,demographics}")
-    funds.add_argument("--input", type=str, default=None,
-                       help="fund CSV (default: bundled synthetic sample)")
-    funds.add_argument("--group_by", type=str, default=None)
-    funds.add_argument("--value", type=str, default=None)
-    funds.add_argument("--show_reference", action="store_true",
-                       help="also print the published reference table")
+    for name, (text, actions, flags) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=text)
+        _add_flags(subparser, _COMMON)
+        if actions:
+            subparser.add_argument("action", nargs="?", choices=actions,
+                                   metavar="{" + ",".join(actions) + "}")
+        _add_flags(subparser, flags)
     return parser
 
 
-def _pick(args, cfg: dict, name: str, default=None, kind=None):
-    """Flag value, else config value, else default; converted by ``kind``
-    (float or int) unless None, so a config value of the wrong type is a
-    usage error like a bad flag."""
-    value = getattr(args, name, None)
-    if value is None:
-        value = cfg.get(name, default)
-    if kind is None or value is None:
-        return value
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
-        raise UsageError(f"--{name} must be {noun}, got {value!r}") from None
-
-
-def _require(value, flag: str):
-    if value is None:
-        raise UsageError(f"--{flag} is required")
-    return value
-
-
-def _check_prob(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise UsageError(f"--{name} must lie in [0, 1], got {value!r}")
-    return value
-
-
-def _check_positive(name: str, value: float) -> float:
-    if value <= 0:
-        raise UsageError(f"--{name} must be positive, got {value!r}")
-    return value
-
-
-def _check_action(subcommand: str, action, allowed) -> str:
-    if action is None:
-        raise UsageError(f"{subcommand} requires an action: " + "|".join(allowed))
-    if action not in allowed:
-        raise UsageError(
-            f"unknown {subcommand} action {action!r}; expected " + "|".join(allowed))
-    return action
-
-
-def _check_input_file(path: str) -> str:
-    if not Path(path).exists():
-        raise FileNotFoundError(path)
-    return path
-
-
-def parse_args(argv=None) -> RunConfig:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand is None:
-        raise UsageError(
-            "a subcommand is required: network|gossip|sir|rd|fastslow|funds")
-
-    cfg: dict = {}
-    if args.config is not None:
-        _check_input_file(args.config)
-        try:
-            cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise UsageError(f"--config is not valid JSON: {exc}") from None
-        if not isinstance(cfg, dict):
-            raise UsageError("--config must contain a JSON object")
-
-    seed = _pick(args, cfg, "seed", 0, int)
-    if not 0 <= seed < 2 ** 64:
-        raise UsageError(f"--seed must be a 64-bit nonnegative integer, got {seed}")
-    out = _pick(args, cfg, "out")
-    quiet = bool(args.quiet or cfg.get("quiet", False))
-
-    builder = {
-        "network": _params_network,
-        "gossip": _params_gossip,
-        "sir": _params_sir,
-        "rd": _params_rd,
-        "fastslow": _params_fastslow,
-        "funds": _params_funds,
-    }[args.subcommand]
-    action, params = builder(args, cfg)
-    return RunConfig(subcommand=args.subcommand, action=action, seed=seed,
-                     out=out, quiet=quiet, params=params)
-
-
-def _params_network(args, cfg):
-    action = _check_action("network", args.action, ("gen", "centrality", "eigen"))
-    params: dict = {}
-    if action == "gen":
-        params["n"] = _require(_pick(args, cfg, "n", kind=int), "n")
-        if params["n"] < 1:
-            raise UsageError("--n must be >= 1")
-        density = _require(_pick(args, cfg, "density", kind=float), "density")
-        if not 0.0 <= density <= 1.0:
-            raise UsageError(f"--density must lie in [0, 1], got {density!r}")
-        params["density"] = density
+def _convert(name: str, flag: _Flag, value):
+    """A flag or config value converted to the flag's kind; a value of the
+    wrong type, or not among the flag's choices, is a usage error."""
+    if flag.kind is bool:
+        return bool(value)
+    if flag.kind is str:
+        if not isinstance(value, str):
+            raise UsageError(f"--{name} must be a string, got {value!r}")
     else:
-        params["network"] = _check_input_file(
-            _require(_pick(args, cfg, "network"), "network"))
-        if action == "centrality":
-            horizon = _require(_pick(args, cfg, "horizon", kind=int), "horizon")
-            if horizon < 1:
-                raise UsageError("--horizon must be >= 1")
-            params["horizon"] = horizon
-        else:
-            params["tol"] = _check_positive(
-                "tol", _pick(args, cfg, "tol", 1e-10, float))
-            params["max_iter"] = _pick(args, cfg, "max_iter", 10000, int)
-            if params["max_iter"] < 1:
-                raise UsageError("--max_iter must be >= 1")
-    return action, params
-
-
-def _params_gossip(args, cfg):
-    # Probability ranges are validated before the action so a bad flag is
-    # reported even when the action is missing.
-    given = {}
-    for name in _GOSSIP_PROBS:
-        value = _pick(args, cfg, name, kind=float)
-        if value is not None:
-            given[name] = _check_prob(name, value)
-    tie = bool(args.tie_gain_to_loss or cfg.get("tie_gain_to_loss", False))
-    action = _check_action("gossip", args.action,
-                           ("matrix", "stationary", "simulate"))
-    for name in ("p_select", "p_drop", "p_loss"):
-        if name not in given:
-            raise UsageError(f"--{name} is required")
-    mapping = dict(given)
-    if tie:
-        mapping.pop("p_gain", None)
-        mapping["tie_gain_to_loss"] = True
-    elif "p_gain" not in given:
-        raise UsageError("--p_gain is required (or set --tie_gain_to_loss)")
-    try:
-        exchange = gossip.ExchangeParams.from_config(mapping)
-    except ModelError as exc:
-        raise UsageError(str(exc)) from None
-    params = {name: getattr(exchange, name) for name in _GOSSIP_PROBS}
-    if action == "simulate":
-        params["network"] = _check_input_file(
-            _require(_pick(args, cfg, "network"), "network"))
-        params["rounds"] = _require(_pick(args, cfg, "rounds", kind=int), "rounds")
-        if params["rounds"] < 1:
-            raise UsageError("--rounds must be >= 1")
-        informed = _pick(args, cfg, "informed", "0")
         try:
-            params["informed"] = sorted(
-                {int(tok) for tok in str(informed).split(",") if tok.strip() != ""})
-        except ValueError:
-            raise UsageError(
-                f"--informed must be comma-separated integers, got {informed!r}"
-            ) from None
-        if not params["informed"]:
-            raise UsageError("--informed must name at least one node")
-    return action, params
+            value = flag.kind(value)
+        except (TypeError, ValueError, OverflowError):
+            noun = "an integer" if flag.kind is int else "a number"
+            raise UsageError(f"--{name} must be {noun}, got {value!r}") from None
+    if flag.choices and value not in flag.choices:
+        raise UsageError(f"--{name} must be one of {list(flag.choices)}")
+    return value
 
 
-def _params_sir(args, cfg):
-    preset_name = _pick(args, cfg, "preset")
-    preset = {}
-    if preset_name is not None:
-        if preset_name not in epi_sir.PRESETS:
-            raise UsageError(f"--preset must be one of {sorted(epi_sir.PRESETS)}")
-        p = epi_sir.PRESETS[preset_name]
-        preset = {"beta": p.beta, "alpha": p.alpha, "mu": p.mu, "n": p.n_total}
-
-    def value_of(name, default=None):
-        v = _pick(args, cfg, name, kind=float)
-        if v is None:
-            v = preset.get(name, default)
-        return v
-
-    beta = _require(value_of("beta"), "beta")
-    alpha = _require(value_of("alpha"), "alpha")
-    mu = value_of("mu", 0.0)
-    n_total = value_of("n", 1.0)
-    if beta < 0 or alpha < 0 or mu < 0:
-        raise UsageError("--beta/--alpha/--mu must be nonnegative")
-    if n_total <= 0:
-        raise UsageError("--n must be positive")
-    i0 = value_of("i0", 1e-3)
-    r0 = value_of("r0", 0.0)
-    s0 = value_of("s0")
-    s0 = n_total - i0 - r0 if s0 is None else s0
-    h = _check_positive("h", value_of("h", 0.01))
-    horizon = _check_positive("horizon", value_of("horizon", 200.0))
-    return None, {"preset": preset_name, "beta": beta, "alpha": alpha,
-                  "mu": mu, "n": n_total, "s0": s0, "i0": i0, "r0": r0,
-                  "h": h, "horizon": horizon}
+def _read_config(path: str | None) -> dict:
+    if path is None:
+        return {}
+    try:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise UsageError(f"--config is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise UsageError("--config must contain a JSON object")
+    return cfg
 
 
-def _params_rd(args, cfg):
-    params = {
-        "D": _check_positive("D", _pick(args, cfg, "D", 1.0, float)),
-        "r": _pick(args, cfg, "r", 1.0, float),
-        "K": _check_positive("K", _pick(args, cfg, "K", 1.0, float)),
-        "dx": _check_positive("dx", _pick(args, cfg, "dx", 0.1, float)),
-        "dt": _check_positive("dt", _pick(args, cfg, "dt", 0.002, float)),
-        "length": _check_positive("length", _pick(args, cfg, "length", 200.0, float)),
-        "horizon": _check_positive("horizon", _pick(args, cfg, "horizon", 80.0, float)),
-        "init": str(_pick(args, cfg, "init", "step")),
-        "snapshot_every": _pick(args, cfg, "snapshot_every", 500, int),
-    }
-    if params["r"] < 0:
-        raise UsageError("--r must be nonnegative")
-    if params["snapshot_every"] < 1:
-        raise UsageError("--snapshot_every must be >= 1")
-    init = params["init"]
+def _check_init(init: str) -> None:
     if init != "step" and not init.startswith("uniform:"):
         raise UsageError(f"--init must be 'step' or 'uniform:<value>', got {init!r}")
     if init.startswith("uniform:"):
@@ -329,48 +209,86 @@ def _params_rd(args, cfg):
             float(init.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"--init uniform value is not a number: {init!r}") from None
-    return None, params
 
 
-def _params_fastslow(args, cfg):
-    # Defaults are the documented subcritical preset: the uninformed branch
-    # is uniformly attracting there, so the QSS deviation shrinks with
-    # epsilon (supercritical rates spike to order 1/epsilon instead).
-    params = {
-        "beta": _pick(args, cfg, "beta", 0.1, float),
-        "alpha": _pick(args, cfg, "alpha", 0.2, float),
-        "mu": _pick(args, cfg, "mu", 0.05, float),
-        "n": _check_positive("n", _pick(args, cfg, "n", 1.0, float)),
-        "epsilon": _pick(args, cfg, "epsilon", 0.1, float),
-        "h": _check_positive("h", _pick(args, cfg, "h", 0.05, float)),
-        "horizon": _check_positive("horizon", _pick(args, cfg, "horizon", 30.0, float)),
-        "layer_time": _pick(args, cfg, "layer_time", 5.0, float),
-        "i0": _pick(args, cfg, "i0", 0.2, float),
-    }
-    if params["beta"] < 0 or params["alpha"] < 0 or params["mu"] < 0:
-        raise UsageError("--beta/--alpha/--mu must be nonnegative")
-    if not 0.0 < params["epsilon"] <= 1.0:
-        raise UsageError(f"--epsilon must lie in (0, 1], got {params['epsilon']!r}")
-    if not params["layer_time"] < params["horizon"]:
-        raise UsageError("--layer_time must be smaller than --horizon")
-    s0 = _pick(args, cfg, "s0", kind=float)
-    params["s0"] = (params["n"] - params["i0"]) if s0 is None else s0
-    return None, params
+def _informed(text: str) -> list[int]:
+    try:
+        nodes = sorted({int(tok) for tok in text.split(",") if tok.strip() != ""})
+    except ValueError:
+        raise UsageError(
+            f"--informed must be comma-separated integers, got {text!r}") from None
+    if not nodes:
+        raise UsageError("--informed must name at least one node")
+    return nodes
 
 
-def _params_funds(args, cfg):
-    action = _check_action("funds", args.action,
-                           ("summarize", "provinces", "demographics"))
-    source = _pick(args, cfg, "input")
-    if source is not None:
-        _check_input_file(source)
-    params = {"input": source,
-              "show_reference": bool(args.show_reference
-                                     or cfg.get("show_reference", False))}
-    if action == "summarize":
-        params["group_by"] = str(_pick(args, cfg, "group_by", "category"))
-        params["value"] = str(_pick(args, cfg, "value", "performance"))
-    return action, params
+def parse_args(argv=None) -> RunConfig:
+    args = _parser().parse_args(argv)
+    if args.subcommand is None:
+        raise UsageError("a subcommand is required: " + "|".join(_SUBCOMMANDS))
+    cfg = _read_config(args.config)
+    _, actions, flags = _SUBCOMMANDS[args.subcommand]
+    defaults: dict = {}
+
+    def pick(name: str, flag: _Flag):
+        # Flag value, else config value (null counts as absent), else default.
+        value = getattr(args, name)
+        if value is None:
+            value = cfg.get(name)
+        if value is None:
+            return defaults.get(name, flag.default)
+        return _convert(name, flag, value)
+
+    seed = pick("seed", _COMMON["seed"])
+    if not 0 <= seed < 2 ** 64:
+        raise UsageError(f"--seed must be a 64-bit nonnegative integer, got {seed}")
+    out = pick("out", _COMMON["out"])
+    quiet = pick("quiet", _COMMON["quiet"])
+    if args.subcommand == "sir":
+        preset = pick("preset", flags["preset"])
+        if preset is not None:
+            p = epi_sir.PRESETS[preset]
+            defaults = {"beta": p.beta, "alpha": p.alpha, "mu": p.mu, "n": p.n_total}
+
+    # Flags that every action uses are read, and gossip's probabilities
+    # checked, before the action, so a bad value is reported even when the
+    # action is missing.
+    params = {name: pick(name, flag) for name, flag in flags.items()
+              if flag.actions is None}
+    if args.subcommand == "gossip":
+        try:
+            for name in _GOSSIP_PROBS:
+                if params[name] is not None:
+                    gossip.ExchangeParams.check(name, params[name])
+        except ParamRangeError as exc:
+            raise UsageError(str(exc)) from None
+    action = args.action if actions else None
+    if actions and action is None:
+        raise UsageError(f"{args.subcommand} requires an action: " + "|".join(actions))
+    params.update((name, pick(name, flag)) for name, flag in flags.items()
+                  if flag.actions and action in flag.actions)
+    for name, flag in flags.items():
+        if flag.required and name in params and params[name] is None:
+            raise UsageError(f"--{name} is required")
+
+    if args.subcommand == "gossip":
+        mapping = {k: params[k] for k in _GOSSIP_PROBS if params[k] is not None}
+        if params.pop("tie_gain_to_loss"):
+            mapping.pop("p_gain", None)  # the tie overrides a given p_gain
+            mapping["tie_gain_to_loss"] = True
+        try:
+            exchange = gossip.ExchangeParams.from_config(mapping)
+        except ParamRangeError as exc:
+            raise UsageError(str(exc)) from None
+        params.update((name, getattr(exchange, name)) for name in _GOSSIP_PROBS)
+        if action == "simulate":
+            params["informed"] = _informed(params["informed"])
+    elif args.subcommand == "sir" and params["s0"] is None:
+        params["s0"] = params["n"] - params["i0"] - params["r0"]
+    elif args.subcommand == "rd":
+        _check_init(params["init"])
+    return RunConfig(subcommand=args.subcommand, action=action, seed=seed,
+                     out=out, quiet=quiet, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +312,8 @@ def _csv_text(header, rows) -> str:
 
 def _write_atomic(path: Path, text: str) -> None:
     path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"output path is a directory: {str(path)!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
@@ -454,16 +374,11 @@ def _run_network(config: RunConfig) -> None:
                   f"(residual {pair.residual:.3e}, {pair.iterations} sweeps)")
 
 
-def _exchange_params(config: RunConfig) -> gossip.ExchangeParams:
-    p = config.params
-    return gossip.ExchangeParams(**{k: p[k] for k in _GOSSIP_PROBS})
-
-
 _STATE_LABELS = ["".join(map(str, s)) for s in gossip.STATE_ORDER]
 
 
 def _run_gossip(config: RunConfig) -> None:
-    params = _exchange_params(config)
+    params = gossip.ExchangeParams(**{k: config.params[k] for k in _GOSSIP_PROBS})
     if config.action == "matrix":
         m = gossip.build_transition_matrix(params)
         rows = [[label, *m.p[k]] for k, label in enumerate(_STATE_LABELS)]
@@ -535,6 +450,7 @@ def _run_fastslow(config: RunConfig) -> None:
     result = rdwave.fast_slow_integrate(cfg)
     rows = zip(result.trajectory.t, result.trajectory.s,
                result.trajectory.i, result.qss_trajectory.i)
+    config = replace(config, params={**p, "s0": cfg.s0})
     _emit(config, _csv_text(("t", "S", "I_eps", "I_qss"), rows),
           extra={"sup_deviation": result.sup_deviation})
 
@@ -592,34 +508,42 @@ _DISPATCH = {
 }
 
 
+# The failures the exit contract covers; anything else is a bug and escapes.
+_FAILURES = (UsageError, ModelError, OverflowError, FileNotFoundError,
+             IsADirectoryError)
+
+
+def _report(exc: BaseException) -> int:
+    """Print the one-line diagnosis of a failure and return its exit
+    status: 2 for a usage or parameter error, 3 for a missing file or a
+    directory, 1 for any other model error or an overflow."""
+    message = " ".join(str(exc).split())
+    if isinstance(exc, (UsageError, ParamError)):
+        if isinstance(exc, ParamError) and exc.name is not None:
+            flag = _FLAG_NAMES.get(exc.name, exc.name)
+            message = f"--{flag}{message[len(exc.name):]}"
+        print(f"usage error: {message}", file=sys.stderr)
+        return 2
+    print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+    return 3 if isinstance(exc, OSError) else 1
+
+
 def run(config: RunConfig) -> int:
     """Dispatch a validated config; map failures to the exit contract."""
     try:
         _DISPATCH[config.subcommand](config)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (ModelError, OverflowError) as exc:
-        message = " ".join(str(exc).split())
-        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return 1
+    except _FAILURES as exc:
+        return _report(exc)
     return 0
 
 
 def main(argv=None) -> int:
     try:
         config = parse_args(argv)
-    except SystemExit as exc:  # argparse already printed its message
-        return exc.code if isinstance(exc.code, int) else 2
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    except SystemExit:  # --help; parse errors raise UsageError instead
+        return 0
+    except _FAILURES as exc:
+        return _report(exc)
     return run(config)
 
 

@@ -26,7 +26,10 @@ from .errors import (
     ConservationError,
     DegenerateParamsError,
     EndemicUndefinedError,
+    HorizonError,
+    ParamError,
     StepSizeError,
+    check,
 )
 
 __all__ = [
@@ -47,13 +50,16 @@ __all__ = [
 # Allowed relative drift of S + I + R away from N along a trajectory.
 CONSERVATION_RTOL = 1e-8
 
+# Work bound: most RK4 steps (horizon / h) one trajectory may take.
+MAX_STEPS = 10_000_000
+
 # Eigenvalues within this relative band of zero are labeled non-hyperbolic.
 _HYPERBOLIC_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SirParams:
-    """Model rates; all nonnegative, population strictly positive."""
+    """Model rates; all finite and nonnegative, population positive."""
 
     beta: float
     alpha: float
@@ -61,10 +67,11 @@ class SirParams:
     n_total: float
 
     def __post_init__(self):
-        if self.beta < 0 or self.alpha < 0 or self.mu < 0:
-            raise ValueError("rates beta, alpha, mu must be nonnegative")
-        if self.n_total <= 0:
-            raise ValueError("n_total must be positive")
+        for name in ("beta", "alpha", "mu"):
+            value = getattr(self, name)
+            check(0.0 <= value < math.inf, name, value, "nonnegative and finite")
+        check(0.0 < self.n_total < math.inf, "n_total", self.n_total,
+              "positive and finite")
 
 
 @dataclass(frozen=True)
@@ -149,10 +156,13 @@ def _rk4(s: float, i: float, r: float, p: SirParams, h: float):
             r + c * (k1r + 2.0 * k2r + 2.0 * k3r + k4r))
 
 
+def _step_size(h: float) -> float:
+    return check(0.0 < h < math.inf, "h", h, "positive and finite", StepSizeError)
+
+
 def rk4_step(state: SirState, params: SirParams, h: float) -> SirState:
     """One classical 4-stage Runge-Kutta update; t advances by h."""
-    if h <= 0:
-        raise StepSizeError(f"step size must be positive, got {h!r}")
+    _step_size(h)
     s, i, r = _rk4(state.s, state.i, state.r, params, h)
     return SirState(s=s, i=i, r=r, t=state.t + h)
 
@@ -161,18 +171,22 @@ def integrate(params: SirParams, init: SirState, h: float,
               horizon: float) -> Trajectory:
     """Fixed-step trajectory over ``horizon`` time units.
 
-    The horizon is rounded to a whole number of steps.  Conservation
+    The horizon is rounded to a whole number of steps, one to MAX_STEPS,
+    and the initial state must be finite (ParamError).  Conservation
     |S+I+R-N| <= 1e-8*N is enforced at the initial condition and after every
     step; a violation raises ConservationError (the step is too large).
     """
-    if h <= 0:
-        raise StepSizeError(f"step size must be positive, got {h!r}")
-    if horizon < h:
-        raise ValueError("horizon must be at least one step")
+    _step_size(h)
+    check(h <= horizon < math.inf, "horizon", horizon,
+          f"finite and at least one step h={h!r}", HorizonError)
+    check(horizon / h <= MAX_STEPS, "horizon", horizon,
+          f"at most MAX_STEPS = {MAX_STEPS} steps of h={h!r}")
+    steps = int(round(horizon / h))
     n_total = params.n_total
     limit = CONSERVATION_RTOL * n_total
-    steps = int(round(horizon / h))
     s, i, r = float(init.s), float(init.i), float(init.r)
+    for name, value in (("s0", s), ("i0", i), ("r0", r)):
+        check(math.isfinite(value), name, value, "finite")
     drift = abs(s + i + r - n_total)
     if not drift <= limit:
         raise ConservationError(
@@ -255,14 +269,12 @@ def final_size(params: SirParams, s0: float, i0: float) -> float:
     by bisection to an interval of 1e-12.  Serves as the independent oracle
     for long-horizon integration.
     """
-    if params.mu != 0.0:
-        raise ValueError("final size is defined for mu = 0 only")
+    check(params.mu == 0.0, "mu", params.mu, "0 for the final size")
     if params.alpha <= 0.0:
         raise DegenerateParamsError("alpha must be positive for the final size")
-    if i0 <= 0.0:
-        raise ValueError("i0 must be positive")
-    if s0 <= 0.0 or s0 + i0 > params.n_total * (1.0 + 1e-12):
-        raise ValueError("need 0 < s0 and s0 + i0 <= N")
+    check(i0 > 0.0, "i0", i0, "positive")
+    if not (s0 > 0.0 and s0 + i0 <= params.n_total * (1.0 + 1e-12)):
+        raise ParamError("need 0 < s0 and s0 + i0 <= N")
     if params.beta == 0.0:
         return s0
 

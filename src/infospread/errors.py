@@ -1,13 +1,34 @@
 """Exception types shared across the simulation modules.
 
 Everything that represents a model-level failure derives from ModelError so
-the CLI can map it to a single exit status.  UsageError is deliberately not a
-ModelError: it belongs to argument parsing and maps to a different status.
+the CLI can map it to a single exit status (ParamError, a bad parameter, to
+the usage status).  UsageError is deliberately not a ModelError: it belongs
+to argument parsing and maps to a different status.
 """
 
 
 class ModelError(Exception):
     """Base class for model-level failures (CLI exit status 1)."""
+
+
+class ParamError(ModelError, ValueError):
+    """A parameter outside its documented domain (CLI exit status 2).
+
+    ``name`` is the parameter the message starts with, or None when the
+    message is about several parameters together.
+    """
+
+    def __init__(self, message, name=None):
+        super().__init__(message)
+        self.name = name
+
+
+def check(ok: bool, name: str, value, domain: str, error=ParamError):
+    """Return ``value``, or raise ``error`` "<name> must be <domain>, got
+    <value>" unless ``ok``.  Write ``ok`` as a comparison that NaN fails."""
+    if not ok:
+        raise error(f"{name} must be {domain}, got {value!r}", name)
+    return value
 
 
 # network ---------------------------------------------------------------
@@ -24,8 +45,9 @@ class ZeroMatrixError(ModelError):
     """Eigen-iteration requested on an all-zero matrix."""
 
 
-class HorizonError(ModelError):
-    """Hearing-matrix horizon below 1."""
+class HorizonError(ParamError):
+    """Horizon below one hearing-matrix term or one integration step, or
+    not finite."""
 
 
 class ConvergenceError(ModelError):
@@ -63,8 +85,8 @@ class ReducibleChainError(ModelError):
 
 # epi_sir ---------------------------------------------------------------
 
-class StepSizeError(ModelError):
-    """Integrator step size is not positive."""
+class StepSizeError(ParamError):
+    """Integrator step size is not positive and finite."""
 
 
 class ConservationError(ModelError):

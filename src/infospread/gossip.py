@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParamRangeError, ReducibleChainError
+from .errors import ParamError, ParamRangeError, ReducibleChainError, check
 from .netdiff import ManagerNetwork
 
 __all__ = [
@@ -54,6 +54,9 @@ STATE_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 _ROW_SUM_TOL = 1e-12
 
+# Work bound: most contacts, n * rounds, of one population run.
+MAX_CONTACTS = 100_000_000
+
 
 class PairState(NamedTuple):
     """Presence bits of the item in initiator A's and responder B's cache."""
@@ -69,7 +72,7 @@ class PairState(NamedTuple):
 def _as_state(state) -> PairState:
     s = PairState(*state)
     if s.a not in (0, 1) or s.b not in (0, 1):
-        raise ValueError(f"pair state bits must be 0 or 1, got {tuple(state)}")
+        raise ParamError(f"pair state bits must be 0 or 1, got {tuple(state)}")
     return s
 
 
@@ -92,9 +95,13 @@ class ExchangeParams:
         if self.p_ext is None:
             object.__setattr__(self, "p_ext", self.p_select * self.p_gain)
         for name in ("p_select", "p_drop", "p_loss", "p_gain", "p_ext"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
-                raise ParamRangeError(f"{name}={value!r} must lie in [0, 1]")
+            self.check(name, getattr(self, name))
+
+    @staticmethod
+    def check(name: str, value) -> None:
+        """Raise ParamRangeError unless ``value`` is a number in [0, 1]."""
+        if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+            raise ParamRangeError(f"{name}={value!r} must lie in [0, 1]")
 
     @classmethod
     def from_config(cls, mapping) -> "ExchangeParams":
@@ -137,14 +144,14 @@ class PairTransitionMatrix:
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
         if p.shape != (4, 4):
-            raise ValueError(f"transition matrix must be 4x4, got {p.shape}")
+            raise ParamError(f"transition matrix must be 4x4, got {p.shape}")
         if ((p < 0.0) | (p > 1.0)).any():
-            raise ValueError("transition probabilities must lie in [0, 1]")
+            raise ParamError("transition probabilities must lie in [0, 1]")
         if np.max(np.abs(p.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
-            raise ValueError("transition matrix rows must sum to 1")
+            raise ParamError("transition matrix rows must sum to 1")
         for row, col in ((1, 0), (2, 0), (3, 0), (3, 2)):
             if p[row, col] != 0.0:
-                raise ValueError(
+                raise ParamError(
                     f"entry {STATE_ORDER[row]}->{STATE_ORDER[col]} must be "
                     "exactly 0 (item persistence)")
         p.setflags(write=False)
@@ -166,7 +173,7 @@ class ScenarioProbabilities:
     def __post_init__(self):
         total = self.no_attempt + self.forward_loss + self.feedback_loss + self.complete
         if abs(total - 1.0) > _ROW_SUM_TOL:
-            raise ValueError(f"scenario probabilities sum to {total!r}, not 1")
+            raise ParamError(f"scenario probabilities sum to {total!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -288,7 +295,8 @@ def stationary_distribution(matrix: PairTransitionMatrix) -> np.ndarray:
 
     Solved as a linear system with one balance equation replaced by the
     normalization row.  Raises ReducibleChainError, naming the closed
-    classes, when more than one closed communicating class exists.
+    classes, when more than one closed communicating class exists, or
+    when the system is singular in floating point (e.g. p_select = 1e-300).
     """
     p = matrix.p
     closed = _closed_classes(p)
@@ -301,7 +309,12 @@ def stationary_distribution(matrix: PairTransitionMatrix) -> np.ndarray:
     a = p.T - np.eye(4)
     a[3, :] = 1.0
     b = np.array([0.0, 0.0, 0.0, 1.0])
-    return np.linalg.solve(a, b)
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        raise ReducibleChainError(
+            "no unique stationary distribution: the balance equations are "
+            "singular in floating point") from None
 
 
 def replicate_generator(seed: int, replicate: int) -> np.random.Generator:
@@ -355,9 +368,10 @@ def simulate_population(net: ManagerNetwork, params: ExchangeParams,
     no round draws at all.  Each draw is compared with its thresholds as
     by ``searchsorted(..., side="right")``.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     n = net.n
+    check(rounds >= 1, "rounds", rounds, ">= 1")
+    check(n * rounds <= MAX_CONTACTS, "rounds", rounds,
+          f"such that n*rounds <= MAX_CONTACTS = {MAX_CONTACTS}")
     bits = [0] * n
     for idx in initially_informed:
         if not 0 <= idx < n:
@@ -412,8 +426,7 @@ def empirical_transition_estimate(params: ExchangeParams, trials: int,
     Vectorized equivalent of repeating step_pair: each sample consumes one
     uniform draw against the analytic row, exactly as step_pair does.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check(trials >= 1, "trials", trials, ">= 1")
     rng = np.random.default_rng(seed)
     cums = _row_cumsums(params)
     out = np.empty((4, 4))

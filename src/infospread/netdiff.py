@@ -13,6 +13,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .errors import (
     EntryRangeError,
     HorizonError,
     ZeroMatrixError,
+    check,
 )
 
 __all__ = [
@@ -45,6 +47,9 @@ __all__ = [
 # Consecutive iterations without residual improvement before the power
 # iteration is declared stalled (periodic / non-primitive input).
 _STALL_LIMIT = 50
+
+# Work bound: most cells, n * n, of a generated network.
+MAX_CELLS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -143,8 +148,8 @@ def leading_eigenpair(net: ManagerNetwork, tol: float = 1e-10,
     detected as a residual that stops improving and reported as
     ConvergenceError carrying the best iterate seen.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check(0.0 < tol < math.inf, "tol", tol, "positive and finite")
+    check(max_iter >= 1, "max_iter", max_iter, ">= 1")
     w = net.w
     if not w.any():
         raise ZeroMatrixError("leading eigenpair undefined for the zero matrix")
@@ -228,8 +233,7 @@ def diffusion_centrality(net: ManagerNetwork, T: int) -> np.ndarray:
 
 
 def _horizon(T) -> int:
-    if int(T) != T or T < 1:
-        raise HorizonError(f"horizon must be an integer >= 1, got {T!r}")
+    check(int(T) == T and T >= 1, "horizon", T, "an integer >= 1", HorizonError)
     return int(T)
 
 
@@ -244,10 +248,9 @@ def generate_random_network(n: int, density: float, seed: int) -> ManagerNetwork
     """Random network: each off-diagonal entry is independently nonzero with
     probability ``density``, with weight uniform on (0, 1].  The diagonal is
     zero.  Deterministic for fixed (n, density, seed)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
+    check(n >= 1, "n", n, ">= 1")
+    check(n * n <= MAX_CELLS, "n", n, f"such that n*n <= MAX_CELLS = {MAX_CELLS}")
+    check(0.0 <= density <= 1.0, "density", density, "in [0, 1]")
     rng = np.random.default_rng(seed)
     gate = rng.random((n, n))
     weights = 1.0 - rng.random((n, n))  # uniform on (0, 1]

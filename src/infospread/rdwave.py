@@ -30,7 +30,7 @@ the trajectories agree bitwise at equal steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -39,8 +39,10 @@ from .epi_sir import SirParams
 from .errors import (
     NoCrossingError,
     NonFiniteError,
+    ParamError,
     StabilityError,
     StiffnessError,
+    check,
 )
 
 __all__ = [
@@ -62,13 +64,19 @@ __all__ = [
 
 _RATE_FAMILIES = ("logistic", "allee")
 
+# Work bounds: most node updates (n_nodes * (steps + 1)) of a field run, and
+# most RK4 substeps (horizon / h / epsilon) of a fast-slow sweep.
+MAX_NODE_STEPS = 10_000_000_000
+MAX_SUBSTEPS = 100_000_000
+
 
 @dataclass(frozen=True)
 class ReactionDiffusionConfig:
     """Grid, time step, and rate parameters for the explicit scheme.
 
     r_rate = 0 is allowed (pure diffusion, used by the mass-conservation
-    diagnostics).  Construction enforces the stability bound
+    diagnostics).  Construction derives ``n_nodes`` and ``steps``, bounds
+    their work by MAX_NODE_STEPS, and enforces the stability bound
     d_coeff*dt/dx**2 <= 1/2, so a config that exists can always be stepped.
     """
 
@@ -81,23 +89,28 @@ class ReactionDiffusionConfig:
     horizon: float
     rate_family: str = "logistic"
     allee_threshold: float = 0.0
+    n_nodes: int = field(init=False)
+    steps: int = field(init=False)
 
     def __post_init__(self):
         for name in ("d_coeff", "k_cap", "dx", "dt", "length", "horizon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.r_rate < 0:
-            raise ValueError("r_rate must be nonnegative")
-        if self.rate_family not in _RATE_FAMILIES:
-            raise ValueError(f"rate_family must be one of {_RATE_FAMILIES}")
-        number = self.d_coeff * self.dt / (self.dx * self.dx)
+            value = getattr(self, name)
+            check(0.0 < value < math.inf, name, value, "positive and finite")
+        check(0.0 <= self.r_rate < math.inf, "r_rate", self.r_rate,
+              "nonnegative and finite")
+        check(self.rate_family in _RATE_FAMILIES, "rate_family",
+              self.rate_family, f"one of {_RATE_FAMILIES}")
+        nodes, steps = self.length / self.dx, self.horizon / self.dt
+        if not (nodes + 1) * (steps + 1) <= MAX_NODE_STEPS:
+            raise ParamError(f"(length/dx + 1) * (horizon/dt + 1) node updates "
+                             f"exceed MAX_NODE_STEPS = {MAX_NODE_STEPS}")
+        object.__setattr__(self, "n_nodes", int(round(nodes)) + 1)
+        object.__setattr__(self, "steps", int(round(steps)))
+        dx2 = self.dx * self.dx
+        number = self.d_coeff * self.dt / dx2 if dx2 else math.inf
         if number > 0.5:
             raise StabilityError(
                 f"explicit scheme unstable: D*dt/dx^2 = {number:.4g} > 0.5")
-
-    @property
-    def n_nodes(self) -> int:
-        return int(round(self.length / self.dx)) + 1
 
     @property
     def x(self) -> np.ndarray:
@@ -145,8 +158,10 @@ class FastSlowResult(NamedTuple):
 class FastSlowConfig:
     """Fast-slow sweep configuration.
 
-    layer_time excludes the initial transient from the QSS comparison.  The
-    initial condition defaults to i0 = 1e-3, s0 = N - i0.
+    layer_time excludes the initial transient from the QSS comparison, so
+    some output time must reach it.  The initial condition defaults to
+    i0 = 1e-3, s0 = N - i0.  Construction derives ``steps`` and the RK4
+    ``substeps`` per step, and bounds their product by MAX_SUBSTEPS.
     """
 
     sir: SirParams
@@ -156,22 +171,33 @@ class FastSlowConfig:
     layer_time: float
     s0: float | None = None
     i0: float = 1e-3
+    steps: int = field(init=False)
+    substeps: int = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1]")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        if not self.layer_time < self.horizon:
-            raise ValueError("layer_time must be smaller than horizon")
+        check(0.0 < self.epsilon <= 1.0, "epsilon", self.epsilon, "in (0, 1]")
+        check(0.0 < self.h < math.inf, "h", self.h, "positive and finite")
+        check(0.0 < self.horizon < math.inf, "horizon", self.horizon,
+              "positive and finite")
+        check(-math.inf < self.layer_time < self.horizon, "layer_time",
+              self.layer_time, f"finite and smaller than horizon={self.horizon!r}")
+        check(math.isfinite(self.i0), "i0", self.i0, "finite")
         if self.s0 is None:
             object.__setattr__(self, "s0", self.sir.n_total - self.i0)
+        check(math.isfinite(self.s0), "s0", self.s0, "finite")
+        substeps, steps = 1.0 / self.epsilon, self.horizon / self.h
+        if not substeps * steps <= MAX_SUBSTEPS:
+            raise ParamError(f"horizon / h / epsilon substeps exceed "
+                             f"MAX_SUBSTEPS = {MAX_SUBSTEPS}")
+        object.__setattr__(self, "substeps", math.ceil(substeps))
+        object.__setattr__(self, "steps", int(round(steps)))
+        check(self.layer_time <= self.h * self.steps, "layer_time",
+              self.layer_time, f"at most the last output time {self.h * self.steps!r}")
 
 
 def logistic_rate(u, r: float, K: float):
     """Logistic flow rate r*u*(1 - u/K); zero at 0 and K exactly."""
-    if K <= 0:
-        raise ValueError("K must be positive")
+    check(K > 0, "K", K, "positive")
     return r * u * (1.0 - u / K)
 
 
@@ -206,10 +232,6 @@ def _step_array(u: np.ndarray, cfg: ReactionDiffusionConfig) -> np.ndarray:
 
 def rd_step(field: FieldState, cfg: ReactionDiffusionConfig) -> FieldState:
     """One forward-time central-space update; t advances by dt."""
-    number = cfg.d_coeff * cfg.dt / (cfg.dx * cfg.dx)
-    if number > 0.5:
-        raise StabilityError(
-            f"explicit scheme unstable: D*dt/dx^2 = {number:.4g} > 0.5")
     return FieldState(u=_step_array(np.asarray(field.u, dtype=float), cfg),
                       t=field.t + cfg.dt)
 
@@ -222,21 +244,21 @@ def rd_integrate(cfg: ReactionDiffusionConfig, init: FieldState,
     final state is always included.  Raises NonFiniteError with the time and
     node index if the field blows up.
     """
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1")
+    check(snapshot_every >= 1, "snapshot_every", snapshot_every, ">= 1")
     u = np.array(init.u, dtype=float)
     if len(u) != cfg.n_nodes:
-        raise ValueError(
+        raise ParamError(
             f"initial field has {len(u)} nodes, grid expects {cfg.n_nodes}")
-    steps = int(round(cfg.horizon / cfg.dt))
+    if not np.isfinite(u).all():
+        raise ParamError("initial field must be finite")
     snapshots = [FieldState(u=u.copy(), t=init.t)]
-    for k in range(1, steps + 1):
+    for k in range(1, cfg.steps + 1):
         u = _step_array(u, cfg)
         if not np.isfinite(u).all():
             t = init.t + k * cfg.dt
             j = int(np.nonzero(~np.isfinite(u))[0][0])
             raise NonFiniteError(f"non-finite field value at t={t:g}, node {j}")
-        if k % snapshot_every == 0 or k == steps:
+        if k % snapshot_every == 0 or k == cfg.steps:
             snapshots.append(FieldState(u=u.copy(), t=init.t + k * cfg.dt))
     return snapshots
 
@@ -262,7 +284,7 @@ def estimate_wave_speed(series, level: float, fit_window,
     NoCrossingError is raised.
     """
     if not series:
-        raise ValueError("series must be nonempty")
+        raise ParamError("series must be nonempty", "series")
     t_lo, t_hi = fit_window
     times, fronts = [], []
     for snap in series:
@@ -288,8 +310,8 @@ def rd_equilibria(r: float, K: float) -> tuple[RateEquilibrium, RateEquilibrium]
     u = 0 has g'(0) = r (unstable for r > 0); u = K has g'(K) = -r
     (stable for r > 0).  At r = 0 both are non-hyperbolic.
     """
-    if r < 0 or K <= 0:
-        raise ValueError("need r >= 0 and K > 0")
+    if not (r >= 0 and K > 0):
+        raise ParamError("need r >= 0 and K > 0")
     low = RateEquilibrium(u=0.0, slope=r,
                           stability="unstable" if r > 0 else "non-hyperbolic")
     high = RateEquilibrium(u=K, slope=-r,
@@ -339,9 +361,8 @@ def fast_slow_integrate(cfg: FastSlowConfig) -> FastSlowResult:
     dynamics and passes through.
     """
     p = cfg.sir
-    substeps = math.ceil(1.0 / cfg.epsilon)
+    substeps, steps = cfg.substeps, cfg.steps
     h_eff = cfg.h / substeps
-    steps = int(round(cfg.horizon / cfg.h))
     ts = cfg.h * np.arange(steps + 1)
     ss = np.empty(steps + 1)
     ii = np.empty(steps + 1)

@@ -1,10 +1,17 @@
 """CLI parsing, dispatch, exit statuses, determinism, and the golden trace."""
 
+import contextlib
+import hashlib
 import importlib.resources
+import io
 import json
+import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from infospread import cli, netdiff
 from infospread.errors import UsageError
@@ -284,3 +291,279 @@ def test_golden_ten_node_gossip_trace(tmp_path):
     out = tmp_path / "trace.csv"
     assert cli.main(GOSSIP_ARGS + ["--out", str(out)]) == 0
     assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+# -- exit contract -----------------------------------------------------------------
+#
+# Invocations run in a fresh working directory holding copies of the bundled
+# network (net10.csv) and fund sample (funds.csv) and, if given, a config
+# file cfg.json, so the paths echoed in manifests are the same wherever the
+# tests run.
+
+FUNDS = str(importlib.resources.files("infospread.data") / "funds_sample.csv")
+INPUTS = ("net10.csv", "funds.csv", "cfg.json")
+
+
+def invoke(argv, config=None):
+    """(exit status, stdout, stderr, {output name: bytes}) of one cli.main
+    call in a fresh working directory."""
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            shutil.copy(NETWORK10, "net10.csv")
+            shutil.copy(FUNDS, "funds.csv")
+            if config is not None:
+                Path("cfg.json").write_text(json.dumps(config))
+                argv = [*argv, "--config", "cfg.json"]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = cli.main(argv)
+            files = {path.name: path.read_bytes() for path in sorted(Path(".").iterdir())
+                     if path.name not in INPUTS}
+        finally:
+            os.chdir(home)
+    return status, out.getvalue(), err.getvalue(), files
+
+
+def assert_one_line(err, prefix):
+    assert err.startswith(prefix), err
+    assert len(err.splitlines()) == 1, err
+
+
+PROBS = ["--p_select", "0.5", "--p_drop", "0.1", "--p_loss", "0.2"]
+
+# sha256 over the name and bytes of every output file, recorded with the
+# parameter checks still hand-written in cli.py; the table-driven parser and
+# the model-side checks must reproduce them byte for byte.
+PINNED = {
+    "network-gen": (
+        ["network", "gen", "--n", "12", "--density", "0.4", "--seed", "7",
+         "--out", "gen.csv"],
+        "22d99a869b6931ad48bf2b2f071cd8955127c4475ce8630c709bccf223118a3b"),
+    "network-centrality": (
+        ["network", "centrality", "--network", "net10.csv", "--horizon", "4",
+         "--out", "dc.csv"],
+        "69df1f0b7ae7a96b67f699b1e892972d7141365c88dbbd7e6adeed098e597268"),
+    "network-eigen": (
+        ["network", "eigen", "--network", "net10.csv", "--out", "eig.csv"],
+        "4c61dfdfe9d772379ac456e38c86bb235fcce6109bae0b6b1796cd747c5ed3bf"),
+    "gossip-matrix": (
+        ["gossip", "matrix", *PROBS, "--p_gain", "0.8", "--out", "m.csv"],
+        "94cdd12e908931a19191a1c4c969a5f158c836c7e9e9f57abf7d13abcb7f8905"),
+    "gossip-stationary": (
+        ["gossip", "stationary", *PROBS, "--p_gain", "0.8", "--p_ext", "0.3",
+         "--out", "pi.csv"],
+        "8cd229afff4421b314e92e80fb4161db8fd4032e8ba87b4c7627dc87f8569358"),
+    "gossip-simulate": (
+        ["gossip", "simulate", "--network", "net10.csv", *PROBS, "--p_gain", "0.8",
+         "--rounds", "30", "--seed", "42", "--informed", "3,0", "--out", "trace.csv"],
+        "901c09a1bf4cf70ef9951211d2f10f014d8b188e8595ef0c7a663e3dfd5c706c"),
+    "gossip-tie-with-p_gain": (
+        ["gossip", "matrix", *PROBS, "--p_gain", "0.3", "--tie_gain_to_loss",
+         "--out", "tie.csv"],
+        "ee833dea49320001f51e273d7e066ff0f2d839c118b1fa28c64db6604f59a04b"),
+    "sir-preset": (
+        ["sir", "--preset", "fig6c", "--horizon", "20", "--out", "sir.csv"],
+        "303e27c5b104e8ab095bef528bb2bf4ea851d8339db57da1e4c100f0ca432461"),
+    "sir-rates": (
+        ["sir", "--beta", "0.5", "--alpha", "0.1", "--mu", "0.05", "--n", "1",
+         "--i0", "1e-3", "--horizon", "20", "--out", "sir.csv"],
+        "b15ecca48d6cd03d42640253ccd5c0b56cc96277a799bd2aa5998690cc0c5fb8"),
+    "sir-config": (
+        ["sir", "--h", "0.02", "--out", "sir.csv"],
+        "9cdb434c5ccda3f0ebb230e16ef99b4cae217474bd5b931f6be245dbadd6c4b8"),
+    "rd": (
+        ["rd", "--length", "4", "--horizon", "1", "--snapshot_every", "100",
+         "--out", "wave"],
+        "b48dbab5256a8edc546b2609d5195f0165f0da85837624daaf21a2241c7d3534"),
+    "fastslow": (
+        ["fastslow", "--epsilon", "0.05", "--horizon", "10", "--out", "fs.csv"],
+        "2e7c1f3969cd9ecbbef80a036eb36a094f104f31b5a722d52476057cbac27d53"),
+    "funds-summarize": (
+        ["funds", "summarize", "--group_by", "family", "--value", "assets",
+         "--out", "sum.csv"],
+        "d8aa5788373336eb5ab5fb097a704cc51af2c4443e5a17368baf3ed34bcc60e6"),
+    "funds-provinces": (
+        ["funds", "provinces", "--out", "prov.csv"],
+        "100919b1806e379d41f89e1a7ee9e1e19d9751b633af31cbaa64db5e0b360725"),
+    "funds-demographics": (
+        ["funds", "demographics", "--out", "demo.csv"],
+        "f714ee6651e167243c18f334de7ca348aae8a40372a8e5f376ddd7d362affdad"),
+}
+PINNED_CONFIG = {"preset": "fig6d", "horizon": 5, "i0": 0.01, "quiet": True}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_outputs_match_pinned_digests(key):
+    argv, expected = PINNED[key]
+    config = PINNED_CONFIG if key == "sir-config" else None
+    status, _, err, files = invoke([*argv, "--quiet"], config)
+    assert status == 0, err
+    digest = hashlib.sha256()
+    for name, data in files.items():
+        digest.update(name.encode() + b"\0" + data)
+    assert digest.hexdigest() == expected
+
+
+RUNS = ["--p_drop", "0.1", "--p_loss", "0.2", "--p_gain", "0.8"]
+SIMULATE = ["gossip", "simulate", "--network", "net10.csv", "--p_select", "0.5",
+            *RUNS, "--rounds", "5"]
+
+# One invocation per usage check the hand-written parser made, each with a
+# single fault; all of them exited 2 there and must still exit 2.
+SINGLE_FAULTS = {
+    "config value of the wrong type": (["sir", "--preset", "fig6b"], {"h": "abc"}),
+    "required flag missing": (["network", "gen", "--density", "0.5"], None),
+    "probability out of range": (["gossip", "matrix", "--p_select", "1.5", *RUNS], None),
+    "nonpositive size": (["rd", "--dx", "0", "--out", "wave"], None),
+    "action missing": (["network"], None),
+    "unknown action": (["network", "bogus"], None),
+    "subcommand missing": ([], None),
+    "config not JSON": (["sir", "--preset", "fig6b"], '{"h": '),
+    "config not an object": (["sir", "--preset", "fig6b"], [1]),
+    "seed out of range": (["sir", "--preset", "fig6b", "--seed", "-1"], None),
+    "network size below 1": (["network", "gen", "--n", "0", "--density", "0.5"], None),
+    "density above 1": (["network", "gen", "--n", "5", "--density", "1.5"], None),
+    "centrality horizon below 1": (["network", "centrality", "--network", "net10.csv",
+                                    "--horizon", "0"], None),
+    "max_iter below 1": (["network", "eigen", "--network", "net10.csv",
+                          "--max_iter", "0"], None),
+    "p_select missing": (["gossip", "matrix", *RUNS], None),
+    "p_gain missing without the tie": (["gossip", "matrix", *PROBS], None),
+    "rounds below 1": ([*SIMULATE[:-1], "0"], None),
+    "informed not integers": ([*SIMULATE, "--informed", "a"], None),
+    "informed empty": ([*SIMULATE, "--informed", ","], None),
+    "unknown preset in config": (["sir"], {"preset": "zzz"}),
+    "negative rate": (["sir", "--preset", "fig6b", "--mu", "-1"], None),
+    "population not positive": (["sir", "--preset", "fig6b", "--n", "0"], None),
+    "negative reaction rate": (["rd", "--r", "-1", "--out", "wave"], None),
+    "snapshot_every below 1": (["rd", "--snapshot_every", "0", "--out", "wave"], None),
+    "unknown init profile": (["rd", "--init", "blob", "--out", "wave"], None),
+    "uniform init not a number": (["rd", "--init", "uniform:x", "--out", "wave"], None),
+    "negative fast-slow rate": (["fastslow", "--beta", "-1"], None),
+    "epsilon above 1": (["fastslow", "--epsilon", "2"], None),
+    "layer_time past the horizon": (["fastslow", "--layer_time", "40"], None),
+    "rd without --out": (["rd"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGLE_FAULTS))
+def test_single_fault_exits_2_with_one_line(case, tmp_path):
+    argv, config = SINGLE_FAULTS[case]
+    if isinstance(config, str):  # malformed JSON text
+        path = tmp_path / "bad.json"
+        path.write_text(config)
+        argv, config = [*argv, "--config", str(path)], None
+    status, _, err, files = invoke(argv, config)
+    assert status == 2
+    assert_one_line(err, "usage error: ")
+    assert not files
+
+
+# Parameters outside their domain (non-finite, wrong type, over a work bound)
+# and the message fragment naming them.  Before the model types checked every
+# parameter, each of these ended in a traceback, ran without bound, or exited
+# 1 with the wrong diagnosis.
+BAD_PARAMETERS = {
+    "rd --dx nan": (["rd", "--dx", "nan", "--out", "wave"], None, "--dx"),
+    "sir --h inf": (["sir", "--preset", "fig6b", "--h", "inf"], None, "--h"),
+    "sir --horizon below one step": (["sir", "--preset", "fig6b", "--horizon", "0.001"],
+                                     None, "--horizon"),
+    "sir --horizon 1e300": (["sir", "--preset", "fig6b", "--horizon", "1e300"], None,
+                            "MAX_STEPS"),
+    "sir --beta nan": (["sir", "--preset", "fig6b", "--beta", "nan"], None, "--beta"),
+    "fastslow --i0 nan": (["fastslow", "--i0", "nan"], None, "--i0"),
+    "network eigen --tol nan": (["network", "eigen", "--network", "net10.csv",
+                                 "--tol", "nan"], None, "--tol"),
+    "preset not a string": (["sir"], {"preset": [1]}, "--preset must be a string, got [1]"),
+    "network not a string": (["network", "eigen"], {"network": 7}, "--network must be a string"),
+    "out not a string": (["sir", "--preset", "fig6b"], {"out": 5}, "--out must be a string"),
+    "group_by not a string": (["funds", "summarize"], {"group_by": 3},
+                              "--group_by must be a string"),
+    "rd --length 1e300": (["rd", "--length", "1e300", "--out", "wave"], None,
+                          "MAX_NODE_STEPS"),
+    "rd --dx 1e-300 --dt 1e-300": (["rd", "--dx", "1e-300", "--dt", "1e-300",
+                                    "--out", "wave"], None, "MAX_NODE_STEPS"),
+    "fastslow --h 1e-300": (["fastslow", "--h", "1e-300"], None, "MAX_SUBSTEPS"),
+    "fastslow --epsilon 1e-9": (["fastslow", "--epsilon", "1e-9"], None, "MAX_SUBSTEPS"),
+    "fastslow --h past layer_time": (["fastslow", "--h", "1e300"], None, "--layer_time"),
+    "network gen --n 1e11": (["network", "gen", "--n", "100000000000", "--density", "0.5"],
+                             None, "--n must be such that n*n <= MAX_CELLS"),
+    "gossip rounds 1e300": (SIMULATE[:-2], {"rounds": 1e300}, "MAX_CONTACTS"),
+    "rd --D negative": (["rd", "--D", "-1", "--out", "wave"], None, "--D must be positive"),
+    "rd uniform nan": (["rd", "--init", "uniform:nan", "--out", "wave"], None,
+                       "initial field must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMETERS))
+def test_bad_parameter_exits_2_with_one_line(case):
+    argv, config, fragment = BAD_PARAMETERS[case]
+    status, _, err, files = invoke(argv, config)
+    assert status == 2
+    assert_one_line(err, "usage error: ")
+    assert fragment in err
+    assert not files
+
+
+def test_numerically_reducible_chain_exits_1():
+    status, _, err, _ = invoke(["gossip", "stationary", "--p_select", "1e-300", *RUNS])
+    assert status == 1
+    assert_one_line(err, "error: ReducibleChainError: ")
+
+
+def test_directory_as_output_exits_3():
+    status, _, err, _ = invoke(["sir", "--preset", "fig6b", "--horizon", "1",
+                                "--out", ""])
+    assert status == 3
+    assert_one_line(err, "error: IsADirectoryError: ")
+
+
+# Small, fast base invocations per subcommand; the fuzz below replaces one of
+# their flag values at a time, or gives --config itself a fuzz value.
+FUZZ_BASES = [
+    ["network", "gen", "--n", "5", "--density", "0.5"],
+    ["network", "centrality", "--network", "net10.csv", "--horizon", "3"],
+    ["network", "eigen", "--network", "net10.csv", "--tol", "1e-10", "--max_iter", "50"],
+    ["gossip", "simulate", "--network", "net10.csv", *PROBS, "--p_gain", "0.8",
+     "--p_ext", "0.3", "--rounds", "5", "--informed", "0,1"],
+    ["sir", "--preset", "fig6b", "--beta", "0.3", "--alpha", "0.1", "--mu", "0.01",
+     "--n", "1", "--s0", "0.99", "--i0", "0.01", "--r0", "0", "--h", "0.01",
+     "--horizon", "1"],
+    ["rd", "--D", "1", "--r", "1", "--K", "1", "--dx", "0.1", "--dt", "0.002",
+     "--length", "2", "--horizon", "0.1", "--init", "step", "--snapshot_every", "10"],
+    ["fastslow", "--beta", "0.1", "--alpha", "0.2", "--mu", "0.05", "--n", "1",
+     "--epsilon", "0.1", "--h", "0.05", "--horizon", "1", "--layer_time", "0.5",
+     "--s0", "0.8", "--i0", "0.2"],
+    ["funds", "summarize", "--input", "funds.csv", "--group_by", "category",
+     "--value", "performance"],
+]
+FUZZ_BASES = [[*base, "--seed", "1", "--out", "wave" if base[0] == "rd" else "o.csv"]
+              for base in FUZZ_BASES]
+# (base, index of the flag whose value is replaced; None: add --config)
+FUZZ_SLOTS = [(b, i) for b, base in enumerate(FUZZ_BASES)
+              for i in [*(i for i, token in enumerate(base) if token.startswith("--")),
+                        None]]
+FUZZ_VALUES = [float("nan"), float("inf"), float("-inf"), -1, 0, 1e-300, 1e300,
+               "abc", "", None, True, [1], {}]
+
+
+@settings(max_examples=500)
+@given(slot=st.sampled_from(FUZZ_SLOTS), value=st.sampled_from(FUZZ_VALUES),
+       as_config=st.booleans())
+def test_any_single_replacement_keeps_the_exit_contract(slot, value, as_config):
+    base, i = slot
+    argv = list(FUZZ_BASES[base])
+    token = value if isinstance(value, str) else json.dumps(value)
+    config = None
+    if i is None:
+        argv += ["--config", token]
+    elif as_config:
+        config = {argv[i][2:]: value}
+        del argv[i:i + 2]
+    else:
+        argv[i + 1] = token
+    status, _, err, _ = invoke(argv, config)
+    assert status in (0, 1, 2, 3)
+    assert len(err.splitlines()) <= 1, err
