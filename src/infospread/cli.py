@@ -75,11 +75,13 @@ _SUBCOMMANDS = {
             "tol": _Flag(float, 1e-10, actions=("eigen",)),
             "max_iter": _Flag(int, 10000, actions=("eigen",)),
         }),
-    # Missing probabilities are reported by gossip.ExchangeParams.from_config.
+    # p_gain is required unless tied to p_loss; gossip.ExchangeParams.from_config
+    # reports it missing.
     "gossip": (
         "pair-wise exchange chain and population runs",
         ("matrix", "stationary", "simulate"), {
-            **{name: _Flag(float) for name in _GOSSIP_PROBS},
+            **{name: _Flag(float, required=name in ("p_select", "p_drop", "p_loss"))
+               for name in _GOSSIP_PROBS},
             "tie_gain_to_loss": _Flag(bool, False, help="force p_gain = 1 - p_loss"),
             "network": _Flag(str, actions=("simulate",), required=True),
             "rounds": _Flag(int, actions=("simulate",), required=True),

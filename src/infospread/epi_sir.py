@@ -185,7 +185,8 @@ def integrate(params: SirParams, init: SirState, h: float,
     n_total = params.n_total
     limit = CONSERVATION_RTOL * n_total
     s, i, r = float(init.s), float(init.i), float(init.r)
-    for name, value in (("s0", s), ("i0", i), ("r0", r)):
+    # s0 is often derived as N - i0 - r0, so the other two are named first.
+    for name, value in (("i0", i), ("r0", r), ("s0", s)):
         check(math.isfinite(value), name, value, "finite")
     drift = abs(s + i + r - n_total)
     if not drift <= limit:

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from infospread import cli, netdiff
 from infospread.errors import UsageError
@@ -431,6 +431,8 @@ SINGLE_FAULTS = {
                           "--max_iter", "0"], None),
     "p_select missing": (["gossip", "matrix", *RUNS], None),
     "p_gain missing without the tie": (["gossip", "matrix", *PROBS], None),
+    "p_loss missing with the tie": (["gossip", "matrix", "--p_select", "0.5",
+                                     "--p_drop", "0.1", "--tie_gain_to_loss"], None),
     "rounds below 1": ([*SIMULATE[:-1], "0"], None),
     "informed not integers": ([*SIMULATE, "--informed", "a"], None),
     "informed empty": ([*SIMULATE, "--informed", ","], None),
@@ -474,6 +476,8 @@ BAD_PARAMETERS = {
                             "MAX_STEPS"),
     "sir --beta nan": (["sir", "--preset", "fig6b", "--beta", "nan"], None, "--beta"),
     "fastslow --i0 nan": (["fastslow", "--i0", "nan"], None, "--i0"),
+    "sir --i0 nan": (["sir", "--preset", "fig6b", "--i0", "nan"], None, "--i0"),
+    "sir --r0 nan": (["sir", "--preset", "fig6b", "--r0", "nan"], None, "--r0"),
     "network eigen --tol nan": (["network", "eigen", "--network", "net10.csv",
                                  "--tol", "nan"], None, "--tol"),
     "preset not a string": (["sir"], {"preset": [1]}, "--preset must be a string, got [1]"),
@@ -520,14 +524,15 @@ def test_directory_as_output_exits_3():
     assert_one_line(err, "error: IsADirectoryError: ")
 
 
-# Small, fast base invocations per subcommand; the fuzz below replaces one of
-# their flag values at a time, or gives --config itself a fuzz value.
+# Small, fast base invocations per subcommand; the fuzz below replaces or
+# drops one of their flags at a time, or gives --config itself a fuzz value.
 FUZZ_BASES = [
     ["network", "gen", "--n", "5", "--density", "0.5"],
     ["network", "centrality", "--network", "net10.csv", "--horizon", "3"],
     ["network", "eigen", "--network", "net10.csv", "--tol", "1e-10", "--max_iter", "50"],
     ["gossip", "simulate", "--network", "net10.csv", *PROBS, "--p_gain", "0.8",
      "--p_ext", "0.3", "--rounds", "5", "--informed", "0,1"],
+    ["gossip", "stationary", *PROBS, "--tie_gain_to_loss", "--quiet"],
     ["sir", "--preset", "fig6b", "--beta", "0.3", "--alpha", "0.1", "--mu", "0.01",
      "--n", "1", "--s0", "0.99", "--i0", "0.01", "--r0", "0", "--h", "0.01",
      "--horizon", "1"],
@@ -537,7 +542,7 @@ FUZZ_BASES = [
      "--epsilon", "0.1", "--h", "0.05", "--horizon", "1", "--layer_time", "0.5",
      "--s0", "0.8", "--i0", "0.2"],
     ["funds", "summarize", "--input", "funds.csv", "--group_by", "category",
-     "--value", "performance"],
+     "--value", "performance", "--show_reference"],
 ]
 FUZZ_BASES = [[*base, "--seed", "1", "--out", "wave" if base[0] == "rd" else "o.csv"]
               for base in FUZZ_BASES]
@@ -545,25 +550,34 @@ FUZZ_BASES = [[*base, "--seed", "1", "--out", "wave" if base[0] == "rd" else "o.
 FUZZ_SLOTS = [(b, i) for b, base in enumerate(FUZZ_BASES)
               for i in [*(i for i, token in enumerate(base) if token.startswith("--")),
                         None]]
+ABSENT = object()  # drop the flag instead of replacing its value
 FUZZ_VALUES = [float("nan"), float("inf"), float("-inf"), -1, 0, 1e-300, 1e300,
-               "abc", "", None, True, [1], {}]
+               "abc", "", None, True, [1], {}, ABSENT]
 
 
 @settings(max_examples=500)
 @given(slot=st.sampled_from(FUZZ_SLOTS), value=st.sampled_from(FUZZ_VALUES),
        as_config=st.booleans())
+@example(slot=(4, FUZZ_BASES[4].index("--p_loss")), value=ABSENT, as_config=False)
 def test_any_single_replacement_keeps_the_exit_contract(slot, value, as_config):
     base, i = slot
     argv = list(FUZZ_BASES[base])
-    token = value if isinstance(value, str) else json.dumps(value)
+    token = value if isinstance(value, str) or value is ABSENT else json.dumps(value)
     config = None
     if i is None:
-        argv += ["--config", token]
-    elif as_config:
-        config = {argv[i][2:]: value}
-        del argv[i:i + 2]
+        if value is not ABSENT:
+            argv += ["--config", token]
     else:
-        argv[i + 1] = token
+        # A bool flag is one token; a valued flag is two.
+        width = 1 if i + 1 == len(argv) or argv[i + 1].startswith("--") else 2
+        name = argv[i][2:]
+        if value is ABSENT:
+            del argv[i:i + width]
+        elif as_config or width == 1:
+            config = {name: value}
+            del argv[i:i + width]
+        else:
+            argv[i + 1] = token
     status, _, err, _ = invoke(argv, config)
     assert status in (0, 1, 2, 3)
     assert len(err.splitlines()) <= 1, err
