@@ -117,16 +117,15 @@ class ExchangeParams:
             raise ParamRangeError(f"unknown exchange parameter(s): {sorted(unknown)}")
         kwargs = {k: mapping[k] for k in
                   ("p_select", "p_drop", "p_loss", "p_gain") if k in mapping}
-        tie = bool(mapping.get("tie_gain_to_loss"))
-        if tie and "p_gain" in kwargs:
-            raise ParamRangeError("p_gain must be omitted when tie_gain_to_loss is set")
+        if mapping.get("tie_gain_to_loss"):
+            if "p_gain" in kwargs:
+                raise ParamRangeError(
+                    "p_gain must be omitted when tie_gain_to_loss is set")
+            if "p_loss" in kwargs:
+                kwargs["p_gain"] = 1.0 - kwargs["p_loss"]
         missing = {"p_select", "p_drop", "p_loss", "p_gain"} - set(kwargs)
-        if tie:
-            missing.discard("p_gain")
         if missing:
             raise ParamRangeError(f"missing exchange parameter(s): {sorted(missing)}")
-        if tie:
-            kwargs["p_gain"] = 1.0 - mapping["p_loss"]
         if "p_ext" in mapping:
             kwargs["p_ext"] = mapping["p_ext"]
         return cls(**kwargs)
