@@ -182,9 +182,6 @@ def test_from_config_rejects_unknown_and_missing():
         gossip.ExchangeParams.from_config({"p_select": 0.5, "bogus": 1})
     with pytest.raises(ParamRangeError):
         gossip.ExchangeParams.from_config({"p_select": 0.5})
-
-
-def test_from_config_tie_without_p_loss_reports_it_missing():
     with pytest.raises(ParamRangeError, match="p_loss"):
         gossip.ExchangeParams.from_config(
             {"p_select": 0.5, "p_drop": 0.1, "tie_gain_to_loss": True})
