@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -176,15 +176,21 @@ def _convert(name: str, flag: _Flag, value):
     """A flag or config value converted to the flag's kind; a value of the
     wrong type, or not among the flag's choices, is a usage error."""
     if flag.kind is bool:
-        return bool(value)
+        if not isinstance(value, bool):
+            raise UsageError(f"--{name} must be true or false, got {value!r}")
+        return value
     if flag.kind is str:
         if not isinstance(value, str):
             raise UsageError(f"--{name} must be a string, got {value!r}")
     else:
+        noun = "an integer" if flag.kind is int else "a number"
+        # JSON true is not 1, and 2.5 or 1e-300 is not an integer (5.0 is).
+        if isinstance(value, bool) or (flag.kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise UsageError(f"--{name} must be {noun}, got {value!r}")
         try:
             value = flag.kind(value)
         except (TypeError, ValueError, OverflowError):
-            noun = "an integer" if flag.kind is int else "a number"
             raise UsageError(f"--{name} must be {noun}, got {value!r}") from None
     if flag.choices and value not in flag.choices:
         raise UsageError(f"--{name} must be one of {list(flag.choices)}")
@@ -458,23 +464,13 @@ def _run_fastslow(config: RunConfig) -> None:
 
 
 def _funds_rows(action: str, params: dict, records):
+    """The report's row dataclass and its rows."""
     if action == "summarize":
-        rows = fundstats.summarize(records, params["group_by"], params["value"])
-        header = ("group", "count", "mean", "std", "min", "max")
-        cells = [(r.group, r.count, r.mean, r.std, r.min, r.max) for r in rows]
-    elif action == "provinces":
-        report = fundstats.province_report(records)
-        header = ("province", "family_count", "fund_count",
-                  "pct_of_funds", "pct_of_assets")
-        cells = [(r.province, r.family_count, r.fund_count,
-                  r.pct_of_funds, r.pct_of_assets) for r in report.rows]
-    else:
-        rows = fundstats.demographics_report(records)
-        header = ("manager_race", "manager_gender", "fund_count",
-                  "pct_of_funds", "pct_of_assets")
-        cells = [(r.manager_race, r.manager_gender, r.fund_count,
-                  r.pct_of_funds, r.pct_of_assets) for r in rows]
-    return header, cells
+        return fundstats.SummaryRow, fundstats.summarize(
+            records, params["group_by"], params["value"])
+    if action == "provinces":
+        return fundstats.ProvinceRow, fundstats.province_report(records).rows
+    return fundstats.DemographicsRow, fundstats.demographics_report(records)
 
 
 _REFERENCE_SECTIONS = {"summarize": "summary", "provinces": "provinces",
@@ -485,14 +481,13 @@ def _run_funds(config: RunConfig) -> None:
     source = config.params["input"]
     path = fundstats.bundled_fixture_path() if source is None else source
     records = fundstats.ingest_csv(path)
-    header, cells = _funds_rows(config.action, config.params, records)
-    _emit(config, _csv_text(header, cells))
+    row_type, rows = _funds_rows(config.action, config.params, records)
+    docs = [asdict(row) for row in rows]
+    header = [f.name for f in fields(row_type)]
+    _emit(config, _csv_text(header, (doc.values() for doc in docs)))
     if config.out is not None:
-        doc = {"rows": [dict(zip(header, [
-            c if isinstance(c, (str, int)) else float(c) for c in row]))
-            for row in cells]}
         _write_atomic(Path(config.out).with_suffix(".json"),
-                      json.dumps(doc, indent=2, sort_keys=True) + "\n")
+                      json.dumps({"rows": docs}, indent=2, sort_keys=True) + "\n")
     if config.params["show_reference"]:
         tables = fundstats.load_reference_tables()
         section = _REFERENCE_SECTIONS[config.action]

@@ -23,6 +23,8 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import groupby
+from operator import attrgetter, itemgetter
 
 from .errors import RowError, SchemaError, UnknownFieldError
 
@@ -64,6 +66,9 @@ class FundRecord:
     manager_gender: str
     assets: float
     performance: float
+
+
+_FIELD_NAMES = frozenset(f.name for f in fields(FundRecord))
 
 
 @dataclass(frozen=True)
@@ -158,47 +163,49 @@ def _parse_row(row, lineno: int) -> FundRecord:
                       performance=performance)
 
 
-def _field_value(record: FundRecord, name: str):
-    if name not in {f.name for f in fields(FundRecord)}:
-        raise UnknownFieldError(f"fund records have no field {name!r}")
-    return getattr(record, name)
-
-
 def summarize(records, group_by: str, value: str) -> list[SummaryRow]:
     """Per-group mean/std/min/max/count of a numeric field.
 
     Streams each group through Welford accumulation after canonical
-    ordering, so the result is independent of input order.
+    ordering, so the result is independent of input order.  Both field
+    names are checked before any record is read.
     """
     if value not in _NUMERIC_FIELDS:
         raise UnknownFieldError(
             f"value field must be numeric ({_NUMERIC_FIELDS}), got {value!r}")
-    keyed = sorted(
-        ((str(_field_value(rec, group_by)), float(_field_value(rec, value)))
-         for rec in records),
-        key=lambda kv: (kv[0], kv[1]))
+    if group_by not in _FIELD_NAMES:
+        raise UnknownFieldError(f"fund records have no field {group_by!r}")
+    group_of, value_of = attrgetter(group_by), attrgetter(value)
+    keyed = sorted((str(group_of(rec)), float(value_of(rec))) for rec in records)
     rows: list[SummaryRow] = []
-    i = 0
-    while i < len(keyed):
-        group = keyed[i][0]
+    for group, pairs in groupby(keyed, key=itemgetter(0)):
         count = 0
         mean = 0.0
         m2 = 0.0
         lo = math.inf
         hi = -math.inf
-        while i < len(keyed) and keyed[i][0] == group:
-            x = keyed[i][1]
+        for _, x in pairs:
             count += 1
             delta = x - mean
             mean += delta / count
             m2 += delta * (x - mean)
             lo = min(lo, x)
             hi = max(hi, x)
-            i += 1
         std = math.sqrt(m2 / (count - 1)) if count > 1 else 0.0
         rows.append(SummaryRow(group=group, count=count, mean=mean,
                                std=std, min=lo, max=hi))
     return rows
+
+
+def _tally(assets: dict) -> tuple[dict, int, float]:
+    """Exact asset sum per key of ``{key: [assets of its funds]}``, and the
+    total fund count and assets."""
+    sums = {k: math.fsum(sorted(v)) for k, v in assets.items()}
+    return sums, sum(map(len, assets.values())), math.fsum(sorted(sums.values()))
+
+
+def _pct(part, whole) -> float:
+    return 100.0 * part / whole if whole else 0.0
 
 
 def province_report(records) -> ProvinceReport:
@@ -208,50 +215,36 @@ def province_report(records) -> ProvinceReport:
     so input order cannot change them.
     """
     families: dict[str, set[str]] = {p: set() for p in PROVINCES}
-    counts: dict[str, int] = {p: 0 for p in PROVINCES}
     assets: dict[str, list[float]] = {p: [] for p in PROVINCES}
     for rec in records:
         families[rec.province].add(rec.family)
-        counts[rec.province] += 1
         assets[rec.province].append(rec.assets)
-    total_funds = sum(counts.values())
-    asset_sums = {p: math.fsum(sorted(assets[p])) for p in PROVINCES}
-    total_assets = math.fsum(sorted(asset_sums.values()))
-    order = sorted(PROVINCES,
-                   key=lambda p: (-len(families[p]), PROVINCES.index(p)))
-    rows = tuple(
-        ProvinceRow(
-            province=p,
-            family_count=len(families[p]),
-            fund_count=counts[p],
-            pct_of_funds=100.0 * counts[p] / total_funds if total_funds else 0.0,
-            pct_of_assets=100.0 * asset_sums[p] / total_assets if total_assets else 0.0,
-        )
-        for p in order)
-    return ProvinceReport(rows=rows)
+    sums, total_funds, total_assets = _tally(assets)
+    rows = [ProvinceRow(province=p,
+                        family_count=len(families[p]),
+                        fund_count=len(assets[p]),
+                        pct_of_funds=_pct(len(assets[p]), total_funds),
+                        pct_of_assets=_pct(sums[p], total_assets))
+            for p in PROVINCES]
+    rows.sort(key=lambda row: -row.family_count)  # stable: ties keep PROVINCES order
+    return ProvinceReport(rows=tuple(rows))
 
 
 def demographics_report(records) -> tuple[DemographicsRow, ...]:
     """Fund count and shares per (race, gender) cell present in the data."""
-    counts: dict[tuple[str, str], int] = {}
     assets: dict[tuple[str, str], list[float]] = {}
     for rec in records:
-        cell = (rec.manager_race, rec.manager_gender)
-        counts[cell] = counts.get(cell, 0) + 1
-        assets.setdefault(cell, []).append(rec.assets)
-    total_funds = sum(counts.values())
-    asset_sums = {cell: math.fsum(sorted(vals)) for cell, vals in assets.items()}
-    total_assets = math.fsum(sorted(asset_sums.values()))
+        assets.setdefault((rec.manager_race, rec.manager_gender), []).append(rec.assets)
+    sums, total_funds, total_assets = _tally(assets)
     return tuple(
         DemographicsRow(
             manager_race=race,
             manager_gender=gender,
-            fund_count=counts[(race, gender)],
-            pct_of_funds=100.0 * counts[(race, gender)] / total_funds,
-            pct_of_assets=(100.0 * asset_sums[(race, gender)] / total_assets
-                           if total_assets else 0.0),
+            fund_count=len(assets[race, gender]),
+            pct_of_funds=_pct(len(assets[race, gender]), total_funds),
+            pct_of_assets=_pct(sums[race, gender], total_assets),
         )
-        for race, gender in sorted(counts))
+        for race, gender in sorted(assets))
 
 
 def bundled_fixture_path():

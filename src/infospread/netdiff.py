@@ -48,7 +48,8 @@ __all__ = [
 # iteration is declared stalled (periodic / non-primitive input).
 _STALL_LIMIT = 50
 
-# Work bound: most cells, n * n, of a generated network.
+# Work bound: most cells of a generated network (n * n), and most cells of
+# the T walk-count terms of a centrality run (T * n * n).
 MAX_CELLS = 100_000_000
 
 
@@ -195,7 +196,7 @@ def hearing_matrix(net: ManagerNetwork, T: int) -> np.ndarray:
     repeated multiply-accumulate; raises the builtin OverflowError with the
     failing term index if an entry leaves the finite float range.
     """
-    T = _horizon(T)
+    T = _horizon(T, net.n)
     w = net.w
     power = w.copy()
     total = w.copy()
@@ -218,7 +219,7 @@ def diffusion_centrality(net: ManagerNetwork, T: int) -> np.ndarray:
     OverflowError with the failing term index if an entry leaves the finite
     float range.
     """
-    T = _horizon(T)
+    T = _horizon(T, net.n)
     w = net.w
     walks = w.sum(axis=1)
     total = walks.copy()
@@ -232,8 +233,10 @@ def diffusion_centrality(net: ManagerNetwork, T: int) -> np.ndarray:
     return total
 
 
-def _horizon(T) -> int:
+def _horizon(T, n: int) -> int:
     check(int(T) == T and T >= 1, "horizon", T, "an integer >= 1", HorizonError)
+    check(T * n * n <= MAX_CELLS, "horizon", T,
+          f"such that horizon*n*n <= MAX_CELLS = {MAX_CELLS} (n = {n})", HorizonError)
     return int(T)
 
 

@@ -77,12 +77,13 @@ def test_negative_seed_is_usage_error():
 def test_config_file_merges_and_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p_select": 0.5, "p_drop": 0.1, "p_loss": 0.2,
-                               "p_gain": 0.8, "seed": 9}))
+                               "p_gain": 0.8, "seed": 9.0, "quiet": True}))
     config = cli.parse_args(["gossip", "matrix", "--config", str(cfg),
                              "--p_drop", "0.3"])
     assert config.params["p_drop"] == 0.3   # flag wins
     assert config.params["p_select"] == 0.5  # from config file
-    assert config.seed == 9
+    assert config.seed == 9 and type(config.seed) is int  # a whole float is an int
+    assert config.quiet is True
 
 
 def test_default_p_ext_is_echoed(tmp_path):
@@ -447,6 +448,12 @@ SINGLE_FAULTS = {
     "epsilon above 1": (["fastslow", "--epsilon", "2"], None),
     "layer_time past the horizon": (["fastslow", "--layer_time", "40"], None),
     "rd without --out": (["rd"], None),
+    "config true for an integer": (SIMULATE[:-2], {"rounds": True}),
+    "config true for a number": (["sir", "--preset", "fig6b"], {"h": True}),
+    "config fraction for an integer": (["sir", "--preset", "fig6b"], {"seed": 1e-300}),
+    "config string for a bool": (["sir", "--preset", "fig6b"], {"quiet": "no"}),
+    "config number for a bool": (["gossip", "matrix", *PROBS],
+                                 {"tie_gain_to_loss": 1}),
 }
 
 
@@ -495,6 +502,9 @@ BAD_PARAMETERS = {
     "network gen --n 1e11": (["network", "gen", "--n", "100000000000", "--density", "0.5"],
                              None, "--n must be such that n*n <= MAX_CELLS"),
     "gossip rounds 1e300": (SIMULATE[:-2], {"rounds": 1e300}, "MAX_CONTACTS"),
+    "network centrality --horizon 1e300": (["network", "centrality", "--network",
+                                            "net10.csv"], {"horizon": 1e300},
+                                           "--horizon must be such that horizon*n*n"),
     "rd --D negative": (["rd", "--D", "-1", "--out", "wave"], None, "--D must be positive"),
     "rd uniform nan": (["rd", "--init", "uniform:nan", "--out", "wave"], None,
                        "initial field must be finite"),

@@ -1,12 +1,17 @@
 """Fund ingestion, grouped statistics, and composition reports."""
 
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from infospread import fundstats
 from infospread.errors import RowError, SchemaError, UnknownFieldError
+from infospread.fundstats import (
+    _NUMERIC_FIELDS, PROVINCES, DemographicsRow, FundRecord, ProvinceReport,
+    ProvinceRow, SummaryRow)
 
 HEADER = ",".join(fundstats.CSV_COLUMNS)
 
@@ -136,6 +141,8 @@ def test_summarize_rejects_unknown_fields():
         fundstats.summarize(records, group_by="city", value="performance")
     with pytest.raises(UnknownFieldError):
         fundstats.summarize(records, group_by="category", value="family")
+    with pytest.raises(UnknownFieldError):
+        fundstats.summarize([], group_by="city", value="performance")
 
 
 def test_summarize_groups_ordered_by_key():
@@ -211,6 +218,126 @@ def test_demographics_permutation_invariant():
     random.Random(8).shuffle(shuffled)
     assert fundstats.demographics_report(shuffled) == \
         fundstats.demographics_report(records)
+
+
+# -- reference reports ----------------------------------------------------------
+# The reports as first written, kept verbatim: the streamlined module must
+# return the same rows, bit for bit (the sign of a zero included).
+
+def _field_value(record: FundRecord, name: str):
+    if name not in {f.name for f in dataclasses.fields(FundRecord)}:
+        raise UnknownFieldError(f"fund records have no field {name!r}")
+    return getattr(record, name)
+
+
+def reference_summarize(records, group_by: str, value: str) -> list[SummaryRow]:
+    if value not in _NUMERIC_FIELDS:
+        raise UnknownFieldError(
+            f"value field must be numeric ({_NUMERIC_FIELDS}), got {value!r}")
+    keyed = sorted(
+        ((str(_field_value(rec, group_by)), float(_field_value(rec, value)))
+         for rec in records),
+        key=lambda kv: (kv[0], kv[1]))
+    rows: list[SummaryRow] = []
+    i = 0
+    while i < len(keyed):
+        group = keyed[i][0]
+        count = 0
+        mean = 0.0
+        m2 = 0.0
+        lo = math.inf
+        hi = -math.inf
+        while i < len(keyed) and keyed[i][0] == group:
+            x = keyed[i][1]
+            count += 1
+            delta = x - mean
+            mean += delta / count
+            m2 += delta * (x - mean)
+            lo = min(lo, x)
+            hi = max(hi, x)
+            i += 1
+        std = math.sqrt(m2 / (count - 1)) if count > 1 else 0.0
+        rows.append(SummaryRow(group=group, count=count, mean=mean,
+                               std=std, min=lo, max=hi))
+    return rows
+
+
+def reference_province_report(records) -> ProvinceReport:
+    families: dict[str, set[str]] = {p: set() for p in PROVINCES}
+    counts: dict[str, int] = {p: 0 for p in PROVINCES}
+    assets: dict[str, list[float]] = {p: [] for p in PROVINCES}
+    for rec in records:
+        families[rec.province].add(rec.family)
+        counts[rec.province] += 1
+        assets[rec.province].append(rec.assets)
+    total_funds = sum(counts.values())
+    asset_sums = {p: math.fsum(sorted(assets[p])) for p in PROVINCES}
+    total_assets = math.fsum(sorted(asset_sums.values()))
+    order = sorted(PROVINCES,
+                   key=lambda p: (-len(families[p]), PROVINCES.index(p)))
+    rows = tuple(
+        ProvinceRow(
+            province=p,
+            family_count=len(families[p]),
+            fund_count=counts[p],
+            pct_of_funds=100.0 * counts[p] / total_funds if total_funds else 0.0,
+            pct_of_assets=100.0 * asset_sums[p] / total_assets if total_assets else 0.0,
+        )
+        for p in order)
+    return ProvinceReport(rows=rows)
+
+
+def reference_demographics_report(records) -> tuple[DemographicsRow, ...]:
+    counts: dict[tuple[str, str], int] = {}
+    assets: dict[tuple[str, str], list[float]] = {}
+    for rec in records:
+        cell = (rec.manager_race, rec.manager_gender)
+        counts[cell] = counts.get(cell, 0) + 1
+        assets.setdefault(cell, []).append(rec.assets)
+    total_funds = sum(counts.values())
+    asset_sums = {cell: math.fsum(sorted(vals)) for cell, vals in assets.items()}
+    total_assets = math.fsum(sorted(asset_sums.values()))
+    return tuple(
+        DemographicsRow(
+            manager_race=race,
+            manager_gender=gender,
+            fund_count=counts[(race, gender)],
+            pct_of_funds=100.0 * counts[(race, gender)] / total_funds,
+            pct_of_assets=(100.0 * asset_sums[(race, gender)] / total_assets
+                           if total_assets else 0.0),
+        )
+        for race, gender in sorted(counts))
+
+
+# Few distinct values, so groups, duplicates and ties are common; -0.0 sits
+# next to 0.0 so a min or max that keeps the other zero shows in its repr.
+AMOUNTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300]),
+                    st.floats(-1e6, 1e6))
+RECORDS = st.lists(st.builds(
+    FundRecord,
+    fund_id=st.sampled_from(["F1", "F2", "F3"]),
+    family=st.sampled_from(["fam0", "fam1", "fam2"]),
+    province=st.sampled_from(PROVINCES),
+    category=st.sampled_from("AB"),
+    manager_race=st.sampled_from(fundstats.RACES),
+    manager_gender=st.sampled_from(fundstats.GENDERS),
+    assets=st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300, 7e5]),
+    performance=AMOUNTS), max_size=30)
+
+
+@given(records=RECORDS, group_by=st.sampled_from(fundstats.CSV_COLUMNS),
+       value=st.sampled_from(_NUMERIC_FIELDS))
+@example(records=[], group_by="category", value="performance")
+@example(records=[make_record(1, performance=0.0), make_record(2, performance=-0.0),
+                  make_record(3, category="B", assets=-0.0)],
+         group_by="category", value="performance")
+def test_reports_match_the_reference_bit_for_bit(records, group_by, value):
+    assert repr(fundstats.summarize(records, group_by, value)) == \
+        repr(reference_summarize(records, group_by, value))
+    assert repr(fundstats.province_report(records)) == \
+        repr(reference_province_report(records))
+    assert repr(fundstats.demographics_report(records)) == \
+        repr(reference_demographics_report(records))
 
 
 # -- reference tables -----------------------------------------------------------

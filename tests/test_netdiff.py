@@ -225,7 +225,7 @@ def test_hearing_zero_matrix():
 
 def test_hearing_rejects_bad_horizon():
     net = netdiff.validate_network(LINE)
-    for bad in (0, -1, 1.5):
+    for bad in (0, -1, 1.5, 10 ** 9):
         with pytest.raises(HorizonError):
             netdiff.hearing_matrix(net, bad)
 
@@ -276,7 +276,7 @@ def test_centrality_matches_power_oracle():
 
 def test_centrality_rejects_bad_horizon():
     net = netdiff.validate_network(LINE)
-    for bad in (0, -1, 1.5):
+    for bad in (0, -1, 1.5, 10 ** 9):
         with pytest.raises(HorizonError):
             netdiff.diffusion_centrality(net, bad)
 
