@@ -7,7 +7,7 @@ by the model types alone.
 Every file-writing invocation writes atomically (temp file + rename) and
 drops a sidecar ``<out>.manifest.json`` echoing the effective parameters,
 including defaulted ones, so identical config and seed reproduce identical
-bytes.  Numeric CSV cells use full round-trip decimal precision.
+bytes.  Each CSV cell is ``str`` of its Python scalar: ``repr`` for a float.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import epi_sir, fundstats, gossip, netdiff, rdwave
-from .errors import ModelError, ParamError, ParamRangeError, UsageError
+from .errors import ModelError, ParamError, ParamRangeError, UsageError, shown
 
 __all__ = ["RunConfig", "parse_args", "run", "main", "app"]
 
@@ -249,7 +249,8 @@ def parse_args(argv=None) -> RunConfig:
 
     seed = pick("seed", _COMMON["seed"])
     if not 0 <= seed < 2 ** 64:
-        raise UsageError(f"--seed must be a 64-bit nonnegative integer, got {seed}")
+        raise UsageError("--seed must be a 64-bit nonnegative integer, "
+                         f"got {shown(seed)}")
     out = pick("out", _COMMON["out"])
     quiet = pick("quiet", _COMMON["quiet"])
     if args.subcommand == "sir":
@@ -302,19 +303,13 @@ def parse_args(argv=None) -> RunConfig:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+def _csv_text(header, columns) -> str:
+    """CSV text of equal-length columns: ndarrays, ranges, or lists of ints,
+    floats or strings.  An ndarray yields its cells as Python scalars one at
+    a time (``item``), so no whole column of them is alive at once."""
+    cells = [map(str, map(c.item, range(c.size)) if isinstance(c, np.ndarray) else c)
+             for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
     return "\n".join(lines) + "\n"
 
 
@@ -343,7 +338,7 @@ def _write_manifest(config: RunConfig, outputs, extra=None) -> None:
     }
     if extra:
         manifest["results"] = extra
-    text = json.dumps(manifest, sort_keys=True, indent=2, default=_fmt) + "\n"
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     _write_atomic(Path(f"{config.out}.manifest.json"), text)
 
 
@@ -365,18 +360,18 @@ def _run_network(config: RunConfig) -> None:
     if config.action == "gen":
         net = netdiff.generate_random_network(p["n"], p["density"], config.seed)
         _emit(config, netdiff.network_csv_text(net))
-    elif config.action == "centrality":
-        net = netdiff.read_network_csv(p["network"])
+        return
+    net = netdiff.read_network_csv(p["network"])
+    if config.action == "centrality":
         report = netdiff.centrality_report(net, p["horizon"])
-        rows = [(i, c) for i, c in enumerate(report.centrality)]
-        _emit(config, _csv_text(("node", "centrality"), rows))
+        _emit(config, _csv_text(("node", "centrality"),
+                                (range(net.n), report.centrality)))
     else:
-        net = netdiff.read_network_csv(p["network"])
         pair = netdiff.leading_eigenpair(net, tol=p["tol"], max_iter=p["max_iter"])
-        rows = [(i, x) for i, x in enumerate(pair.eigenvector)]
         extra = {"eigenvalue": pair.eigenvalue, "residual": pair.residual,
                  "iterations": pair.iterations}
-        _emit(config, _csv_text(("node", "eigenvector"), rows), extra)
+        _emit(config, _csv_text(("node", "eigenvector"),
+                                (range(net.n), pair.eigenvector)), extra)
         if not config.quiet:
             print(f"eigenvalue {pair.eigenvalue!r} "
                   f"(residual {pair.residual:.3e}, {pair.iterations} sweeps)")
@@ -389,22 +384,20 @@ def _run_gossip(config: RunConfig) -> None:
     params = gossip.ExchangeParams(**{k: config.params[k] for k in _GOSSIP_PROBS})
     if config.action == "matrix":
         m = gossip.build_transition_matrix(params)
-        rows = [[label, *m.p[k]] for k, label in enumerate(_STATE_LABELS)]
-        _emit(config, _csv_text(("from", *(f"to{s}" for s in _STATE_LABELS)), rows))
+        _emit(config, _csv_text(("from", *(f"to{s}" for s in _STATE_LABELS)),
+                                (_STATE_LABELS, *m.p.T)))
     elif config.action == "stationary":
         m = gossip.build_transition_matrix(params)
         pi = gossip.stationary_distribution(m)
-        rows = list(zip(_STATE_LABELS, pi))
-        _emit(config, _csv_text(("state", "probability"), rows))
+        _emit(config, _csv_text(("state", "probability"), (_STATE_LABELS, pi)))
     else:
         net = netdiff.read_network_csv(config.params["network"])
         trace = gossip.simulate_population(
             net, params, config.params["informed"],
             rounds=config.params["rounds"], seed=config.seed)
-        rows = [(t, c, f) for t, (c, f) in
-                enumerate(zip(trace.informed_count, trace.informed_fraction))]
         _emit(config, _csv_text(("round", "informed_count", "informed_fraction"),
-                                rows),
+                                (range(trace.rounds + 1), trace.informed_count,
+                                 trace.informed_fraction)),
               extra={"isolated_skips": trace.isolated_skips})
 
 
@@ -414,8 +407,7 @@ def _run_sir(config: RunConfig) -> None:
                                n_total=p["n"])
     init = epi_sir.SirState(s=p["s0"], i=p["i0"], r=p["r0"], t=0.0)
     traj = epi_sir.integrate(params, init, h=p["h"], horizon=p["horizon"])
-    rows = zip(traj.t, traj.s, traj.i, traj.r)
-    _emit(config, _csv_text(("t", "S", "I", "R"), rows))
+    _emit(config, _csv_text(("t", "S", "I", "R"), (traj.t, traj.s, traj.i, traj.r)))
 
 
 def _rd_initial(cfg: rdwave.ReactionDiffusionConfig, profile: str) -> rdwave.FieldState:
@@ -435,12 +427,10 @@ def _run_rd(config: RunConfig) -> None:
         length=p["length"], horizon=p["horizon"])
     snaps = rdwave.rd_integrate(cfg, _rd_initial(cfg, p["init"]),
                                 snapshot_every=p["snapshot_every"])
-    x = cfg.x
-    outputs = []
-    for k, snap in enumerate(snaps):
-        path = Path(f"{config.out}_{k:04d}.csv")
-        _write_atomic(path, _csv_text(("x", "u"), zip(x, snap.u)))
-        outputs.append(str(path))
+    x = [str(v) for v in cfg.x.tolist()]  # formatted once for every snapshot
+    outputs = [f"{config.out}_{k:04d}.csv" for k in range(len(snaps))]
+    for path, snap in zip(outputs, snaps):
+        _write_atomic(path, _csv_text(("x", "u"), (x, snap.u)))
     _write_manifest(config, outputs,
                     extra={"times": [s.t for s in snaps],
                            "n_nodes": cfg.n_nodes, "dx": cfg.dx})
@@ -456,10 +446,9 @@ def _run_fastslow(config: RunConfig) -> None:
         epsilon=p["epsilon"], h=p["h"], horizon=p["horizon"],
         layer_time=p["layer_time"], s0=p["s0"], i0=p["i0"])
     result = rdwave.fast_slow_integrate(cfg)
-    rows = zip(result.trajectory.t, result.trajectory.s,
-               result.trajectory.i, result.qss_trajectory.i)
     config = replace(config, params={**p, "s0": cfg.s0})
-    _emit(config, _csv_text(("t", "S", "I_eps", "I_qss"), rows),
+    _emit(config, _csv_text(("t", "S", "I_eps", "I_qss"),
+                            (*result.trajectory, result.qss_trajectory.i)),
           extra={"sup_deviation": result.sup_deviation})
 
 
@@ -484,7 +473,7 @@ def _run_funds(config: RunConfig) -> None:
     row_type, rows = _funds_rows(config.action, config.params, records)
     docs = [asdict(row) for row in rows]
     header = [f.name for f in fields(row_type)]
-    _emit(config, _csv_text(header, (doc.values() for doc in docs)))
+    _emit(config, _csv_text(header, [[doc[name] for doc in docs] for name in header]))
     if config.out is not None:
         _write_atomic(Path(config.out).with_suffix(".json"),
                       json.dumps({"rows": docs}, indent=2, sort_keys=True) + "\n")
@@ -546,3 +535,7 @@ def main(argv=None) -> int:
 
 def app() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    app()

@@ -6,6 +6,8 @@ the usage status).  UsageError is deliberately not a ModelError: it belongs
 to argument parsing and maps to a different status.
 """
 
+import sys
+
 
 class ModelError(Exception):
     """Base class for model-level failures (CLI exit status 1)."""
@@ -27,8 +29,19 @@ def check(ok: bool, name: str, value, domain: str, error=ParamError):
     """Return ``value``, or raise ``error`` "<name> must be <domain>, got
     <value>" unless ``ok``.  Write ``ok`` as a comparison that NaN fails."""
     if not ok:
-        raise error(f"{name} must be {domain}, got {value!r}", name)
+        raise error(f"{name} must be {domain}, got {shown(value)}", name)
     return value
+
+
+def shown(value) -> str:
+    """``repr`` of ``value``, but an int of more than 17 digits in scientific
+    form: its nearest float, or 17 significant digits past the float range."""
+    if not isinstance(value, int) or abs(value) < 10 ** 17:
+        return repr(value)
+    if abs(value) <= sys.float_info.max:
+        return repr(float(value))
+    from decimal import Context, Decimal  # rare; keeps it out of every start-up
+    return f"{Decimal(value).normalize(Context(prec=17)):e}"
 
 
 # network ---------------------------------------------------------------

@@ -47,7 +47,6 @@ __all__ = [
     "stationary_distribution",
     "simulate_population",
     "empirical_transition_estimate",
-    "replicate_generator",
 ]
 
 STATE_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -315,15 +314,6 @@ def stationary_distribution(matrix: PairTransitionMatrix) -> np.ndarray:
         raise ReducibleChainError(
             "no unique stationary distribution: the balance equations are "
             "singular in floating point") from None
-
-
-def replicate_generator(seed: int, replicate: int) -> np.random.Generator:
-    """Generator for replicate ``replicate`` of a run seeded with ``seed``.
-
-    Pure mixing via SeedSequence([seed, replicate]); replicates are
-    statistically independent and reproducible in isolation.
-    """
-    return np.random.default_rng(np.random.SeedSequence([seed, replicate]))
 
 
 def _partner_table(weights: np.ndarray):

@@ -7,14 +7,17 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from infospread import cli, netdiff
-from infospread.errors import UsageError
+from infospread.errors import ParamError, UsageError, check
 
 NETWORK10 = str(importlib.resources.files("infospread.data") / "network10.csv")
 GOLDEN = Path(__file__).parent / "golden" / "gossip_trace_10node_seed42.csv"
@@ -264,6 +267,70 @@ def test_stdout_emission_without_out(capsys):
     assert out.splitlines()[0] == "from,to00,to01,to10,to11"
 
 
+# -- CSV writer ------------------------------------------------------------------
+#
+# The row-wise writer the column writer replaced, verbatim; the column writer
+# must write the same bytes for the same table.
+
+def _fmt(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _csv_text(header, rows) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 1 / 3, 1 - 2 ** -53,
+                                    float("nan"), float("inf")]),
+                   st.floats(width=64))
+INT64 = st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+
+
+def column(rows):
+    """A column of ``rows`` cells, as a handler passes it."""
+    return st.one_of(
+        st.lists(FLOATS, min_size=rows, max_size=rows).map(np.array),
+        st.lists(INT64, min_size=rows, max_size=rows).map(
+            lambda xs: np.array(xs, dtype=np.int64)),
+        st.integers(-5, 5).map(lambda start: range(start, start + rows)),
+        st.lists(st.text(max_size=3), min_size=rows, max_size=rows))
+
+
+@given(st.integers(0, 3).flatmap(lambda rows: st.lists(column(rows), min_size=1,
+                                                       max_size=4)))
+def test_column_writer_matches_row_writer(columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    assert cli._csv_text(header, columns) == _csv_text(header, zip(*columns))
+
+
+# -- python -m ---------------------------------------------------------------------
+
+def python_m(module, *argv, cwd):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["infospread", "infospread.cli"])
+def test_python_m_runs_the_cli(module, tmp_path):
+    bad = python_m(module, "sir", "--beta", "nan", "--alpha", "0.1", cwd=tmp_path)
+    assert bad.returncode == 2
+    assert "usage error: --beta must be" in bad.stderr
+    ok = python_m(module, "sir", "--preset", "fig6b", "--horizon", "1", cwd=tmp_path)
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.startswith("t,S,I,R\n")
+    if module == "infospread":  # -m infospread.cli also gets runpy's warning
+        assert len(bad.stderr.splitlines()) == 1, bad.stderr
+
+
 # -- determinism -----------------------------------------------------------------
 
 def test_identical_invocations_are_byte_identical(tmp_path):
@@ -473,7 +540,8 @@ def test_single_fault_exits_2_with_one_line(case, tmp_path):
 # Parameters outside their domain (non-finite, wrong type, over a work bound)
 # and the message fragment naming them.  Before the model types checked every
 # parameter, each of these ended in a traceback, ran without bound, or exited
-# 1 with the wrong diagnosis.
+# 1 with the wrong diagnosis.  A huge integer is shown in scientific form, not
+# as hundreds of digits the user never typed.
 BAD_PARAMETERS = {
     "rd --dx nan": (["rd", "--dx", "nan", "--out", "wave"], None, "--dx"),
     "sir --h inf": (["sir", "--preset", "fig6b", "--h", "inf"], None, "--h"),
@@ -505,6 +573,11 @@ BAD_PARAMETERS = {
     "network centrality --horizon 1e300": (["network", "centrality", "--network",
                                             "net10.csv"], {"horizon": 1e300},
                                            "--horizon must be such that horizon*n*n"),
+    "seed 1e300": (["sir", "--preset", "fig6b"], {"seed": 1e300},
+                   "--seed must be a 64-bit nonnegative integer, got 1e+300"),
+    "network centrality --horizon 10**400": (["network", "centrality", "--network",
+                                              "net10.csv", "--horizon", str(10 ** 400)],
+                                             None, "--horizon must be such that horizon*n*n"),
     "rd --D negative": (["rd", "--D", "-1", "--out", "wave"], None, "--D must be positive"),
     "rd uniform nan": (["rd", "--init", "uniform:nan", "--out", "wave"], None,
                        "initial field must be finite"),
@@ -518,7 +591,17 @@ def test_bad_parameter_exits_2_with_one_line(case):
     assert status == 2
     assert_one_line(err, "usage error: ")
     assert fragment in err
+    assert len(err) <= 120, err
     assert not files
+
+
+@pytest.mark.parametrize("value, shown", [(int(1e300), "1e+300"), (10 ** 400, "1e+400"),
+                                          (-3 * 10 ** 400 - 1, "-3e+400"),
+                                          (10 ** 16, "10000000000000000"), (0.5, "0.5")])
+def test_check_shows_a_huge_int_in_scientific_form(value, shown):
+    with pytest.raises(ParamError) as info:
+        check(False, "horizon", value, "small")
+    assert str(info.value) == f"horizon must be small, got {shown}"
 
 
 def test_numerically_reducible_chain_exits_1():

@@ -538,11 +538,3 @@ def test_empirical_rejects_bad_trials():
     with pytest.raises(ValueError):
         gossip.empirical_transition_estimate(
             gossip.ExchangeParams(0.5, 0.5, 0.5, 0.5), trials=0, seed=0)
-
-
-def test_replicate_generators_are_independent_and_reproducible():
-    a1 = gossip.replicate_generator(9, 0).random(4)
-    a2 = gossip.replicate_generator(9, 0).random(4)
-    b = gossip.replicate_generator(9, 1).random(4)
-    assert np.array_equal(a1, a2)
-    assert not np.array_equal(a1, b)
