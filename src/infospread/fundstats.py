@@ -22,9 +22,9 @@ import csv
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass, fields
-from itertools import groupby
-from operator import attrgetter, itemgetter
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import RowError, SchemaError, UnknownFieldError
 
@@ -56,8 +56,7 @@ CSV_COLUMNS = ("fund_id", "family", "province", "category",
 _NUMERIC_FIELDS = ("assets", "performance")
 
 
-@dataclass(frozen=True)
-class FundRecord:
+class FundRecord(NamedTuple):
     fund_id: str
     family: str
     province: str
@@ -68,7 +67,7 @@ class FundRecord:
     performance: float
 
 
-_FIELD_NAMES = frozenset(f.name for f in fields(FundRecord))
+_FIELD_NAMES = frozenset(FundRecord._fields)
 
 
 @dataclass(frozen=True)
@@ -157,10 +156,8 @@ def _parse_row(row, lineno: int) -> FundRecord:
                        line=lineno)
     if assets < 0:
         raise RowError(f"line {lineno}: negative assets {assets!r}", line=lineno)
-    return FundRecord(fund_id=fund_id, family=family, province=province,
-                      category=category, manager_race=race,
-                      manager_gender=gender, assets=assets,
-                      performance=performance)
+    return FundRecord(fund_id, family, province, category, race, gender,
+                      assets, performance)
 
 
 def summarize(records, group_by: str, value: str) -> list[SummaryRow]:
@@ -176,15 +173,17 @@ def summarize(records, group_by: str, value: str) -> list[SummaryRow]:
     if group_by not in _FIELD_NAMES:
         raise UnknownFieldError(f"fund records have no field {group_by!r}")
     group_of, value_of = attrgetter(group_by), attrgetter(value)
-    keyed = sorted((str(group_of(rec)), float(value_of(rec))) for rec in records)
+    groups: dict[str, list[float]] = {}
+    for rec in records:
+        groups.setdefault(str(group_of(rec)), []).append(float(value_of(rec)))
     rows: list[SummaryRow] = []
-    for group, pairs in groupby(keyed, key=itemgetter(0)):
+    for group in sorted(groups):
         count = 0
         mean = 0.0
         m2 = 0.0
         lo = math.inf
         hi = -math.inf
-        for _, x in pairs:
+        for x in sorted(groups[group]):
             count += 1
             delta = x - mean
             mean += delta / count

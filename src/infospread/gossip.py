@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParamError, ParamRangeError, ReducibleChainError, check
+from .errors import ParamError, ParamRangeError, ReducibleChainError, check, shown
 from .netdiff import ManagerNetwork
 
 __all__ = [
@@ -366,7 +366,7 @@ def simulate_population(net: ManagerNetwork, params: ExchangeParams,
     for idx in initially_informed:
         if not 0 <= idx < n:
             raise ParamRangeError(
-                f"informed index {idx} outside [0, {n}) for a network of "
+                f"informed index {shown(idx)} outside [0, {n}) for a network of "
                 f"n={n} nodes")
         bits[idx] = 1
 

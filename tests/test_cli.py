@@ -134,15 +134,18 @@ def test_reducible_chain_exits_1(tmp_path, capsys):
 
 
 def test_out_of_range_informed_index_exits_1(tmp_path, capsys):
-    args = list(GOSSIP_ARGS)
-    args[args.index("--informed") + 1] = "99"
-    out = tmp_path / "trace.csv"
-    assert cli.main(args + ["--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ParamRangeError:")
-    assert "99" in err and "n=10" in err
-    assert "\n" not in err.rstrip("\n")
-    assert not out.exists()
+    # A huge index is shown in scientific form, as errors.check shows one.
+    for index, shown in [("99", "99"), ("1" + "0" * 400, "1e+400")]:
+        args = list(GOSSIP_ARGS)
+        args[args.index("--informed") + 1] = index
+        out = tmp_path / "trace.csv"
+        assert cli.main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParamRangeError:")
+        assert f"informed index {shown} outside" in err and "n=10" in err
+        assert "\n" not in err.rstrip("\n")
+        assert len(err) <= 120, err
+        assert not out.exists()
 
 
 def one_error_line(capsys, prefix):
@@ -327,8 +330,7 @@ def test_python_m_runs_the_cli(module, tmp_path):
     ok = python_m(module, "sir", "--preset", "fig6b", "--horizon", "1", cwd=tmp_path)
     assert ok.returncode == 0, ok.stderr
     assert ok.stdout.startswith("t,S,I,R\n")
-    if module == "infospread":  # -m infospread.cli also gets runpy's warning
-        assert len(bad.stderr.splitlines()) == 1, bad.stderr
+    assert len(bad.stderr.splitlines()) == 1, bad.stderr
 
 
 # -- determinism -----------------------------------------------------------------

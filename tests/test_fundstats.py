@@ -1,17 +1,20 @@
 """Fund ingestion, grouped statistics, and composition reports."""
 
+import csv
 import dataclasses
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from infospread import fundstats
 from infospread.errors import RowError, SchemaError, UnknownFieldError
 from infospread.fundstats import (
-    _NUMERIC_FIELDS, PROVINCES, DemographicsRow, FundRecord, ProvinceReport,
-    ProvinceRow, SummaryRow)
+    _NUMERIC_FIELDS, CSV_COLUMNS, GENDERS, PROVINCES, RACES, DemographicsRow,
+    FundRecord, ProvinceReport, ProvinceRow, SummaryRow)
 
 HEADER = ",".join(fundstats.CSV_COLUMNS)
 
@@ -91,6 +94,157 @@ def test_comment_lines_are_skipped(tmp_path):
     records = fundstats.ingest_csv(path)
     assert len(records) == 1
     assert records[0].province == "KZN"
+
+
+# -- reference ingest -----------------------------------------------------------
+# Ingest as first written, one frozen dataclass per row, kept verbatim: the
+# NamedTuple records must carry the same values (the sign of a zero included),
+# and a bad file must fail with the same error, message and line, so the
+# first bad line and the order of the row checks stay as they were.
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceRecord:
+    fund_id: str
+    family: str
+    province: str
+    category: str
+    manager_race: str
+    manager_gender: str
+    assets: float
+    performance: float
+
+
+def reference_ingest_csv(path) -> list[ReferenceRecord]:
+    """Read and validate fund records; empty data is an empty list."""
+    records: list[ReferenceRecord] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = None
+        for lineno, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if row[0].lstrip().startswith("#"):
+                continue
+            if header is None:
+                header = tuple(cell.strip() for cell in row)
+                if header != CSV_COLUMNS:
+                    raise SchemaError(
+                        f"header {header} does not match required schema "
+                        f"{CSV_COLUMNS}")
+                continue
+            records.append(reference_parse_row(row, lineno))
+    if header is None:
+        raise SchemaError("file has no header row")
+    return records
+
+
+def reference_parse_row(row, lineno: int) -> ReferenceRecord:
+    if len(row) != len(CSV_COLUMNS):
+        raise RowError(f"line {lineno}: expected {len(CSV_COLUMNS)} fields, "
+                       f"got {len(row)}", line=lineno)
+    fund_id, family, province, category, race, gender, assets_s, perf_s = row
+    if province not in PROVINCES:
+        raise RowError(f"line {lineno}: unknown province {province!r}", line=lineno)
+    if race not in RACES:
+        raise RowError(f"line {lineno}: unknown manager_race {race!r}", line=lineno)
+    if gender not in GENDERS:
+        raise RowError(f"line {lineno}: unknown manager_gender {gender!r}",
+                       line=lineno)
+    try:
+        assets = float(assets_s)
+        performance = float(perf_s)
+    except ValueError:
+        raise RowError(f"line {lineno}: non-numeric assets/performance",
+                       line=lineno) from None
+    if not math.isfinite(assets) or not math.isfinite(performance):
+        raise RowError(f"line {lineno}: non-finite assets/performance",
+                       line=lineno)
+    if assets < 0:
+        raise RowError(f"line {lineno}: negative assets {assets!r}", line=lineno)
+    return ReferenceRecord(fund_id=fund_id, family=family, province=province,
+                           category=category, manager_race=race,
+                           manager_gender=gender, assets=assets,
+                           performance=performance)
+
+
+GOOD_ROW = st.tuples(
+    st.sampled_from(["F1", "F 2", " F3", "F,4", 'F"5', "F\n6", "#F7", ""]),
+    st.sampled_from(["fam0", "fam 1", "fam,2"]),
+    st.sampled_from(PROVINCES),
+    st.sampled_from(["A", "B", " C", ""]),
+    st.sampled_from(RACES),
+    st.sampled_from(GENDERS),
+    st.one_of(st.sampled_from(["0", "-0.0", "-0", "5e-324", " 2.5 ", "1_000",
+                               "7E5", "+3"]),
+              st.floats(0, 1e300).map(repr)),
+    st.one_of(st.sampled_from(["-0.0", "0", "-1.5", "1e300", "-1e-300"]),
+              st.floats(allow_nan=False, allow_infinity=False).map(repr)),
+).map(list)
+NON_NUMERIC = ("abc", "", "1,5", "0x10", "1e")
+NON_FINITE = ("nan", "NaN", "inf", "-inf", "Infinity", "1e999")
+# (column index, bad cells): each kind of row fault the ingest checks for.
+CELL_FAULTS = [(2, ("Atlantis", "gauteng", " KZN", "")), (4, ("green", "Black", "")),
+               (5, ("X", "m", "")), (6, NON_NUMERIC), (7, NON_NUMERIC),
+               (6, NON_FINITE), (7, NON_FINITE), (6, ("-5", "-1e-300", " -2 "))]
+
+
+@st.composite
+def bad_row(draw):
+    """A row with one or more cell faults, a wrong field count, or both."""
+    row = draw(GOOD_ROW)
+    for index, cells in draw(st.lists(st.sampled_from(CELL_FAULTS), min_size=1,
+                                      max_size=3, unique=True)):
+        row[index] = draw(st.sampled_from(cells))
+    size = draw(st.sampled_from([8, 8, 8, 8, 8, 0, 1, 7, 9]))
+    return row[:size] + ["extra"] * (size - 8)
+
+
+@st.composite
+def csv_line(draw, rows):
+    """A row as one CSV line, quoting cells that need it and some that don't."""
+    row = draw(rows)
+    quote = draw(st.lists(st.booleans(), min_size=len(row), max_size=len(row)))
+    return ",".join('"' + cell.replace('"', '""') + '"'
+                    if q or any(c in cell for c in ',"\r\n') else cell
+                    for cell, q in zip(row, quote))
+
+
+COMMENT_OR_BLANK = st.sampled_from(["", "# synthetic", "  # indented", "#a,b,c",
+                                    '"# quoted"'])
+HEADERS = st.sampled_from([HEADER] * 6 + [
+    ",".join(f" {c} " for c in CSV_COLUMNS), ",".join(f'"{c}"' for c in CSV_COLUMNS),
+    "fund_id,family,province", HEADER + ",extra", None])
+FUND_FILES = st.builds(
+    lambda prefix, header, body, newline, end: newline.join(
+        prefix + [header] * (header is not None) + body) + end * newline,
+    st.lists(COMMENT_OR_BLANK, max_size=3), HEADERS,
+    # Mostly good rows, so a bad one often follows several that parsed.
+    st.lists(st.one_of(csv_line(GOOD_ROW), csv_line(GOOD_ROW), csv_line(GOOD_ROW),
+                       COMMENT_OR_BLANK, csv_line(bad_row())), max_size=12),
+    st.sampled_from(["\n", "\r\n"]), st.booleans())
+
+
+def ingest_outcome(ingest, path):
+    """Every record's field values (repr keeps the sign of a zero), or the
+    error's type, message and line."""
+    try:
+        records = ingest(path)
+    except (RowError, SchemaError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return repr([tuple(getattr(rec, name) for name in CSV_COLUMNS) for rec in records])
+
+
+@settings(max_examples=300)
+@given(text=FUND_FILES)
+@example(text=HEADER + "\nF1,fam,KZN,A,black,F,-0.0,-0.0\nF2,fam,KZN,A,black,F,0,0\n")
+@example(text=HEADER + "\nF1,fam,Atlantis,A,green,X,nan,-1\n")
+@example(text=HEADER + "\nF1,fam,KZN,A,black,F,-1,inf\nF2,fam,KZN,A,black,F,1\n")
+def test_ingest_matches_the_dataclass_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "funds.csv"
+        path.write_text(text, newline="")
+        assert ingest_outcome(fundstats.ingest_csv, path) == \
+            ingest_outcome(reference_ingest_csv, path)
 
 
 # -- summarize ------------------------------------------------------------
@@ -225,7 +379,7 @@ def test_demographics_permutation_invariant():
 # return the same rows, bit for bit (the sign of a zero included).
 
 def _field_value(record: FundRecord, name: str):
-    if name not in {f.name for f in dataclasses.fields(FundRecord)}:
+    if name not in fundstats.CSV_COLUMNS:
         raise UnknownFieldError(f"fund records have no field {name!r}")
     return getattr(record, name)
 
