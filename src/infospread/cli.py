@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -214,9 +215,11 @@ def _check_init(init: str) -> None:
         raise UsageError(f"--init must be 'step' or 'uniform:<value>', got {init!r}")
     if init.startswith("uniform:"):
         try:
-            float(init.split(":", 1)[1])
+            value = float(init.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"--init uniform value is not a number: {init!r}") from None
+        if not math.isfinite(value):
+            raise UsageError(f"--init uniform value must be finite, got {init!r}")
 
 
 def _informed(text: str) -> list[int]:

@@ -209,31 +209,47 @@ def reaction_rate(u, cfg: ReactionDiffusionConfig):
     return cfg.r_rate * u * (u - cfg.allee_threshold) * (1.0 - u / cfg.k_cap)
 
 
-def _laplacian(u: np.ndarray) -> np.ndarray:
+def _ftcs_step(u: np.ndarray, out: np.ndarray, lap: np.ndarray, g: np.ndarray,
+               cfg: ReactionDiffusionConfig) -> None:
+    """Write u + dt*(nu*Laplacian(u) + reaction_rate(u)) into ``out``.
+
+    ``lap`` and ``g`` are scratch buffers of u's shape.  Each ufunc applies
+    one operation of the formula in its order, so the result is bitwise the
+    same as evaluating the formula with fresh arrays.  The caller decides
+    how overflow is reported (``np.errstate``).
+    """
     # Flux form with zero-flux boundaries: column sums vanish, so the nodal
     # sum is conserved exactly under pure diffusion.
-    lap = np.empty_like(u)
     if len(u) == 1:
         lap[0] = 0.0
-        return lap
-    lap[1:-1] = u[:-2] - 2.0 * u[1:-1] + u[2:]
-    lap[0] = u[1] - u[0]
-    lap[-1] = u[-2] - u[-1]
-    return lap
-
-
-def _step_array(u: np.ndarray, cfg: ReactionDiffusionConfig) -> np.ndarray:
-    nu = cfg.d_coeff / (cfg.dx * cfg.dx)
-    # Overflow is not a numpy-level event here: blow-ups surface as
-    # NonFiniteError from the explicit isfinite check in rd_integrate.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return u + cfg.dt * (nu * _laplacian(u) + reaction_rate(u, cfg))
+    else:
+        inner = lap[1:-1]
+        np.multiply(2.0, u[1:-1], out=inner)
+        np.subtract(u[:-2], inner, out=inner)
+        np.add(inner, u[2:], out=inner)
+        lap[0] = u[1] - u[0]
+        lap[-1] = u[-2] - u[-1]
+    np.multiply(cfg.d_coeff / (cfg.dx * cfg.dx), lap, out=lap)
+    # The rate: r*u*(1 - u/K), or r*u*(u - a)*(1 - u/K) for the Allee family.
+    np.multiply(cfg.r_rate, u, out=out)
+    if cfg.rate_family == "allee":
+        np.subtract(u, cfg.allee_threshold, out=g)
+        np.multiply(out, g, out=out)
+    np.divide(u, cfg.k_cap, out=g)
+    np.subtract(1.0, g, out=g)
+    np.multiply(out, g, out=g)
+    np.add(lap, g, out=lap)
+    np.multiply(cfg.dt, lap, out=lap)
+    np.add(u, lap, out=out)
 
 
 def rd_step(field: FieldState, cfg: ReactionDiffusionConfig) -> FieldState:
     """One forward-time central-space update; t advances by dt."""
-    return FieldState(u=_step_array(np.asarray(field.u, dtype=float), cfg),
-                      t=field.t + cfg.dt)
+    u = np.asarray(field.u, dtype=float)
+    out = np.empty_like(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _ftcs_step(u, out, np.empty_like(u), np.empty_like(u), cfg)
+    return FieldState(u=out, t=field.t + cfg.dt)
 
 
 def rd_integrate(cfg: ReactionDiffusionConfig, init: FieldState,
@@ -252,14 +268,21 @@ def rd_integrate(cfg: ReactionDiffusionConfig, init: FieldState,
     if not np.isfinite(u).all():
         raise ParamError("initial field must be finite")
     snapshots = [FieldState(u=u.copy(), t=init.t)]
-    for k in range(1, cfg.steps + 1):
-        u = _step_array(u, cfg)
-        if not np.isfinite(u).all():
-            t = init.t + k * cfg.dt
-            j = int(np.nonzero(~np.isfinite(u))[0][0])
-            raise NonFiniteError(f"non-finite field value at t={t:g}, node {j}")
-        if k % snapshot_every == 0 or k == cfg.steps:
-            snapshots.append(FieldState(u=u.copy(), t=init.t + k * cfg.dt))
+    nxt, lap, g = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    # Overflow is not a numpy-level event here: blow-ups surface as
+    # NonFiniteError from the explicit isfinite check.  A finite sum means
+    # every node is finite, so only a sum that overflowed (or a blow-up)
+    # pays for the nodewise check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cfg.steps + 1):
+            _ftcs_step(u, nxt, lap, g, cfg)
+            u, nxt = nxt, u
+            if not math.isfinite(u.sum()) and not np.isfinite(u).all():
+                t = init.t + k * cfg.dt
+                j = int(np.nonzero(~np.isfinite(u))[0][0])
+                raise NonFiniteError(f"non-finite field value at t={t:g}, node {j}")
+            if k % snapshot_every == 0 or k == cfg.steps:
+                snapshots.append(FieldState(u=u.copy(), t=init.t + k * cfg.dt))
     return snapshots
 
 
@@ -319,22 +342,6 @@ def rd_equilibria(r: float, K: float) -> tuple[RateEquilibrium, RateEquilibrium]
     return low, high
 
 
-def _rhs_fast(s: float, i: float, p: SirParams, eps: float):
-    ds = -p.beta * s * i + p.mu * (p.n_total - s)
-    di = (p.beta * s * i - p.alpha * i - p.mu * i) / eps
-    return ds, di
-
-
-def _rk4_fast(s: float, i: float, p: SirParams, eps: float, h: float):
-    k1s, k1i = _rhs_fast(s, i, p, eps)
-    k2s, k2i = _rhs_fast(s + 0.5 * h * k1s, i + 0.5 * h * k1i, p, eps)
-    k3s, k3i = _rhs_fast(s + 0.5 * h * k2s, i + 0.5 * h * k2i, p, eps)
-    k4s, k4i = _rhs_fast(s + h * k3s, i + h * k3i, p, eps)
-    c = h / 6.0
-    return (s + c * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
-            i + c * (k1i + 2.0 * k2i + 2.0 * k3i + k4i))
-
-
 def _qss_values(cfg: FastSlowConfig, ts: np.ndarray) -> PlanarTrajectory:
     p = cfg.sir
     supercritical = p.beta * p.n_total > p.alpha + p.mu
@@ -361,8 +368,11 @@ def fast_slow_integrate(cfg: FastSlowConfig) -> FastSlowResult:
     dynamics and passes through.
     """
     p = cfg.sir
+    beta, alpha, mu, n, eps = p.beta, p.alpha, p.mu, p.n_total, cfg.epsilon
     substeps, steps = cfg.substeps, cfg.steps
     h_eff = cfg.h / substeps
+    half, sixth = 0.5 * h_eff, h_eff / 6.0
+    isfinite = math.isfinite
     ts = cfg.h * np.arange(steps + 1)
     ss = np.empty(steps + 1)
     ii = np.empty(steps + 1)
@@ -372,19 +382,37 @@ def fast_slow_integrate(cfg: FastSlowConfig) -> FastSlowResult:
     alternating = 0
     for k in range(1, steps + 1):
         for _ in range(substeps):
-            try:
-                s, i_new = _rk4_fast(s, i, p, cfg.epsilon, h_eff)
-                blew_up = not (math.isfinite(s) and math.isfinite(i_new))
-                delta = i_new - i
-                if not blew_up and delta * prev_delta < 0.0 \
-                        and abs(delta) > abs(prev_delta):
-                    alternating += 1
-                else:
-                    alternating = 0
-                prev_delta = delta
-                i = i_new
-            except OverflowError:
-                blew_up = True
+            # One RK4 substep, inlined.  With b = beta*S*I, the S' stage
+            # mu*(N - S) - b equals -beta*S*I + mu*(N - S) bitwise, since
+            # negation is exact and a + (-b) == a - b.
+            b = beta * s * i
+            k1s = mu * (n - s) - b
+            k1i = (b - alpha * i - mu * i) / eps
+            s2, i2 = s + half * k1s, i + half * k1i
+            b = beta * s2 * i2
+            k2s = mu * (n - s2) - b
+            k2i = (b - alpha * i2 - mu * i2) / eps
+            s3, i3 = s + half * k2s, i + half * k2i
+            b = beta * s3 * i3
+            k3s = mu * (n - s3) - b
+            k3i = (b - alpha * i3 - mu * i3) / eps
+            s4, i4 = s + h_eff * k3s, i + h_eff * k3i
+            b = beta * s4 * i4
+            k4s = mu * (n - s4) - b
+            k4i = (b - alpha * i4 - mu * i4) / eps
+            s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+            i_new = i + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+            # Float arithmetic overflows to inf or nan and never raises, so
+            # the isfinite test catches every blow-up.
+            blew_up = not (isfinite(s) and isfinite(i_new))
+            delta = i_new - i
+            if not blew_up and delta * prev_delta < 0.0 \
+                    and abs(delta) > abs(prev_delta):
+                alternating += 1
+            else:
+                alternating = 0
+            prev_delta = delta
+            i = i_new
             if alternating >= 50 or blew_up:
                 raise StiffnessError(
                     f"fast layer unresolved near t={ts[k]:g} "

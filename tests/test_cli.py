@@ -582,7 +582,9 @@ BAD_PARAMETERS = {
                                              None, "--horizon must be such that horizon*n*n"),
     "rd --D negative": (["rd", "--D", "-1", "--out", "wave"], None, "--D must be positive"),
     "rd uniform nan": (["rd", "--init", "uniform:nan", "--out", "wave"], None,
-                       "initial field must be finite"),
+                       "--init uniform value must be finite"),
+    "rd uniform inf": (["rd", "--init", "uniform:inf", "--out", "wave"], None,
+                       "--init uniform value must be finite"),
 }
 
 
@@ -610,6 +612,15 @@ def test_numerically_reducible_chain_exits_1():
     status, _, err, _ = invoke(["gossip", "stationary", "--p_select", "1e-300", *RUNS])
     assert status == 1
     assert_one_line(err, "error: ReducibleChainError: ")
+
+
+def test_fast_slow_overflow_exits_1_with_stiffness_error():
+    # Float arithmetic overflows to inf without raising, so the blow-up is
+    # caught by the substep loop's finiteness test.
+    status, _, err, files = invoke(["fastslow", "--s0", "1e308", "--out", "fs.csv"])
+    assert status == 1
+    assert_one_line(err, "error: StiffnessError: fast layer unresolved near t=")
+    assert not files
 
 
 def test_directory_as_output_exits_3():

@@ -5,9 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from infospread import epi_sir, rdwave
-from infospread.errors import NoCrossingError, NonFiniteError, StabilityError, StiffnessError
+from infospread.errors import (
+    NoCrossingError,
+    NonFiniteError,
+    ParamError,
+    StabilityError,
+    StiffnessError,
+)
 
 
 def make_cfg(**kw):
@@ -153,6 +160,104 @@ def test_integrate_reports_nonfinite_blowup():
     assert "t=" in str(err.value) and "node" in str(err.value)
 
 
+# -- reference stepping ------------------------------------------------------
+# The FTCS step as first written, one fresh array per operation, kept
+# verbatim (with the rate formulas copied in): the buffered kernel behind
+# rd_step and rd_integrate must give the same bytes at every step, and a
+# blow-up the same NonFiniteError text.
+
+def _reference_laplacian(u: np.ndarray) -> np.ndarray:
+    lap = np.empty_like(u)
+    if len(u) == 1:
+        lap[0] = 0.0
+        return lap
+    lap[1:-1] = u[:-2] - 2.0 * u[1:-1] + u[2:]
+    lap[0] = u[1] - u[0]
+    lap[-1] = u[-2] - u[-1]
+    return lap
+
+
+def _reference_rate(u, cfg):
+    if cfg.rate_family == "logistic":
+        return cfg.r_rate * u * (1.0 - u / cfg.k_cap)
+    return cfg.r_rate * u * (u - cfg.allee_threshold) * (1.0 - u / cfg.k_cap)
+
+
+def _reference_step_array(u, cfg):
+    nu = cfg.d_coeff / (cfg.dx * cfg.dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return u + cfg.dt * (nu * _reference_laplacian(u) + _reference_rate(u, cfg))
+
+
+def _reference_integrate(cfg, init, snapshot_every):
+    u = np.array(init.u, dtype=float)
+    snapshots = [rdwave.FieldState(u=u.copy(), t=init.t)]
+    for k in range(1, cfg.steps + 1):
+        u = _reference_step_array(u, cfg)
+        if not np.isfinite(u).all():
+            t = init.t + k * cfg.dt
+            j = int(np.nonzero(~np.isfinite(u))[0][0])
+            raise NonFiniteError(f"non-finite field value at t={t:g}, node {j}")
+        if k % snapshot_every == 0 or k == cfg.steps:
+            snapshots.append(rdwave.FieldState(u=u.copy(), t=init.t + k * cfg.dt))
+    return snapshots
+
+
+def _outcome(integrate, cfg, init, snapshot_every):
+    """Snapshot (t, bytes) pairs, or the error type and message."""
+    try:
+        snaps = integrate(cfg, init, snapshot_every)
+    except NonFiniteError as err:
+        return type(err), str(err)
+    return [(snap.t, snap.u.tobytes()) for snap in snaps]
+
+
+def _reference_fields(cfg, family):
+    """(config, initial field, blows up) triples: a field inside [0, 1.2 K];
+    the same with one node at 1e100, which overflows a few steps later; and
+    1e306 everywhere without reaction, which stays put while the sum of 2001
+    nodes overflows."""
+    rng = np.random.default_rng(cfg.n_nodes)
+    u = 1.2 * cfg.k_cap * rng.random(cfg.n_nodes)
+    spike = u.copy()
+    spike[cfg.n_nodes // 2] = 1e100
+    still = make_cfg(length=cfg.length, horizon=cfg.horizon, r_rate=0.0,
+                     rate_family=family, allee_threshold=0.3)
+    return [(cfg, u, False), (cfg, spike, True),
+            (still, np.full(cfg.n_nodes, 1e306), False)]
+
+
+# length 0.04 rounds to one node: a grid of 1, 2, 3 and 2001 nodes.
+NODE_LENGTHS = {1: 0.04, 2: 0.1, 3: 0.2, 2001: 200.0}
+
+
+@pytest.mark.parametrize("snapshot_every", [1, 7, 500])
+@pytest.mark.parametrize("n_nodes", sorted(NODE_LENGTHS))
+@pytest.mark.parametrize("family", ["logistic", "allee"])
+def test_integrate_matches_the_reference_bitwise(family, n_nodes, snapshot_every):
+    cfg = make_cfg(length=NODE_LENGTHS[n_nodes], horizon=2.2, rate_family=family,
+                   allee_threshold=0.3)
+    assert (cfg.n_nodes, cfg.steps) == (n_nodes, 1100)
+    for run_cfg, u, blows_up in _reference_fields(cfg, family):
+        init = rdwave.FieldState(u=u, t=0.5)
+        expected = _outcome(_reference_integrate, run_cfg, init, snapshot_every)
+        assert _outcome(rdwave.rd_integrate, run_cfg, init, snapshot_every) == expected
+        assert isinstance(expected, list) != blows_up
+
+
+@pytest.mark.parametrize("n_nodes", sorted(NODE_LENGTHS))
+@pytest.mark.parametrize("family", ["logistic", "allee"])
+def test_chained_steps_match_the_reference_bitwise(family, n_nodes):
+    cfg = make_cfg(length=NODE_LENGTHS[n_nodes], horizon=0.2, rate_family=family,
+                   allee_threshold=0.3)
+    for run_cfg, u, _ in _reference_fields(cfg, family):
+        state, t = rdwave.FieldState(u=u, t=0.5), 0.5
+        for _ in range(100):
+            u, t = _reference_step_array(u, run_cfg), t + run_cfg.dt
+            state = rdwave.rd_step(state, run_cfg)
+            assert (state.u.tobytes(), state.t) == (u.tobytes(), t)
+
+
 # -- wave speed --------------------------------------------------------------
 
 def test_wave_speed_pure_translation():
@@ -271,3 +376,107 @@ def test_fast_slow_config_validation():
     cfg = rdwave.FastSlowConfig(sir=SUBCRITICAL, epsilon=0.5, h=0.05,
                                 horizon=10.0, layer_time=5.0, i0=0.25)
     assert cfg.s0 == SUBCRITICAL.n_total - 0.25
+
+
+# -- reference fast-slow sweep --------------------------------------------------
+# The substep loop as first written, with the RK4 step and the right-hand
+# side as separate functions, kept verbatim: the inlined loop must give the
+# same trajectory bytes and sup_deviation, and raise the same StiffnessError.
+
+def _reference_rhs_fast(s: float, i: float, p, eps: float):
+    ds = -p.beta * s * i + p.mu * (p.n_total - s)
+    di = (p.beta * s * i - p.alpha * i - p.mu * i) / eps
+    return ds, di
+
+
+def _reference_rk4_fast(s: float, i: float, p, eps: float, h: float):
+    k1s, k1i = _reference_rhs_fast(s, i, p, eps)
+    k2s, k2i = _reference_rhs_fast(s + 0.5 * h * k1s, i + 0.5 * h * k1i, p, eps)
+    k3s, k3i = _reference_rhs_fast(s + 0.5 * h * k2s, i + 0.5 * h * k2i, p, eps)
+    k4s, k4i = _reference_rhs_fast(s + h * k3s, i + h * k3i, p, eps)
+    c = h / 6.0
+    return (s + c * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
+            i + c * (k1i + 2.0 * k2i + 2.0 * k3i + k4i))
+
+
+def _reference_fast_slow(cfg):
+    p = cfg.sir
+    substeps, steps = cfg.substeps, cfg.steps
+    h_eff = cfg.h / substeps
+    ts = cfg.h * np.arange(steps + 1)
+    ss = np.empty(steps + 1)
+    ii = np.empty(steps + 1)
+    s, i = float(cfg.s0), float(cfg.i0)
+    ss[0], ii[0] = s, i
+    prev_delta = 0.0
+    alternating = 0
+    for k in range(1, steps + 1):
+        for _ in range(substeps):
+            try:
+                s, i_new = _reference_rk4_fast(s, i, p, cfg.epsilon, h_eff)
+                blew_up = not (math.isfinite(s) and math.isfinite(i_new))
+                delta = i_new - i
+                if not blew_up and delta * prev_delta < 0.0 \
+                        and abs(delta) > abs(prev_delta):
+                    alternating += 1
+                else:
+                    alternating = 0
+                prev_delta = delta
+                i = i_new
+            except OverflowError:
+                blew_up = True
+            if alternating >= 50 or blew_up:
+                raise StiffnessError(
+                    f"fast layer unresolved near t={ts[k]:g} "
+                    f"(epsilon={cfg.epsilon:g}, h={cfg.h:g}); reduce h")
+        ss[k], ii[k] = s, i
+    qss = rdwave._qss_values(cfg, ts)
+    mask = ts >= cfg.layer_time
+    sup_dev = float(np.max(np.abs(ii[mask] - qss.i[mask])))
+    return ss, ii, sup_dev
+
+
+def _fast_slow_outcome(integrate, cfg):
+    try:
+        ss, ii, sup_dev = integrate(cfg)
+    except StiffnessError as err:
+        return str(err)
+    return ss.tobytes(), ii.tobytes(), repr(sup_dev)
+
+
+def _inlined_fast_slow(cfg):
+    result = rdwave.fast_slow_integrate(cfg)
+    return result.trajectory.s, result.trajectory.i, result.sup_deviation
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# epsilon stays above 1e-3, the benchmark's value, so that each example runs
+# at most 6000 substeps; r0 = beta*N/(alpha + mu) covers both sides of 1.
+@settings(max_examples=200)
+@given(r0=st.floats(0.0, 4.0), alpha=st.floats(0.0, 60.0), mu=st.floats(0.0, 1.0),
+       n_total=st.floats(1e-3, 10.0), epsilon=st.floats(1e-3, 1.0),
+       h=st.floats(1e-3, 2.0), steps=st.integers(1, 6),
+       layer=st.floats(0.0, 0.99), s0=st.one_of(st.none(), FINITE),
+       i0=st.one_of(st.just(0.0), st.floats(0.0, 1.0), FINITE))
+@example(r0=0.1 / 0.25, alpha=0.2, mu=0.05, n_total=1.0, epsilon=1e-3, h=0.05,
+         steps=6, layer=0.5, s0=None, i0=1e-3)  # the benchmark's sweep, shortened
+@example(r0=2.0, alpha=0.2, mu=0.05, n_total=1.0, epsilon=0.01, h=0.05,
+         steps=6, layer=0.5, s0=0.9, i0=0.0)  # supercritical, uninfected
+@example(r0=0.1 / 5.05, alpha=5.0, mu=0.05, n_total=1.0, epsilon=1.0, h=2.0,
+         steps=6, layer=0.5, s0=None, i0=0.2)  # unresolved layer, raises at t=8
+@example(r0=0.4, alpha=0.2, mu=0.05, n_total=1.0, epsilon=0.1, h=0.05,
+         steps=2, layer=0.5, s0=1e308, i0=1e-3)  # overflow to inf
+def test_fast_slow_matches_the_reference_bitwise(r0, alpha, mu, n_total, epsilon, h,
+                                                 steps, layer, s0, i0):
+    try:
+        cfg = rdwave.FastSlowConfig(
+            sir=epi_sir.SirParams(beta=r0 * (alpha + mu) / n_total, alpha=alpha,
+                                  mu=mu, n_total=n_total),
+            epsilon=epsilon, h=h, horizon=h * steps, layer_time=layer * h * steps,
+            s0=s0, i0=i0)
+    except ParamError:  # s0 = N - i0 overflowed
+        return
+    assert _fast_slow_outcome(_inlined_fast_slow, cfg) == \
+        _fast_slow_outcome(_reference_fast_slow, cfg)
