@@ -76,8 +76,7 @@ _SUBCOMMANDS = {
             "tol": _Flag(float, 1e-10, actions=("eigen",)),
             "max_iter": _Flag(int, 10000, actions=("eigen",)),
         }),
-    # p_gain is required unless tied to p_loss; gossip.ExchangeParams.from_config
-    # reports it missing.
+    # p_gain is required unless tied to p_loss; parse_args reports it missing.
     "gossip": (
         "pair-wise exchange chain and population runs",
         ("matrix", "stationary", "simulate"), {
@@ -284,15 +283,13 @@ def parse_args(argv=None) -> RunConfig:
             raise UsageError(f"--{name} is required")
 
     if args.subcommand == "gossip":
-        mapping = {k: params[k] for k in _GOSSIP_PROBS if params[k] is not None}
         if params.pop("tie_gain_to_loss"):
-            mapping.pop("p_gain", None)  # the tie overrides a given p_gain
-            mapping["tie_gain_to_loss"] = True
-        try:
-            exchange = gossip.ExchangeParams.from_config(mapping)
-        except ParamRangeError as exc:
-            raise UsageError(str(exc)) from None
-        params.update((name, getattr(exchange, name)) for name in _GOSSIP_PROBS)
+            params["p_gain"] = 1.0 - params["p_loss"]  # overrides a given p_gain
+        elif params["p_gain"] is None:
+            raise UsageError("--p_gain is required unless --tie_gain_to_loss is set")
+        # Every probability is in [0, 1] by now; this only echoes the default p_ext.
+        params["p_ext"] = gossip.ExchangeParams(
+            **{k: params[k] for k in _GOSSIP_PROBS}).p_ext
         if action == "simulate":
             params["informed"] = _informed(params["informed"])
     elif args.subcommand == "sir" and params["s0"] is None:
@@ -470,6 +467,10 @@ _REFERENCE_SECTIONS = {"summarize": "summary", "provinces": "provinces",
 
 
 def _run_funds(config: RunConfig) -> None:
+    # The JSON mirror is --out with its suffix replaced by .json.
+    if config.out is not None and Path(config.out).suffix == ".json":
+        raise UsageError("--out must not end in .json, the path of the report's "
+                         f"JSON mirror, got {config.out!r}")
     source = config.params["input"]
     path = fundstats.bundled_fixture_path() if source is None else source
     records = fundstats.ingest_csv(path)

@@ -102,33 +102,6 @@ class ExchangeParams:
         if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
             raise ParamRangeError(f"{name}={value!r} must lie in [0, 1]")
 
-    @classmethod
-    def from_config(cls, mapping) -> "ExchangeParams":
-        """Build from a JSON-style mapping.
-
-        Recognized keys: p_select, p_drop, p_loss, p_gain, p_ext (optional),
-        tie_gain_to_loss (optional bool forcing p_gain = 1 - p_loss).
-        """
-        known = {"p_select", "p_drop", "p_loss", "p_gain", "p_ext",
-                 "tie_gain_to_loss"}
-        unknown = set(mapping) - known
-        if unknown:
-            raise ParamRangeError(f"unknown exchange parameter(s): {sorted(unknown)}")
-        kwargs = {k: mapping[k] for k in
-                  ("p_select", "p_drop", "p_loss", "p_gain") if k in mapping}
-        if mapping.get("tie_gain_to_loss"):
-            if "p_gain" in kwargs:
-                raise ParamRangeError(
-                    "p_gain must be omitted when tie_gain_to_loss is set")
-            if "p_loss" in kwargs:
-                kwargs["p_gain"] = 1.0 - kwargs["p_loss"]
-        missing = {"p_select", "p_drop", "p_loss", "p_gain"} - set(kwargs)
-        if missing:
-            raise ParamRangeError(f"missing exchange parameter(s): {sorted(missing)}")
-        if "p_ext" in mapping:
-            kwargs["p_ext"] = mapping["p_ext"]
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class PairTransitionMatrix:

@@ -100,6 +100,8 @@ class ReactionDiffusionConfig:
               "nonnegative and finite")
         check(self.rate_family in _RATE_FAMILIES, "rate_family",
               self.rate_family, f"one of {_RATE_FAMILIES}")
+        check(math.isfinite(self.allee_threshold), "allee_threshold",
+              self.allee_threshold, "finite")
         nodes, steps = self.length / self.dx, self.horizon / self.dt
         if not (nodes + 1) * (steps + 1) <= MAX_NODE_STEPS:
             raise ParamError(f"(length/dx + 1) * (horizon/dt + 1) node updates "
@@ -195,9 +197,14 @@ class FastSlowConfig:
               self.layer_time, f"at most the last output time {self.h * self.steps!r}")
 
 
+def _check_logistic(r: float, K: float) -> None:
+    check(0.0 <= r < math.inf, "r", r, "nonnegative and finite")
+    check(0.0 < K < math.inf, "K", K, "positive and finite")
+
+
 def logistic_rate(u, r: float, K: float):
     """Logistic flow rate r*u*(1 - u/K); zero at 0 and K exactly."""
-    check(K > 0, "K", K, "positive")
+    _check_logistic(r, K)
     return r * u * (1.0 - u / K)
 
 
@@ -333,8 +340,7 @@ def rd_equilibria(r: float, K: float) -> tuple[RateEquilibrium, RateEquilibrium]
     u = 0 has g'(0) = r (unstable for r > 0); u = K has g'(K) = -r
     (stable for r > 0).  At r = 0 both are non-hyperbolic.
     """
-    if not (r >= 0 and K > 0):
-        raise ParamError("need r >= 0 and K > 0")
+    _check_logistic(r, K)
     low = RateEquilibrium(u=0.0, slope=r,
                           stability="unstable" if r > 0 else "non-hyperbolic")
     high = RateEquilibrium(u=K, slope=-r,

@@ -107,6 +107,29 @@ def test_tie_gain_to_loss_flag():
     assert config.params["p_gain"] == 0.8
 
 
+# The tie sets p_gain = 1 - p_loss over any given p_gain, and an omitted p_ext
+# defaults to p_select * p_gain; the tie itself is not echoed.
+@pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+@pytest.mark.parametrize("p_ext", [None, 0.25], ids=["p_ext-omitted", "p_ext-given"])
+@pytest.mark.parametrize("tie, p_gain, expected_gain", [
+    (False, 0.3, 0.3), (True, 0.3, 0.8), (True, None, 0.8),
+], ids=["untied", "tie-over-p_gain", "tie"])
+def test_gossip_manifest_echoes_the_effective_gain(tie, p_gain, expected_gain, p_ext,
+                                                    via_config):
+    given = {"p_select": 0.5, "p_drop": 0.1, "p_loss": 0.2, "p_gain": p_gain,
+             "p_ext": p_ext, "tie_gain_to_loss": tie or None}
+    given = {name: value for name, value in given.items() if value is not None}
+    argv = ["gossip", "matrix", "--out", "m.csv", "--quiet"]
+    if not via_config:
+        for name, value in given.items():
+            argv += [f"--{name}"] if value is True else [f"--{name}", str(value)]
+    status, _, err, files = invoke(argv, given if via_config else None)
+    assert status == 0, err
+    echoed = json.loads(files["m.csv.manifest.json"])["parameters"]
+    assert echoed["p_gain"] == expected_gain
+    assert echoed["p_ext"] == (0.5 * expected_gain if p_ext is None else p_ext)
+    assert "tie_gain_to_loss" not in echoed
+
 def test_rd_init_profile_validation():
     with pytest.raises(UsageError):
         cli.parse_args(["rd", "--init", "blob", "--out", "x"])
@@ -253,6 +276,14 @@ def test_funds_reports_write_csv_and_json(tmp_path):
     doc = json.loads((tmp_path / "prov.json").read_text())
     assert len(doc["rows"]) == 8
 
+
+
+def test_funds_out_on_the_json_mirror_path_exits_2():
+    # The mirror is --out with the suffix .json; it would overwrite the report.
+    status, _, err, files = invoke(["funds", "summarize", "--out", "r.json"])
+    assert status == 2
+    assert_one_line(err, "usage error: --out ")
+    assert not files
 
 def test_funds_summarize_show_reference(tmp_path, capsys):
     out = tmp_path / "sum.csv"

@@ -167,26 +167,6 @@ def test_p_ext_defaults_to_select_times_gain():
     assert p.p_ext == 0.5 * 0.8
 
 
-def test_from_config_tie_flag():
-    p = gossip.ExchangeParams.from_config(
-        {"p_select": 0.5, "p_drop": 0.1, "p_loss": 0.2, "tie_gain_to_loss": True})
-    assert p.p_gain == 0.8
-    with pytest.raises(ParamRangeError):
-        gossip.ExchangeParams.from_config(
-            {"p_select": 0.5, "p_drop": 0.1, "p_loss": 0.2, "p_gain": 0.9,
-             "tie_gain_to_loss": True})
-
-
-def test_from_config_rejects_unknown_and_missing():
-    with pytest.raises(ParamRangeError):
-        gossip.ExchangeParams.from_config({"p_select": 0.5, "bogus": 1})
-    with pytest.raises(ParamRangeError):
-        gossip.ExchangeParams.from_config({"p_select": 0.5})
-    with pytest.raises(ParamRangeError, match="p_loss"):
-        gossip.ExchangeParams.from_config(
-            {"p_select": 0.5, "p_drop": 0.1, "tie_gain_to_loss": True})
-
-
 # -- transition matrix ----------------------------------------------------
 
 def test_matrix_matches_event_tree_on_grid():

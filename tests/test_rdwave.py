@@ -42,6 +42,14 @@ def test_allee_family_available():
     assert rdwave.reaction_rate(0.3, cfg) == 0.0
 
 
+
+@pytest.mark.parametrize("family", ["logistic", "allee"])
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_allee_threshold(family, threshold):
+    with pytest.raises(ParamError, match="^allee_threshold must be finite") as info:
+        make_cfg(rate_family=family, allee_threshold=threshold)
+    assert info.value.name == "allee_threshold"
+
 # -- config --------------------------------------------------------------
 
 def test_config_rejects_cfl_violation():
@@ -308,6 +316,20 @@ def test_rate_equilibria_degenerate_rate():
     assert low.stability == high.stability == "non-hyperbolic"
     assert low.slope == high.slope == 0.0
 
+
+
+@pytest.mark.parametrize("r, K, name", [
+    (math.inf, 1.0, "r"), (math.nan, 1.0, "r"), (-1.0, 1.0, "r"),
+    (1.0, math.inf, "K"), (1.0, math.nan, "K"), (1.0, 0.0, "K"),
+])
+@pytest.mark.parametrize("call", [rdwave.rd_equilibria,
+                                  lambda r, K: rdwave.logistic_rate(0.5, r, K)],
+                         ids=["rd_equilibria", "logistic_rate"])
+def test_logistic_domain_is_the_config_domain(call, r, K, name):
+    domain = "nonnegative and finite" if name == "r" else "positive and finite"
+    with pytest.raises(ParamError, match=f"^{name} must be {domain}") as info:
+        call(r, K)
+    assert info.value.name == name
 
 # -- fast-slow ------------------------------------------------------------------
 
