@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -342,12 +342,19 @@ def _write_manifest(config: RunConfig, outputs, extra=None) -> None:
     _write_atomic(Path(f"{config.out}.manifest.json"), text)
 
 
-def _emit(config: RunConfig, text: str, extra=None) -> None:
+def _emit(config: RunConfig, text: str, extra=None, mirror=None) -> None:
+    """Print the CSV text, or write it to --out; a ``mirror`` document is
+    written as JSON beside it, to --out with the suffix .json.  The manifest
+    comes last and lists every file written."""
     if config.out is None:
         sys.stdout.write(text)
         return
-    _write_atomic(Path(config.out), text)
-    _write_manifest(config, [config.out], extra)
+    outputs = [Path(config.out)]
+    _write_atomic(outputs[0], text)
+    if mirror is not None:
+        outputs.append(outputs[0].with_suffix(".json"))
+        _write_atomic(outputs[1], json.dumps(mirror, indent=2, sort_keys=True) + "\n")
+    _write_manifest(config, outputs, extra)
     if not config.quiet:
         print(f"wrote {config.out}")
 
@@ -475,12 +482,10 @@ def _run_funds(config: RunConfig) -> None:
     path = fundstats.bundled_fixture_path() if source is None else source
     records = fundstats.ingest_csv(path)
     row_type, rows = _funds_rows(config.action, config.params, records)
-    docs = [asdict(row) for row in rows]
     header = [f.name for f in fields(row_type)]
-    _emit(config, _csv_text(header, [[doc[name] for doc in docs] for name in header]))
-    if config.out is not None:
-        _write_atomic(Path(config.out).with_suffix(".json"),
-                      json.dumps({"rows": docs}, indent=2, sort_keys=True) + "\n")
+    docs = [{name: getattr(row, name) for name in header} for row in rows]
+    _emit(config, _csv_text(header, [[doc[name] for doc in docs] for name in header]),
+          mirror={"rows": docs})
     if config.params["show_reference"]:
         tables = fundstats.load_reference_tables()
         section = _REFERENCE_SECTIONS[config.action]

@@ -5,6 +5,8 @@ fund_id,family,province,category,manager_race,manager_gender,assets,performance
 (leading '#' comment lines are skipped so bundled fixtures can document
 themselves), provinces from a closed list, enumerated race/gender values,
 and nonnegative assets.  Every rejected row reports its file line number.
+Records are read into a ``FundTable``, one list per field, and the reports
+read its columns.
 
 Summary statistics stream through Welford accumulation; records are put in
 a canonical order first and asset totals use exact summation, so shuffling
@@ -22,7 +24,10 @@ import csv
 import importlib.resources
 import json
 import math
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -34,6 +39,7 @@ __all__ = [
     "GENDERS",
     "CSV_COLUMNS",
     "FundRecord",
+    "FundTable",
     "SummaryRow",
     "ProvinceRow",
     "ProvinceReport",
@@ -109,28 +115,96 @@ class DemographicsRow:
     pct_of_assets: float
 
 
-def ingest_csv(path) -> list[FundRecord]:
-    """Read and validate fund records; empty data is an empty list."""
-    records: list[FundRecord] = []
+class FundTable(Sequence):
+    """Fund records held as columns: one list per name in ``CSV_COLUMNS``,
+    each an attribute of that name.
+
+    As a sequence it holds ``FundRecord``s: ``len`` counts rows, an index
+    builds that row's record, and a slice is a list of records.
+    """
+
+    __slots__ = CSV_COLUMNS
+
+    def __init__(self, *columns):
+        for name, column in zip(CSV_COLUMNS, columns, strict=True):
+            setattr(self, name, column)
+
+    @classmethod
+    def from_records(cls, records) -> FundTable:
+        """The columns of an iterable of records (anything with the
+        ``FundRecord`` field names as attributes); a table is returned as is."""
+        if isinstance(records, cls):
+            return records
+        columns = [list(column) for column in zip(*map(_RECORD_VALUES, records))]
+        return cls(*columns) if columns else cls(*([] for _ in CSV_COLUMNS))
+
+    def _columns(self):
+        return [getattr(self, name) for name in CSV_COLUMNS]
+
+    def __len__(self) -> int:
+        return len(self.fund_id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(FundRecord._make,
+                            zip(*(column[index] for column in self._columns()))))
+        return tuple.__new__(FundRecord, [column[index] for column in self._columns()])
+
+    def __iter__(self):
+        return map(FundRecord._make, zip(*self._columns()))
+
+
+_RECORD_VALUES = attrgetter(*CSV_COLUMNS)
+_WIDTH = len(CSV_COLUMNS)
+# Rows validated per bulk check; each chunk's numeric strings are freed with it.
+_CHUNK_ROWS = 8192
+# Each enumerated value mapped to the package's own string, so every row
+# shares it and a lookup validates the value.
+_PROVINCE_OF = {p: p for p in PROVINCES}
+_RACE_OF = {r: r for r in RACES}
+_GENDER_OF = {g: g for g in GENDERS}
+
+
+def ingest_csv(path) -> FundTable:
+    """Read and validate fund records into a ``FundTable``; empty data is an
+    empty table.
+
+    Rows are checked in bulk, a chunk at a time.  If any check fails, the
+    file is read again row by row, so the first faulty row is reported with
+    the same error and line as a row-by-row read.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = tuple(cell.strip() for cell in row)
-                if header != CSV_COLUMNS:
-                    raise SchemaError(
-                        f"header {header} does not match required schema "
-                        f"{CSV_COLUMNS}")
-                continue
-            records.append(_parse_row(row, lineno))
-    if header is None:
-        raise SchemaError("file has no header row")
-    return records
+        table = _ingest_bulk(csv.reader(fh))
+    if table is None:
+        with open(path, newline="") as fh:
+            table = FundTable.from_records(_parse_rows(csv.reader(fh)))
+    return table
+
+
+def _is_comment(cell: str) -> bool:
+    """Whether a row's first cell makes it a comment row."""
+    return cell.lstrip().startswith("#")
+
+
+def _read_header(reader) -> int:
+    """Consume rows through the header row, check it, and return its line."""
+    for lineno, row in enumerate(reader, start=1):
+        if not row or _is_comment(row[0]):
+            continue
+        header = tuple(cell.strip() for cell in row)
+        if header != CSV_COLUMNS:
+            raise SchemaError(f"header {header} does not match required schema "
+                              f"{CSV_COLUMNS}")
+        return lineno
+    raise SchemaError("file has no header row")
+
+
+def _parse_rows(reader):
+    """Validated records one row at a time; the first faulty row raises."""
+    for lineno, row in enumerate(reader, start=_read_header(reader) + 1):
+        if not row or _is_comment(row[0]):
+            continue
+        yield _parse_row(row, lineno)
 
 
 def _parse_row(row, lineno: int) -> FundRecord:
@@ -160,6 +234,54 @@ def _parse_row(row, lineno: int) -> FundRecord:
                       assets, performance)
 
 
+def _ingest_bulk(reader) -> FundTable | None:
+    """The table, or None if some row fails a check (or the file cannot be
+    read past it), leaving the diagnosis to ``_parse_rows``."""
+    _read_header(reader)
+    columns = [[] for _ in CSV_COLUMNS]
+    cells: list[str] = []
+    chunk_cells = _CHUNK_ROWS * _WIDTH
+    try:
+        for row in reader:
+            if len(row) == _WIDTH:  # _append_chunk drops comment rows of this width
+                cells += row
+                if len(cells) == chunk_cells:
+                    if not _append_chunk(columns, cells):
+                        return None
+                    cells = []
+            elif row and not _is_comment(row[0]):
+                return None
+    except (csv.Error, UnicodeDecodeError):
+        return None
+    if not _append_chunk(columns, cells):
+        return None
+    return FundTable(*columns)
+
+
+def _append_chunk(columns: list, cells: list) -> bool:
+    """Drop the comment rows of a flat cell list, check the other rows all at
+    once and append them to the columns; False, appending nothing, if any
+    row is faulty."""
+    chunk = [cells[k::_WIDTH] for k in range(_WIDTH)]
+    if "#" in "".join(chunk[0]):
+        keep = [not _is_comment(cell) for cell in chunk[0]]
+        chunk = [list(compress(column, keep)) for column in chunk]
+    try:
+        chunk[2] = list(map(_PROVINCE_OF.__getitem__, chunk[2]))
+        chunk[4] = list(map(_RACE_OF.__getitem__, chunk[4]))
+        chunk[5] = list(map(_GENDER_OF.__getitem__, chunk[5]))
+        assets = chunk[6] = list(map(float, chunk[6]))
+        performance = chunk[7] = list(map(float, chunk[7]))
+    except (KeyError, ValueError):
+        return False
+    if not (all(map(math.isfinite, assets)) and all(map(math.isfinite, performance))
+            and (not assets or min(assets) >= 0)):
+        return False
+    for column, part in zip(columns, chunk):
+        column.extend(part)
+    return True
+
+
 def summarize(records, group_by: str, value: str) -> list[SummaryRow]:
     """Per-group mean/std/min/max/count of a numeric field.
 
@@ -172,28 +294,34 @@ def summarize(records, group_by: str, value: str) -> list[SummaryRow]:
             f"value field must be numeric ({_NUMERIC_FIELDS}), got {value!r}")
     if group_by not in _FIELD_NAMES:
         raise UnknownFieldError(f"fund records have no field {group_by!r}")
-    group_of, value_of = attrgetter(group_by), attrgetter(value)
-    groups: dict[str, list[float]] = {}
-    for rec in records:
-        groups.setdefault(str(group_of(rec)), []).append(float(value_of(rec)))
+    table = FundTable.from_records(records)
+    groups = _group(map(str, getattr(table, group_by)),
+                    map(float, getattr(table, value)))
     rows: list[SummaryRow] = []
     for group in sorted(groups):
+        xs = sorted(groups[group])
         count = 0
         mean = 0.0
         m2 = 0.0
-        lo = math.inf
-        hi = -math.inf
-        for x in sorted(groups[group]):
+        for x in xs:
             count += 1
             delta = x - mean
             mean += delta / count
             m2 += delta * (x - mean)
-            lo = min(lo, x)
-            hi = max(hi, x)
         std = math.sqrt(m2 / (count - 1)) if count > 1 else 0.0
-        rows.append(SummaryRow(group=group, count=count, mean=mean,
-                               std=std, min=lo, max=hi))
+        # Folded from +-inf like a running min/max, so a NaN is never chosen.
+        rows.append(SummaryRow(group=group, count=count, mean=mean, std=std,
+                               min=min(math.inf, *xs), max=max(-math.inf, *xs)))
     return rows
+
+
+def _group(keys, values) -> dict:
+    """``{key: [its values, in input order]}`` of paired key and value
+    iterables."""
+    groups = defaultdict(list)
+    for key, x in zip(keys, values):
+        groups[key].append(x)
+    return groups
 
 
 def _tally(assets: dict) -> tuple[dict, int, float]:
@@ -213,11 +341,12 @@ def province_report(records) -> ProvinceReport:
     Missing provinces appear with zeros.  Asset shares use exact summation,
     so input order cannot change them.
     """
+    table = FundTable.from_records(records)
     families: dict[str, set[str]] = {p: set() for p in PROVINCES}
     assets: dict[str, list[float]] = {p: [] for p in PROVINCES}
-    for rec in records:
-        families[rec.province].add(rec.family)
-        assets[rec.province].append(rec.assets)
+    for province, family, x in zip(table.province, table.family, table.assets):
+        families[province].add(family)
+        assets[province].append(x)
     sums, total_funds, total_assets = _tally(assets)
     rows = [ProvinceRow(province=p,
                         family_count=len(families[p]),
@@ -231,9 +360,8 @@ def province_report(records) -> ProvinceReport:
 
 def demographics_report(records) -> tuple[DemographicsRow, ...]:
     """Fund count and shares per (race, gender) cell present in the data."""
-    assets: dict[tuple[str, str], list[float]] = {}
-    for rec in records:
-        assets.setdefault((rec.manager_race, rec.manager_gender), []).append(rec.assets)
+    table = FundTable.from_records(records)
+    assets = _group(zip(table.manager_race, table.manager_gender), table.assets)
     sums, total_funds, total_assets = _tally(assets)
     return tuple(
         DemographicsRow(

@@ -278,6 +278,14 @@ def test_funds_reports_write_csv_and_json(tmp_path):
 
 
 
+@pytest.mark.parametrize("action", ["summarize", "provinces", "demographics"])
+def test_funds_manifest_lists_every_file_written(action):
+    status, _, err, files = invoke(["funds", action, "--out", "r.csv", "--quiet"])
+    assert status == 0, err
+    manifest = json.loads(files.pop("r.csv.manifest.json"))
+    assert sorted(manifest["outputs"]) == sorted(files) == ["r.csv", "r.json"]
+
+
 def test_funds_out_on_the_json_mirror_path_exits_2():
     # The mirror is --out with the suffix .json; it would overwrite the report.
     status, _, err, files = invoke(["funds", "summarize", "--out", "r.json"])
@@ -481,16 +489,18 @@ PINNED = {
     "fastslow": (
         ["fastslow", "--epsilon", "0.05", "--horizon", "10", "--out", "fs.csv"],
         "2e7c1f3969cd9ecbbef80a036eb36a094f104f31b5a722d52476057cbac27d53"),
+    # The funds digests cover a manifest whose outputs list the JSON mirror;
+    # the report and mirror bytes are the ones first recorded.
     "funds-summarize": (
         ["funds", "summarize", "--group_by", "family", "--value", "assets",
          "--out", "sum.csv"],
-        "d8aa5788373336eb5ab5fb097a704cc51af2c4443e5a17368baf3ed34bcc60e6"),
+        "43dd19c748ade816f0758e68bcee756f6aaa5ce3291d971d569114b53833508e"),
     "funds-provinces": (
         ["funds", "provinces", "--out", "prov.csv"],
-        "100919b1806e379d41f89e1a7ee9e1e19d9751b633af31cbaa64db5e0b360725"),
+        "daf1c01eee8ae833c3b49179e1a45763df73fcdced7f7988bd6bce0f15d3b403"),
     "funds-demographics": (
         ["funds", "demographics", "--out", "demo.csv"],
-        "f714ee6651e167243c18f334de7ca348aae8a40372a8e5f376ddd7d362affdad"),
+        "b1c7fa9967151e28a31d5939421c617427515780f9406f7e826c4c2380b2b4c6"),
 }
 PINNED_CONFIG = {"preset": "fig6d", "horizon": 5, "i0": 0.01, "quiet": True}
 

@@ -56,7 +56,8 @@ def test_bundled_fixture_has_200_records():
 def test_header_only_file_is_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(HEADER + "\n")
-    assert fundstats.ingest_csv(path) == []
+    table = fundstats.ingest_csv(path)
+    assert len(table) == 0 and list(table) == []
 
 
 def test_negative_assets_rejected_with_line_number(tmp_path):
@@ -245,6 +246,88 @@ def test_ingest_matches_the_dataclass_reference(text):
         path.write_text(text, newline="")
         assert ingest_outcome(fundstats.ingest_csv, path) == \
             ingest_outcome(reference_ingest_csv, path)
+
+
+# Ingest checks rows in bulk, one chunk at a time; the generated files above
+# are far smaller than a chunk, so these files span three.
+CHUNK = fundstats._CHUNK_ROWS
+LONG_ROWS = [f"F{k:05d},fam{k % 7},{PROVINCES[k % 8]},{'ABC'[k % 3]},{RACES[k % 3]},"
+             f"{GENDERS[k % 3]},{k % 1000}.5,{k % 13 - 6}e-1"
+             for k in range(2 * CHUNK + 1000)]
+ROW_FAULTS = {
+    "wrong width": "F1,fam,Gauteng,A,white,M,1",
+    "unknown province": "F1,fam,Atlantis,A,white,M,1,0.2",
+    "unknown race": "F1,fam,Gauteng,A,green,M,1,0.2",
+    "unknown gender": "F1,fam,Gauteng,A,white,X,1,0.2",
+    "non-numeric": "F1,fam,Gauteng,A,white,M,1,abc",
+    "non-finite": "F1,fam,Gauteng,A,white,M,inf,0.2",
+    "negative assets": "F1,fam,Gauteng,A,white,M,-5,0.2",
+}
+
+
+def write_long_file(path, lines):
+    path.write_text("\n".join([HEADER, *lines]) + "\n")
+
+
+@pytest.mark.parametrize("where", [CHUNK + 17, len(LONG_ROWS) - 1],
+                         ids=["second-chunk", "last-chunk"])
+@pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+def test_a_fault_past_the_first_chunk_matches_the_reference(tmp_path, fault, where):
+    lines = LONG_ROWS.copy()
+    lines[where] = ROW_FAULTS[fault]
+    path = tmp_path / "funds.csv"
+    write_long_file(path, lines)
+    outcome = ingest_outcome(fundstats.ingest_csv, path)
+    assert outcome[::2] == (RowError, where + 2)
+    assert outcome == ingest_outcome(reference_ingest_csv, path)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_comment_and_blank_rows_at_a_chunk_boundary(tmp_path, shift):
+    lines = LONG_ROWS.copy()
+    lines[CHUNK + shift:CHUNK + shift] = [
+        "# note", "", "#F9,fam,Atlantis,A,green,X,nan,-1", " #F8,fam,KZN,A,black,F,1,0.2"]
+    path = tmp_path / "funds.csv"
+    write_long_file(path, lines)
+    assert len(fundstats.ingest_csv(path)) == len(LONG_ROWS)
+    assert ingest_outcome(fundstats.ingest_csv, path) == \
+        ingest_outcome(reference_ingest_csv, path)
+
+
+GOOD_FILES = st.lists(st.one_of(csv_line(GOOD_ROW), COMMENT_OR_BLANK), max_size=20).map(
+    lambda body: "\n".join([HEADER, *body]) + "\n")
+
+
+@settings(max_examples=100)
+@given(text=GOOD_FILES, group_by=st.sampled_from(CSV_COLUMNS),
+       value=st.sampled_from(_NUMERIC_FIELDS))
+def test_reports_on_columns_match_reports_on_records(text, group_by, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "funds.csv"
+        path.write_text(text, newline="")
+        table = fundstats.ingest_csv(path)
+    records = list(table)
+    assert all(isinstance(rec, FundRecord) for rec in records)
+    assert repr(fundstats.summarize(table, group_by, value)) == \
+        repr(fundstats.summarize(records, group_by, value))
+    assert repr(fundstats.province_report(table)) == \
+        repr(fundstats.province_report(records))
+    assert repr(fundstats.demographics_report(table)) == \
+        repr(fundstats.demographics_report(records))
+    # Enumerated values are the package's own strings, shared by every row.
+    for column, values in [(table.province, PROVINCES), (table.manager_race, RACES),
+                           (table.manager_gender, GENDERS)]:
+        assert all(any(cell is v for v in values) for cell in column)
+
+
+def test_table_indexing_builds_records():
+    table = fundstats.ingest_csv(fundstats.bundled_fixture_path())
+    records = list(table)
+    assert table[0] == records[0] and type(table[-1]) is FundRecord
+    assert table[-1] == records[-1]
+    assert table[3:7] == records[3:7] and table[::-50] == records[::-50]
+    with pytest.raises(IndexError):
+        table[len(table)]
 
 
 # -- summarize ------------------------------------------------------------
@@ -492,6 +575,16 @@ def test_reports_match_the_reference_bit_for_bit(records, group_by, value):
         repr(reference_province_report(records))
     assert repr(fundstats.demographics_report(records)) == \
         repr(reference_demographics_report(records))
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_summarize_with_nan_values_matches_the_reference(order):
+    # Library callers may pass values ingest would reject; min and max
+    # still pass over a NaN wherever it sorts.
+    records = [make_record(k, performance=x)
+               for k, x in enumerate([math.nan, 1.0, -0.0, 2.0, math.nan])][::order]
+    assert repr(fundstats.summarize(records, "category", "performance")) == \
+        repr(reference_summarize(records, "category", "performance"))
 
 
 # -- reference tables -----------------------------------------------------------
