@@ -309,8 +309,8 @@ def _csv_text(header, columns) -> str:
     a time (``item``), so no whole column of them is alive at once."""
     cells = [map(str, map(c.item, range(c.size)) if isinstance(c, np.ndarray) else c)
              for c in columns]
-    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
-    return "\n".join(lines) + "\n"
+    lines = [",".join(header), *map(",".join, zip(*cells, strict=True)), ""]
+    return "\n".join(lines)
 
 
 def _write_atomic(path: Path, text: str) -> None:

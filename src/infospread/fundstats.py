@@ -171,14 +171,40 @@ def ingest_csv(path) -> FundTable:
 
     Rows are checked in bulk, a chunk at a time.  If any check fails, the
     file is read again row by row, so the first faulty row is reported with
-    the same error and line as a row-by-row read.
+    the same error and line as a row-by-row read.  The file must be UTF-8:
+    a row holding bytes that are not, or text the csv module cannot split
+    (a field over its size limit), is a RowError naming its line, or a
+    SchemaError if no header came before it.
     """
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         table = _ingest_bulk(csv.reader(fh))
     if table is None:
-        with open(path, newline="") as fh:
-            table = FundTable.from_records(_parse_rows(csv.reader(fh)))
+        # surrogateescape decodes every byte, so the row-by-row read can
+        # find the row that holds an undecodable one.
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            table = FundTable.from_records(_parse_rows(_text_rows(fh)))
     return table
+
+
+def _text_rows(fh):
+    """The csv rows of a file opened with errors="surrogateescape"; a row
+    that holds an undecodable byte, or that the csv module cannot split,
+    raises RowError naming its line."""
+    reader = csv.reader(fh)
+    lineno = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise RowError(f"line {lineno}: {exc}", line=lineno) from None
+        try:
+            "".join(row).encode()  # an escaped byte is a lone surrogate: no UTF-8
+        except UnicodeEncodeError:
+            raise RowError(f"line {lineno}: text is not UTF-8", line=lineno) from None
+        yield row
+        lineno += 1
 
 
 def _is_comment(cell: str) -> bool:
@@ -187,15 +213,19 @@ def _is_comment(cell: str) -> bool:
 
 
 def _read_header(reader) -> int:
-    """Consume rows through the header row, check it, and return its line."""
-    for lineno, row in enumerate(reader, start=1):
-        if not row or _is_comment(row[0]):
-            continue
-        header = tuple(cell.strip() for cell in row)
-        if header != CSV_COLUMNS:
-            raise SchemaError(f"header {header} does not match required schema "
-                              f"{CSV_COLUMNS}")
-        return lineno
+    """Consume rows through the header row, check it, and return its line.
+    A row that cannot be read before the header is a SchemaError."""
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if not row or _is_comment(row[0]):
+                continue
+            header = tuple(cell.strip() for cell in row)
+            if header != CSV_COLUMNS:
+                raise SchemaError(f"header {header} does not match required "
+                                  f"schema {CSV_COLUMNS}")
+            return lineno
+    except RowError as exc:
+        raise SchemaError(str(exc)) from None
     raise SchemaError("file has no header row")
 
 
@@ -237,11 +267,11 @@ def _parse_row(row, lineno: int) -> FundRecord:
 def _ingest_bulk(reader) -> FundTable | None:
     """The table, or None if some row fails a check (or the file cannot be
     read past it), leaving the diagnosis to ``_parse_rows``."""
-    _read_header(reader)
     columns = [[] for _ in CSV_COLUMNS]
     cells: list[str] = []
     chunk_cells = _CHUNK_ROWS * _WIDTH
     try:
+        _read_header(reader)
         for row in reader:
             if len(row) == _WIDTH:  # _append_chunk drops comment rows of this width
                 cells += row

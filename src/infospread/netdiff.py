@@ -193,21 +193,37 @@ def hearing_matrix(net: ManagerNetwork, T: int) -> np.ndarray:
 
     Entry (i, j) is the expected number of times, within T periods, that
     manager j hears an item originating from manager i.  Computed by
-    repeated multiply-accumulate; raises the builtin OverflowError with the
-    failing term index if an entry leaves the finite float range.
+    repeated multiply-accumulate, a block of rows at a time (row i of w^t is
+    row i of w^(t-1) times w), so only the result and two row blocks are
+    alive besides w.  Raises the builtin OverflowError with the first term
+    index at which an entry of the sum leaves the finite float range.
     """
     T = _horizon(T, net.n)
     w = net.w
-    power = w.copy()
     total = w.copy()
+    rows = _block_rows(net.n)
+    overflow = T + 1  # first term at which some block left the float range
     with np.errstate(over="ignore"):
-        for t in range(2, T + 1):
-            power = power @ w
-            if not np.isfinite(power).all():
-                raise OverflowError(
-                    f"hearing matrix left the finite float range at term t={t}")
-            total += power
+        for a in range(0, net.n, rows):
+            power = w[a:a + rows]
+            block = total[a:a + rows]
+            # Entries are nonnegative, so the running sum is at least every
+            # term: one finiteness check on it covers both.
+            for t in range(2, overflow):
+                power = power @ w
+                block += power
+                if not np.isfinite(block).all():
+                    overflow = t
+                    break
+    if overflow <= T:
+        raise OverflowError(
+            f"hearing matrix left the finite float range at term t={overflow}")
     return total
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of an n-column float array: about 8 MiB."""
+    return max(1, 2 ** 20 // n)
 
 
 def diffusion_centrality(net: ManagerNetwork, T: int) -> np.ndarray:
@@ -216,8 +232,8 @@ def diffusion_centrality(net: ManagerNetwork, T: int) -> np.ndarray:
     Computed as the sum of the walk-count vectors w^t 1 for t = 1..T, by T-1
     mat-vecs from the row sums of w, so the hearing matrix is never formed;
     the horizon-1 result is exactly ``w.sum(axis=1)``.  Raises the builtin
-    OverflowError with the failing term index if an entry leaves the finite
-    float range.
+    OverflowError with the first term index at which an entry of the sum
+    leaves the finite float range.
     """
     T = _horizon(T, net.n)
     w = net.w
@@ -226,10 +242,10 @@ def diffusion_centrality(net: ManagerNetwork, T: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         for t in range(2, T + 1):
             walks = w @ walks
-            if not np.isfinite(walks).all():
+            total += walks  # at least every term, since entries are >= 0
+            if not np.isfinite(total).all():
                 raise OverflowError(
                     f"diffusion centrality left the finite float range at term t={t}")
-            total += walks
     return total
 
 
@@ -241,10 +257,15 @@ def _horizon(T, n: int) -> int:
 
 
 def centrality_report(net: ManagerNetwork, T: int) -> CentralityReport:
-    """Hearing matrix and its row sums bundled together."""
+    """Hearing matrix and its row sums bundled together.  Raises the builtin
+    OverflowError if a row sum leaves the finite float range."""
     hearing = hearing_matrix(net, T)
-    return CentralityReport(T=int(T), hearing=hearing,
-                            centrality=hearing.sum(axis=1))
+    with np.errstate(over="ignore"):
+        centrality = hearing.sum(axis=1)
+    if not np.isfinite(centrality).all():
+        raise OverflowError(
+            f"hearing matrix row sums left the finite float range at horizon T={int(T)}")
+    return CentralityReport(T=int(T), hearing=hearing, centrality=centrality)
 
 
 def generate_random_network(n: int, density: float, seed: int) -> ManagerNetwork:
@@ -255,9 +276,18 @@ def generate_random_network(n: int, density: float, seed: int) -> ManagerNetwork
     check(n * n <= MAX_CELLS, "n", n, f"such that n*n <= MAX_CELLS = {MAX_CELLS}")
     check(0.0 <= density <= 1.0, "density", density, "in [0, 1]")
     rng = np.random.default_rng(seed)
-    gate = rng.random((n, n))
-    weights = 1.0 - rng.random((n, n))  # uniform on (0, 1]
-    w = np.where(gate < density, weights, 0.0)
+    # All n*n gate uniforms come first, then all n*n weights; the gate is
+    # drawn a row block at a time (``random`` fills in stream order, so the
+    # draws are the same) and kept only as a mask.
+    keep = np.empty((n, n), dtype=bool)
+    rows = _block_rows(n)
+    for a in range(0, n, rows):
+        block = keep[a:a + rows]
+        np.less(rng.random(block.shape), density, out=block)
+    w = rng.random((n, n))
+    np.subtract(1.0, w, out=w)  # uniform on (0, 1]
+    np.multiply(w, keep, out=w)
+    del keep  # validation below allocates masks of its own
     np.fill_diagonal(w, 0.0)
     return _own_network(w)
 
@@ -322,7 +352,8 @@ def network_csv_text(net: ManagerNetwork) -> str:
         for j, text in zip(cols.tolist(), map(repr, row[cols].tolist())):
             cells[j] = text
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def write_network_csv(path, net: ManagerNetwork) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from infospread import cli, netdiff
+from infospread import cli, fundstats, netdiff
 from infospread.errors import ParamError, UsageError, check
 
 NETWORK10 = str(importlib.resources.files("infospread.data") / "network10.csv")
@@ -183,6 +183,35 @@ def test_non_utf8_network_exits_1(tmp_path, capsys):
     path.write_bytes(b"0,\xe9\n1,0\n")
     assert cli.main(["network", "eigen", "--network", str(path)]) == 1
     one_error_line(capsys, "error: EntryRangeError:")
+
+
+FUND_HEADER = ",".join(fundstats.CSV_COLUMNS).encode()
+
+
+@pytest.mark.parametrize("text, error", [
+    (FUND_HEADER + b"\nF1,fam\xff,KZN,A,black,F,1,0.5\n",
+     "RowError: line 2: text is not UTF-8"),
+    (FUND_HEADER + b"\nF1," + b"x" * 200_000 + b",KZN,A,black,F,1,0.5\n",
+     "RowError: line 2: field larger than field limit"),
+    (b"\xff\n" + FUND_HEADER + b"\n", "SchemaError: line 1: text is not UTF-8"),
+], ids=["non-utf8-cell", "oversized-cell", "non-utf8-before-header"])
+def test_unreadable_fund_csv_exits_1_with_one_line(tmp_path, capsys, text, error):
+    path = tmp_path / "funds.csv"
+    path.write_bytes(text)
+    assert cli.main(["funds", "summarize", "--input", str(path)]) == 1
+    one_error_line(capsys, f"error: {error}")
+
+
+# 2x2 all-ones: at horizon 1023 the hearing matrix is finite but its row sums
+# are not; at 1024 the matrix itself overflows.
+@pytest.mark.parametrize("horizon", ["1023", "1024"])
+def test_overflowing_centrality_exits_1_with_one_line(tmp_path, horizon):
+    (tmp_path / "net.csv").write_text("1,1\n1,1\n")
+    done = python_m("infospread", "network", "centrality", "--network", "net.csv",
+                    "--horizon", horizon, "--out", "dc.csv", cwd=tmp_path)
+    assert done.returncode == 1
+    assert_one_line(done.stderr, "error: OverflowError: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.csv"]
 
 
 def test_network_directory_exits_3(tmp_path, capsys):

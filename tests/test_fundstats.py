@@ -294,6 +294,54 @@ def test_comment_and_blank_rows_at_a_chunk_boundary(tmp_path, shift):
         ingest_outcome(reference_ingest_csv, path)
 
 
+# Text the csv module cannot read.  The decoder works on blocks of the file,
+# so a row deep in a long file checks that the line is the faulty row's, not
+# the first row of the block that held it.
+UNREADABLE = {
+    "not UTF-8": (b"F1,fam\xff,Gauteng,A,white,M,1,0.2", "text is not UTF-8"),
+    "Latin-1 text": ("F1,Caf\xe9,Gauteng,A,white,M,1,0.2".encode("latin-1"),
+                     "text is not UTF-8"),
+    "field over the limit": (b"F1," + b"x" * 200_000 + b",Gauteng,A,white,M,1,0.2",
+                             "field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("where", [0, CHUNK + 17], ids=["first-row", "second-chunk"])
+@pytest.mark.parametrize("fault", sorted(UNREADABLE))
+def test_unreadable_row_is_a_row_error_naming_its_line(tmp_path, fault, where):
+    row, message = UNREADABLE[fault]
+    lines = [line.encode() for line in LONG_ROWS]
+    lines[where] = row
+    path = tmp_path / "funds.csv"
+    path.write_bytes(b"\n".join([HEADER.encode(), *lines]) + b"\n")
+    with pytest.raises(RowError) as err:
+        fundstats.ingest_csv(path)
+    assert err.value.line == where + 2
+    assert str(err.value).startswith(f"line {where + 2}: ")
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("fault", sorted(UNREADABLE))
+def test_unreadable_row_before_the_header_is_a_schema_error(tmp_path, fault):
+    row, message = UNREADABLE[fault]
+    path = tmp_path / "funds.csv"
+    path.write_bytes(b"# notes\n" + row + b"\n" + HEADER.encode() + b"\n")
+    with pytest.raises(SchemaError, match=f"^line 2: .*{message}"):
+        fundstats.ingest_csv(path)
+
+
+def test_utf8_text_is_read_by_both_passes(tmp_path):
+    good = "F1,Caf\u00e9 \u2013 \U0001f4c8,KZN,A,black,F,1,0.5"
+    path = tmp_path / "funds.csv"
+    path.write_bytes(f"{HEADER}\n{good}\n".encode())
+    assert fundstats.ingest_csv(path)[0].family == "Caf\u00e9 \u2013 \U0001f4c8"
+    # A faulty row sends the file to the row-by-row pass, which must get past
+    # the UTF-8 row to the fault.
+    path.write_bytes(f"{HEADER}\n{good}\nF2,fam,Atlantis,A,black,F,1,0.5\n".encode())
+    with pytest.raises(RowError, match="^line 3: unknown province"):
+        fundstats.ingest_csv(path)
+
+
 GOOD_FILES = st.lists(st.one_of(csv_line(GOOD_ROW), COMMENT_OR_BLANK), max_size=20).map(
     lambda body: "\n".join([HEADER, *body]) + "\n")
 

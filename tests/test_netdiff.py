@@ -2,6 +2,8 @@
 
 import csv
 import tempfile
+import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -471,3 +473,138 @@ def test_csv_reader_rejects_non_utf8(tmp_path):
     with pytest.raises(EntryRangeError) as err:
         netdiff.read_network_csv(path)
     assert "utf-8" in str(err.value)
+
+
+# -- row-blocked kernels against the whole-matrix code ------------------------
+
+def reference_hearing_matrix(net: netdiff.ManagerNetwork, T: int) -> np.ndarray:
+    """The whole-matrix loop: every power of w formed in full."""
+    w = net.w
+    power = w.copy()
+    total = w.copy()
+    with np.errstate(over="ignore"):
+        for t in range(2, T + 1):
+            power = power @ w
+            if not np.isfinite(power).all():
+                raise OverflowError(
+                    f"hearing matrix left the finite float range at term t={t}")
+            total += power
+    return total
+
+
+def reference_generate_random_network(n: int, density: float, seed: int) -> np.ndarray:
+    """The whole-matrix generator: every gate uniform kept as a float."""
+    rng = np.random.default_rng(seed)
+    gate = rng.random((n, n))
+    weights = 1.0 - rng.random((n, n))  # uniform on (0, 1]
+    w = np.where(gate < density, weights, 0.0)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes that tracemalloc saw allocated during the call);
+    numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), density=st.sampled_from([0.0, 0.05, 0.3, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_generator_matches_whole_matrix_reference(n, density, seed):
+    got = netdiff.generate_random_network(n, density, seed).w
+    assert got.tobytes() == reference_generate_random_network(n, density, seed).tobytes()
+
+
+@pytest.mark.parametrize("n, density", [(1025, 0.1), (1500, 0.3), (2000, 0.01)])
+def test_generator_matches_reference_over_several_row_blocks(n, density):
+    assert n > netdiff._block_rows(n)
+    got = netdiff.generate_random_network(n, density, seed=n).w
+    assert got.tobytes() == reference_generate_random_network(n, density, n).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), T=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+def test_hearing_matches_whole_matrix_reference_bitwise(n, T, seed):
+    net = netdiff.generate_random_network(n, 0.4, seed)
+    assert np.array_equal(netdiff.hearing_matrix(net, T),
+                          reference_hearing_matrix(net, T))
+
+
+def test_hearing_in_one_block_is_bitwise_the_reference():
+    n = 1024
+    assert netdiff._block_rows(n) == n
+    net = netdiff.generate_random_network(n, 0.02, seed=5)
+    assert np.array_equal(netdiff.hearing_matrix(net, 4),
+                          reference_hearing_matrix(net, 4))
+
+
+@pytest.mark.parametrize("n", [1100, 1500])
+def test_hearing_over_row_blocks_matches_the_reference(n):
+    # Blocks of _block_rows(n) rows plus a shorter last block; BLAS may sum a
+    # block's products in another order than the whole matrix's.
+    assert n % netdiff._block_rows(n) != 0
+    net = netdiff.generate_random_network(n, 0.02, seed=n)
+    got = netdiff.hearing_matrix(net, 4)
+    expected = reference_hearing_matrix(net, 4)
+    assert np.all(np.abs(got - expected) <= 1e-13 * expected)
+
+
+def test_hearing_peak_memory_is_the_result_plus_row_blocks():
+    n, T = 1500, 3
+    net = netdiff.generate_random_network(n, 0.02, seed=1)
+    _, peak = traced_peak(netdiff.hearing_matrix, net, T)
+    assert peak <= 1.05 * (n * n * 8 + 3 * netdiff._block_rows(n) * n * 8)
+
+
+def test_generator_peak_memory_is_one_matrix_a_mask_and_a_row_block():
+    n = 1500
+    _, peak = traced_peak(netdiff.generate_random_network, n, 0.02, 1)
+    assert peak <= 1.05 * (n * n * 8 + n * n + netdiff._block_rows(n) * n * 8)
+
+
+def test_network_text_peak_memory_is_about_two_texts():
+    net = netdiff.generate_random_network(1100, 0.05, seed=2)
+    text, peak = traced_peak(netdiff.network_csv_text, net)
+    assert text == reference_network_csv_text(net)
+    assert peak <= 2.2 * len(text)
+
+
+# 2x2 all-ones: w^t has entries 2^(t-1), so the sum of terms 1..T has entries
+# 2^T - 1 and row sums 2^(T+1) - 2.  At T=1023 every entry of the hearing
+# matrix is finite but its row sums are not; at T=1024 the sum itself
+# overflows.
+@pytest.mark.parametrize("T", [1023, 1024])
+def test_overflowing_sums_raise_without_a_warning(T):
+    net = netdiff.validate_network(np.ones((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (netdiff.centrality_report, netdiff.diffusion_centrality):
+            with pytest.raises(OverflowError, match="finite float range"):
+                fn(net, T)
+
+
+@pytest.mark.parametrize("first", ["pair", "triangle"])
+def test_hearing_overflow_names_the_first_term_of_any_block(monkeypatch, first):
+    # An all-ones pair overflows at t=1024, an all-ones triangle earlier; in
+    # blocks of three rows, whichever block runs first, the triangle's term
+    # is the one reported.
+    triangle = netdiff.validate_network(np.ones((3, 3)))
+    with pytest.raises(OverflowError) as alone:
+        netdiff.hearing_matrix(triangle, 2000)
+    w = np.zeros((6, 6))
+    pair, clique = (slice(0, 2), slice(3, 6)) if first == "pair" else \
+        (slice(4, 6), slice(0, 3))
+    w[pair, pair] = 1.0
+    w[clique, clique] = 1.0
+    monkeypatch.setattr(netdiff, "_block_rows", lambda n: 3)
+    with pytest.raises(OverflowError) as blocked:
+        netdiff.hearing_matrix(netdiff.validate_network(w), 2000)
+    assert str(blocked.value) == str(alone.value)
+    assert "t=1024" not in str(alone.value)
