@@ -8,6 +8,8 @@ Every file-writing invocation writes atomically (temp file + rename) and
 drops a sidecar ``<out>.manifest.json`` echoing the effective parameters,
 including defaulted ones, so identical config and seed reproduce identical
 bytes.  Each CSV cell is ``str`` of its Python scalar: ``repr`` for a float.
+Outputs are written in chunks of bounded size, as UTF-8 whatever the locale,
+so a file and stdout carry the same bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -303,29 +306,64 @@ def parse_args(argv=None) -> RunConfig:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _csv_text(header, columns) -> str:
-    """CSV text of equal-length columns: ndarrays, ranges, or lists of ints,
-    floats or strings.  An ndarray yields its cells as Python scalars one at
-    a time (``item``), so no whole column of them is alive at once."""
+# Rows per chunk of CSV text, so the memory an output takes is bounded by a
+# chunk rather than growing with its row count.
+_CHUNK_ROWS = 4096
+
+
+def _csv_chunks(header, columns):
+    """CSV text of equal-length columns (ndarrays, ranges, or lists of ints,
+    floats or strings) in chunks: the header line, then up to
+    ``_CHUNK_ROWS`` rows at a time, each chunk ending in a newline.  An
+    ndarray yields its cells as Python scalars one at a time (``item``), so
+    no whole column of them is alive at once."""
+    yield ",".join(header) + "\n"
     cells = [map(str, map(c.item, range(c.size)) if isinstance(c, np.ndarray) else c)
              for c in columns]
-    lines = [",".join(header), *map(",".join, zip(*cells, strict=True)), ""]
-    return "\n".join(lines)
+    rows = map(",".join, zip(*cells, strict=True))
+    while lines := list(islice(rows, _CHUNK_ROWS)):
+        lines.append("")  # the chunk's last newline, without a second copy
+        yield "\n".join(lines)
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks) -> None:
+    """Write text chunks to ``path`` as UTF-8, through a temporary file in
+    the same directory that is renamed into place once every chunk is
+    written: an exception midway leaves neither file behind."""
     path = Path(path)
     if path.is_dir():
         raise IsADirectoryError(f"output path is a directory: {str(path)!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _write_stdout(chunks) -> None:
+    """Write text chunks to stdout as the UTF-8 bytes a file would hold,
+    whatever the locale's encoding.  A text-only stream (one without a
+    ``buffer``, such as ``io.StringIO``) takes the text itself.  If the
+    reader closes the pipe early (``| head``), the rest is dropped."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        sys.stdout.flush()  # text printed earlier goes first
+        for chunk in chunks:
+            buffer.write(chunk.encode("utf-8"))
+        buffer.flush()
+    except BrokenPipeError:
+        # Point stdout at the null device, so that what is still buffered,
+        # and any later print, does not fail again when it is flushed.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, buffer.fileno())
+        os.close(devnull)
 
 
 def _write_manifest(config: RunConfig, outputs, extra=None) -> None:
@@ -339,21 +377,21 @@ def _write_manifest(config: RunConfig, outputs, extra=None) -> None:
     if extra:
         manifest["results"] = extra
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    _write_atomic(Path(f"{config.out}.manifest.json"), text)
+    _write_atomic(Path(f"{config.out}.manifest.json"), [text])
 
 
-def _emit(config: RunConfig, text: str, extra=None, mirror=None) -> None:
-    """Print the CSV text, or write it to --out; a ``mirror`` document is
-    written as JSON beside it, to --out with the suffix .json.  The manifest
-    comes last and lists every file written."""
+def _emit(config: RunConfig, chunks, extra=None, mirror=None) -> None:
+    """Stream the CSV text chunks to stdout, or to --out; a ``mirror``
+    document is written as JSON beside it, to --out with the suffix .json.
+    The manifest comes last and lists every file written."""
     if config.out is None:
-        sys.stdout.write(text)
+        _write_stdout(chunks)
         return
     outputs = [Path(config.out)]
-    _write_atomic(outputs[0], text)
+    _write_atomic(outputs[0], chunks)
     if mirror is not None:
         outputs.append(outputs[0].with_suffix(".json"))
-        _write_atomic(outputs[1], json.dumps(mirror, indent=2, sort_keys=True) + "\n")
+        _write_atomic(outputs[1], [json.dumps(mirror, indent=2, sort_keys=True) + "\n"])
     _write_manifest(config, outputs, extra)
     if not config.quiet:
         print(f"wrote {config.out}")
@@ -366,19 +404,19 @@ def _run_network(config: RunConfig) -> None:
     p = config.params
     if config.action == "gen":
         net = netdiff.generate_random_network(p["n"], p["density"], config.seed)
-        _emit(config, netdiff.network_csv_text(net))
+        _emit(config, netdiff.network_csv_chunks(net))
         return
     net = netdiff.read_network_csv(p["network"])
     if config.action == "centrality":
         report = netdiff.centrality_report(net, p["horizon"])
-        _emit(config, _csv_text(("node", "centrality"),
-                                (range(net.n), report.centrality)))
+        _emit(config, _csv_chunks(("node", "centrality"),
+                                  (range(net.n), report.centrality)))
     else:
         pair = netdiff.leading_eigenpair(net, tol=p["tol"], max_iter=p["max_iter"])
         extra = {"eigenvalue": pair.eigenvalue, "residual": pair.residual,
                  "iterations": pair.iterations}
-        _emit(config, _csv_text(("node", "eigenvector"),
-                                (range(net.n), pair.eigenvector)), extra)
+        _emit(config, _csv_chunks(("node", "eigenvector"),
+                                  (range(net.n), pair.eigenvector)), extra)
         if not config.quiet:
             print(f"eigenvalue {pair.eigenvalue!r} "
                   f"(residual {pair.residual:.3e}, {pair.iterations} sweeps)")
@@ -391,20 +429,20 @@ def _run_gossip(config: RunConfig) -> None:
     params = gossip.ExchangeParams(**{k: config.params[k] for k in _GOSSIP_PROBS})
     if config.action == "matrix":
         m = gossip.build_transition_matrix(params)
-        _emit(config, _csv_text(("from", *(f"to{s}" for s in _STATE_LABELS)),
-                                (_STATE_LABELS, *m.p.T)))
+        _emit(config, _csv_chunks(("from", *(f"to{s}" for s in _STATE_LABELS)),
+                                  (_STATE_LABELS, *m.p.T)))
     elif config.action == "stationary":
         m = gossip.build_transition_matrix(params)
         pi = gossip.stationary_distribution(m)
-        _emit(config, _csv_text(("state", "probability"), (_STATE_LABELS, pi)))
+        _emit(config, _csv_chunks(("state", "probability"), (_STATE_LABELS, pi)))
     else:
         net = netdiff.read_network_csv(config.params["network"])
         trace = gossip.simulate_population(
             net, params, config.params["informed"],
             rounds=config.params["rounds"], seed=config.seed)
-        _emit(config, _csv_text(("round", "informed_count", "informed_fraction"),
-                                (range(trace.rounds + 1), trace.informed_count,
-                                 trace.informed_fraction)),
+        _emit(config, _csv_chunks(("round", "informed_count", "informed_fraction"),
+                                  (range(trace.rounds + 1), trace.informed_count,
+                                   trace.informed_fraction)),
               extra={"isolated_skips": trace.isolated_skips})
 
 
@@ -414,7 +452,7 @@ def _run_sir(config: RunConfig) -> None:
                                n_total=p["n"])
     init = epi_sir.SirState(s=p["s0"], i=p["i0"], r=p["r0"], t=0.0)
     traj = epi_sir.integrate(params, init, h=p["h"], horizon=p["horizon"])
-    _emit(config, _csv_text(("t", "S", "I", "R"), (traj.t, traj.s, traj.i, traj.r)))
+    _emit(config, _csv_chunks(("t", "S", "I", "R"), (traj.t, traj.s, traj.i, traj.r)))
 
 
 def _rd_initial(cfg: rdwave.ReactionDiffusionConfig, profile: str) -> rdwave.FieldState:
@@ -437,7 +475,7 @@ def _run_rd(config: RunConfig) -> None:
     x = [str(v) for v in cfg.x.tolist()]  # formatted once for every snapshot
     outputs = [f"{config.out}_{k:04d}.csv" for k in range(len(snaps))]
     for path, snap in zip(outputs, snaps):
-        _write_atomic(path, _csv_text(("x", "u"), (x, snap.u)))
+        _write_atomic(path, _csv_chunks(("x", "u"), (x, snap.u)))
     _write_manifest(config, outputs,
                     extra={"times": [s.t for s in snaps],
                            "n_nodes": cfg.n_nodes, "dx": cfg.dx})
@@ -454,8 +492,8 @@ def _run_fastslow(config: RunConfig) -> None:
         layer_time=p["layer_time"], s0=p["s0"], i0=p["i0"])
     result = rdwave.fast_slow_integrate(cfg)
     config = replace(config, params={**p, "s0": cfg.s0})
-    _emit(config, _csv_text(("t", "S", "I_eps", "I_qss"),
-                            (*result.trajectory, result.qss_trajectory.i)),
+    _emit(config, _csv_chunks(("t", "S", "I_eps", "I_qss"),
+                              (*result.trajectory, result.qss_trajectory.i)),
           extra={"sup_deviation": result.sup_deviation})
 
 
@@ -484,7 +522,7 @@ def _run_funds(config: RunConfig) -> None:
     row_type, rows = _funds_rows(config.action, config.params, records)
     header = [f.name for f in fields(row_type)]
     docs = [{name: getattr(row, name) for name in header} for row in rows]
-    _emit(config, _csv_text(header, [[doc[name] for doc in docs] for name in header]),
+    _emit(config, _csv_chunks(header, [[doc[name] for doc in docs] for name in header]),
           mirror={"rows": docs})
     if config.params["show_reference"]:
         tables = fundstats.load_reference_tables()

@@ -172,12 +172,14 @@ def ingest_csv(path) -> FundTable:
     Rows are checked in bulk, a chunk at a time.  If any check fails, the
     file is read again row by row, so the first faulty row is reported with
     the same error and line as a row-by-row read.  The file must be UTF-8:
-    a row holding bytes that are not, or text the csv module cannot split
-    (a field over its size limit), is a RowError naming its line, or a
-    SchemaError if no header came before it.
+    a row holding bytes that are not, a NUL character, or text the csv
+    module cannot split (a field over its size limit), is a RowError naming
+    its line, or a SchemaError if no header came before it.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        table = _ingest_bulk(csv.reader(fh))
+    table = None
+    if not _holds_nul(path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            table = _ingest_bulk(csv.reader(fh))
     if table is None:
         # surrogateescape decodes every byte, so the row-by-row read can
         # find the row that holds an undecodable one.
@@ -186,10 +188,22 @@ def ingest_csv(path) -> FundTable:
     return table
 
 
+def _holds_nul(path) -> bool:
+    """Whether a file holds a NUL byte, which in UTF-8 is only ever the NUL
+    character.  Some versions of the csv module reject it and others read
+    it, so such a file goes to the row-by-row read, which names the row."""
+    block = bytearray(1 << 16)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(block):
+            if block.find(0, 0, size) >= 0:
+                return True
+    return False
+
+
 def _text_rows(fh):
     """The csv rows of a file opened with errors="surrogateescape"; a row
-    that holds an undecodable byte, or that the csv module cannot split,
-    raises RowError naming its line."""
+    that holds a NUL character or an undecodable byte, or that the csv
+    module cannot split, raises RowError naming its line."""
     reader = csv.reader(fh)
     lineno = 1
     while True:
@@ -199,8 +213,11 @@ def _text_rows(fh):
             return
         except csv.Error as exc:
             raise RowError(f"line {lineno}: {exc}", line=lineno) from None
+        text = "".join(row)
+        if "\x00" in text:
+            raise RowError(f"line {lineno}: line contains NUL", line=lineno)
         try:
-            "".join(row).encode()  # an escaped byte is a lone surrogate: no UTF-8
+            text.encode()  # an escaped byte is a lone surrogate: no UTF-8
         except UnicodeEncodeError:
             raise RowError(f"line {lineno}: text is not UTF-8", line=lineno) from None
         yield row
@@ -416,4 +433,4 @@ def load_reference_tables() -> dict:
     display-only; nothing in the package asserts against them.
     """
     path = importlib.resources.files("infospread.data") / "reference_tables.json"
-    return json.loads(path.read_text())
+    return json.loads(path.read_text(encoding="utf-8"))

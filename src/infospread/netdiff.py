@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +39,7 @@ __all__ = [
     "centrality_report",
     "generate_random_network",
     "read_network_csv",
+    "network_csv_chunks",
     "network_csv_text",
     "write_network_csv",
 ]
@@ -337,25 +337,36 @@ def _even_rows(lines):
         raise DimensionError("network needs at least one node")
 
 
-def network_csv_text(net: ManagerNetwork) -> str:
-    """Headerless CSV text of a network, one row per line.
+def network_csv_chunks(net: ManagerNetwork):
+    """Headerless CSV text of a network, one row per line, in blocks of
+    rows of about 2**18 cells each (1 MiB of text when most cells are zero);
+    every block ends in a newline.
 
     Each cell is ``repr`` of the float, so the text reads back to the same
     bits.  Zero cells are filled in bulk; only the cells that are nonzero or
     carry a sign bit (``-0.0``) are formatted one by one.
     """
     zeros = ["0.0"] * net.n
-    lines = []
-    for row in net.w:
-        cols = np.flatnonzero((row != 0.0) | np.signbit(row))
-        cells = zeros.copy()
-        for j, text in zip(cols.tolist(), map(repr, row[cols].tolist())):
-            cells[j] = text
-        lines.append(",".join(cells))
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+    rows = max(1, _block_rows(net.n) // 4)
+    for a in range(0, net.n, rows):
+        lines = []
+        for row in net.w[a:a + rows]:
+            cols = np.flatnonzero((row != 0.0) | np.signbit(row))
+            cells = zeros.copy()
+            for j, text in zip(cols.tolist(), map(repr, row[cols].tolist())):
+                cells[j] = text
+            lines.append(",".join(cells))
+        lines.append("")  # the block's last newline, without a second copy
+        yield "\n".join(lines)
+
+
+def network_csv_text(net: ManagerNetwork) -> str:
+    """The whole text of ``network_csv_chunks``."""
+    return "".join(network_csv_chunks(net))
 
 
 def write_network_csv(path, net: ManagerNetwork) -> None:
-    """Write a network as headerless CSV with round-trip float precision."""
-    Path(path).write_text(network_csv_text(net))
+    """Write a network as headerless UTF-8 CSV with round-trip float
+    precision, a block of rows at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(network_csv_chunks(net))

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -379,7 +380,85 @@ def column(rows):
                                                        max_size=4)))
 def test_column_writer_matches_row_writer(columns):
     header = [f"c{k}" for k in range(len(columns))]
-    assert cli._csv_text(header, columns) == _csv_text(header, zip(*columns))
+    assert "".join(cli._csv_chunks(header, columns)) == _csv_text(header, zip(*columns))
+
+
+def whole_csv_text(header, columns) -> str:
+    """The whole-text writer that ``_csv_chunks`` replaced, verbatim."""
+    cells = [map(str, map(c.item, range(c.size)) if isinstance(c, np.ndarray) else c)
+             for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells, strict=True)), ""]
+    return "\n".join(lines)
+
+
+CHUNK = cli._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+def test_chunks_join_to_the_whole_text_writer(rows):
+    rng = np.random.default_rng(rows)
+    int64 = np.iinfo(np.int64)
+    columns = [rng.standard_normal(rows),
+               rng.integers(int64.min, int64.max, rows, dtype=np.int64, endpoint=True),
+               range(-3, rows - 3),
+               [f"s\u00e4{k}" for k in range(rows)]]
+    header = ("float", "int64", "range", "str")
+    chunks = list(cli._csv_chunks(header, columns))
+    assert chunks[0] == "float,int64,range,str\n"
+    assert len(chunks) == 1 + -(-rows // CHUNK)
+    assert all(chunk.endswith("\n") and chunk.count("\n") <= CHUNK for chunk in chunks)
+    assert "".join(chunks) == whole_csv_text(header, columns)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc saw allocated during ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_is_flat_in_row_count(tmp_path):
+    def peak(rows):
+        columns = [np.linspace(0.0, 1.0, rows) + k / 3 for k in range(4)]
+        return traced_peak(cli._write_atomic, tmp_path / f"{rows}.csv",
+                           cli._csv_chunks(("t", "S", "I", "R"), columns))
+
+    assert abs(peak(10 ** 5) - peak(10 ** 4)) < 2 ** 20
+
+
+def test_sir_memory_beyond_its_trajectory_is_flat_in_horizon(tmp_path):
+    def peak(horizon):
+        return traced_peak(cli.main, ["sir", "--preset", "fig6b", "--horizon",
+                                      str(horizon), "--out", str(tmp_path / "sir.csv"),
+                                      "--quiet"])
+
+    peak(1)  # builds the cached parser
+    # The trajectory itself is four float arrays of one cell per step (h = 0.01).
+    trajectory = 4 * 8 * (50_000 - 5_000)
+    assert abs(peak(500) - peak(50) - trajectory) < 2 ** 20
+
+
+def test_a_chunk_that_raises_leaves_no_file(tmp_path):
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError):  # zip(strict=True) on unequal columns
+        cli._write_atomic(out, cli._csv_chunks(("a", "b"), ([1, 2, 3], [1, 2])))
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_failing_output_exits_with_its_status_and_leaves_no_file(
+        tmp_path, monkeypatch, capsys):
+    def chunks(header, columns):
+        yield ",".join(header) + "\n"
+        raise OverflowError("output left the float range")
+
+    monkeypatch.setattr(cli, "_csv_chunks", chunks)
+    assert cli.main(["sir", "--preset", "fig6b", "--horizon", "1",
+                     "--out", str(tmp_path / "sir.csv")]) == 1
+    assert_one_line(capsys.readouterr().err, "error: OverflowError: output left ")
+    assert not list(tmp_path.iterdir())
 
 
 # -- python -m ---------------------------------------------------------------------
@@ -399,6 +478,67 @@ def test_python_m_runs_the_cli(module, tmp_path):
     assert ok.returncode == 0, ok.stderr
     assert ok.stdout.startswith("t,S,I,R\n")
     assert len(bad.stderr.splitlines()) == 1, bad.stderr
+
+
+# Python's own encoding for files and stdout follows the locale: ASCII under
+# the C locale once its UTF-8 coercion and UTF-8 mode are switched off.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+UTF8_MODE = {"PYTHONUTF8": "1"}
+
+
+def cli_env(locale):
+    """The environment of a CLI subprocess under the locale settings
+    ``locale``, with none of the caller's own."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONCOERCE",
+                                "PYTHONIOENCODING"))}
+    return {**env, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **locale}
+
+
+def run_under(locale, argv, cwd):
+    """(exit status, stdout bytes, stderr) of ``python -m infospread``
+    under the locale settings ``locale``."""
+    done = subprocess.run([sys.executable, "-m", "infospread", *argv], cwd=cwd,
+                          env=cli_env(locale), capture_output=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr.decode(errors="replace")
+
+
+@pytest.mark.parametrize("argv", [
+    ["funds", "summarize", "--input", "funds.csv", "--group_by", "family",
+     "--value", "assets"],
+    ["sir", "--preset", "fig6b", "--horizon", "50"],
+], ids=["funds", "sir"])
+def test_outputs_are_the_same_utf8_bytes_under_an_ascii_locale(argv, tmp_path):
+    lines = fundstats.bundled_fixture_path().read_text(encoding="utf-8").splitlines()
+    rows = [line for line in lines if line and not line.startswith("#")]
+    rows[1] = rows[1].replace(rows[1].split(",")[1], "B\u00e4cker-\u2026", 1)
+    (tmp_path / "funds.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    got = {}
+    for name, env in [("ascii", ASCII_LOCALE), ("utf8", UTF8_MODE)]:
+        status, stdout, err = run_under(env, argv, tmp_path)
+        assert status == 0, err
+        status, _, err = run_under(env, [*argv, "--out", f"{name}.csv", "--quiet"],
+                                   tmp_path)
+        assert status == 0, err
+        got[name] = stdout, (tmp_path / f"{name}.csv").read_bytes()
+    assert got["ascii"] == got["utf8"]
+    stdout, written = got["ascii"]
+    assert stdout == written
+    if argv[0] == "funds":
+        assert "B\u00e4cker-\u2026".encode() in written
+
+
+def test_a_reader_that_stops_early_ends_the_run_quietly(tmp_path):
+    # 200 001 rows, far more than a pipe holds, so most writes find it closed.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "infospread", "sir", "--preset", "fig6b",
+         "--horizon", "2000"], cwd=tmp_path, env=cli_env(UTF8_MODE),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"t,S,I,R\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 # -- determinism -----------------------------------------------------------------
@@ -686,7 +826,7 @@ def test_numerically_reducible_chain_exits_1():
 
 def test_fast_slow_overflow_exits_1_with_stiffness_error():
     # Float arithmetic overflows to inf without raising, so the blow-up is
-    # caught by the substep loop's finiteness test.
+    # caught by the finiteness test after each output step's substeps.
     status, _, err, files = invoke(["fastslow", "--s0", "1e308", "--out", "fs.csv"])
     assert status == 1
     assert_one_line(err, "error: StiffnessError: fast layer unresolved near t=")

@@ -342,6 +342,42 @@ def test_utf8_text_is_read_by_both_passes(tmp_path):
         fundstats.ingest_csv(path)
 
 
+# The csv module of Python 3.10 rejects a NUL character and that of 3.11
+# reads it; either way the row that holds it, in any column or in a comment,
+# is a RowError with the 3.10 wording.
+NUL_ROWS = {
+    "fund_id": "F\x001,fam,Gauteng,A,white,M,1,0.2",
+    "family": "F1,fa\x00m,Gauteng,A,white,M,1,0.2",
+    "category": "F1,fam,Gauteng,\x00A,white,M,1,0.2",
+    "province": "F1,fam,Gaut\x00eng,A,white,M,1,0.2",
+    "comment": "# note,\x00",
+    "comment of full width": "# F1,fam,Gauteng,A,white,M,1\x00,0.2",
+}
+
+
+@pytest.mark.parametrize("where", [0, CHUNK + 17], ids=["first-row", "second-chunk"])
+@pytest.mark.parametrize("column", sorted(NUL_ROWS))
+def test_nul_is_a_row_error_naming_its_line(tmp_path, column, where):
+    lines = LONG_ROWS.copy()
+    lines[where] = NUL_ROWS[column]
+    path = tmp_path / "funds.csv"
+    write_long_file(path, lines)
+    with pytest.raises(RowError) as err:
+        fundstats.ingest_csv(path)
+    assert err.value.line == where + 2
+    assert str(err.value) == f"line {where + 2}: line contains NUL"
+
+
+@pytest.mark.parametrize("text", [f"# no\x00tes\n{HEADER}\n",
+                                  HEADER.replace("family", "fam\x00ily") + "\n"],
+                         ids=["comment", "header"])
+def test_nul_before_the_data_is_a_schema_error(tmp_path, text):
+    path = tmp_path / "funds.csv"
+    path.write_text(text + "F1,fam,Gauteng,A,white,M,1,0.2\n")
+    with pytest.raises(SchemaError, match="^line 1: line contains NUL$"):
+        fundstats.ingest_csv(path)
+
+
 GOOD_FILES = st.lists(st.one_of(csv_line(GOOD_ROW), COMMENT_OR_BLANK), max_size=20).map(
     lambda body: "\n".join([HEADER, *body]) + "\n")
 

@@ -576,6 +576,34 @@ def test_network_text_peak_memory_is_about_two_texts():
     assert peak <= 2.2 * len(text)
 
 
+def whole_network_csv_text(net: netdiff.ManagerNetwork) -> str:
+    """The whole-text writer that ``network_csv_chunks`` replaced, verbatim."""
+    zeros = ["0.0"] * net.n
+    lines = []
+    for row in net.w:
+        cols = np.flatnonzero((row != 0.0) | np.signbit(row))
+        cells = zeros.copy()
+        for j, text in zip(cols.tolist(), map(repr, row[cols].tolist())):
+            cells[j] = text
+        lines.append(",".join(cells))
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("n", [1, 5, 1100])
+def test_network_chunks_join_to_the_whole_text_writer(n, tmp_path):
+    w = netdiff.generate_random_network(n, 0.3, seed=n).w.copy()
+    w[0, -1] = -0.0
+    net = netdiff.validate_network(w)
+    chunks = list(netdiff.network_csv_chunks(net))
+    rows = max(1, netdiff._block_rows(n) // 4)
+    assert len(chunks) == -(-n // rows)
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert "".join(chunks) == whole_network_csv_text(net)
+    netdiff.write_network_csv(tmp_path / "net.csv", net)
+    assert (tmp_path / "net.csv").read_bytes() == whole_network_csv_text(net).encode()
+
+
 # 2x2 all-ones: w^t has entries 2^(t-1), so the sum of terms 1..T has entries
 # 2^T - 1 and row sums 2^(T+1) - 2.  At T=1023 every entry of the hearing
 # matrix is finite but its row sums are not; at T=1024 the sum itself
