@@ -207,6 +207,8 @@ def _read_config(path: str | None) -> dict:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise UsageError(f"--config is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise UsageError("--config nests too deeply to read") from None
     if not isinstance(cfg, dict):
         raise UsageError("--config must contain a JSON object")
     return cfg

@@ -39,8 +39,6 @@ __all__ = [
     "EquilibriumPoint",
     "EquilibriumReport",
     "PRESETS",
-    "derivatives",
-    "rk4_step",
     "integrate",
     "basic_reproduction_number",
     "equilibria",
@@ -134,15 +132,11 @@ PRESETS = {
 
 
 def _rhs(s: float, i: float, r: float, p: SirParams):
+    """(dS, dI, dR) at a state; their sum is mu*(N - S - I - R)."""
     ds = -p.beta * s * i + p.mu * (p.n_total - s)
     di = p.beta * s * i - p.alpha * i - p.mu * i
     dr = p.alpha * i - p.mu * r
     return ds, di, dr
-
-
-def derivatives(state: SirState, params: SirParams):
-    """(dS, dI, dR) at a state; their sum is mu*(N - S - I - R)."""
-    return _rhs(state.s, state.i, state.r, params)
 
 
 def _rk4(s: float, i: float, r: float, p: SirParams, h: float):
@@ -156,17 +150,6 @@ def _rk4(s: float, i: float, r: float, p: SirParams, h: float):
             r + c * (k1r + 2.0 * k2r + 2.0 * k3r + k4r))
 
 
-def _step_size(h: float) -> float:
-    return check(0.0 < h < math.inf, "h", h, "positive and finite", StepSizeError)
-
-
-def rk4_step(state: SirState, params: SirParams, h: float) -> SirState:
-    """One classical 4-stage Runge-Kutta update; t advances by h."""
-    _step_size(h)
-    s, i, r = _rk4(state.s, state.i, state.r, params, h)
-    return SirState(s=s, i=i, r=r, t=state.t + h)
-
-
 def integrate(params: SirParams, init: SirState, h: float,
               horizon: float) -> Trajectory:
     """Fixed-step trajectory over ``horizon`` time units.
@@ -176,7 +159,7 @@ def integrate(params: SirParams, init: SirState, h: float,
     |S+I+R-N| <= 1e-8*N is enforced at the initial condition and after every
     step; a violation raises ConservationError (the step is too large).
     """
-    _step_size(h)
+    check(0.0 < h < math.inf, "h", h, "positive and finite", StepSizeError)
     check(h <= horizon < math.inf, "horizon", horizon,
           f"finite and at least one step h={h!r}", HorizonError)
     check(horizon / h <= MAX_STEPS, "horizon", horizon,

@@ -27,7 +27,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,14 +35,10 @@ from .netdiff import ManagerNetwork
 
 __all__ = [
     "STATE_ORDER",
-    "PairState",
     "ExchangeParams",
     "PairTransitionMatrix",
-    "ScenarioProbabilities",
     "GossipTrace",
     "build_transition_matrix",
-    "classify_scenarios",
-    "step_pair",
     "stationary_distribution",
     "simulate_population",
     "empirical_transition_estimate",
@@ -55,24 +50,6 @@ _ROW_SUM_TOL = 1e-12
 
 # Work bound: most contacts, n * rounds, of one population run.
 MAX_CONTACTS = 100_000_000
-
-
-class PairState(NamedTuple):
-    """Presence bits of the item in initiator A's and responder B's cache."""
-
-    a: int
-    b: int
-
-    @property
-    def index(self) -> int:
-        return 2 * self.a + self.b
-
-
-def _as_state(state) -> PairState:
-    s = PairState(*state)
-    if s.a not in (0, 1) or s.b not in (0, 1):
-        raise ParamError(f"pair state bits must be 0 or 1, got {tuple(state)}")
-    return s
 
 
 @dataclass(frozen=True)
@@ -130,22 +107,12 @@ class PairTransitionMatrix:
         object.__setattr__(self, "p", p)
 
     def row(self, state) -> np.ndarray:
-        return self.p[_as_state(state).index]
-
-
-@dataclass(frozen=True)
-class ScenarioProbabilities:
-    """Outcome split of a single contact attempt; the four fields sum to 1."""
-
-    no_attempt: float
-    forward_loss: float
-    feedback_loss: float
-    complete: float
-
-    def __post_init__(self):
-        total = self.no_attempt + self.forward_loss + self.feedback_loss + self.complete
-        if abs(total - 1.0) > _ROW_SUM_TOL:
-            raise ParamError(f"scenario probabilities sum to {total!r}, not 1")
+        """Transition probabilities out of the bit pair ``state`` = (a, b),
+        which STATE_ORDER puts at index 2a + b."""
+        a, b = state
+        if a not in (0, 1) or b not in (0, 1):
+            raise ParamError(f"pair state bits must be 0 or 1, got {tuple(state)}")
+        return self.p[2 * a + b]
 
 
 @dataclass(frozen=True)
@@ -198,17 +165,6 @@ def build_transition_matrix(params: ExchangeParams) -> PairTransitionMatrix:
     return PairTransitionMatrix(p=p)
 
 
-def classify_scenarios(params: ExchangeParams) -> ScenarioProbabilities:
-    """Split one contact attempt into its four outcome scenarios."""
-    s, l, g = params.p_select, params.p_loss, params.p_gain
-    return ScenarioProbabilities(
-        no_attempt=1.0 - s,
-        forward_loss=s * (1.0 - g),
-        feedback_loss=s * g * l,
-        complete=s * g * (1.0 - l),
-    )
-
-
 def _cumulative(weights: np.ndarray) -> np.ndarray:
     """Cumulative sampling thresholds with the tail pinned to exactly 1.0
     from the last positive entry, so a uniform draw in [0, 1) can never
@@ -225,17 +181,6 @@ def _row_cumsums(params: ExchangeParams) -> np.ndarray:
                       for row in build_transition_matrix(params).p])
     cums.setflags(write=False)
     return cums
-
-
-def _sample_row(cums_row: np.ndarray, rng: np.random.Generator) -> int:
-    return int(np.searchsorted(cums_row, rng.random(), side="right"))
-
-
-def step_pair(state, params: ExchangeParams, rng: np.random.Generator) -> PairState:
-    """Sample the next pair state, advancing the generator by one draw."""
-    idx = _as_state(state).index
-    nxt = _sample_row(_row_cumsums(params)[idx], rng)
-    return PairState(*STATE_ORDER[nxt])
 
 
 def _closed_classes(p: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -386,8 +331,11 @@ def empirical_transition_estimate(params: ExchangeParams, trials: int,
                                   seed: int) -> np.ndarray:
     """Empirical transition frequencies from ``trials`` samples per pre-state.
 
-    Vectorized equivalent of repeating step_pair: each sample consumes one
-    uniform draw against the analytic row, exactly as step_pair does.
+    Each sample is one exchange of a pair: one uniform draw compared with
+    the cumulative thresholds of the analytic row, as by
+    ``searchsorted(..., side="right")``, the same rule simulate_population
+    applies per contact.  Pre-states run in STATE_ORDER, each drawing one
+    block of ``trials`` uniforms.
     """
     check(trials >= 1, "trials", trials, ">= 1")
     rng = np.random.default_rng(seed)

@@ -23,6 +23,7 @@ from .errors import (
     DimensionError,
     EntryRangeError,
     HorizonError,
+    RowError,
     ZeroMatrixError,
     check,
 )
@@ -40,7 +41,6 @@ __all__ = [
     "generate_random_network",
     "read_network_csv",
     "network_csv_chunks",
-    "network_csv_text",
     "write_network_csv",
 ]
 
@@ -250,7 +250,9 @@ def diffusion_centrality(net: ManagerNetwork, T: int) -> np.ndarray:
 
 
 def _horizon(T, n: int) -> int:
-    check(int(T) == T and T >= 1, "horizon", T, "an integer >= 1", HorizonError)
+    # NaN and inf fail the range test before int() could raise on them.
+    check(1 <= T < math.inf and int(T) == T, "horizon", T, "an integer >= 1",
+          HorizonError)
     check(T * n * n <= MAX_CELLS, "horizon", T,
           f"such that horizon*n*n <= MAX_CELLS = {MAX_CELLS} (n = {n})", HorizonError)
     return int(T)
@@ -303,18 +305,32 @@ def read_network_csv(path) -> ManagerNetwork:
     separators are rejected.
 
     Raises DimensionError naming the line for a row whose width differs from
-    the first row's, and for a file with no rows; EntryRangeError for text
-    that is not UTF-8 or a cell that is not a number, carrying numpy's
-    message (its rows count the non-empty lines from 0, its columns from 1);
-    and otherwise whatever ``validate_network`` raises.
+    the first row's, and for a file with no rows; RowError naming the first
+    line that is not UTF-8; EntryRangeError for a cell that is not a number,
+    carrying numpy's message (its rows count the non-empty lines from 0, its
+    columns from 1); and otherwise whatever ``validate_network`` raises.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             w = np.loadtxt(_even_rows(fh), delimiter=",", quotechar='"',
                            comments=None, ndmin=2)
-        except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+        except ValueError as exc:
             raise EntryRangeError(f"network CSV: {exc}") from None
     return _own_network(w)
+
+
+def _not_utf8(path) -> RowError:
+    """RowError naming the first line of a file, counted as text mode counts
+    lines, that holds bytes that are not UTF-8."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode()  # an escaped byte is a lone surrogate: no UTF-8
+            except UnicodeEncodeError:
+                return RowError(f"line {lineno}: text is not UTF-8", line=lineno)
+    return RowError("text is not UTF-8")  # the file changed since the first read
 
 
 def _even_rows(lines):
@@ -358,11 +374,6 @@ def network_csv_chunks(net: ManagerNetwork):
             lines.append(",".join(cells))
         lines.append("")  # the block's last newline, without a second copy
         yield "\n".join(lines)
-
-
-def network_csv_text(net: ManagerNetwork) -> str:
-    """The whole text of ``network_csv_chunks``."""
-    return "".join(network_csv_chunks(net))
 
 
 def write_network_csv(path, net: ManagerNetwork) -> None:

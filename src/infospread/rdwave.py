@@ -4,9 +4,11 @@ The spatial model is u_t = D u_xx + g(u) on a 1-D grid with zero-flux
 boundaries, advanced by the explicit forward-time central-space scheme under
 the hard stability bound D*dt/dx**2 <= 1/2.  The default rate family is
 logistic, g(u) = r*u*(1 - u/K), which satisfies g(0) = g(K) = 0, g > 0 on
-(0, K) and g'(K) = -r < 0; a bistable (Allee) family is available behind the
-same interface.  Step initial data develops a rightward front whose speed is
-measured by fitting the level-crossing position over a time window.
+(0, K) and g'(K) = -r < 0; a bistable (Allee) family, r*u*(u - a)*(1 - u/K)
+with threshold a, is available behind the same interface,
+``ReactionDiffusionConfig.rate_family``.  Step initial data develops a
+rightward front whose speed is measured by fitting the level-crossing
+position over a time window.
 
 The Laplacian uses the flux form at the boundaries (one-sided differences),
 so under pure diffusion the discrete mass sum(u)*dx is conserved to machine
@@ -52,13 +54,9 @@ __all__ = [
     "FastSlowResult",
     "PlanarTrajectory",
     "WaveSpeedEstimate",
-    "RateEquilibrium",
-    "logistic_rate",
-    "reaction_rate",
     "rd_step",
     "rd_integrate",
     "estimate_wave_speed",
-    "rd_equilibria",
     "fast_slow_integrate",
 ]
 
@@ -135,13 +133,6 @@ class WaveSpeedEstimate:
     residual: float
 
 
-@dataclass(frozen=True)
-class RateEquilibrium:
-    u: float
-    slope: float
-    stability: str
-
-
 class PlanarTrajectory(NamedTuple):
     """(t, S, I) arrays of a planar trajectory."""
 
@@ -197,28 +188,9 @@ class FastSlowConfig:
               self.layer_time, f"at most the last output time {self.h * self.steps!r}")
 
 
-def _check_logistic(r: float, K: float) -> None:
-    check(0.0 <= r < math.inf, "r", r, "nonnegative and finite")
-    check(0.0 < K < math.inf, "K", K, "positive and finite")
-
-
-def logistic_rate(u, r: float, K: float):
-    """Logistic flow rate r*u*(1 - u/K); zero at 0 and K exactly."""
-    _check_logistic(r, K)
-    return r * u * (1.0 - u / K)
-
-
-def reaction_rate(u, cfg: ReactionDiffusionConfig):
-    """Evaluate the configured rate family (works on scalars and arrays)."""
-    if cfg.rate_family == "logistic":
-        return logistic_rate(u, cfg.r_rate, cfg.k_cap)
-    # Allee: negative below the threshold, positive between it and K.
-    return cfg.r_rate * u * (u - cfg.allee_threshold) * (1.0 - u / cfg.k_cap)
-
-
 def _ftcs_step(u: np.ndarray, out: np.ndarray, lap: np.ndarray, g: np.ndarray,
                cfg: ReactionDiffusionConfig) -> None:
-    """Write u + dt*(nu*Laplacian(u) + reaction_rate(u)) into ``out``.
+    """Write u + dt*(nu*Laplacian(u) + g(u)) into ``out``.
 
     ``lap`` and ``g`` are scratch buffers of u's shape.  Each ufunc applies
     one operation of the formula in its order, so the result is bitwise the
@@ -332,20 +304,6 @@ def estimate_wave_speed(series, level: float, fit_window,
     rms = math.sqrt(float(res[0]) / len(times)) if len(res) else 0.0
     return WaveSpeedEstimate(speed=float(coeffs[0]), level=level,
                              fit_window=(t_lo, t_hi), residual=rms)
-
-
-def rd_equilibria(r: float, K: float) -> tuple[RateEquilibrium, RateEquilibrium]:
-    """Homogeneous equilibria of the logistic rate with their slopes.
-
-    u = 0 has g'(0) = r (unstable for r > 0); u = K has g'(K) = -r
-    (stable for r > 0).  At r = 0 both are non-hyperbolic.
-    """
-    _check_logistic(r, K)
-    low = RateEquilibrium(u=0.0, slope=r,
-                          stability="unstable" if r > 0 else "non-hyperbolic")
-    high = RateEquilibrium(u=K, slope=-r,
-                           stability="stable" if r > 0 else "non-hyperbolic")
-    return low, high
 
 
 def _qss_values(cfg: FastSlowConfig, ts: np.ndarray) -> PlanarTrajectory:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from infospread import cli, fundstats, netdiff
+from infospread import cli, epi_sir, fundstats, netdiff
 from infospread.errors import ParamError, UsageError, check
 
 NETWORK10 = str(importlib.resources.files("infospread.data") / "network10.csv")
@@ -181,9 +181,11 @@ def one_error_line(capsys, prefix):
 
 def test_non_utf8_network_exits_1(tmp_path, capsys):
     path = tmp_path / "net.csv"
-    path.write_bytes(b"0,\xe9\n1,0\n")
-    assert cli.main(["network", "eigen", "--network", str(path)]) == 1
-    one_error_line(capsys, "error: EntryRangeError:")
+    for text, line in [(b"0,\xe9\n1,0\n", 1), (b"0,1\n\xff,0\n", 2)]:
+        path.write_bytes(text)
+        assert cli.main(["network", "eigen", "--network", str(path)]) == 1
+        err = one_error_line(capsys, "error: RowError: ")
+        assert err == f"error: RowError: line {line}: text is not UTF-8\n"
 
 
 FUND_HEADER = ",".join(fundstats.CSV_COLUMNS).encode()
@@ -897,3 +899,78 @@ def test_any_single_replacement_keeps_the_exit_contract(slot, value, as_config):
     status, _, err, _ = invoke(argv, config)
     assert status in (0, 1, 2, 3)
     assert len(err.splitlines()) <= 1, err
+
+
+# -- file contents ----------------------------------------------------------------
+# Each input file the CLI reads, fuzzed as raw bytes and as a valid file with a
+# few bytes inserted or overwritten.  Every run exits 0, or with the statuses
+# its file can cause and one diagnosis line.
+
+FUND_LINES = Path(FUNDS).read_bytes().splitlines(keepends=True)
+FILE_CASES = {
+    "network": (["network", "eigen", "--network", "in.csv", "--max_iter", "200"],
+                Path(NETWORK10).read_bytes(), (0, 1)),
+    "funds": (["funds", "summarize", "--input", "in.csv", "--group_by", "province"],
+              b"".join(FUND_LINES[:9]), (0, 1)),
+    "config": (["sir", "--config", "in.csv"],
+               json.dumps({"preset": "fig6b", "h": 0.01, "horizon": 1.0,
+                           "i0": 0.001, "seed": 3}).encode(), (0, 1, 2)),
+}
+PREFIXES = {1: "error: ", 2: "usage error: "}
+
+
+def run_on_file(argv, data):
+    """(exit status, stderr) of one cli.main call reading ``data`` as in.csv."""
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("in.csv").write_bytes(data)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = cli.main(argv)
+        finally:
+            os.chdir(home)
+    return status, err.getvalue()
+
+
+@st.composite
+def file_contents(draw, valid):
+    """Raw bytes, or ``valid`` with one to three byte strings inserted or
+    written over it."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        chunk = draw(st.binary(min_size=1, max_size=4))
+        if draw(st.booleans()):
+            data[at:at] = chunk
+        else:
+            data[at:at + len(chunk)] = chunk
+    return bytes(data)
+
+
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_any_file_content_keeps_the_exit_contract(case, monkeypatch):
+    argv, valid, statuses = FILE_CASES[case]
+    # A digit inserted into the config's horizon or h could ask for up to
+    # MAX_STEPS steps; a smaller bound keeps every run short and still takes
+    # the same code path (a usage error past the bound).
+    monkeypatch.setattr(epi_sir, "MAX_STEPS", 100_000)
+    assert run_on_file(argv, valid) == (0, "")
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=file_contents(valid))
+    @example(data=b"\xff")
+    @example(data=b"[" * 100_000)
+    @example(data=valid.replace(b",", b",\x00", 1))
+    def check(data):
+        status, err = run_on_file(argv, data)
+        assert status in statuses, (status, err)
+        if status:
+            assert_one_line(err, PREFIXES[status])
+        else:
+            assert err == ""
+
+    check()

@@ -24,13 +24,12 @@ def endpoint(params, init, h, horizon):
 
 def test_disease_free_is_stationary():
     p = epi_sir.SirParams(beta=0.4, alpha=0.2, mu=0.1, n_total=1.0)
-    state = epi_sir.SirState(s=1.0, i=0.0, r=0.0)
-    assert epi_sir.derivatives(state, p) == (0.0, 0.0, 0.0)
+    assert epi_sir._rhs(1.0, 0.0, 0.0, p) == (0.0, 0.0, 0.0)
 
 
 def test_derivatives_hand_checked_values():
     p = epi_sir.SirParams(beta=0.2, alpha=0.1, mu=0.0, n_total=1.0)
-    ds, di, dr = epi_sir.derivatives(epi_sir.SirState(s=0.99, i=0.01, r=0.0), p)
+    ds, di, dr = epi_sir._rhs(0.99, 0.01, 0.0, p)
     assert ds == pytest.approx(-0.00198, abs=1e-15)
     assert di == pytest.approx(0.00098, abs=1e-15)
     assert dr == pytest.approx(0.001, abs=1e-15)
@@ -41,33 +40,37 @@ def test_derivative_sum_vanishes_on_manifold():
     p = epi_sir.SirParams(beta=0.7, alpha=0.3, mu=0.2, n_total=1.0)
     for _ in range(100):
         s, i = rng.random(2) * 0.5
-        state = epi_sir.SirState(s=s, i=i, r=1.0 - s - i)
-        assert abs(sum(epi_sir.derivatives(state, p))) <= 1e-15
+        assert abs(sum(epi_sir._rhs(s, i, 1.0 - s - i, p))) <= 1e-15
 
 
 # -- rk4 ---------------------------------------------------------------------
 
 def test_uninfected_subspace_is_invariant_exactly():
     p = epi_sir.SirParams(beta=0.9, alpha=0.2, mu=0.1, n_total=1.0)
-    state = epi_sir.SirState(s=0.7, i=0.0, r=0.3)
-    for _ in range(50):
-        state = epi_sir.rk4_step(state, p, 0.1)
-    assert state.i == 0.0
+    traj = epi_sir.integrate(p, epi_sir.SirState(s=0.7, i=0.0, r=0.3),
+                             h=0.1, horizon=5.0)
+    assert len(traj) == 51
+    assert not traj.i.any()
 
 
 def test_step_matches_exponential_relaxation():
-    # beta = alpha = 0 reduces S to the linear ODE S' = mu*(N - S).
+    # beta = alpha = 0 reduces S to the linear ODE S' = mu*(N - S); starting
+    # on the manifold at (0, 0, N), R relaxes by R' = -mu*R in step.
     p = epi_sir.SirParams(beta=0.0, alpha=0.0, mu=0.5, n_total=1.0)
     h = 0.1
-    out = epi_sir.rk4_step(epi_sir.SirState(s=0.0, i=0.0, r=0.0), p, h)
+    traj = epi_sir.integrate(p, epi_sir.SirState(s=0.0, i=0.0, r=1.0), h=h, horizon=h)
+    assert len(traj) == 2
     exact = 1.0 - math.exp(-p.mu * h)
-    assert abs(out.s - exact) <= (p.mu * h) ** 5
+    assert abs(traj.final.s - exact) <= (p.mu * h) ** 5
+    assert abs(traj.final.r - (1.0 - exact)) <= (p.mu * h) ** 5
+    assert traj.final.t == h
 
 
 def test_step_rejects_nonpositive_h():
     p = epi_sir.SirParams(beta=0.1, alpha=0.1, mu=0.0, n_total=1.0)
-    with pytest.raises(StepSizeError):
-        epi_sir.rk4_step(epi_sir.SirState(s=1.0, i=0.0, r=0.0), p, 0.0)
+    for h in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(StepSizeError):
+            epi_sir.integrate(p, epi_sir.SirState(s=1.0, i=0.0, r=0.0), h=h, horizon=1.0)
 
 
 def test_fourth_order_convergence_under_step_halving():

@@ -1,6 +1,7 @@
 """Pair-wise exchange chain: analytic matrix, sampling, stationary law,
 and the population simulation."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -133,7 +134,8 @@ def reference_simulate_population(net, params, initially_informed, rounds,
                 continue
             j = int(np.searchsorted(cums, rng.random(), side="right"))
             state_idx = 2 * informed[i] + informed[j]
-            nxt = gossip.STATE_ORDER[gossip._sample_row(row_cums[state_idx], rng)]
+            nxt = gossip.STATE_ORDER[int(np.searchsorted(row_cums[state_idx], rng.random(),
+                                                         side="right"))]
             informed[i] = bool(nxt[0])
             informed[j] = bool(nxt[1])
         counts.append(sum(informed))
@@ -219,74 +221,77 @@ def test_uninformed_state_absorbing_without_exogenous_gain():
 
 
 # -- scenarios -------------------------------------------------------------
+# A contact from a holder ends in one of four scenarios: no attempt (1 - s),
+# forward loss s*(1 - g), feedback loss s*g*l, or a complete exchange
+# s*g*(1 - l).  With p_drop = 1 a complete exchange moves the item and the
+# other two leave the pair where it was, so row (1,0) shows the split as
+# [0, complete, no attempt + forward loss, feedback loss].
+
+def confirmed_drop_row(p: gossip.ExchangeParams) -> np.ndarray:
+    return gossip.build_transition_matrix(dataclasses.replace(p, p_drop=1.0)).row((1, 0))
+
 
 def test_scenarios_perfect_channel():
     p = gossip.ExchangeParams(p_select=1.0, p_drop=0.0, p_loss=0.0, p_gain=1.0)
-    sc = gossip.classify_scenarios(p)
-    assert (sc.no_attempt, sc.forward_loss, sc.feedback_loss, sc.complete) == \
-        (0.0, 0.0, 0.0, 1.0)
+    assert confirmed_drop_row(p).tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_scenarios_forward_loss_certain():
     p = gossip.ExchangeParams(p_select=1.0, p_drop=0.0, p_loss=0.3, p_gain=0.0)
-    assert gossip.classify_scenarios(p).forward_loss == 1.0
+    assert confirmed_drop_row(p).tolist() == [0.0, 0.0, 1.0, 0.0]
+    holders = gossip.build_transition_matrix(p).p[1:]
+    assert np.array_equal(holders, np.eye(4)[1:])
 
 
 def test_scenarios_derived_split():
     p = gossip.ExchangeParams(p_select=0.5, p_drop=0.4, p_loss=0.25, p_gain=0.8)
-    sc = gossip.classify_scenarios(p)
-    assert (sc.no_attempt, sc.forward_loss) == pytest.approx((0.5, 0.1))
-    assert (sc.feedback_loss, sc.complete) == pytest.approx((0.1, 0.3))
+    # complete 0.3; no attempt 0.5 plus forward loss 0.1; feedback loss 0.1
+    assert confirmed_drop_row(p) == pytest.approx([0.0, 0.3, 0.6, 0.1], abs=1e-15)
 
 
 def test_scenarios_partition_on_grid():
     for p in param_grid():
-        sc = gossip.classify_scenarios(p)
-        total = sc.no_attempt + sc.forward_loss + sc.feedback_loss + sc.complete
-        assert abs(total - 1.0) <= 1e-12
+        s, l, g = p.p_select, p.p_loss, p.p_gain
+        split = [0.0, s * g * (1 - l), (1 - s) + s * (1 - g), s * g * l]
+        row = confirmed_drop_row(p)
+        assert np.max(np.abs(row - split)) <= 1e-12
+        assert abs(row.sum() - 1.0) <= 1e-12
 
 
 # -- single-pair sampling ---------------------------------------------------
+# empirical_transition_estimate samples one exchange per draw, each pre-state
+# in its own block of draws.
 
 def test_step_pair_uninformed_absorbing_without_exogenous():
     p = gossip.ExchangeParams(p_select=0.8, p_drop=0.2, p_loss=0.1,
                               p_gain=0.9, p_ext=0.0)
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        assert gossip.step_pair((0, 0), p, rng) == (0, 0)
+    est = gossip.empirical_transition_estimate(p, trials=200, seed=0)
+    assert est[0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_step_pair_deterministic_row():
     p = gossip.ExchangeParams(p_select=1.0, p_drop=0.0, p_loss=0.0, p_gain=1.0)
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        assert gossip.step_pair((1, 0), p, rng) == (1, 1)
+    est = gossip.empirical_transition_estimate(p, trials=100, seed=1)
+    assert est[2].tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 def test_step_pair_frequencies_within_three_sigma():
     p = gossip.ExchangeParams(p_select=0.5, p_drop=0.4, p_loss=0.25,
                               p_gain=0.8, p_ext=0.1)
     expected = np.array([0.0, 0.12, 0.6, 0.28])
-    rng = np.random.default_rng(7)
     samples = 100_000
-    counts = np.zeros(4)
-    for _ in range(samples):
-        counts[gossip.step_pair((1, 0), p, rng).index] += 1
-    freq = counts / samples
+    freq = gossip.empirical_transition_estimate(p, trials=samples, seed=7)[2]
     sigma = np.sqrt(expected * (1 - expected) / samples)
     assert np.all(np.abs(freq - expected) <= 3 * sigma + 1e-12)
-    assert counts[0] == 0  # structurally impossible outcome
+    assert freq[0] == 0.0  # structurally impossible outcome
 
 
 def test_step_pair_chi_square_against_analytic_row():
     p = gossip.ExchangeParams(p_select=0.5, p_drop=0.4, p_loss=0.25,
                               p_gain=0.8, p_ext=0.1)
     expected = gossip.build_transition_matrix(p).row((1, 0))
-    rng = np.random.default_rng(11)
     samples = 100_000
-    counts = np.zeros(4)
-    for _ in range(samples):
-        counts[gossip.step_pair((1, 0), p, rng).index] += 1
+    counts = samples * gossip.empirical_transition_estimate(p, trials=samples, seed=11)[2]
     live = expected > 0
     chi2 = float(np.sum((counts[live] - samples * expected[live]) ** 2
                         / (samples * expected[live])))
@@ -296,9 +301,10 @@ def test_step_pair_chi_square_against_analytic_row():
 
 
 def test_step_pair_rejects_bad_state():
-    p = gossip.ExchangeParams(0.5, 0.5, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        gossip.step_pair((2, 0), p, np.random.default_rng(0))
+    m = gossip.build_transition_matrix(gossip.ExchangeParams(0.5, 0.5, 0.5, 0.5))
+    for bad in ((2, 0), (0, -1), (0.5, 1)):
+        with pytest.raises(ValueError):
+            m.row(bad)
 
 
 # -- stationary distribution -------------------------------------------------

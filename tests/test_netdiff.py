@@ -1,6 +1,7 @@
 """Network validation, connectivity, eigenpairs, centrality, and CSV I/O."""
 
 import csv
+import math
 import tempfile
 import tracemalloc
 import warnings
@@ -17,6 +18,7 @@ from infospread.errors import (
     DimensionError,
     EntryRangeError,
     HorizonError,
+    RowError,
     ZeroMatrixError,
 )
 
@@ -59,8 +61,8 @@ def reference_read_network_csv(path) -> netdiff.ManagerNetwork:
 
 
 def reference_network_csv_text(net: netdiff.ManagerNetwork) -> str:
-    """Per-cell writer: repr(float(x)) for every cell.  network_csv_text
-    must return the same text."""
+    """Per-cell writer: repr(float(x)) for every cell.  network_csv_chunks
+    must join to the same text."""
     lines = [",".join(repr(float(x)) for x in row) for row in net.w]
     return "\n".join(lines) + "\n"
 
@@ -227,7 +229,7 @@ def test_hearing_zero_matrix():
 
 def test_hearing_rejects_bad_horizon():
     net = netdiff.validate_network(LINE)
-    for bad in (0, -1, 1.5, 10 ** 9):
+    for bad in (0, -1, 1.5, 10 ** 9, math.nan, math.inf):
         with pytest.raises(HorizonError):
             netdiff.hearing_matrix(net, bad)
 
@@ -278,7 +280,7 @@ def test_centrality_matches_power_oracle():
 
 def test_centrality_rejects_bad_horizon():
     net = netdiff.validate_network(LINE)
-    for bad in (0, -1, 1.5, 10 ** 9):
+    for bad in (0, -1, 1.5, 10 ** 9, math.nan, math.inf):
         with pytest.raises(HorizonError):
             netdiff.diffusion_centrality(net, bad)
 
@@ -396,7 +398,7 @@ WEIGHTS = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_WEIGHTS))
 def test_csv_io_matches_per_cell_reference(matrix):
     n, cells = matrix
     net = netdiff.validate_network(np.array(cells).reshape(n, n))
-    text = netdiff.network_csv_text(net)
+    text = "".join(netdiff.network_csv_chunks(net))
     assert text == reference_network_csv_text(net)
     got, expected = read_both(text)
     assert got.tobytes() == expected.tobytes() == net.w.tobytes()
@@ -468,11 +470,18 @@ def test_csv_reader_rejects(tmp_path, text, error, fragment):
 
 
 def test_csv_reader_rejects_non_utf8(tmp_path):
+    # Lines count as text mode counts them (LF, CRLF, CR, empty lines too),
+    # also past the first block the reader decodes.
+    long_rows = b"0,1\n" * 5000
     path = tmp_path / "bad.csv"
-    path.write_bytes(b"0,\xff\n1,0\n")
-    with pytest.raises(EntryRangeError) as err:
-        netdiff.read_network_csv(path)
-    assert "utf-8" in str(err.value)
+    for text, line in [(b"0,\xff\n1,0\n", 1), (b"0,1\n\xff,0\n", 2),
+                       (b"0,1\r\r\n1,\xe9\n", 3), (b"\n0,1\r1,0\xc3", 3),
+                       (long_rows + b"1,\xed\xa0\x80\n", 5001)]:
+        path.write_bytes(text)
+        with pytest.raises(RowError) as err:
+            netdiff.read_network_csv(path)
+        assert str(err.value) == f"line {line}: text is not UTF-8"
+        assert err.value.line == line
 
 
 # -- row-blocked kernels against the whole-matrix code ------------------------
@@ -571,7 +580,7 @@ def test_generator_peak_memory_is_one_matrix_a_mask_and_a_row_block():
 
 def test_network_text_peak_memory_is_about_two_texts():
     net = netdiff.generate_random_network(1100, 0.05, seed=2)
-    text, peak = traced_peak(netdiff.network_csv_text, net)
+    text, peak = traced_peak(lambda: "".join(netdiff.network_csv_chunks(net)))
     assert text == reference_network_csv_text(net)
     assert peak <= 2.2 * len(text)
 

@@ -26,20 +26,31 @@ def make_cfg(**kw):
 
 # -- rates ---------------------------------------------------------------
 
+def uniform_step(value, **kw):
+    """rd_step of a uniform field on a unit-time-step grid.  The flux
+    Laplacian of a uniform field is exactly 0, so every node becomes
+    value + g(value), bit for bit."""
+    cfg = make_cfg(dx=2.0, dt=1.0, length=4.0, **kw)
+    u = rdwave.rd_step(rdwave.FieldState(u=np.full(cfg.n_nodes, value), t=0.0), cfg).u
+    assert np.all(u == u[0])
+    return float(u[0])
+
+
 def test_logistic_rate_boundary_zeros():
-    assert rdwave.logistic_rate(0.0, r=1.3, K=2.0) == 0.0
-    assert rdwave.logistic_rate(2.0, r=1.3, K=2.0) == 0.0
+    assert uniform_step(0.0, r_rate=1.3, k_cap=2.0) == 0.0
+    assert uniform_step(2.0, r_rate=1.3, k_cap=2.0) == 2.0
 
 
 def test_logistic_rate_peak_value():
-    assert rdwave.logistic_rate(0.5, r=1.0, K=1.0) == 0.25
+    assert uniform_step(0.5, r_rate=1.0, k_cap=1.0) == 0.5 + 0.25
 
 
 def test_allee_family_available():
-    cfg = make_cfg(rate_family="allee", allee_threshold=0.3)
-    assert rdwave.reaction_rate(0.1, cfg) < 0.0
-    assert rdwave.reaction_rate(0.5, cfg) > 0.0
-    assert rdwave.reaction_rate(0.3, cfg) == 0.0
+    allee = dict(rate_family="allee", allee_threshold=0.3)
+    assert uniform_step(0.1, **allee) < 0.1
+    assert uniform_step(0.5, **allee) > 0.5
+    assert uniform_step(0.3, **allee) == 0.3
+    assert uniform_step(0.5, **allee) == 0.5 + 1.0 * 0.5 * (0.5 - 0.3) * (1.0 - 0.5 / 1.0)
 
 
 
@@ -304,32 +315,41 @@ def test_wave_speed_fisher_front():
 
 
 # -- homogeneous equilibria ----------------------------------------------------
+# Uniform fields at 0 and K stay put; the growth of a small offset per unit
+# step is the slope g'(u) there: g'(0) = r and g'(K) = -r.
+
+def slope(u, delta=1e-6, **kw):
+    return (uniform_step(u + delta, **kw) - (u + delta)) / delta
+
 
 def test_rate_equilibria_logistic():
-    low, high = rdwave.rd_equilibria(r=1.0, K=1.0)
-    assert (low.u, low.slope, low.stability) == (0.0, 1.0, "unstable")
-    assert (high.u, high.slope, high.stability) == (1.0, -1.0, "stable")
+    rates = dict(r_rate=1.0, k_cap=1.0)
+    assert uniform_step(0.0, **rates) == 0.0
+    assert uniform_step(1.0, **rates) == 1.0
+    assert slope(0.0, **rates) == pytest.approx(1.0, rel=1e-5)    # unstable
+    assert slope(1.0, **rates) == pytest.approx(-1.0, rel=1e-5)   # stable
 
 
 def test_rate_equilibria_degenerate_rate():
-    low, high = rdwave.rd_equilibria(r=0.0, K=2.0)
-    assert low.stability == high.stability == "non-hyperbolic"
-    assert low.slope == high.slope == 0.0
-
+    rates = dict(r_rate=0.0, k_cap=2.0)
+    assert slope(0.0, **rates) == slope(2.0, **rates) == 0.0   # non-hyperbolic
+    assert uniform_step(0.7, **rates) == 0.7
 
 
 @pytest.mark.parametrize("r, K, name", [
     (math.inf, 1.0, "r"), (math.nan, 1.0, "r"), (-1.0, 1.0, "r"),
     (1.0, math.inf, "K"), (1.0, math.nan, "K"), (1.0, 0.0, "K"),
 ])
-@pytest.mark.parametrize("call", [rdwave.rd_equilibria,
-                                  lambda r, K: rdwave.logistic_rate(0.5, r, K)],
+@pytest.mark.parametrize("call", [lambda r, K: slope(0.0, r_rate=r, k_cap=K),
+                                  lambda r, K: uniform_step(0.5, r_rate=r, k_cap=K)],
                          ids=["rd_equilibria", "logistic_rate"])
 def test_logistic_domain_is_the_config_domain(call, r, K, name):
+    # The rate's r and K reach the kernel only as the config's r_rate and k_cap.
+    field = {"r": "r_rate", "K": "k_cap"}[name]
     domain = "nonnegative and finite" if name == "r" else "positive and finite"
-    with pytest.raises(ParamError, match=f"^{name} must be {domain}") as info:
+    with pytest.raises(ParamError, match=f"^{field} must be {domain}") as info:
         call(r, K)
-    assert info.value.name == name
+    assert info.value.name == field
 
 # -- fast-slow ------------------------------------------------------------------
 
