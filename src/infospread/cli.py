@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import epi_sir, fundstats, gossip, netdiff, rdwave
-from .errors import ModelError, ParamError, ParamRangeError, UsageError, shown
+from .errors import ModelError, ParamError, UsageError, shown
 
 __all__ = ["RunConfig", "parse_args", "run", "main", "app"]
 
@@ -276,8 +276,8 @@ def parse_args(argv=None) -> RunConfig:
             for name in _GOSSIP_PROBS:
                 if params[name] is not None:
                     gossip.ExchangeParams.check(name, params[name])
-        except ParamRangeError as exc:
-            raise UsageError(str(exc)) from None
+        except ParamError as exc:
+            raise UsageError(f"--{exc}") from None
     action = args.action if actions else None
     if actions and action is None:
         raise UsageError(f"{args.subcommand} requires an action: " + "|".join(actions))

@@ -51,7 +51,8 @@ class DimensionError(ModelError):
 
 
 class EntryRangeError(ModelError):
-    """Matrix entry outside [0, 1], non-finite, or non-numeric."""
+    """Matrix entry outside [0, 1] or non-finite, or raw input to
+    ``validate_network`` that is not numeric."""
 
 
 class ZeroMatrixError(ModelError):
@@ -80,11 +81,6 @@ class ConvergenceError(ModelError):
 
 
 # gossip ----------------------------------------------------------------
-
-class ParamRangeError(ModelError):
-    """Exchange probability outside [0, 1], or an initially informed node
-    index outside [0, n)."""
-
 
 class ReducibleChainError(ModelError):
     """Chain has multiple closed communicating classes, so no unique

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParamError, ParamRangeError, ReducibleChainError, check, shown
+from .errors import ParamError, ReducibleChainError, check
 from .netdiff import ManagerNetwork
 
 __all__ = [
@@ -75,9 +74,9 @@ class ExchangeParams:
 
     @staticmethod
     def check(name: str, value) -> None:
-        """Raise ParamRangeError unless ``value`` is a number in [0, 1]."""
-        if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
-            raise ParamRangeError(f"{name}={value!r} must lie in [0, 1]")
+        """Raise ParamError unless ``value`` is a number in [0, 1]."""
+        check(isinstance(value, (int, float)) and 0.0 <= value <= 1.0,
+              name, value, "a number in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -175,12 +174,9 @@ def _cumulative(weights: np.ndarray) -> np.ndarray:
     return c
 
 
-@lru_cache(maxsize=128)
 def _row_cumsums(params: ExchangeParams) -> np.ndarray:
-    cums = np.vstack([_cumulative(row)
+    return np.vstack([_cumulative(row)
                       for row in build_transition_matrix(params).p])
-    cums.setflags(write=False)
-    return cums
 
 
 def _closed_classes(p: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -282,10 +278,7 @@ def simulate_population(net: ManagerNetwork, params: ExchangeParams,
           f"such that n*rounds <= MAX_CONTACTS = {MAX_CONTACTS}")
     bits = [0] * n
     for idx in initially_informed:
-        if not 0 <= idx < n:
-            raise ParamRangeError(
-                f"informed index {shown(idx)} outside [0, {n}) for a network of "
-                f"n={n} nodes")
+        check(0 <= idx < n, "informed", idx, f"node indices in [0, n) for n={n}")
         bits[idx] = 1
 
     weights = np.array(net.w, dtype=float)

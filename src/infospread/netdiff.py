@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .errors import (
     DimensionError,
     EntryRangeError,
     HorizonError,
+    ModelError,
     RowError,
     ZeroMatrixError,
     check,
@@ -304,53 +306,56 @@ def read_network_csv(path) -> ManagerNetwork:
     file must be UTF-8.  There are no comment lines, and ``_`` digit
     separators are rejected.
 
-    Raises DimensionError naming the line for a row whose width differs from
-    the first row's, and for a file with no rows; RowError naming the first
-    line that is not UTF-8; EntryRangeError for a cell that is not a number,
-    carrying numpy's message (its rows count the non-empty lines from 0, its
-    columns from 1); and otherwise whatever ``validate_network`` raises.
+    Raises DimensionError for a file with no rows.  Otherwise the first
+    faulty line in file order decides, its number counted from 1 as text
+    mode counts lines: RowError for text that is not UTF-8 or a cell that
+    is not a number (with numpy's reason and column), and DimensionError
+    for a row whose width differs from the first row's.  A matrix read
+    whole goes through the checks of ``validate_network``.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        # numpy only warns on input without rows.  The first row is handed
+        # back rather than sought, so a pipe reads too.
+        while (first := fh.readline()) == "\n":
+            pass
+        if not first:
+            raise DimensionError("network needs at least one node")
         try:
-            w = np.loadtxt(_even_rows(fh), delimiter=",", quotechar='"',
+            # An undecodable byte is a lone surrogate here: not a number.
+            w = np.loadtxt(chain([first], fh), delimiter=",", quotechar='"',
                            comments=None, ndmin=2)
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
         except ValueError as exc:
-            raise EntryRangeError(f"network CSV: {exc}") from None
+            raise _first_fault(path, exc) from None
     return _own_network(w)
 
 
-def _not_utf8(path) -> RowError:
-    """RowError naming the first line of a file, counted as text mode counts
-    lines, that holds bytes that are not UTF-8."""
+def _first_fault(path, exc: ValueError) -> ModelError:
+    """The error of the first line of a file that numpy rejected with
+    ``exc``: not UTF-8, a ragged row, or a cell that is not a number.  If
+    no line is at fault (the file changed since), ``exc`` as an
+    EntryRangeError."""
+    width = None
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if line == "\n":
+                continue
             try:
                 line.encode()  # an escaped byte is a lone surrogate: no UTF-8
             except UnicodeEncodeError:
                 return RowError(f"line {lineno}: text is not UTF-8", line=lineno)
-    return RowError("text is not UTF-8")  # the file changed since the first read
-
-
-def _even_rows(lines):
-    """Yield the non-empty lines, raising DimensionError at the first one
-    whose comma count differs from the first row's, or after the last line
-    if there was no row at all."""
-    width = None
-    for lineno, line in enumerate(lines, start=1):
-        if line == "\n":
-            continue
-        commas = line.count(",")
-        if width is None:
-            width = commas
-        elif commas != width:
-            raise DimensionError(
-                f"line {lineno}: ragged row of width {commas + 1}, "
-                f"expected {width + 1}")
-        yield line
-    if width is None:
-        raise DimensionError("network needs at least one node")
+            commas = line.count(",")
+            if width is None:
+                width = commas
+            elif commas != width:
+                return DimensionError(
+                    f"line {lineno}: ragged row of width {commas + 1}, "
+                    f"expected {width + 1}")
+            try:
+                np.loadtxt([line], delimiter=",", quotechar='"', comments=None)
+            except ValueError as cell:
+                reason = str(cell).replace(" at row 0, column ", " at column ")
+                return RowError(f"line {lineno}: {reason}", line=lineno)
+    return EntryRangeError(f"network CSV: {exc}")
 
 
 def network_csv_chunks(net: ManagerNetwork):

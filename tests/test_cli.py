@@ -158,15 +158,16 @@ def test_reducible_chain_exits_1(tmp_path, capsys):
 
 
 def test_out_of_range_informed_index_exits_1(tmp_path, capsys):
-    # A huge index is shown in scientific form, as errors.check shows one.
+    # An index outside the network is a parameter outside its domain: exit
+    # 2.  A huge index is shown in scientific form, as errors.check shows one.
     for index, shown in [("99", "99"), ("1" + "0" * 400, "1e+400")]:
         args = list(GOSSIP_ARGS)
         args[args.index("--informed") + 1] = index
         out = tmp_path / "trace.csv"
-        assert cli.main(args + ["--out", str(out)]) == 1
+        assert cli.main(args + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ParamRangeError:")
-        assert f"informed index {shown} outside" in err and "n=10" in err
+        assert err == ("usage error: --informed must be node indices in [0, n) "
+                       f"for n=10, got {shown}\n")
         assert "\n" not in err.rstrip("\n")
         assert len(err) <= 120, err
         assert not out.exists()
@@ -229,6 +230,15 @@ def test_empty_network_exits_1_naming_the_cause(tmp_path, capsys):
     assert cli.main(["network", "eigen", "--network", str(path)]) == 1
     err = one_error_line(capsys, "error: DimensionError:")
     assert "at least one node" in err
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-only"])
+def test_network_without_rows_prints_one_line_and_no_warning(tmp_path, text):
+    (tmp_path / "net.csv").write_text(text)
+    done = python_m("infospread", "network", "eigen", "--network", "net.csv",
+                    cwd=tmp_path)
+    assert done.returncode == 1
+    assert done.stderr == "error: DimensionError: network needs at least one node\n"
 
 
 def test_malformed_config_json_exits_2(tmp_path, capsys):

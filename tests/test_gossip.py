@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infospread import gossip, netdiff
-from infospread.errors import ModelError, ParamRangeError, ReducibleChainError
+from infospread.errors import ModelError, ParamError, ReducibleChainError
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -158,9 +158,9 @@ def param_grid():
 # -- parameters ----------------------------------------------------------
 
 def test_params_reject_out_of_range():
-    with pytest.raises(ParamRangeError):
+    with pytest.raises(ParamError, match="^p_select must be a number in"):
         gossip.ExchangeParams(p_select=1.5, p_drop=0, p_loss=0, p_gain=1)
-    with pytest.raises(ParamRangeError):
+    with pytest.raises(ParamError, match="^p_drop must be a number in"):
         gossip.ExchangeParams(p_select=0.5, p_drop=-0.1, p_loss=0, p_gain=1)
 
 

@@ -346,8 +346,11 @@ def test_csv_rejects_ragged_rows(tmp_path):
 def test_csv_rejects_non_numeric(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,x\n0,0\n")
-    with pytest.raises(EntryRangeError):
+    with pytest.raises(RowError) as err:
         netdiff.read_network_csv(path)
+    assert str(err.value) == ("line 1: could not convert string 'x' to float64 "
+                              "at column 2.")
+    assert err.value.line == 1
 
 
 def test_read_and_generated_networks_are_frozen(tmp_path):
@@ -451,11 +454,11 @@ def test_csv_reader_syntax(text, expected):
 
 
 @pytest.mark.parametrize("text, error, fragment", [
-    ("0,1,\n1,0,\n", EntryRangeError, "column 3"),      # trailing comma
+    ("0,1,\n1,0,\n", RowError, "column 3"),             # trailing comma
     ("0,1\n\n1,0,0\n", DimensionError, "line 3"),        # ragged row
-    ("0,1\nabc,0\n", EntryRangeError, "abc"),             # non-numeric
-    ("0,1_0\n1,0\n", EntryRangeError, "1_0"),             # digit separator
-    ("0 1\n1 0\n", EntryRangeError, "0 1"),               # not comma-separated
+    ("0,1\nabc,0\n", RowError, "abc"),                    # non-numeric
+    ("0,1_0\n1,0\n", RowError, "1_0"),                    # digit separator
+    ("0 1\n1 0\n", RowError, "0 1"),                      # not comma-separated
     ("", DimensionError, "at least one node"),           # empty file
     ("\n\n", DimensionError, "at least one node"),       # blank lines only
     ("0,1\n1,0\n0,0\n", DimensionError, "square"),
@@ -481,6 +484,31 @@ def test_csv_reader_rejects_non_utf8(tmp_path):
         with pytest.raises(RowError) as err:
             netdiff.read_network_csv(path)
         assert str(err.value) == f"line {line}: text is not UTF-8"
+        assert err.value.line == line
+
+
+@pytest.mark.parametrize("text, error, line, reason", [
+    # ragged line 2 before undecodable line 3
+    (b"0,1\n1\n\xff,0\n", DimensionError, 2, "ragged row of width 1, expected 2"),
+    # undecodable line 2 before ragged line 3
+    (b"0,1\n\xff\n1\n", RowError, 2, "text is not UTF-8"),
+    # NUL cell on line 2 before ragged line 3
+    (b"0,1\n\x00,0\n1\n", RowError, 2,
+     "could not convert string '\\x00' to float64 at column 1."),
+    # a blank line counts: the non-number is on line 3, before ragged line 4
+    (b"0,1\n\nabc,0\n1\n", RowError, 3,
+     "could not convert string 'abc' to float64 at column 1."),
+    # whitespace-only line 2 is a ragged row, before undecodable line 3
+    (b"0,1\n \n\xff,0\n", DimensionError, 2, "ragged row of width 1, expected 2"),
+], ids=["ragged-then-undecodable", "undecodable-then-ragged", "nul-then-ragged",
+        "non-number-after-blank", "whitespace-then-undecodable"])
+def test_csv_reader_reports_the_earliest_fault(tmp_path, text, error, line, reason):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text)
+    with pytest.raises(error) as err:
+        netdiff.read_network_csv(path)
+    assert str(err.value) == f"line {line}: {reason}"
+    if error is RowError:
         assert err.value.line == line
 
 
