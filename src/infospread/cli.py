@@ -410,9 +410,8 @@ def _run_network(config: RunConfig) -> None:
         return
     net = netdiff.read_network_csv(p["network"])
     if config.action == "centrality":
-        report = netdiff.centrality_report(net, p["horizon"])
-        _emit(config, _csv_chunks(("node", "centrality"),
-                                  (range(net.n), report.centrality)))
+        centrality = netdiff.diffusion_centrality(net, p["horizon"])
+        _emit(config, _csv_chunks(("node", "centrality"), (range(net.n), centrality)))
     else:
         pair = netdiff.leading_eigenpair(net, tol=p["tol"], max_iter=p["max_iter"])
         extra = {"eigenvalue": pair.eigenvalue, "residual": pair.residual,

@@ -13,7 +13,10 @@ concurrently.
 
 from __future__ import annotations
 
+import io
 import math
+import shutil
+import tempfile
 from dataclasses import dataclass
 from itertools import chain
 
@@ -301,60 +304,77 @@ def read_network_csv(path) -> ManagerNetwork:
 
     Syntax: one matrix row per line, cells separated by commas, each cell a
     decimal or exponent float literal that ``numpy.loadtxt`` accepts, with
-    optional spaces around it and optional double quotes (``"0.5"``).  Empty
-    lines are skipped, LF, CRLF and CR line endings are all accepted, and the
-    file must be UTF-8.  There are no comment lines, and ``_`` digit
-    separators are rejected.
+    optional spaces around it.  Empty lines are skipped, LF, CRLF and CR
+    line endings are all accepted, and the file must be UTF-8.  There are
+    no comment lines, and quotes and ``_`` digit separators are rejected.
 
     Raises DimensionError for a file with no rows.  Otherwise the first
     faulty line in file order decides, its number counted from 1 as text
     mode counts lines: RowError for text that is not UTF-8 or a cell that
     is not a number (with numpy's reason and column), and DimensionError
     for a row whose width differs from the first row's.  A matrix read
-    whole goes through the checks of ``validate_network``.
+    whole goes through the checks of ``validate_network``.  A pipe is
+    copied to a temporary file first, so its faults are named alike.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        # numpy only warns on input without rows.  The first row is handed
-        # back rather than sought, so a pipe reads too.
+    with _rewindable_text(path) as fh:
+        # numpy only warns on input without rows.
         while (first := fh.readline()) == "\n":
             pass
         if not first:
             raise DimensionError("network needs at least one node")
         try:
             # An undecodable byte is a lone surrogate here: not a number.
-            w = np.loadtxt(chain([first], fh), delimiter=",", quotechar='"',
-                           comments=None, ndmin=2)
+            w = np.loadtxt(chain([first], fh), delimiter=",", comments=None,
+                           ndmin=2)
         except ValueError as exc:
-            raise _first_fault(path, exc) from None
+            fh.seek(0)
+            raise _first_fault(fh, exc) from None
     return _own_network(w)
 
 
-def _first_fault(path, exc: ValueError) -> ModelError:
-    """The error of the first line of a file that numpy rejected with
-    ``exc``: not UTF-8, a ragged row, or a cell that is not a number.  If
-    no line is at fault (the file changed since), ``exc`` as an
+def _rewindable_text(path) -> io.TextIOWrapper:
+    """``path`` opened as UTF-8 text, undecodable bytes escaped, that can
+    seek back to its start: what cannot (a pipe) is first copied whole to a
+    temporary file."""
+    data = open(path, "rb")
+    if not data.seekable():
+        with data:
+            spool = tempfile.TemporaryFile()
+            try:
+                shutil.copyfileobj(data, spool)
+                spool.seek(0)
+            except BaseException:
+                spool.close()
+                raise
+        data = spool
+    return io.TextIOWrapper(data, encoding="utf-8", errors="surrogateescape")
+
+
+def _first_fault(lines, exc: ValueError) -> ModelError:
+    """The error of the first of ``lines`` (text lines of a file that numpy
+    rejected with ``exc``): not UTF-8, a ragged row, or a cell that is not a
+    number.  If no line is at fault (the file changed since), ``exc`` as an
     EntryRangeError."""
     width = None
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line == "\n":
-                continue
-            try:
-                line.encode()  # an escaped byte is a lone surrogate: no UTF-8
-            except UnicodeEncodeError:
-                return RowError(f"line {lineno}: text is not UTF-8", line=lineno)
-            commas = line.count(",")
-            if width is None:
-                width = commas
-            elif commas != width:
-                return DimensionError(
-                    f"line {lineno}: ragged row of width {commas + 1}, "
-                    f"expected {width + 1}")
-            try:
-                np.loadtxt([line], delimiter=",", quotechar='"', comments=None)
-            except ValueError as cell:
-                reason = str(cell).replace(" at row 0, column ", " at column ")
-                return RowError(f"line {lineno}: {reason}", line=lineno)
+    for lineno, line in enumerate(lines, start=1):
+        if line == "\n":
+            continue
+        try:
+            line.encode()  # an escaped byte is a lone surrogate: no UTF-8
+        except UnicodeEncodeError:
+            return RowError(f"line {lineno}: text is not UTF-8", line=lineno)
+        commas = line.count(",")
+        if width is None:
+            width = commas
+        elif commas != width:
+            return DimensionError(
+                f"line {lineno}: ragged row of width {commas + 1}, "
+                f"expected {width + 1}")
+        try:
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError as cell:
+            reason = str(cell).replace(" at row 0, column ", " at column ")
+            return RowError(f"line {lineno}: {reason}", line=lineno)
     return EntryRangeError(f"network CSV: {exc}")
 
 

@@ -206,8 +206,9 @@ def test_unreadable_fund_csv_exits_1_with_one_line(tmp_path, capsys, text, error
     one_error_line(capsys, f"error: {error}")
 
 
-# 2x2 all-ones: at horizon 1023 the hearing matrix is finite but its row sums
-# are not; at 1024 the matrix itself overflows.
+# 2x2 all-ones: the walk-count vector w^t 1 has entries 2^t, so the running
+# sum of terms 1..t has entries 2^(t+1) - 2 and leaves the float range at
+# t=1023, for horizon 1023 and 1024 alike.
 @pytest.mark.parametrize("horizon", ["1023", "1024"])
 def test_overflowing_centrality_exits_1_with_one_line(tmp_path, horizon):
     (tmp_path / "net.csv").write_text("1,1\n1,1\n")
@@ -216,6 +217,68 @@ def test_overflowing_centrality_exits_1_with_one_line(tmp_path, horizon):
     assert done.returncode == 1
     assert_one_line(done.stderr, "error: OverflowError: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["net.csv"]
+
+
+@pytest.mark.parametrize("n", [10, 200])
+def test_centrality_never_forms_the_hearing_matrix(tmp_path, monkeypatch, n):
+    if n == 10:
+        path = NETWORK10
+    else:
+        path = str(tmp_path / "net.csv")
+        netdiff.write_network_csv(path, netdiff.generate_random_network(n, 0.1, seed=n))
+    net = netdiff.read_network_csv(path)
+    expected = netdiff.diffusion_centrality(net, 4)
+    row_sums = netdiff.hearing_matrix(net, 4).sum(axis=1)
+    np.testing.assert_allclose(expected, row_sums, rtol=1e-12, atol=0)
+
+    def forbidden(*args):
+        raise AssertionError("the CLI formed the hearing matrix")
+
+    monkeypatch.setattr(netdiff, "hearing_matrix", forbidden)
+    monkeypatch.setattr(netdiff, "centrality_report", forbidden)
+    out = tmp_path / "dc.csv"
+    assert cli.main(["network", "centrality", "--network", path, "--horizon", "4",
+                     "--out", str(out), "--quiet"]) == 0
+    rows = [f"{i},{x!r}" for i, x in enumerate(expected.tolist())]
+    assert out.read_text() == "\n".join(["node,centrality", *rows]) + "\n"
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """A /dev/fd path to the read end of a pipe that holds ``data``."""
+    read, write = os.pipe()
+    try:
+        with os.fdopen(write, "wb") as fh:
+            fh.write(data)  # under the pipe buffer, so it does not block
+        yield f"/dev/fd/{read}"
+    finally:
+        os.close(read)
+
+
+@pytest.mark.parametrize("text, error", [
+    (b"0,1\nx,0\n",
+     "RowError: line 2: could not convert string 'x' to float64 at column 1."),
+    (b"0,1\n\n1\n\xff,0\n", "DimensionError: line 3: ragged row of width 1, expected 2"),
+    (b"0,1\n\xff,0\n", "RowError: line 2: text is not UTF-8"),
+], ids=["non-number", "ragged", "not-utf8"])
+def test_piped_network_names_its_faulty_line(tmp_path, capsys, text, error):
+    path = tmp_path / "net.csv"
+    path.write_bytes(text)
+    assert cli.main(["network", "eigen", "--network", str(path)]) == 1
+    assert one_error_line(capsys, "error: ") == f"error: {error}\n"
+    with piped(text) as pipe:
+        assert cli.main(["network", "eigen", "--network", pipe]) == 1
+    assert one_error_line(capsys, "error: ") == f"error: {error}\n"
+
+
+def test_piped_network_reads_like_its_file(tmp_path):
+    text = Path(NETWORK10).read_bytes()
+    with piped(text) as pipe:
+        assert cli.main(["network", "centrality", "--network", pipe, "--horizon", "4",
+                         "--out", str(tmp_path / "piped.csv"), "--quiet"]) == 0
+    assert cli.main(["network", "centrality", "--network", NETWORK10, "--horizon", "4",
+                     "--out", str(tmp_path / "file.csv"), "--quiet"]) == 0
+    assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
 
 
 def test_network_directory_exits_3(tmp_path, capsys):
@@ -634,7 +697,7 @@ PINNED = {
     "network-centrality": (
         ["network", "centrality", "--network", "net10.csv", "--horizon", "4",
          "--out", "dc.csv"],
-        "69df1f0b7ae7a96b67f699b1e892972d7141365c88dbbd7e6adeed098e597268"),
+        "8205098eda32756fa5f02d305d6321ad192cfb90f4e30de11f9b8f9101f84fa8"),
     "network-eigen": (
         ["network", "eigen", "--network", "net10.csv", "--out", "eig.csv"],
         "4c61dfdfe9d772379ac456e38c86bb235fcce6109bae0b6b1796cd747c5ed3bf"),

@@ -42,11 +42,12 @@ def hearing_oracle(w: np.ndarray, T: int) -> np.ndarray:
 
 
 def reference_read_network_csv(path) -> netdiff.ManagerNetwork:
-    """Per-cell reader: csv.reader plus float() on every cell.
-    read_network_csv must return the same bits wherever this accepts."""
+    """Per-cell reader: csv.reader without quoting plus float() on every
+    cell.  read_network_csv must return the same bits wherever this accepts."""
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in enumerate(csv.reader(fh, quoting=csv.QUOTE_NONE),
+                                     start=1):
             if not row:
                 continue
             try:
@@ -422,7 +423,14 @@ CELL_TEXTS = st.one_of(
 def test_csv_reader_matches_per_cell_reference_on_cell_syntax(matrix):
     n, cells = matrix
     rows = [",".join(cells[i * n:(i + 1) * n]) for i in range(n)]
-    got, expected = read_both("\n".join(rows) + "\n")
+    text = "\n".join(rows) + "\n"
+    quoted = [lineno for lineno, row in enumerate(rows, start=1) if '"' in row]
+    if quoted:  # a quote is not part of the syntax
+        with pytest.raises(RowError) as err:
+            read_both(text)
+        assert err.value.line == quoted[0]
+        return
+    got, expected = read_both(text)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -443,11 +451,18 @@ def test_generated_network_text_matches_per_cell_writer(tmp_path):
     ("\n0,1\n\n1,0\n\n", [[0, 1], [1, 0]]),           # blank lines
     ("0,0.5\r\n1,0\r\n", [[0, 0.5], [1, 0]]),           # CRLF
     (" 0 , 0.5\n1 ,0 \n", [[0, 0.5], [1, 0]]),           # spaces
-    ('"0.5",0\n0,"1"\n', [[0.5, 0], [0, 1]]),            # quoted cells
+    ('"0.5",0\n0,"1"\n', (RowError, "line 1: could not convert string "
+                                     "'\"0.5\"' to float64 at column 1.")),  # quoted
     ("0.75\n", [[0.75]]),                                # 1x1
     ("0.75", [[0.75]]),                                  # no final newline
 ])
 def test_csv_reader_syntax(text, expected):
+    if isinstance(expected, tuple):
+        error, message = expected
+        with pytest.raises(error) as err:
+            read_both(text)
+        assert str(err.value) == message
+        return
     got, reference = read_both(text)
     assert got.tolist() == expected
     assert got.tobytes() == reference.tobytes()
@@ -459,6 +474,10 @@ def test_csv_reader_syntax(text, expected):
     ("0,1\nabc,0\n", RowError, "abc"),                    # non-numeric
     ("0,1_0\n1,0\n", RowError, "1_0"),                    # digit separator
     ("0 1\n1 0\n", RowError, "0 1"),                      # not comma-separated
+    ('0,"0.5\n1,0\n', RowError,                          # unclosed quote
+     "line 1: could not convert string '\"0.5'"),
+    ('"0\n",1\n1,0\n', RowError,                          # quoted newline
+     "line 1: could not convert string '\"0'"),
     ("", DimensionError, "at least one node"),           # empty file
     ("\n\n", DimensionError, "at least one node"),       # blank lines only
     ("0,1\n1,0\n0,0\n", DimensionError, "square"),
@@ -643,8 +662,9 @@ def test_network_chunks_join_to_the_whole_text_writer(n, tmp_path):
 
 # 2x2 all-ones: w^t has entries 2^(t-1), so the sum of terms 1..T has entries
 # 2^T - 1 and row sums 2^(T+1) - 2.  At T=1023 every entry of the hearing
-# matrix is finite but its row sums are not; at T=1024 the sum itself
-# overflows.
+# matrix is finite but its row sums are not, and at T=1024 the matrix sum
+# itself overflows; diffusion_centrality's running sum of row sums leaves
+# the float range at t=1023 for both.
 @pytest.mark.parametrize("T", [1023, 1024])
 def test_overflowing_sums_raise_without_a_warning(T):
     net = netdiff.validate_network(np.ones((2, 2)))
