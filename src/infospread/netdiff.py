@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import shutil
 import tempfile
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -111,8 +111,10 @@ def _own_network(w: np.ndarray) -> ManagerNetwork:
         raise DimensionError(f"network must be square, got shape {w.shape}")
     if w.shape[0] < 1:
         raise DimensionError("network needs at least one node")
-    bad = ~np.isfinite(w) | (w < 0.0) | (w > 1.0)
-    if bad.any():
+    # NaN fails both comparisons and an infinity one, so the masks are only
+    # built to name the first bad entry.
+    if not (w.min() >= 0.0 and w.max() <= 1.0):
+        bad = ~np.isfinite(w) | (w < 0.0) | (w > 1.0)
         i, j = map(int, np.argwhere(bad)[0])
         raise EntryRangeError(
             f"entry w[{i},{j}]={w[i, j]!r} outside [0, 1] or non-finite"
@@ -315,21 +317,125 @@ def read_network_csv(path) -> ManagerNetwork:
     for a row whose width differs from the first row's.  A matrix read
     whole goes through the checks of ``validate_network``.  A pipe is
     copied to a temporary file first, so its faults are named alike.
+
+    Cost: a few numpy passes over each block of about 128 KiB, so no Python
+    work per cell; only the cells other than a plain ``0.0`` (in practice
+    the nonzero ones) go through numpy's float parser.  Memory: the result
+    plus about one block.
     """
     with _rewindable_text(path) as fh:
-        # numpy only warns on input without rows.
-        while (first := fh.readline()) == "\n":
-            pass
-        if not first:
-            raise DimensionError("network needs at least one node")
         try:
-            # An undecodable byte is a lone surrogate here: not a number.
-            w = np.loadtxt(chain([first], fh), delimiter=",", comments=None,
-                           ndmin=2)
+            w = _read_cells(fh.buffer)
         except ValueError as exc:
             fh.seek(0)
             raise _first_fault(fh, exc) from None
     return _own_network(w)
+
+
+# Bytes per read of a network CSV; each block is cut at its last line end.
+_READ_BLOCK = 2 ** 17
+
+
+def _read_cells(raw) -> np.ndarray:
+    """The matrix in the binary file ``raw``, a block of lines at a time.
+    Raises DimensionError for a file without rows or with more rows than
+    columns, and ValueError for any fault that ``_first_fault`` names."""
+    # A row is at least 2 * width - 1 bytes, so the file's size bounds the
+    # row count: a long first line does not make an n-by-n allocation.
+    size = os.fstat(raw.fileno()).st_size
+    w = None
+    rows = 0
+    for block in _line_blocks(raw):
+        if w is None:
+            width = block.count(b",", 0, block.index(b"\n")) + 1
+            w = np.zeros((min(width, size // (2 * width - 1) + 1), width))
+        count, keep, values = _block_cells(block, width)
+        first = rows * width
+        rows += count
+        if len(w) < min(rows, width):
+            raise ValueError("the file grew while it was read")
+        if rows <= len(w):  # past that the file is not square
+            w.reshape(-1)[first:first + keep.size][keep] = values
+    if w is None:
+        raise DimensionError("network needs at least one node")
+    if rows > width:
+        raise DimensionError(f"network must be square, got shape {(rows, width)}")
+    return w[:rows]
+
+
+def _block_cells(block: bytes, width: int):
+    """(rows, keep, values) of ``block``, lines of ``width`` cells that each
+    end in LF: ``keep`` marks the cells that are not "0.0", and ``values``
+    holds their floats.  Raises ValueError for a ragged row or a cell that
+    is not a number."""
+    a = np.frombuffer(block, np.uint8)
+    newline = a == 10
+    end = a == 44
+    end |= newline  # a cell's last byte
+    lines = np.flatnonzero(newline)
+    del newline
+    ends = np.flatnonzero(end)
+    if not np.array_equal(ends[width - 1::width], lines):
+        raise ValueError("a row's width differs from the first row's")
+    # zero[i]: bytes i-3..i are a whole "0.0" cell with its end byte.
+    zero = end.copy()
+    zero[:3] = False  # too early in the block to end a 4-byte cell
+    for k, byte in enumerate(b"0.0"):
+        zero[3:] &= a[k:a.size - 3 + k] == byte
+    zero[4:] &= end[:-4]
+    del end
+    keep = ~zero[ends]
+    if not keep.any():
+        return lines.size, keep, ()
+    zero[:-1] |= zero[1:]
+    zero[:-2] |= zero[2:]  # now every byte of a "0.0" cell
+    # The other cells, each with its end byte, made one line for numpy; an
+    # undecodable byte becomes a lone surrogate there: not a number.
+    cells = a[~zero]
+    cells[cells == 10] = 44
+    text = cells[:-1].tobytes().decode("utf-8", "surrogateescape")
+    if not text:  # numpy would warn and skip an empty line
+        raise ValueError("an empty cell")
+    return lines.size, keep, np.loadtxt([text], delimiter=",", comments=None,
+                                        ndmin=1)
+
+
+def _line_blocks(raw):
+    """The lines of the binary file ``raw`` in blocks of about
+    ``_READ_BLOCK`` bytes: CRLF and CR made LF as text mode makes them,
+    empty lines dropped, and each block ending in LF."""
+    head = []  # the start of a line that no block has ended yet
+    cr = False  # the last read ended in CR, which an LF may complete
+    while data := raw.read(_READ_BLOCK):
+        if cr and data.startswith(b"\n"):
+            data = data[1:]
+        if b"\r" in data:
+            cr = data.endswith(b"\r")
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        else:
+            cr = False
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            head.append(memoryview(data)[:cut])
+            block = _drop_empty_lines(b"".join(head))
+            head = [data[cut:]]
+            del data  # not held while the block is parsed
+            if block:
+                yield block
+        else:
+            head.append(data)
+    if last := b"".join(head):
+        yield last + b"\n"
+
+
+def _drop_empty_lines(text: bytes) -> bytes:
+    """``text``, that starts a line, without its empty lines."""
+    newline = np.frombuffer(text, np.uint8) == 10
+    if text.startswith(b"\n") or (newline[1:] & newline[:-1]).any():
+        while b"\n\n" in text:
+            text = text.replace(b"\n\n", b"\n")
+        text = text.lstrip(b"\n")
+    return text
 
 
 def _rewindable_text(path) -> io.TextIOWrapper:
@@ -384,21 +490,30 @@ def network_csv_chunks(net: ManagerNetwork):
     every block ends in a newline.
 
     Each cell is ``repr`` of the float, so the text reads back to the same
-    bits.  Zero cells are filled in bulk; only the cells that are nonzero or
-    carry a sign bit (``-0.0``) are formatted one by one.
+    bits.  Only the cells that are nonzero or carry a sign bit (``-0.0``)
+    are formatted one by one; each run of zero cells between them is one
+    slice of a zero row's text.  So the Python work is per such cell, and
+    the memory is the network plus about two blocks of text.
     """
-    zeros = ["0.0"] * net.n
-    rows = max(1, _block_rows(net.n) // 4)
-    for a in range(0, net.n, rows):
-        lines = []
-        for row in net.w[a:a + rows]:
-            cols = np.flatnonzero((row != 0.0) | np.signbit(row))
-            cells = zeros.copy()
-            for j, text in zip(cols.tolist(), map(repr, row[cols].tolist())):
-                cells[j] = text
-            lines.append(",".join(cells))
-        lines.append("")  # the block's last newline, without a second copy
-        yield "\n".join(lines)
+    n = net.n
+    zeros = "0.0," * (n - 1) + "0.0\n"  # cell j is zeros[4*j:4*j + 4]
+    rows = max(1, _block_rows(n) // 4)
+    for a in range(0, n, rows):
+        block = net.w[a:a + rows]
+        flat = block.reshape(-1)
+        cells = np.flatnonzero((flat != 0.0) | np.signbit(flat))
+        texts = map(repr, flat[cells].tolist())
+        rows_of, cols = np.divmod(cells, n)
+        parts = []
+        row = end = 0  # the text so far ends at zeros[:end] of row ``row``
+        for i, j, text in zip(rows_of.tolist(), (4 * cols).tolist(), texts):
+            if i != row:
+                parts += (zeros[end:], zeros * (i - row - 1))
+                row, end = i, 0
+            parts += (zeros[end:j], text)
+            end = j + 3  # the cell's comma or newline comes from zeros
+        parts += (zeros[end:], zeros * (len(block) - row - 1))
+        yield "".join(parts)
 
 
 def write_network_csv(path, net: ManagerNetwork) -> None:

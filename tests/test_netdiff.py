@@ -6,6 +6,7 @@ import tempfile
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -531,6 +532,110 @@ def test_csv_reader_reports_the_earliest_fault(tmp_path, text, error, line, reas
         assert err.value.line == line
 
 
+def whole_text_read_network_csv(path) -> netdiff.ManagerNetwork:
+    """The text-mode reader that ``read_network_csv``'s block reader
+    replaced, verbatim but for module prefixes: one ``np.loadtxt`` over the
+    whole file."""
+    with netdiff._rewindable_text(path) as fh:
+        # numpy only warns on input without rows.
+        while (first := fh.readline()) == "\n":
+            pass
+        if not first:
+            raise DimensionError("network needs at least one node")
+        try:
+            # An undecodable byte is a lone surrogate here: not a number.
+            w = np.loadtxt(chain([first], fh), delimiter=",", comments=None,
+                           ndmin=2)
+        except ValueError as exc:
+            fh.seek(0)
+            raise netdiff._first_fault(fh, exc) from None
+    return netdiff._own_network(w)
+
+
+def outcome(read, path):
+    """The bits and shape a reader returns, or its error's class, message
+    and line."""
+    try:
+        w = read(path).w
+    except (DimensionError, EntryRangeError, RowError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return w.shape, w.tobytes()
+
+
+# Mostly canonical zeros, so that both the bulk path and the parsed cells
+# land on every side of a block edge.
+CELL_BYTES = st.one_of(
+    st.just(b"0.0"),
+    st.sampled_from([b"0", b"00.0", b".0", b"0.00", b"-0.0", b" 0.0", b"0.0\t",
+                     b"1e-3", b"abc", b"", b"0.5", b"\xff", b"\x00", b"0.0\x00",
+                     b"\xc2\xa00.25", b"0.0 ", b"2", b"0.0\xe9"]),
+    st.floats(0.0, 1.0).map(lambda x: repr(x).encode()),
+)
+LINE_ENDS = st.sampled_from([b"\n", b"\r\n", b"\r"])
+
+
+@st.composite
+def network_files(draw):
+    n = draw(st.integers(1, 6))
+    lines = []
+    for _ in range(draw(st.sampled_from([n, n, n, n - 1, n + 1, 1]))):
+        width = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+        cells = draw(st.lists(st.one_of(st.just(b"0.0"), CELL_BYTES),
+                              min_size=max(width, 1), max_size=max(width, 1)))
+        row = b",".join(cells) + draw(st.sampled_from([b"", b"", b"", b","]))
+        blank = draw(st.lists(LINE_ENDS, max_size=2))
+        lines.append(b"".join(blank) + row + draw(LINE_ENDS))
+    text = b"".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip(b"\r\n")
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=network_files(), block=st.integers(7, 64))
+def test_block_reader_matches_the_whole_text_reader(text, block):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.csv"
+        path.write_bytes(text)
+        expected = outcome(whole_text_read_network_csv, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netdiff, "_READ_BLOCK", block)
+            assert outcome(netdiff.read_network_csv, path) == expected
+
+
+def test_reader_memory_is_the_result_plus_a_block(tmp_path):
+    n = 1100
+    path = tmp_path / "net.csv"
+    netdiff.write_network_csv(path, netdiff.generate_random_network(n, 0.05, seed=3))
+    net, peak = traced_peak(netdiff.read_network_csv, path)
+    assert net.n == n
+    assert peak <= 1.1 * n * n * 8
+
+
+def test_one_long_line_allocates_one_row(tmp_path):
+    # The file's size allows one row of 200 000 cells, not 200 000 rows.
+    path = tmp_path / "line.csv"
+    path.write_text(",".join(["0.0"] * 200_000) + "\n")
+    err, peak = traced_peak(pytest.raises, DimensionError,
+                            netdiff.read_network_csv, path)
+    assert str(err.value) == "network must be square, got shape (1, 200000)"
+    assert peak <= 12 * 2 ** 20
+
+
+@pytest.mark.parametrize("block", [7, 2 ** 17])
+def test_more_rows_than_columns_names_the_shape(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(netdiff, "_READ_BLOCK", block)
+    path = tmp_path / "tall.csv"
+    path.write_text("0.0,0.5\n" * 7 + "0.25,0.0\n")
+    with pytest.raises(DimensionError) as err:
+        netdiff.read_network_csv(path)
+    assert str(err.value) == "network must be square, got shape (8, 2)"
+    path.write_text("0.0,0.5\n" * 7 + "0.25,x\n")  # a fault past the square
+    with pytest.raises(RowError) as err:
+        netdiff.read_network_csv(path)
+    assert err.value.line == 8
+
+
 # -- row-blocked kernels against the whole-matrix code ------------------------
 
 def reference_hearing_matrix(net: netdiff.ManagerNetwork, T: int) -> np.ndarray:
@@ -658,6 +763,33 @@ def test_network_chunks_join_to_the_whole_text_writer(n, tmp_path):
     assert "".join(chunks) == whole_network_csv_text(net)
     netdiff.write_network_csv(tmp_path / "net.csv", net)
     assert (tmp_path / "net.csv").read_bytes() == whole_network_csv_text(net).encode()
+
+
+def edge_matrix(case: str) -> np.ndarray:
+    """A matrix whose nonzero cells sit where the run-length writer turns."""
+    if case.startswith("1x1"):
+        return np.array([[float(case[4:])]])
+    n = 1100
+    rows = max(1, netdiff._block_rows(n) // 4)
+    w = (netdiff.generate_random_network(n, 0.3, seed=4).w.copy()
+         if case == "dense" else np.zeros((n, n)))
+    w[rows:2 * rows] = 0.0  # an all-zero block
+    w[0, -1] = -0.0
+    w[rows - 1, -1] = 0.5  # the last cell of a block
+    w[2 * rows, 0] = 1.0  # the first cell of the block after the zero block
+    w[5] = 0.25  # a row without a zero cell
+    w[-1, -1] = -0.0  # the last cell of the last block
+    return w
+
+
+@pytest.mark.parametrize("case", ["1x1 0.0", "1x1 -0.0", "1x1 1.0", "sparse", "dense"])
+def test_network_chunks_match_the_whole_text_writer_at_the_edges(case):
+    net = netdiff.validate_network(edge_matrix(case))
+    chunks = list(netdiff.network_csv_chunks(net))
+    rows = max(1, netdiff._block_rows(net.n) // 4)
+    assert len(chunks) == -(-net.n // rows)
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert "".join(chunks) == whole_network_csv_text(net)
 
 
 # 2x2 all-ones: w^t has entries 2^(t-1), so the sum of terms 1..T has entries
