@@ -5,8 +5,10 @@ fund_id,family,province,category,manager_race,manager_gender,assets,performance
 (leading '#' comment lines are skipped so bundled fixtures can document
 themselves), provinces from a closed list, enumerated race/gender values,
 and nonnegative assets.  Every rejected row reports its file line number.
-Records are read into a ``FundTable``, one list per field, and the reports
-read its columns.
+The file is read in one pass over one handle, so it may be a pipe; rows
+are checked in bulk, and only a chunk that fails is checked row by row to
+name its first faulty row.  Records are read into a ``FundTable``, one list
+per field, and the reports read its columns.
 
 Summary statistics stream through Welford accumulation; records are put in
 a canonical order first and asset totals use exact summation, so shuffling
@@ -156,6 +158,7 @@ class FundTable(Sequence):
 
 _RECORD_VALUES = attrgetter(*CSV_COLUMNS)
 _WIDTH = len(CSV_COLUMNS)
+_BLANK_CELLS = ("",) * (_WIDTH - 1)
 # Rows validated per bulk check; each chunk's numeric strings are freed with it.
 _CHUNK_ROWS = 8192
 # Each enumerated value mapped to the package's own string, so every row
@@ -169,59 +172,42 @@ def ingest_csv(path) -> FundTable:
     """Read and validate fund records into a ``FundTable``; empty data is an
     empty table.
 
-    Rows are checked in bulk, a chunk at a time.  If any check fails, the
-    file is read again row by row, so the first faulty row is reported with
-    the same error and line as a row-by-row read.  The file must be UTF-8:
-    a row holding bytes that are not, a NUL character, or text the csv
-    module cannot split (a field over its size limit), is a RowError naming
-    its line, or a SchemaError if no header came before it.
+    The file is opened once and read once, so ``path`` may be a pipe.  Rows
+    are checked in bulk, a chunk at a time; when a check fails, or a row
+    that cannot be read arrives, the rows of that chunk are checked one by
+    one in file order, so the first faulty row is reported with the same
+    error and line as a row-by-row read.  The file must be UTF-8: a row
+    holding bytes that are not, a NUL character, or text the csv module
+    cannot split (a field over its size limit), is a RowError naming its
+    line, or a SchemaError if no header came before it.
     """
-    table = None
-    if not _holds_nul(path):
-        with open(path, encoding="utf-8", newline="") as fh:
-            table = _ingest_bulk(csv.reader(fh))
-    if table is None:
-        # surrogateescape decodes every byte, so the row-by-row read can
-        # find the row that holds an undecodable one.
-        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            table = FundTable.from_records(_parse_rows(_text_rows(fh)))
-    return table
-
-
-def _holds_nul(path) -> bool:
-    """Whether a file holds a NUL byte, which in UTF-8 is only ever the NUL
-    character.  Some versions of the csv module reject it and others read
-    it, so such a file goes to the row-by-row read, which names the row."""
-    block = bytearray(1 << 16)
-    with open(path, "rb") as fh:
-        while size := fh.readinto(block):
-            if block.find(0, 0, size) >= 0:
-                return True
-    return False
-
-
-def _text_rows(fh):
-    """The csv rows of a file opened with errors="surrogateescape"; a row
-    that holds a NUL character or an undecodable byte, or that the csv
-    module cannot split, raises RowError naming its line."""
-    reader = csv.reader(fh)
-    lineno = 1
-    while True:
+    columns = [[] for _ in CSV_COLUMNS]
+    cells: list[str] = []
+    chunk_cells = _CHUNK_ROWS * _WIDTH
+    # surrogateescape decodes every byte, so an undecodable one is named by
+    # the row that holds it.
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(fh)
+        first = _read_header(reader) + 1  # the line of the chunk's first row
         try:
-            row = next(reader)
-        except StopIteration:
-            return
+            for row in reader:
+                if len(row) != _WIDTH:
+                    if row and not _is_comment(row[0]):
+                        # A data row of the wrong width: raises.
+                        _check_row(row, _check_rows(cells, first))
+                    # A blank or comment row keeps its line, and its text for
+                    # the text check, as one full-width comment row.
+                    row = ["#" + "".join(row), *_BLANK_CELLS]
+                cells += row
+                if len(cells) == chunk_cells:
+                    _append_chunk(columns, cells, first)
+                    first += _CHUNK_ROWS
+                    cells = []
         except csv.Error as exc:
+            lineno = _check_rows(cells, first)
             raise RowError(f"line {lineno}: {exc}", line=lineno) from None
-        text = "".join(row)
-        if "\x00" in text:
-            raise RowError(f"line {lineno}: line contains NUL", line=lineno)
-        try:
-            text.encode()  # an escaped byte is a lone surrogate: no UTF-8
-        except UnicodeEncodeError:
-            raise RowError(f"line {lineno}: text is not UTF-8", line=lineno) from None
-        yield row
-        lineno += 1
+    _append_chunk(columns, cells, first)
+    return FundTable(*columns)
 
 
 def _is_comment(cell: str) -> bool:
@@ -229,11 +215,25 @@ def _is_comment(cell: str) -> bool:
     return cell.lstrip().startswith("#")
 
 
+def _check_text(text: str, lineno: int) -> None:
+    """Raise RowError if a row's text holds a NUL character or an escaped
+    byte that is not UTF-8."""
+    if "\x00" in text:
+        raise RowError(f"line {lineno}: line contains NUL", line=lineno)
+    if not text.isascii():
+        try:
+            text.encode()  # an escaped byte is a lone surrogate: no UTF-8
+        except UnicodeEncodeError:
+            raise RowError(f"line {lineno}: text is not UTF-8", line=lineno) from None
+
+
 def _read_header(reader) -> int:
     """Consume rows through the header row, check it, and return its line.
     A row that cannot be read before the header is a SchemaError."""
+    lineno = 0
     try:
         for lineno, row in enumerate(reader, start=1):
+            _check_text("".join(row), lineno)
             if not row or _is_comment(row[0]):
                 continue
             header = tuple(cell.strip() for cell in row)
@@ -241,24 +241,31 @@ def _read_header(reader) -> int:
                 raise SchemaError(f"header {header} does not match required "
                                   f"schema {CSV_COLUMNS}")
             return lineno
+    except csv.Error as exc:
+        raise SchemaError(f"line {lineno + 1}: {exc}") from None
     except RowError as exc:
         raise SchemaError(str(exc)) from None
     raise SchemaError("file has no header row")
 
 
-def _parse_rows(reader):
-    """Validated records one row at a time; the first faulty row raises."""
-    for lineno, row in enumerate(reader, start=_read_header(reader) + 1):
-        if not row or _is_comment(row[0]):
-            continue
-        yield _parse_row(row, lineno)
+def _check_rows(cells: list, first: int) -> int:
+    """Check the rows of a flat cell list one by one, the first on line
+    ``first``, raising the first faulty row's RowError; the line after them."""
+    for lineno, row in enumerate(zip(*[iter(cells)] * _WIDTH), start=first):
+        _check_row(row, lineno)
+    return first + len(cells) // _WIDTH
 
 
-def _parse_row(row, lineno: int) -> FundRecord:
+def _check_row(row, lineno: int) -> None:
+    """Raise the RowError of a faulty row: its text first, then, unless it
+    is a comment row, its fields."""
+    _check_text("".join(row), lineno)
+    if _is_comment(row[0]):
+        return
     if len(row) != len(CSV_COLUMNS):
         raise RowError(f"line {lineno}: expected {len(CSV_COLUMNS)} fields, "
                        f"got {len(row)}", line=lineno)
-    fund_id, family, province, category, race, gender, assets_s, perf_s = row
+    _, _, province, _, race, gender, assets_s, perf_s = row
     if province not in PROVINCES:
         raise RowError(f"line {lineno}: unknown province {province!r}", line=lineno)
     if race not in RACES:
@@ -277,56 +284,37 @@ def _parse_row(row, lineno: int) -> FundRecord:
                        line=lineno)
     if assets < 0:
         raise RowError(f"line {lineno}: negative assets {assets!r}", line=lineno)
-    return FundRecord(fund_id, family, province, category, race, gender,
-                      assets, performance)
 
 
-def _ingest_bulk(reader) -> FundTable | None:
-    """The table, or None if some row fails a check (or the file cannot be
-    read past it), leaving the diagnosis to ``_parse_rows``."""
-    columns = [[] for _ in CSV_COLUMNS]
-    cells: list[str] = []
-    chunk_cells = _CHUNK_ROWS * _WIDTH
-    try:
-        _read_header(reader)
-        for row in reader:
-            if len(row) == _WIDTH:  # _append_chunk drops comment rows of this width
-                cells += row
-                if len(cells) == chunk_cells:
-                    if not _append_chunk(columns, cells):
-                        return None
-                    cells = []
-            elif row and not _is_comment(row[0]):
-                return None
-    except (csv.Error, UnicodeDecodeError):
-        return None
-    if not _append_chunk(columns, cells):
-        return None
-    return FundTable(*columns)
-
-
-def _append_chunk(columns: list, cells: list) -> bool:
-    """Drop the comment rows of a flat cell list, check the other rows all at
-    once and append them to the columns; False, appending nothing, if any
-    row is faulty."""
+def _append_chunk(columns: list, cells: list, first: int) -> None:
+    """Check the rows of a flat cell list all at once, the first on line
+    ``first``, drop the comment rows and append the others to the columns.
+    If any row is faulty, raise the first one's RowError, appending nothing."""
     chunk = [cells[k::_WIDTH] for k in range(_WIDTH)]
-    if "#" in "".join(chunk[0]):
+    text = "".join(chunk[0])
+    if "#" in text:
         keep = [not _is_comment(cell) for cell in chunk[0]]
         chunk = [list(compress(column, keep)) for column in chunk]
+        text = "".join(cells)  # a comment row's cells are not checked below
     try:
+        # A NUL or escaped byte in a column that a lookup or float() checks
+        # fails that check, so the text check needs only the free-text columns.
+        _check_text("".join([text, *chunk[1], *chunk[3]]), first)
         chunk[2] = list(map(_PROVINCE_OF.__getitem__, chunk[2]))
         chunk[4] = list(map(_RACE_OF.__getitem__, chunk[4]))
         chunk[5] = list(map(_GENDER_OF.__getitem__, chunk[5]))
         assets = chunk[6] = list(map(float, chunk[6]))
         performance = chunk[7] = list(map(float, chunk[7]))
-    except (KeyError, ValueError):
-        return False
-    if not (all(map(math.isfinite, assets)) and all(map(math.isfinite, performance))
-            and (not assets or min(assets) >= 0)):
-        return False
-    for column, part in zip(columns, chunk):
-        column.extend(part)
-    return True
+    except (RowError, KeyError, ValueError):
+        pass
+    else:
+        if (all(map(math.isfinite, assets)) and all(map(math.isfinite, performance))
+                and (not assets or min(assets) >= 0)):
+            for column, part in zip(columns, chunk):
+                column.extend(part)
+            return
+    _check_rows(cells, first)
+    raise AssertionError(f"line {first}: a chunk failed with no faulty row")
 
 
 def summarize(records, group_by: str, value: str) -> list[SummaryRow]:

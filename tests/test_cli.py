@@ -281,6 +281,29 @@ def test_piped_network_reads_like_its_file(tmp_path):
     assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
 
 
+def test_piped_funds_report_matches_its_file(tmp_path):
+    with piped(Path(FUNDS).read_bytes()) as pipe:
+        assert cli.main(["funds", "provinces", "--input", pipe,
+                         "--out", str(tmp_path / "piped.csv"), "--quiet"]) == 0
+    assert cli.main(["funds", "provinces", "--input", FUNDS,
+                     "--out", str(tmp_path / "file.csv"), "--quiet"]) == 0
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / f"piped{suffix}").read_bytes() == \
+            (tmp_path / f"file{suffix}").read_bytes()
+
+
+def test_piped_funds_name_their_faulty_line(tmp_path, capsys):
+    text = FUND_HEADER + b"\nF1,fam,KZN,A,black,F,1,0.5\nF2,fam,Atlantis,A,black,F,1,0.5\n"
+    error = "error: RowError: line 3: unknown province 'Atlantis'\n"
+    path = tmp_path / "funds.csv"
+    path.write_bytes(text)
+    assert cli.main(["funds", "provinces", "--input", str(path)]) == 1
+    assert one_error_line(capsys, "error: ") == error
+    with piped(text) as pipe:
+        assert cli.main(["funds", "provinces", "--input", pipe]) == 1
+    assert one_error_line(capsys, "error: ") == error
+
+
 def test_network_directory_exits_3(tmp_path, capsys):
     assert cli.main(["network", "centrality", "--network", str(tmp_path),
                      "--horizon", "2"]) == 3

@@ -3,8 +3,12 @@
 import csv
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -335,8 +339,8 @@ def test_utf8_text_is_read_by_both_passes(tmp_path):
     path = tmp_path / "funds.csv"
     path.write_bytes(f"{HEADER}\n{good}\n".encode())
     assert fundstats.ingest_csv(path)[0].family == "Caf\u00e9 \u2013 \U0001f4c8"
-    # A faulty row sends the file to the row-by-row pass, which must get past
-    # the UTF-8 row to the fault.
+    # A faulty row sends its chunk to the row-by-row checks, which must get
+    # past the UTF-8 row to the fault.
     path.write_bytes(f"{HEADER}\n{good}\nF2,fam,Atlantis,A,black,F,1,0.5\n".encode())
     with pytest.raises(RowError, match="^line 3: unknown province"):
         fundstats.ingest_csv(path)
@@ -376,6 +380,52 @@ def test_nul_before_the_data_is_a_schema_error(tmp_path, text):
     path.write_text(text + "F1,fam,Gauteng,A,white,M,1,0.2\n")
     with pytest.raises(SchemaError, match="^line 1: line contains NUL$"):
         fundstats.ingest_csv(path)
+
+
+# Ingest reads its file once, so a pipe is named the same fault as the file
+# it carries, with no second read to find the faulty row.
+PIPE_FAULTS = {"NUL": NUL_ROWS["family"], "unknown province": ROW_FAULTS["unknown province"]}
+
+
+def piped_outcome(data: bytes):
+    """``ingest_outcome`` of a pipe that a writer thread fills with ``data``."""
+    read, write = os.pipe()
+
+    def fill():
+        try:
+            with os.fdopen(write, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the ingest stopped at the fault
+            pass
+
+    writer = threading.Thread(target=fill)
+    writer.start()
+    try:
+        return ingest_outcome(fundstats.ingest_csv, f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+        writer.join()
+
+
+@pytest.mark.parametrize("fault", sorted(PIPE_FAULTS))
+def test_a_pipe_names_the_fault_of_its_file(tmp_path, fault):
+    lines = LONG_ROWS.copy()
+    lines[CHUNK + 17] = PIPE_FAULTS[fault]
+    path = tmp_path / "funds.csv"
+    write_long_file(path, lines)
+    outcome = ingest_outcome(fundstats.ingest_csv, path)
+    assert outcome[::2] == (RowError, CHUNK + 19)
+    assert piped_outcome(path.read_bytes()) == outcome
+
+
+def test_importing_fundstats_leaves_numpy_unloaded():
+    # The fund reader is stdlib-only, so a funds run need not load numpy.
+    env = {**os.environ, "PYTHONPATH": str(Path(fundstats.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, infospread.fundstats; "
+         "print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 GOOD_FILES = st.lists(st.one_of(csv_line(GOOD_ROW), COMMENT_OR_BLANK), max_size=20).map(
