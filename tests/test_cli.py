@@ -753,6 +753,12 @@ PINNED = {
         ["rd", "--length", "4", "--horizon", "1", "--snapshot_every", "100",
          "--out", "wave"],
         "b48dbab5256a8edc546b2609d5195f0165f0da85837624daaf21a2241c7d3534"),
+    # The default 2001-node grid for 5000 steps: many finiteness-check
+    # intervals, and the subnormal values ahead of the front.  Recorded with
+    # the kernel that checked every step.
+    "rd-default-grid": (
+        ["rd", "--horizon", "10", "--snapshot_every", "1000", "--out", "wave"],
+        "a40b10f690924bc4493d18802cdcf0f1bd6089d310c5615dcee6ecea2f6d8425"),
     "fastslow": (
         ["fastslow", "--epsilon", "0.05", "--horizon", "10", "--out", "fs.csv"],
         "2e7c1f3969cd9ecbbef80a036eb36a094f104f31b5a722d52476057cbac27d53"),
