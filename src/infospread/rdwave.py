@@ -13,7 +13,9 @@ position over a time window.
 The Laplacian uses the flux form at the boundaries (one-sided differences),
 so under pure diffusion the discrete mass sum(u)*dx is conserved to machine
 precision; the mirror-ghost variant would not conserve the nodal sum
-exactly.
+exactly.  A run checks its field for non-finite values every 64 steps, so a
+blow-up is caught within 64 steps of its first non-finite value and is still
+reported at that step and node.
 
 The fast-slow layer multiplies the informed-compartment derivative of the
 planar contagion system by 1/epsilon:
@@ -188,38 +190,71 @@ class FastSlowConfig:
               self.layer_time, f"at most the last output time {self.h * self.steps!r}")
 
 
-def _ftcs_step(u: np.ndarray, out: np.ndarray, lap: np.ndarray, g: np.ndarray,
-               cfg: ReactionDiffusionConfig) -> None:
-    """Write u + dt*(nu*Laplacian(u) + g(u)) into ``out``.
+# Steps between two finiteness checks of a field run.
+_CHECK_EVERY = 64
 
-    ``lap`` and ``g`` are scratch buffers of u's shape.  Each ufunc applies
-    one operation of the formula in its order, so the result is bitwise the
-    same as evaluating the formula with fresh arrays.  The caller decides
-    how overflow is reported (``np.errstate``).
+
+def _ftcs_kernel(cfg: ReactionDiffusionConfig, u: np.ndarray, out: np.ndarray,
+                 lap: np.ndarray, g: np.ndarray):
+    """Return a function that writes u + dt*(nu*Laplacian(u) + g(u)) into ``out``.
+
+    ``lap`` and ``g`` are scratch buffers of u's shape.  The views of the
+    buffers and the coefficients (0-d float64 arrays, which numpy applies
+    faster than Python or numpy scalars) are built here, once, so a step
+    only calls ufuncs.  Each ufunc applies one operation of the formula in
+    its order, so the result is bitwise the same as evaluating the formula
+    with fresh arrays.  The caller decides how overflow is reported
+    (``np.errstate``).
     """
-    # Flux form with zero-flux boundaries: column sums vanish, so the nodal
-    # sum is conserved exactly under pure diffusion.
-    if len(u) == 1:
-        lap[0] = 0.0
-    else:
-        inner = lap[1:-1]
-        np.multiply(2.0, u[1:-1], out=inner)
-        np.subtract(u[:-2], inner, out=inner)
-        np.add(inner, u[2:], out=inner)
-        lap[0] = u[1] - u[0]
-        lap[-1] = u[-2] - u[-1]
-    np.multiply(cfg.d_coeff / (cfg.dx * cfg.dx), lap, out=lap)
-    # The rate: r*u*(1 - u/K), or r*u*(u - a)*(1 - u/K) for the Allee family.
-    np.multiply(cfg.r_rate, u, out=out)
-    if cfg.rate_family == "allee":
-        np.subtract(u, cfg.allee_threshold, out=g)
-        np.multiply(out, g, out=out)
-    np.divide(u, cfg.k_cap, out=g)
-    np.subtract(1.0, g, out=g)
-    np.multiply(out, g, out=g)
-    np.add(lap, g, out=lap)
-    np.multiply(cfg.dt, lap, out=lap)
-    np.add(u, lap, out=out)
+    n = len(u)
+    nu, r, k_cap, a, dt, two, one = (
+        np.array(v, dtype=np.float64)
+        for v in (cfg.d_coeff / (cfg.dx * cfg.dx), cfg.r_rate, cfg.k_cap,
+                  cfg.allee_threshold, cfg.dt, 2.0, 1.0))
+    allee = cfg.rate_family == "allee"
+    lap_in, u_in, u_left, u_right = lap[1:-1], u[1:-1], u[:-2], u[2:]
+    if n > 1:
+        # The end nodes and their inner neighbours u[1] and u[n-2], one view
+        # each.  On 3 nodes the neighbours are one node, which the ufunc
+        # broadcasts; on 2 nodes each end is the other's neighbour.
+        inner = u_in if n > 2 else u[::-1]
+        lap_ends, u_ends, u_next = lap[::n - 1], u[::n - 1], inner[::max(n - 3, 1)]
+    multiply, subtract, add, divide = np.multiply, np.subtract, np.add, np.divide
+
+    def step() -> None:
+        # Flux form with zero-flux boundaries: column sums vanish, so the
+        # nodal sum is conserved exactly under pure diffusion.
+        multiply(two, u_in, lap_in)
+        subtract(u_left, lap_in, lap_in)
+        add(lap_in, u_right, lap_in)
+        if n > 1:
+            subtract(u_next, u_ends, lap_ends)
+        else:
+            lap[0] = 0.0
+        multiply(nu, lap, lap)
+        # The rate: r*u*(1 - u/K), or r*u*(u - a)*(1 - u/K) for the Allee family.
+        multiply(r, u, out)
+        if allee:
+            subtract(u, a, g)
+            multiply(out, g, out)
+        divide(u, k_cap, g)
+        subtract(one, g, g)
+        multiply(out, g, g)
+        add(lap, g, lap)
+        multiply(dt, lap, lap)
+        add(u, lap, out)
+
+    return step
+
+
+def _first_non_finite(u: np.ndarray) -> int | None:
+    """Index of u's first non-finite node, or None if every node is finite."""
+    # A finite sum means every node is finite, so only a sum that overflowed
+    # (or a blow-up) pays for the nodewise check.
+    if math.isfinite(u.sum()):
+        return None
+    bad = np.flatnonzero(~np.isfinite(u))
+    return int(bad[0]) if len(bad) else None
 
 
 def rd_step(field: FieldState, cfg: ReactionDiffusionConfig) -> FieldState:
@@ -227,7 +262,7 @@ def rd_step(field: FieldState, cfg: ReactionDiffusionConfig) -> FieldState:
     u = np.asarray(field.u, dtype=float)
     out = np.empty_like(u)
     with np.errstate(over="ignore", invalid="ignore"):
-        _ftcs_step(u, out, np.empty_like(u), np.empty_like(u), cfg)
+        _ftcs_kernel(cfg, u, out, np.empty_like(u), np.empty_like(u))()
     return FieldState(u=out, t=field.t + cfg.dt)
 
 
@@ -235,11 +270,18 @@ def rd_integrate(cfg: ReactionDiffusionConfig, init: FieldState,
                  snapshot_every: int) -> list[FieldState]:
     """Advance to the configured horizon, returning periodic snapshots.
 
-    Snapshots are taken at step 0 and every ``snapshot_every`` steps; the
-    final state is always included.  Raises NonFiniteError with the time and
-    node index if the field blows up.
+    Snapshots are taken at step 0 and every ``snapshot_every`` steps (an
+    integer >= 1); the final state is always included.  A blow-up raises
+    NonFiniteError naming the time and node of the first non-finite value.
+    The field is checked every 64 steps, at each snapshot and at the last
+    step, so a blow-up is caught within 64 steps; the run then replays from
+    the last checked field, checking every step, to name its first step.
     """
+    check(isinstance(snapshot_every, (int, np.integer))
+          and not isinstance(snapshot_every, bool),
+          "snapshot_every", snapshot_every, "an integer")
     check(snapshot_every >= 1, "snapshot_every", snapshot_every, ">= 1")
+    snapshot_every = int(snapshot_every)  # snapshot times stay Python floats
     u = np.array(init.u, dtype=float)
     if len(u) != cfg.n_nodes:
         raise ParamError(
@@ -247,19 +289,36 @@ def rd_integrate(cfg: ReactionDiffusionConfig, init: FieldState,
     if not np.isfinite(u).all():
         raise ParamError("initial field must be finite")
     snapshots = [FieldState(u=u.copy(), t=init.t)]
-    nxt, lap, g = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    fields = (u, np.empty_like(u))
+    lap, g = np.empty_like(u), np.empty_like(u)
+    kernels = (_ftcs_kernel(cfg, fields[0], fields[1], lap, g),
+               _ftcs_kernel(cfg, fields[1], fields[0], lap, g))
+    checked, checked_k = u.copy(), 0
+    every, k, side = _CHECK_EVERY, 0, 0
     # Overflow is not a numpy-level event here: blow-ups surface as
-    # NonFiniteError from the explicit isfinite check.  A finite sum means
-    # every node is finite, so only a sum that overflowed (or a blow-up)
-    # pays for the nodewise check.
+    # NonFiniteError from the explicit finiteness check.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, cfg.steps + 1):
-            _ftcs_step(u, nxt, lap, g, cfg)
-            u, nxt = nxt, u
-            if not math.isfinite(u.sum()) and not np.isfinite(u).all():
-                t = init.t + k * cfg.dt
-                j = int(np.nonzero(~np.isfinite(u))[0][0])
-                raise NonFiniteError(f"non-finite field value at t={t:g}, node {j}")
+        while k < cfg.steps:
+            stop = min((k // every + 1) * every,
+                       (k // snapshot_every + 1) * snapshot_every, cfg.steps)
+            for _ in range(stop - k):
+                kernels[side]()
+                side ^= 1
+            u = fields[side]
+            j = _first_non_finite(u)
+            if j is not None:
+                if every == 1:
+                    t = init.t + stop * cfg.dt
+                    raise NonFiniteError(f"non-finite field value at t={t:g}, node {j}")
+                # A non-finite node stays non-finite under u + dt*(...), so
+                # the first non-finite step lies after the last check: replay
+                # from there one step at a time.
+                np.copyto(fields[0], checked)
+                every, k, side = 1, checked_k, 0
+                continue
+            k = stop
+            np.copyto(checked, u)
+            checked_k = k
             if k % snapshot_every == 0 or k == cfg.steps:
                 snapshots.append(FieldState(u=u.copy(), t=init.t + k * cfg.dt))
     return snapshots
@@ -332,6 +391,11 @@ def fast_slow_integrate(cfg: FastSlowConfig) -> FastSlowResult:
     axis, so the increments of an unresolved real mode grow without
     changing sign rather than oscillate.  A genuine fast spike of order
     1/epsilon is legitimate dynamics and passes through.
+
+    A decaying I can stop at a subnormal value where RK4's decrement rounds
+    to nothing (58 * 2**-1074 from t = 4.4 at epsilon = 1e-3 with the
+    default rates), and every later substep then runs on slow subnormal
+    operands; it is kept, since flushing it to zero would change the output.
     """
     p = cfg.sir
     beta, alpha, mu, n, eps = p.beta, p.alpha, p.mu, p.n_total, cfg.epsilon

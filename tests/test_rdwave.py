@@ -246,8 +246,10 @@ def _reference_fields(cfg, family):
             (still, np.full(cfg.n_nodes, 1e306), False)]
 
 
-# length 0.04 rounds to one node: a grid of 1, 2, 3 and 2001 nodes.
-NODE_LENGTHS = {1: 0.04, 2: 0.1, 3: 0.2, 2001: 200.0}
+# length 0.04 rounds to one node: a grid of 1, 2, 3, 4, 5 and 2001 nodes.
+# The end nodes' inner neighbours are one view with a stride of -1, 0, 1 and
+# 2 elements on 2 to 5 nodes.
+NODE_LENGTHS = {1: 0.04, 2: 0.1, 3: 0.2, 4: 0.3, 5: 0.4, 2001: 200.0}
 
 
 @pytest.mark.parametrize("snapshot_every", [1, 7, 500])
@@ -275,6 +277,93 @@ def test_chained_steps_match_the_reference_bitwise(family, n_nodes):
             u, t = _reference_step_array(u, run_cfg), t + run_cfg.dt
             state = rdwave.rd_step(state, run_cfg)
             assert (state.u.tobytes(), state.t) == (u.tobytes(), t)
+
+
+def _spike_blowing_up_at(cfg, step):
+    """Zeros but -2**-p at the middle node, with p chosen by bisection so
+    that the reference run first turns non-finite at ``step``: the smaller
+    the spike, the later the blow-up."""
+    def spike(p):
+        u = np.zeros(cfg.n_nodes)
+        u[cfg.n_nodes // 2] = -(2.0 ** -p)
+        return u
+
+    def first_non_finite_step(p):
+        u = spike(p)
+        for k in range(1, cfg.steps + 1):
+            u = _reference_step_array(u, cfg)
+            if not np.isfinite(u).all():
+                return k
+        return cfg.steps + 1
+
+    lo, hi = -1023, 1074  # the exponents of normal and subnormal powers of 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if first_non_finite_step(mid) >= step:
+            hi = mid
+        else:
+            lo = mid + 1
+    assert first_non_finite_step(lo) == step
+    return spike(lo)
+
+
+# The field is checked every 64 steps, at each snapshot (every 30 steps
+# here) and at the last step (139).
+BLOWUP_STEPS = {"on step 1": 1, "between two checks": 100, "on a 64-step check": 128,
+                "on a snapshot check": 90, "on the last step": 139}
+
+
+@pytest.mark.parametrize("where", sorted(BLOWUP_STEPS))
+@pytest.mark.parametrize("n_nodes", sorted(NODE_LENGTHS))
+def test_blowup_is_named_at_its_first_step(n_nodes, where):
+    step = BLOWUP_STEPS[where]
+    cfg = make_cfg(dx=2.0, dt=1.0, k_cap=2.0 ** 1000, length=2.0 * (n_nodes - 1) + 0.5,
+                   horizon=139.0)
+    assert (cfg.n_nodes, cfg.steps) == (n_nodes, 139)
+    init = rdwave.FieldState(u=_spike_blowing_up_at(cfg, step), t=0.0)
+    expected = _outcome(_reference_integrate, cfg, init, 30)
+    assert expected[1].startswith(f"non-finite field value at t={step}, node ")
+    assert _outcome(rdwave.rd_integrate, cfg, init, 30) == expected
+
+
+def test_snapshots_share_no_memory():
+    cfg = make_cfg(length=NODE_LENGTHS[5], horizon=0.2)
+    u0 = np.linspace(0.0, 1.0, cfg.n_nodes)
+    init = rdwave.FieldState(u=u0.copy(), t=0.0)
+    snaps = rdwave.rd_integrate(cfg, init, 7)
+    assert np.array_equal(init.u, u0)
+    before = [snap.u.copy() for snap in snaps]
+    for k, snap in enumerate(snaps):
+        snap.u[:] = -1.0
+        assert all(np.array_equal(other.u, was)
+                   for other, was in zip(snaps[k + 1:], before[k + 1:]))
+    field = rdwave.FieldState(u=u0.copy(), t=0.0)
+    rdwave.rd_step(field, cfg)
+    assert np.array_equal(field.u, u0)
+
+
+@pytest.mark.parametrize("snapshot_every, domain", [
+    (2.5, "an integer"), (7.0, "an integer"), (math.inf, "an integer"),
+    (math.nan, "an integer"), (True, "an integer"), ("7", "an integer"),
+    (None, "an integer"), (0, ">= 1"), (-3, ">= 1"), (np.int64(0), ">= 1"),
+])
+def test_snapshot_interval_is_an_integer_of_at_least_one(snapshot_every, domain):
+    cfg = make_cfg(length=1.0, horizon=0.03)
+    init = rdwave.FieldState(u=np.zeros(cfg.n_nodes), t=0.0)
+    with pytest.raises(ParamError, match=f"^snapshot_every must be {domain}, got ") as info:
+        rdwave.rd_integrate(cfg, init, snapshot_every)
+    assert info.value.name == "snapshot_every"
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint8, np.int32])
+def test_numpy_integer_snapshot_interval_acts_as_an_int(kind):
+    cfg = make_cfg(length=1.0, horizon=0.03)
+    init = rdwave.FieldState(u=np.linspace(0.0, 1.0, cfg.n_nodes), t=0.5)
+    snaps = rdwave.rd_integrate(cfg, init, kind(4))
+    expected = rdwave.rd_integrate(cfg, init, 4)
+    assert [(type(s.t), s.t, s.u.tobytes()) for s in snaps] == \
+        [(float, s.t, s.u.tobytes()) for s in expected]
+    assert len(snaps) == 5
 
 
 # -- wave speed --------------------------------------------------------------
