@@ -247,8 +247,8 @@ def _reference_fields(cfg, family):
 
 
 # length 0.04 rounds to one node: a grid of 1, 2, 3, 4, 5 and 2001 nodes.
-# The end nodes' inner neighbours are one view with a stride of -1, 0, 1 and
-# 2 elements on 2 to 5 nodes.
+# The end nodes' inner neighbours are one view: reversed on 2 nodes, a single
+# node on 3, and two nodes 1 and 2 elements apart on 4 and 5.
 NODE_LENGTHS = {1: 0.04, 2: 0.1, 3: 0.2, 4: 0.3, 5: 0.4, 2001: 200.0}
 
 
