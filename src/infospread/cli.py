@@ -543,14 +543,13 @@ _DISPATCH = {
 
 
 # The failures the exit contract covers; anything else is a bug and escapes.
-_FAILURES = (UsageError, ModelError, OverflowError, FileNotFoundError,
-             IsADirectoryError)
+_FAILURES = (UsageError, ModelError, OverflowError, OSError)
 
 
 def _report(exc: BaseException) -> int:
     """Print the one-line diagnosis of a failure and return its exit
-    status: 2 for a usage or parameter error, 3 for a missing file or a
-    directory, 1 for any other model error or an overflow."""
+    status: 2 for a usage or parameter error, 3 for a file that cannot be
+    opened, 1 for any other model error or an overflow."""
     message = " ".join(str(exc).split())
     if isinstance(exc, (UsageError, ParamError)):
         if isinstance(exc, ParamError) and exc.name is not None:

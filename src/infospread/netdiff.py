@@ -13,11 +13,8 @@ concurrently.
 
 from __future__ import annotations
 
-import io
 import math
 import os
-import shutil
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,20 +312,18 @@ def read_network_csv(path) -> ManagerNetwork:
     mode counts lines: RowError for text that is not UTF-8 or a cell that
     is not a number (with numpy's reason and column), and DimensionError
     for a row whose width differs from the first row's.  A matrix read
-    whole goes through the checks of ``validate_network``.  A pipe is
-    copied to a temporary file first, so its faults are named alike.
+    whole goes through the checks of ``validate_network``.  The file is
+    read once, front to back, so a pipe reads like a file.
 
     Cost: a few numpy passes over each block of about 128 KiB, so no Python
     work per cell; only the cells other than a plain ``0.0`` (in practice
     the nonzero ones) go through numpy's float parser.  Memory: the result
-    plus about one block.
+    plus about one block.  A pipe has no size to bound its row count, so
+    its matrix grows by doubling: at most about twice the result plus one
+    block.
     """
-    with _rewindable_text(path) as fh:
-        try:
-            w = _read_cells(fh.buffer)
-        except ValueError as exc:
-            fh.seek(0)
-            raise _first_fault(fh, exc) from None
+    with open(path, "rb") as raw:
+        w = _read_cells(raw)
     return _own_network(w)
 
 
@@ -339,21 +334,31 @@ _READ_BLOCK = 2 ** 17
 def _read_cells(raw) -> np.ndarray:
     """The matrix in the binary file ``raw``, a block of lines at a time.
     Raises DimensionError for a file without rows or with more rows than
-    columns, and ValueError for any fault that ``_first_fault`` names."""
+    columns, and the error of the first faulty line."""
     # A row is at least 2 * width - 1 bytes, so the file's size bounds the
     # row count: a long first line does not make an n-by-n allocation.
     size = os.fstat(raw.fileno()).st_size
     w = None
     rows = 0
-    for block in _line_blocks(raw):
+    line = 1  # the file line the next block starts on
+    for text, block in _line_blocks(raw):
+        if not block:  # empty lines only
+            line += len(text)
+            continue
         if w is None:
             width = block.count(b",", 0, block.index(b"\n")) + 1
             w = np.zeros((min(width, size // (2 * width - 1) + 1), width))
-        count, keep, values = _block_cells(block, width)
+        try:
+            count, keep, values = _block_cells(block, width)
+        except ValueError as exc:
+            raise _first_fault(text, line, width, exc) from None
+        line += len(text) - len(block) + count  # an empty line is one LF
         first = rows * width
         rows += count
-        if len(w) < min(rows, width):
-            raise ValueError("the file grew while it was read")
+        if len(w) < min(rows, width):  # a pipe has no size to bound rows by
+            grown = np.zeros((min(width, max(rows, 2 * len(w))), width))
+            grown[:len(w)] = w
+            w = grown
         if rows <= len(w):  # past that the file is not square
             w.reshape(-1)[first:first + keep.size][keep] = values
     if w is None:
@@ -402,8 +407,9 @@ def _block_cells(block: bytes, width: int):
 
 def _line_blocks(raw):
     """The lines of the binary file ``raw`` in blocks of about
-    ``_READ_BLOCK`` bytes: CRLF and CR made LF as text mode makes them,
-    empty lines dropped, and each block ending in LF."""
+    ``_READ_BLOCK`` bytes, as pairs (text, block): ``text`` with CRLF and CR
+    made LF as text mode makes them, each ending in LF, and ``block`` the
+    same without its empty lines."""
     head = []  # the start of a line that no block has ended yet
     cr = False  # the last read ended in CR, which an LF may complete
     while data := raw.read(_READ_BLOCK):
@@ -417,15 +423,15 @@ def _line_blocks(raw):
         cut = data.rfind(b"\n") + 1
         if cut:
             head.append(memoryview(data)[:cut])
-            block = _drop_empty_lines(b"".join(head))
+            text = b"".join(head)
             head = [data[cut:]]
             del data  # not held while the block is parsed
-            if block:
-                yield block
+            yield text, _drop_empty_lines(text)
         else:
             head.append(data)
     if last := b"".join(head):
-        yield last + b"\n"
+        last += b"\n"
+        yield last, last
 
 
 def _drop_empty_lines(text: bytes) -> bytes:
@@ -438,44 +444,23 @@ def _drop_empty_lines(text: bytes) -> bytes:
     return text
 
 
-def _rewindable_text(path) -> io.TextIOWrapper:
-    """``path`` opened as UTF-8 text, undecodable bytes escaped, that can
-    seek back to its start: what cannot (a pipe) is first copied whole to a
-    temporary file."""
-    data = open(path, "rb")
-    if not data.seekable():
-        with data:
-            spool = tempfile.TemporaryFile()
-            try:
-                shutil.copyfileobj(data, spool)
-                spool.seek(0)
-            except BaseException:
-                spool.close()
-                raise
-        data = spool
-    return io.TextIOWrapper(data, encoding="utf-8", errors="surrogateescape")
-
-
-def _first_fault(lines, exc: ValueError) -> ModelError:
-    """The error of the first of ``lines`` (text lines of a file that numpy
-    rejected with ``exc``): not UTF-8, a ragged row, or a cell that is not a
-    number.  If no line is at fault (the file changed since), ``exc`` as an
-    EntryRangeError."""
-    width = None
-    for lineno, line in enumerate(lines, start=1):
-        if line == "\n":
+def _first_fault(text: bytes, start: int, width: int, exc: ValueError) -> ModelError:
+    """The error of the first faulty line of ``text`` (lines that each end
+    in LF, the first of them file line ``start``, in a block that
+    ``_block_cells`` rejected with ``exc``): not UTF-8, a row of other than
+    ``width`` cells, or a cell that is not a number.  If no line is at
+    fault, ``exc`` as an EntryRangeError."""
+    for lineno, line in enumerate(text.splitlines(keepends=True), start=start):
+        if line == b"\n":
             continue
         try:
-            line.encode()  # an escaped byte is a lone surrogate: no UTF-8
-        except UnicodeEncodeError:
+            line = line.decode()
+        except UnicodeDecodeError:
             return RowError(f"line {lineno}: text is not UTF-8", line=lineno)
-        commas = line.count(",")
-        if width is None:
-            width = commas
-        elif commas != width:
+        cells = line.count(",") + 1
+        if cells != width:
             return DimensionError(
-                f"line {lineno}: ragged row of width {commas + 1}, "
-                f"expected {width + 1}")
+                f"line {lineno}: ragged row of width {cells}, expected {width}")
         try:
             np.loadtxt([line], delimiter=",", comments=None)
         except ValueError as cell:

@@ -944,6 +944,21 @@ def test_directory_as_output_exits_3():
     assert_one_line(err, "error: IsADirectoryError: ")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["network", "eigen", "--network", "net10.csv/x.csv"], "NotADirectoryError"),
+    (["funds", "provinces", "--input", "funds.csv/x.csv"], "NotADirectoryError"),
+    (["sir", "--config", "net10.csv/x.json"], "NotADirectoryError"),
+    (["sir", "--preset", "fig6b", "--horizon", "1", "--out", "net10.csv/x.csv"],
+     "FileExistsError"),
+    (["network", "eigen", "--network", "n" * 300 + ".csv"], "OSError"),
+], ids=["network", "input", "config", "out", "long-name"])
+def test_a_file_that_cannot_be_opened_exits_3(argv, error):
+    status, _, err, files = invoke(argv)
+    assert status == 3
+    assert_one_line(err, f"error: {error}: ")
+    assert not files
+
+
 # Small, fast base invocations per subcommand; the fuzz below replaces or
 # drops one of their flags at a time, or gives --config itself a fuzz value.
 FUZZ_BASES = [

@@ -2,7 +2,10 @@
 
 import csv
 import math
+import os
+import shutil
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -534,9 +537,9 @@ def test_csv_reader_reports_the_earliest_fault(tmp_path, text, error, line, reas
 
 def whole_text_read_network_csv(path) -> netdiff.ManagerNetwork:
     """The text-mode reader that ``read_network_csv``'s block reader
-    replaced, verbatim but for module prefixes: one ``np.loadtxt`` over the
-    whole file."""
-    with netdiff._rewindable_text(path) as fh:
+    replaced, verbatim but for module prefixes and for opening the file
+    itself: one ``np.loadtxt`` over the whole file."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         # numpy only warns on input without rows.
         while (first := fh.readline()) == "\n":
             pass
@@ -548,8 +551,37 @@ def whole_text_read_network_csv(path) -> netdiff.ManagerNetwork:
                            ndmin=2)
         except ValueError as exc:
             fh.seek(0)
-            raise netdiff._first_fault(fh, exc) from None
+            raise whole_text_first_fault(fh, exc) from None
     return netdiff._own_network(w)
+
+
+def whole_text_first_fault(lines, exc: ValueError):
+    """The error of the first of ``lines`` (text lines of a file that numpy
+    rejected with ``exc``): not UTF-8, a ragged row, or a cell that is not a
+    number.  If no line is at fault (the file changed since), ``exc`` as an
+    EntryRangeError.  The text-mode fault finder the block reader replaced,
+    verbatim."""
+    width = None
+    for lineno, line in enumerate(lines, start=1):
+        if line == "\n":
+            continue
+        try:
+            line.encode()  # an escaped byte is a lone surrogate: no UTF-8
+        except UnicodeEncodeError:
+            return RowError(f"line {lineno}: text is not UTF-8", line=lineno)
+        commas = line.count(",")
+        if width is None:
+            width = commas
+        elif commas != width:
+            return DimensionError(
+                f"line {lineno}: ragged row of width {commas + 1}, "
+                f"expected {width + 1}")
+        try:
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError as cell:
+            reason = str(cell).replace(" at row 0, column ", " at column ")
+            return RowError(f"line {lineno}: {reason}", line=lineno)
+    return EntryRangeError(f"network CSV: {exc}")
 
 
 def outcome(read, path):
@@ -591,6 +623,31 @@ def network_files(draw):
     return text
 
 
+def through_a_pipe(read):
+    """``read`` made to take its file from a pipe: a /dev/fd path to a pipe
+    that a thread fills with the file's bytes.  A pipe has no size, so the
+    reader cannot bound its row count by it."""
+    def read_piped(path):
+        out, into = os.pipe()
+
+        def feed():
+            try:
+                with os.fdopen(into, "wb") as fh, open(path, "rb") as src:
+                    shutil.copyfileobj(src, fh)
+            except BrokenPipeError:  # the reader stopped at a fault
+                pass
+
+        thread = threading.Thread(target=feed)
+        thread.start()
+        try:
+            return read(f"/dev/fd/{out}")
+        finally:
+            os.close(out)  # a feed still writing stops on EPIPE
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    return read_piped
+
+
 @settings(max_examples=600, deadline=None)
 @given(text=network_files(), block=st.integers(7, 64))
 def test_block_reader_matches_the_whole_text_reader(text, block):
@@ -601,6 +658,34 @@ def test_block_reader_matches_the_whole_text_reader(text, block):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(netdiff, "_READ_BLOCK", block)
             assert outcome(netdiff.read_network_csv, path) == expected
+            piped = through_a_pipe(netdiff.read_network_csv)
+            assert outcome(piped, path) == expected
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_piped_fault_past_the_first_block_names_its_line(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(netdiff, "_READ_BLOCK", block)
+    n = 40
+    row = ",".join(["0.0"] * (n - 1) + ["0.5"]).encode()
+    ends = [b"\n", b"\r\n", b"\r"]
+    text, line = b"", 0
+    for i in range(n):
+        text += b"".join(ends[:i % 3])  # up to two blank lines before a row
+        line += i % 3 + 1
+        if i == n - 3:
+            text += row[:-3] + b"x"
+            bad = line
+        else:
+            text += row
+        text += ends[i % 3]
+    path = tmp_path / "net.csv"
+    path.write_bytes(text)
+    for read in (netdiff.read_network_csv, through_a_pipe(netdiff.read_network_csv)):
+        with pytest.raises(RowError) as err:
+            read(path)
+        assert err.value.line == bad
+        assert str(err.value) == (f"line {bad}: could not convert string 'x' "
+                                  f"to float64 at column {n}.")
 
 
 def test_reader_memory_is_the_result_plus_a_block(tmp_path):
@@ -610,6 +695,17 @@ def test_reader_memory_is_the_result_plus_a_block(tmp_path):
     net, peak = traced_peak(netdiff.read_network_csv, path)
     assert net.n == n
     assert peak <= 1.1 * n * n * 8
+
+
+def test_piped_reader_memory_is_at_most_twice_the_result_plus_a_block(tmp_path):
+    # Without a size to bound the rows, the matrix grows by doubling: the
+    # last copy holds the old rows and the result at once.
+    n = 1100
+    path = tmp_path / "net.csv"
+    netdiff.write_network_csv(path, netdiff.generate_random_network(n, 0.05, seed=3))
+    net, peak = traced_peak(through_a_pipe(netdiff.read_network_csv), path)
+    assert net.w.tobytes() == netdiff.read_network_csv(path).w.tobytes()
+    assert peak <= 2.1 * n * n * 8
 
 
 def test_one_long_line_allocates_one_row(tmp_path):
