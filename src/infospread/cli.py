@@ -243,6 +243,9 @@ def parse_args(argv=None) -> RunConfig:
         raise UsageError("a subcommand is required: " + "|".join(_SUBCOMMANDS))
     cfg = _read_config(args.config)
     _, actions, flags = _SUBCOMMANDS[args.subcommand]
+    unknown = sorted(cfg.keys() - flags.keys() - _COMMON.keys())
+    if unknown:
+        raise UsageError(f"--config key {unknown[0]!r} is not a flag of {args.subcommand}")
     defaults: dict = {}
 
     def pick(name: str, flag: _Flag):
@@ -331,12 +334,19 @@ def _csv_chunks(header, columns):
 def _write_atomic(path: Path, chunks) -> None:
     """Write text chunks to ``path`` as UTF-8, through a temporary file in
     the same directory that is renamed into place once every chunk is
-    written: an exception midway leaves neither file behind."""
+    written: an exception midway leaves neither file behind.  A directory
+    or temporary file that cannot be created is reported with ``path``."""
     path = Path(path)
     if path.is_dir():
         raise IsADirectoryError(f"output path is a directory: {str(path)!r}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                                   suffix=".tmp")
+    except OSError as exc:
+        # OSError(errno, ...) is the errno's subclass, so the type is kept.
+        raise OSError(exc.errno, f"{exc.strerror}: cannot create {exc.filename!r} "
+                                 f"for the output path {str(path)!r}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)

@@ -156,7 +156,9 @@ class FastSlowConfig:
     layer_time excludes the initial transient from the QSS comparison, so
     some output time must reach it.  The initial condition defaults to
     i0 = 1e-3, s0 = N - i0.  Construction derives ``steps`` and the RK4
-    ``substeps`` per step, and bounds their product by MAX_SUBSTEPS.
+    ``substeps`` per step, and bounds their product by MAX_SUBSTEPS.  It
+    also rejects rates whose informed QSS state is undefined (see
+    _informed_state).
     """
 
     sir: SirParams
@@ -188,6 +190,7 @@ class FastSlowConfig:
         object.__setattr__(self, "steps", int(round(steps)))
         check(self.layer_time <= self.h * self.steps, "layer_time",
               self.layer_time, f"at most the last output time {self.h * self.steps!r}")
+        _informed_state(self.sir, self.i0)
 
 
 # Steps between two finiteness checks of a field run.
@@ -365,18 +368,90 @@ def estimate_wave_speed(series, level: float, fit_window,
                              fit_window=(t_lo, t_hi), residual=rms)
 
 
+def _informed_state(p: SirParams, i0: float) -> tuple[float, float] | None:
+    """(S*, I*) of the informed QSS branch, or None when the QSS is I = 0.
+
+    I* = mu*(N - S*)/(beta*S*) with S* = (alpha + mu)/beta has no limit as
+    alpha + mu -> 0 (it tends to N*mu/(alpha + mu)), so rates for which
+    beta*S* rounds to 0 raise ParamError.
+    """
+    if not (i0 > 0.0 and p.beta * p.n_total > p.alpha + p.mu and p.beta > 0.0):
+        return None
+    s_star = (p.alpha + p.mu) / p.beta
+    check(p.beta * s_star > 0.0, "alpha", p.alpha,
+          "such that beta*S* > 0 at the QSS state S* = (alpha + mu)/beta")
+    return s_star, p.mu * (p.n_total - s_star) / (p.beta * s_star)
+
+
 def _qss_values(cfg: FastSlowConfig, ts: np.ndarray) -> PlanarTrajectory:
     p = cfg.sir
-    supercritical = p.beta * p.n_total > p.alpha + p.mu
-    if cfg.i0 > 0.0 and supercritical and p.beta > 0.0:
-        s_star = (p.alpha + p.mu) / p.beta
-        i_star = p.mu * (p.n_total - s_star) / (p.beta * s_star)
+    informed = _informed_state(p, cfg.i0)
+    if informed is not None:
+        s_star, i_star = informed
         return PlanarTrajectory(t=ts,
                                 s=np.full_like(ts, s_star),
                                 i=np.full_like(ts, i_star))
     # Subcritical (or uninfected) branch: I = 0, S relaxes to N.
     s = p.n_total + (cfg.s0 - p.n_total) * np.exp(-p.mu * ts)
     return PlanarTrajectory(t=ts, s=s, i=np.zeros_like(ts))
+
+
+# The smallest normal float: an I of smaller magnitude is subnormal.
+_TINY = 2.0 ** -1022
+
+
+def _frozen_i_stages(lo: float, hi: float, i: float, beta: float, alpha: float,
+                     mu: float, eps: float, half: float, h_eff: float,
+                     sixth: float) -> tuple[float, float, float, float] | None:
+    """The four b = beta*S_j*I_j of every substep from I = i whose stages S_j
+    all lie in [lo, hi], if I's side of the substep is proven to give them
+    and to return i (see fast_slow_integrate); else None.  Needs lo > 0."""
+    ends = []
+    for s in (lo, hi):
+        b1 = beta * s * i
+        k1i = (b1 - alpha * i - mu * i) / eps
+        i2 = i + half * k1i
+        b2 = beta * s * i2
+        k2i = (b2 - alpha * i2 - mu * i2) / eps
+        i3 = i + half * k2i
+        b3 = beta * s * i3
+        k3i = (b3 - alpha * i3 - mu * i3) / eps
+        i4 = i + h_eff * k3i
+        b4 = beta * s * i4
+        k4i = (b4 - alpha * i4 - mu * i4) / eps
+        ends.append((b1, b2, b3, b4,
+                     i + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)))
+    (*b_lo, i_lo), (*b_hi, _) = ends
+    # Equal b have equal signs too, since S_j > 0 fixes the sign of each b;
+    # a NaN b is equal to nothing.  A nonzero i_lo equal to i has i's bits.
+    if i_lo == i and all(x == y for x, y in zip(b_lo, b_hi)):
+        return tuple(b_lo)
+    return None
+
+
+def _s_only_substeps(s: float, substeps: int, lo: float, hi: float, b, mu: float,
+                     n: float, half: float, h_eff: float,
+                     sixth: float) -> tuple[float, int]:
+    """Run substeps from S = s with I's side replaced by the four constant
+    b of _frozen_i_stages, while every stage S_j lies in [lo, hi]; return
+    the new S and the number of substeps run.  The S arithmetic is the
+    full substep's, so S gets the same bits."""
+    b1, b2, b3, b4 = b
+    for done in range(substeps):
+        k1s = mu * (n - s) - b1
+        s2 = s + half * k1s
+        k2s = mu * (n - s2) - b2
+        s3 = s + half * k2s
+        k3s = mu * (n - s3) - b3
+        s4 = s + h_eff * k3s
+        # The substep counts only if every stage is in [lo, hi]: s proves
+        # b1, so k1s and s2 are right, s2 proves b2, and so on.
+        if not (lo <= s <= hi and lo <= s2 <= hi and lo <= s3 <= hi
+                and lo <= s4 <= hi):
+            return s, done
+        k4s = mu * (n - s4) - b4
+        s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+    return s, substeps
 
 
 def fast_slow_integrate(cfg: FastSlowConfig) -> FastSlowResult:
@@ -394,8 +469,23 @@ def fast_slow_integrate(cfg: FastSlowConfig) -> FastSlowResult:
 
     A decaying I can stop at a subnormal value where RK4's decrement rounds
     to nothing (58 * 2**-1074 from t = 4.4 at epsilon = 1e-3 with the
-    default rates), and every later substep then runs on slow subnormal
-    operands; it is kept, since flushing it to zero would change the output.
+    default rates), while S keeps moving.  Flushing I to zero would change
+    the output, and subnormal operands are slow, so such substeps skip the
+    I arithmetic once it is proven to give I back, bit for bit.  With I
+    fixed, I's side of a substep depends on S only through the four
+    b = beta*S_j*I_j, each of which (evaluated as (beta*S_j)*I_j, with I_j
+    fixed by the b before it) rounds monotonically in its stage S_j, and
+    keeps one sign while S_j > 0.  So if I's side of one substep, run with
+    every stage S_j = lo and again with every S_j = hi, gives the same four
+    b at both ends and returns I itself, then every substep from I whose
+    four stages S_j lie in [lo, hi] has those four b and returns I: its
+    I arithmetic is the same operations on the same operands.  Such a
+    substep computes only the S stages, with the four b as constants, and
+    checks each stage against [lo, hi]; a stage outside runs that substep,
+    and the rest of the output step, in full.  The check is made once per
+    output step, while 0 < |I| < 2**-1022, on [lo, hi] spanning S and
+    S + 2*dS, where dS is S's change over the previous output step and
+    lo > 0.  A zero, normal or non-finite I never takes it.
     """
     p = cfg.sir
     beta, alpha, mu, n, eps = p.beta, p.alpha, p.mu, p.n_total, cfg.epsilon
@@ -408,8 +498,19 @@ def fast_slow_integrate(cfg: FastSlowConfig) -> FastSlowResult:
     ii = np.empty(steps + 1)
     s, i = float(cfg.s0), float(cfg.i0)
     ss[0], ii[0] = s, i
+    ds = 0.0  # S's change over the previous output step
     for k in range(1, steps + 1):
-        for _ in range(substeps):
+        s_start, left = s, substeps
+        if 0.0 < abs(i) < _TINY:
+            end = s + 2.0 * ds
+            lo, hi = min(s, end), max(s, end)
+            b = _frozen_i_stages(lo, hi, i, beta, alpha, mu, eps, half, h_eff,
+                                 sixth) if lo > 0.0 else None
+            if b is not None:
+                s, done = _s_only_substeps(s, substeps, lo, hi, b, mu, n, half,
+                                           h_eff, sixth)
+                left -= done
+        for _ in range(left):
             # One RK4 substep, inlined.  With b = beta*S*I, the S' stage
             # mu*(N - S) - b equals -beta*S*I + mu*(N - S) bitwise, since
             # negation is exact and a + (-b) == a - b.
@@ -438,6 +539,7 @@ def fast_slow_integrate(cfg: FastSlowConfig) -> FastSlowResult:
                 f"fast layer unresolved near t={ts[k]:g} "
                 f"(epsilon={cfg.epsilon:g}, h={cfg.h:g}); reduce h")
         ss[k], ii[k] = s, i
+        ds = s - s_start
     trajectory = PlanarTrajectory(t=ts, s=ss, i=ii)
     qss = _qss_values(cfg, ts)
     mask = ts >= cfg.layer_time

@@ -762,6 +762,12 @@ PINNED = {
     "fastslow": (
         ["fastslow", "--epsilon", "0.05", "--horizon", "10", "--out", "fs.csv"],
         "2e7c1f3969cd9ecbbef80a036eb36a094f104f31b5a722d52476057cbac27d53"),
+    # The benchmark's epsilon: I decays into the subnormal range and stays
+    # at 58 * 2**-1074 from t = 4.4 while S keeps moving.  Recorded with the
+    # loop that stepped I through every substep.
+    "fastslow-subnormal": (
+        ["fastslow", "--epsilon", "1e-3", "--horizon", "10", "--out", "fs.csv"],
+        "eb3fee635bde9849ca1fa698b6171ae08a7225fb138eac6748872abc830fd345"),
     # The funds digests cover a manifest whose outputs list the JSON mirror;
     # the report and mirror bytes are the ones first recorded.
     "funds-summarize": (
@@ -837,6 +843,10 @@ SINGLE_FAULTS = {
     "config string for a bool": (["sir", "--preset", "fig6b"], {"quiet": "no"}),
     "config number for a bool": (["gossip", "matrix", *PROBS],
                                  {"tie_gain_to_loss": 1}),
+    "unknown config key": (["fastslow"], {"epsilonn": 0.5}),
+    "config key of another subcommand": (["sir", "--preset", "fig6b"], {"epsilon": 0.5}),
+    "manifest as a config": (["fastslow"], {"subcommand": "fastslow",
+                                            "parameters": {"epsilon": 0.5}}),
 }
 
 
@@ -899,6 +909,13 @@ BAD_PARAMETERS = {
                        "--init uniform value must be finite"),
     "rd uniform inf": (["rd", "--init", "uniform:inf", "--out", "wave"], None,
                        "--init uniform value must be finite"),
+    # beta*S* = 0 at S* = (alpha + mu)/beta: the informed QSS state I* has no
+    # limit there.  This ended in a ZeroDivisionError traceback.
+    "fastslow --alpha 0 --mu 0": (["fastslow", "--alpha", "0", "--mu", "0",
+                                   "--horizon", "1", "--layer_time", "0.5"], None,
+                                  "--alpha must be such that beta*S* > 0"),
+    "fastslow alpha + mu negligible": (["fastslow", "--alpha", "1e-320", "--mu", "0",
+                                        "--beta", "1e10"], None, "--alpha"),
 }
 
 
@@ -935,6 +952,27 @@ def test_fast_slow_overflow_exits_1_with_stiffness_error():
     assert status == 1
     assert_one_line(err, "error: StiffnessError: fast layer unresolved near t=")
     assert not files
+
+
+def test_config_keys_of_the_subcommand_and_common_flags_are_accepted():
+    # gossip's --network belongs to another action than stationary; --config
+    # itself is a common flag.
+    config = {"network": "net10.csv", "config": None, "quiet": True}
+    status, _, err, _ = invoke(["gossip", "stationary", *PROBS, "--p_gain", "0.8"],
+                               config)
+    assert (status, err) == (0, "")
+
+
+@pytest.mark.parametrize("through", ["afile/x.csv", "afile/sub/x.csv"])
+def test_an_output_path_through_a_file_is_named(tmp_path, through):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / through
+    status, _, err, _ = invoke(["sir", "--preset", "fig6b", "--horizon", "1",
+                                "--out", str(out)])
+    assert status == 3
+    assert_one_line(err, "error: ")
+    assert f"for the output path {str(out)!r}" in err
+    assert (tmp_path / "afile").read_text() == ""
 
 
 def test_directory_as_output_exits_3():
@@ -992,9 +1030,13 @@ FUZZ_VALUES = [float("nan"), float("inf"), float("-inf"), -1, 0, 1e-300, 1e300,
 
 @settings(max_examples=500)
 @given(slot=st.sampled_from(FUZZ_SLOTS), value=st.sampled_from(FUZZ_VALUES),
-       as_config=st.booleans())
-@example(slot=(4, FUZZ_BASES[4].index("--p_loss")), value=ABSENT, as_config=False)
-def test_any_single_replacement_keeps_the_exit_contract(slot, value, as_config):
+       as_config=st.booleans(), unknown=st.sampled_from([None, None, "x", "_"]))
+@example(slot=(4, FUZZ_BASES[4].index("--p_loss")), value=ABSENT, as_config=False,
+         unknown=None)
+def test_any_single_replacement_keeps_the_exit_contract(slot, value, as_config,
+                                                         unknown):
+    """``unknown``, when set, is appended to the key of a config value,
+    which makes it no flag: exit 2 whatever the value."""
     base, i = slot
     argv = list(FUZZ_BASES[base])
     token = value if isinstance(value, str) or value is ABSENT else json.dumps(value)
@@ -1013,7 +1055,12 @@ def test_any_single_replacement_keeps_the_exit_contract(slot, value, as_config):
             del argv[i:i + width]
         else:
             argv[i + 1] = token
+    if unknown is not None and config is not None:
+        config = {name + unknown: value}
     status, _, err, _ = invoke(argv, config)
+    if unknown is not None and config is not None:
+        assert status == 2
+        assert_one_line(err, "usage error: --config key ")
     assert status in (0, 1, 2, 3)
     assert len(err.splitlines()) <= 1, err
 

@@ -581,24 +581,47 @@ def _inlined_fast_slow(cfg):
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Subnormal floats of both signs, m * 2**-1074 for 0 < m < 2**52.
+SUBNORMAL = st.builds(lambda sign, m: sign * m * 2.0 ** -1074,
+                      st.sampled_from([1.0, -1.0]), st.integers(1, 2 ** 52 - 1))
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+# Just below S = 0.94828, where beta*S*I at beta = 0.1 and I = 58 * 2**-1074
+# rounds up from 5 to 6 units of 2**-1074; S crosses it during the second
+# output step of the example that starts here.
+B_CHANGES_AT = 0.9481
 
 
-# epsilon stays above 1e-3, the benchmark's value, so that each example runs
-# at most 6000 substeps; r0 = beta*N/(alpha + mu) covers both sides of 1.
-@settings(max_examples=200)
-@given(r0=st.floats(0.0, 4.0), alpha=st.floats(0.0, 60.0), mu=st.floats(0.0, 1.0),
+# epsilon stays above 1e-3, the benchmark's value, so that each drawn example
+# runs at most 6000 substeps; r0 = beta*N/(alpha + mu) covers both sides of
+# 1.  Subnormal and signed-zero i0 and s0 reach the S-only substeps of a
+# frozen I and the cases that must not take them; s0 = "N" starts S at N.
+@settings(max_examples=300, deadline=None)
+@given(r0=st.one_of(st.floats(0.0, 4.0), SIGNED_ZERO),
+       alpha=st.floats(0.0, 60.0), mu=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
        n_total=st.floats(1e-3, 10.0), epsilon=st.floats(1e-3, 1.0),
        h=st.floats(1e-3, 2.0), steps=st.integers(1, 6),
-       layer=st.floats(0.0, 0.99), s0=st.one_of(st.none(), FINITE),
-       i0=st.one_of(st.just(0.0), st.floats(0.0, 1.0), FINITE))
+       layer=st.floats(0.0, 0.99),
+       s0=st.one_of(st.none(), st.just("N"), FINITE, st.floats(max_value=0.0),
+                    SUBNORMAL, SIGNED_ZERO),
+       i0=st.one_of(SIGNED_ZERO, st.floats(0.0, 1.0), FINITE, SUBNORMAL))
 @example(r0=0.1 / 0.25, alpha=0.2, mu=0.05, n_total=1.0, epsilon=1e-3, h=0.05,
          steps=6, layer=0.5, s0=None, i0=1e-3)  # the benchmark's sweep, shortened
+@example(r0=0.1 / 0.25, alpha=0.2, mu=0.05, n_total=1.0, epsilon=1e-3, h=0.05,
+         steps=100, layer=0.5, s0=None, i0=0.2)  # the benchmark's, I frozen from step 88
+@example(r0=0.1 / 0.25, alpha=0.2, mu=0.05, n_total=1.0, epsilon=0.01, h=0.05,
+         steps=6, layer=0.5, s0=B_CHANGES_AT,
+         i0=58 * 2.0 ** -1074)  # beta*S*I changes within step 2: no shortcut there
 @example(r0=2.0, alpha=0.2, mu=0.05, n_total=1.0, epsilon=0.01, h=0.05,
          steps=6, layer=0.5, s0=0.9, i0=0.0)  # supercritical, uninfected
 @example(r0=0.1 / 5.05, alpha=5.0, mu=0.05, n_total=1.0, epsilon=1.0, h=2.0,
          steps=6, layer=0.5, s0=None, i0=0.2)  # unresolved layer, raises at t=8
 @example(r0=0.4, alpha=0.2, mu=0.05, n_total=1.0, epsilon=0.1, h=0.05,
          steps=2, layer=0.5, s0=1e308, i0=1e-3)  # overflow to inf
+@example(r0=2.0, alpha=0.2, mu=0.2, n_total=1.0, epsilon=0.5, h=0.25,
+         steps=6, layer=0.5, s0=0.4,
+         i0=100 * 2.0 ** -1074)  # S crosses (alpha + mu)/beta, and I then moves
+@example(r0=-0.0, alpha=0.0, mu=0.0, n_total=1.0, epsilon=0.5, h=0.5,
+         steps=4, layer=0.5, s0="N", i0=-2.0 ** -1074)  # S and I fixed at once
 def test_fast_slow_matches_the_reference_bitwise(r0, alpha, mu, n_total, epsilon, h,
                                                  steps, layer, s0, i0):
     try:
@@ -606,8 +629,49 @@ def test_fast_slow_matches_the_reference_bitwise(r0, alpha, mu, n_total, epsilon
             sir=epi_sir.SirParams(beta=r0 * (alpha + mu) / n_total, alpha=alpha,
                                   mu=mu, n_total=n_total),
             epsilon=epsilon, h=h, horizon=h * steps, layer_time=layer * h * steps,
-            s0=s0, i0=i0)
+            s0=n_total if s0 == "N" else s0, i0=i0)
     except ParamError:  # s0 = N - i0 overflowed
         return
     assert _fast_slow_outcome(_inlined_fast_slow, cfg) == \
         _fast_slow_outcome(_reference_fast_slow, cfg)
+
+
+def test_a_stage_outside_the_interval_finishes_the_output_step_in_full(monkeypatch):
+    # Any [lo, hi] inside a proven interval is proven too, since the four b
+    # are constant on it.  S moves by less than hi - lo = 2*dS per output
+    # step, so a quarter of the interval makes the S-only substeps stop
+    # partway through each output step, which must not change a bit.
+    stops = []
+    s_only = rdwave._s_only_substeps
+
+    def narrowed(s, substeps, lo, hi, *rest):
+        s, done = s_only(s, substeps, lo, lo + (hi - lo) / 4, *rest)
+        stops.append(done)
+        return s, done
+
+    monkeypatch.setattr(rdwave, "_s_only_substeps", narrowed)
+    cfg = rdwave.FastSlowConfig(sir=SUBCRITICAL, epsilon=0.01, h=0.05, horizon=0.3,
+                                layer_time=0.0, s0=0.9, i0=58 * 2.0 ** -1074)
+    assert _fast_slow_outcome(_inlined_fast_slow, cfg) == \
+        _fast_slow_outcome(_reference_fast_slow, cfg)
+    assert any(0 < done < cfg.substeps for done in stops), stops
+
+
+@pytest.mark.parametrize("outside", ["first", "last", "none"])
+def test_s_only_substeps_check_every_stage(outside):
+    # With S rising toward N, a substep's stages order as S < S3 < S2 < S4.
+    # An interval that leaves out the first or the last of them stops the
+    # S-only substeps before the first one; the whole span lets it run.
+    mu, n, h_eff, b = 0.05, 1.0, 0.01, (0.0,) * 4
+    half, sixth = 0.5 * h_eff, h_eff / 6.0
+    s = 0.5
+    s2 = s + half * (mu * (n - s))
+    s3 = s + half * (mu * (n - s2))
+    s4 = s + h_eff * (mu * (n - s3))
+    assert s < s3 < s2 < s4
+    lo, hi = {"first": (s3, s4), "last": (s, s2), "none": (s, s4)}[outside]
+    new_s, done = rdwave._s_only_substeps(s, 3, lo, hi, b, mu, n, half, h_eff, sixth)
+    if outside == "none":
+        assert done >= 1 and new_s > s
+    else:
+        assert (new_s, done) == (s, 0)
