@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
@@ -146,6 +147,14 @@ _FLAG_NAMES = {"d_coeff": "D", "r_rate": "r", "k_cap": "K", "n_total": "n"}
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a token that starts with "-" for a flag unless it
+        # looks like -5 or -.5; every negative float literal is a value here,
+        # so "--s0 -1e-3" runs and "--beta -inf" fails the flag's own check.
+        self._negative_number_matcher = re.compile(
+            r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -214,16 +223,20 @@ def _read_config(path: str | None) -> dict:
     return cfg
 
 
-def _check_init(init: str) -> None:
-    if init != "step" and not init.startswith("uniform:"):
+def _uniform_init(init: str) -> float | None:
+    """The value of an ``--init`` of ``uniform:<value>``, or None for
+    ``step``; any other text is a usage error."""
+    if init == "step":
+        return None
+    if not init.startswith("uniform:"):
         raise UsageError(f"--init must be 'step' or 'uniform:<value>', got {init!r}")
-    if init.startswith("uniform:"):
-        try:
-            value = float(init.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"--init uniform value is not a number: {init!r}") from None
-        if not math.isfinite(value):
-            raise UsageError(f"--init uniform value must be finite, got {init!r}")
+    try:
+        value = float(init.split(":", 1)[1])
+    except ValueError:
+        raise UsageError(f"--init uniform value is not a number: {init!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"--init uniform value must be finite, got {init!r}")
+    return value
 
 
 def _informed(text: str) -> list[int]:
@@ -246,6 +259,11 @@ def parse_args(argv=None) -> RunConfig:
     unknown = sorted(cfg.keys() - flags.keys() - _COMMON.keys())
     if unknown:
         raise UsageError(f"--config key {unknown[0]!r} is not a flag of {args.subcommand}")
+    informed = cfg.get("informed")
+    if isinstance(informed, list):  # as a manifest echoes it
+        if not all(type(i) is int for i in informed):
+            raise UsageError(f"--informed must be a list of integers, got {informed!r}")
+        cfg["informed"] = ",".join(map(str, informed))
     defaults: dict = {}
 
     def pick(name: str, flag: _Flag):
@@ -284,6 +302,9 @@ def parse_args(argv=None) -> RunConfig:
     action = args.action if actions else None
     if actions and action is None:
         raise UsageError(f"{args.subcommand} requires an action: " + "|".join(actions))
+    for name, flag in flags.items():
+        if flag.actions and action not in flag.actions and getattr(args, name) is not None:
+            raise UsageError(f"--{name} is not a flag of {args.subcommand} {action}")
     params.update((name, pick(name, flag)) for name, flag in flags.items()
                   if flag.actions and action in flag.actions)
     for name, flag in flags.items():
@@ -303,7 +324,7 @@ def parse_args(argv=None) -> RunConfig:
     elif args.subcommand == "sir" and params["s0"] is None:
         params["s0"] = params["n"] - params["i0"] - params["r0"]
     elif args.subcommand == "rd":
-        _check_init(params["init"])
+        _uniform_init(params["init"])
     return RunConfig(subcommand=args.subcommand, action=action, seed=seed,
                      out=out, quiet=quiet, params=params)
 
@@ -467,10 +488,11 @@ def _run_sir(config: RunConfig) -> None:
 
 
 def _rd_initial(cfg: rdwave.ReactionDiffusionConfig, profile: str) -> rdwave.FieldState:
-    if profile == "step":
+    value = _uniform_init(profile)
+    if value is None:
         u = np.where(cfg.x < 0.1 * cfg.length, cfg.k_cap, 0.0)
     else:
-        u = np.full(cfg.n_nodes, float(profile.split(":", 1)[1]))
+        u = np.full(cfg.n_nodes, value)
     return rdwave.FieldState(u=u, t=0.0)
 
 

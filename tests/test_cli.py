@@ -847,6 +847,11 @@ SINGLE_FAULTS = {
     "config key of another subcommand": (["sir", "--preset", "fig6b"], {"epsilon": 0.5}),
     "manifest as a config": (["fastslow"], {"subcommand": "fastslow",
                                             "parameters": {"epsilon": 0.5}}),
+    "flag of another action": (["network", "centrality", "--network", "net10.csv",
+                                "--horizon", "3", "--n", "5"], None),
+    "flag of another gossip action": (["gossip", "stationary", *PROBS, "--p_gain", "0.8",
+                                       "--rounds", "5"], None),
+    "config informed list with a bool": (SIMULATE, {"informed": [0, True]}),
 }
 
 
@@ -961,6 +966,55 @@ def test_config_keys_of_the_subcommand_and_common_flags_are_accepted():
     status, _, err, _ = invoke(["gossip", "stationary", *PROBS, "--p_gain", "0.8"],
                                config)
     assert (status, err) == (0, "")
+
+
+def test_a_flag_of_another_action_names_the_flag_and_the_action():
+    status, _, err, _ = invoke(["network", "centrality", "--network", "net10.csv",
+                                "--horizon", "3", "--n", "5"])
+    assert (status, err) == (2, "usage error: --n is not a flag of network centrality\n")
+
+
+def test_a_negative_float_literal_is_the_value_of_its_flag():
+    argv = ["fastslow", "--horizon", "1", "--layer_time", "0.5", "--out", "fs.csv"]
+    status, _, err, files = invoke([*argv, "--s0", "-1e-3"])
+    assert status == 0, err
+    assert invoke([*argv, "--s0=-1e-3"])[3] == files
+    status, _, err, _ = invoke(["fastslow", "--beta", "-inf"])
+    assert (status, err) == (2, "usage error: --beta must be nonnegative and finite, "
+                                "got -inf\n")
+
+
+# One invocation of each subcommand and action, some flags left at their
+# defaults, which the manifest echoes too.
+ROUND_TRIPS = {
+    "network gen": ["network", "gen", "--n", "12", "--density", "0.4", "--seed", "7"],
+    "network centrality": ["network", "centrality", "--network", "net10.csv",
+                           "--horizon", "4"],
+    "network eigen": ["network", "eigen", "--network", "net10.csv"],
+    "gossip matrix": ["gossip", "matrix", *PROBS, "--p_gain", "0.8"],
+    "gossip stationary": ["gossip", "stationary", *PROBS, "--tie_gain_to_loss"],
+    "gossip simulate": [*SIMULATE, "--seed", "42", "--informed", "3,0"],
+    "sir": ["sir", "--preset", "fig6c", "--horizon", "20"],
+    "rd": ["rd", "--length", "4", "--horizon", "1", "--snapshot_every", "100",
+           "--init", "uniform:0.5"],
+    "fastslow": ["fastslow", "--epsilon", "0.05", "--horizon", "10"],
+    "funds summarize": ["funds", "summarize", "--group_by", "family", "--value", "assets"],
+    "funds provinces": ["funds", "provinces", "--input", "funds.csv"],
+    "funds demographics": ["funds", "demographics"],
+}
+
+
+@pytest.mark.parametrize("form", sorted(ROUND_TRIPS))
+def test_a_manifest_reproduces_its_run(form):
+    out = ["--out", "wave" if form == "rd" else "o.csv", "--quiet"]
+    status, _, err, files = invoke([*ROUND_TRIPS[form], *out])
+    assert status == 0, err
+    manifest = json.loads(files[f"{out[1]}.manifest.json"])
+    config = {**manifest["parameters"], "seed": manifest["seed"]}
+    argv = [manifest["subcommand"], *filter(None, [manifest["action"]]), *out]
+    status, _, err, again = invoke(argv, config)
+    assert status == 0, err
+    assert again == files
 
 
 @pytest.mark.parametrize("through", ["afile/x.csv", "afile/sub/x.csv"])

@@ -688,6 +688,36 @@ def test_piped_fault_past_the_first_block_names_its_line(tmp_path, monkeypatch, 
                                   f"to float64 at column {n}.")
 
 
+@pytest.mark.parametrize("edge", [8192, 2 ** 16, 2 ** 17])
+def test_a_crlf_split_at_a_read_edge_ends_one_line(tmp_path, edge):
+    # The CR of a CRLF is the last byte of a read: of 8 KiB, the text
+    # layer's decode chunk, or of _READ_BLOCK bytes.  The LF that starts the
+    # next read must not end a second, empty line.
+    row = b"0.0,0.5\r\n"
+    good, pad = divmod(edge - 8, len(row))  # pad blank lines end row good at the edge
+    text = b"\n" * pad + row * (good + 1) + b"0.0,x\r\n" + row * 3
+    assert text[edge - 1:edge + 1] == b"\r\n"
+    bad = pad + good + 2
+    path = tmp_path / "net.csv"
+    path.write_bytes(text)
+    for read in (netdiff.read_network_csv, through_a_pipe(netdiff.read_network_csv)):
+        with pytest.raises(RowError) as err:
+            read(path)
+        assert err.value.line == bad
+
+
+def test_a_cr_only_file_over_several_blocks_names_its_line(tmp_path):
+    rows, bad = 50_000, 45_000  # 400 kB: three blocks and part of a fourth
+    path = tmp_path / "net.csv"
+    path.write_bytes(b"0.0,0.5\r" * (bad - 1) + b"0.0,x\r" + b"0.0,0.5\r" * (rows - bad))
+    for read in (netdiff.read_network_csv, through_a_pipe(netdiff.read_network_csv)):
+        with pytest.raises(RowError) as err:
+            read(path)
+        assert err.value.line == bad
+        assert str(err.value) == (f"line {bad}: could not convert string 'x' "
+                                  "to float64 at column 2.")
+
+
 def test_reader_memory_is_the_result_plus_a_block(tmp_path):
     n = 1100
     path = tmp_path / "net.csv"
