@@ -1,7 +1,8 @@
 """Command-line front end binding all modules.
 
 Exit statuses: 0 ok, 1 model error, 2 usage error or a parameter outside its
-domain, 3 missing input file (or a directory given as a file).
+domain, 3 missing input file (or a directory given as a file), or an output
+that cannot be written or whose existing target is not a regular file.
 Flags are declared once, in ``_SUBCOMMANDS``; parameter domains are checked
 by the model types alone.
 Every file-writing invocation writes atomically (temp file + rename) and
@@ -20,6 +21,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
@@ -355,14 +357,32 @@ def _csv_chunks(header, columns):
 def _write_atomic(path: Path, chunks) -> None:
     """Write text chunks to ``path`` as UTF-8, through a temporary file in
     the same directory that is renamed into place once every chunk is
-    written: an exception midway leaves neither file behind.  A directory
-    or temporary file that cannot be created is reported with ``path``."""
-    path = Path(path)
-    if path.is_dir():
-        raise IsADirectoryError(f"output path is a directory: {str(path)!r}")
+    written: an exception midway leaves neither file behind.  The file gets
+    mode ``0o666 & ~umask``, as ``open`` would create it.  A symlink's
+    target is written, and the link kept; an existing target that is not a
+    regular file (a directory, a FIFO, a device) is refused and left as it
+    is.  A directory or temporary file that cannot be created is reported
+    with ``path``."""
+    path = target = Path(path)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+        st = os.lstat(path)
+    except OSError:  # none yet, or a path through a file: mkdir reports it
+        st = None
+    if st is not None and stat.S_ISLNK(st.st_mode):
+        target = Path(os.path.realpath(path))
+        try:
+            st = os.stat(target)
+        except FileNotFoundError:  # a dangling link: its target is created
+            st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        if stat.S_ISDIR(st.st_mode):
+            raise IsADirectoryError(f"output path is a directory: {str(path)!r}")
+        raise OSError(f"output path is not a regular file: {str(path)!r}")
+    mask = os.umask(0)
+    os.umask(mask)
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.",
                                    suffix=".tmp")
     except OSError as exc:
         # OSError(errno, ...) is the errno's subclass, so the type is kept.
@@ -370,8 +390,9 @@ def _write_atomic(path: Path, chunks) -> None:
                                  f"for the output path {str(path)!r}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            os.fchmod(fd, 0o666 & ~mask)  # mkstemp creates it 0600
             fh.writelines(chunks)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

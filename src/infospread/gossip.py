@@ -230,25 +230,34 @@ def stationary_distribution(matrix: PairTransitionMatrix) -> np.ndarray:
             "singular in floating point") from None
 
 
-def _partner_table(weights: np.ndarray):
+def _partner_table(w: np.ndarray):
     """Partner-sampling thresholds of every initiator with out-weight.
 
-    Returns the active initiator indices in index order and two padded
-    (m, max_degree) matrices: row r holds initiator active[r]'s _cumulative
-    thresholds at its positive-weight columns, padded with +inf, and those
-    columns.  For a uniform u in [0, 1), cols[r, count(thresholds[r] <= u)]
-    equals searchsorted(_cumulative(row), u, side="right"): the first
-    threshold above u always sits at a positive-weight column.
+    ``w`` is read one row at a time, with its diagonal taken as zero (self
+    contacts are excluded), so no n-by-n copy is made.  Returns the active
+    initiator indices in index order and two padded (m, max_degree)
+    matrices: row r holds initiator active[r]'s _cumulative thresholds at
+    its positive-weight columns, padded with +inf, and those columns.  For
+    a uniform u in [0, 1), cols[r, count(thresholds[r] <= u)] equals
+    searchsorted(_cumulative(row), u, side="right"): the first threshold
+    above u always sits at a positive-weight column.
     """
-    active = np.flatnonzero(weights.any(axis=1))
-    support = [np.flatnonzero(weights[i]) for i in active]
-    width = max((s.size for s in support), default=0)
-    thresholds = np.full((active.size, width), np.inf)
-    cols = np.zeros((active.size, width), dtype=np.intp)
-    for r, (i, nz) in enumerate(zip(active, support)):
-        thresholds[r, :nz.size] = _cumulative(weights[i])[nz]
+    active, support, cums = [], [], []
+    for i in range(w.shape[0]):
+        row = w[i].copy()
+        row[i] = 0.0
+        nz = np.flatnonzero(row)
+        if nz.size:
+            active.append(i)
+            support.append(nz)
+            cums.append(_cumulative(row)[nz])
+    width = max((nz.size for nz in support), default=0)
+    thresholds = np.full((len(active), width), np.inf)
+    cols = np.zeros((len(active), width), dtype=np.intp)
+    for r, (nz, cum) in enumerate(zip(support, cums)):
+        thresholds[r, :nz.size] = cum
         cols[r, :nz.size] = nz
-    return active, thresholds, cols
+    return np.array(active, dtype=np.intp), thresholds, cols
 
 
 def simulate_population(net: ManagerNetwork, params: ExchangeParams,
@@ -281,9 +290,7 @@ def simulate_population(net: ManagerNetwork, params: ExchangeParams,
         check(0 <= idx < n, "informed", idx, f"node indices in [0, n) for n={n}")
         bits[idx] = 1
 
-    weights = np.array(net.w, dtype=float)
-    np.fill_diagonal(weights, 0.0)
-    active, thresholds, cols = _partner_table(weights)
+    active, thresholds, cols = _partner_table(net.w)
     m = active.size
     rows = np.arange(m)
     initiators = active.tolist()

@@ -277,23 +277,33 @@ def centrality_report(net: ManagerNetwork, T: int) -> CentralityReport:
 def generate_random_network(n: int, density: float, seed: int) -> ManagerNetwork:
     """Random network: each off-diagonal entry is independently nonzero with
     probability ``density``, with weight uniform on (0, 1].  The diagonal is
-    zero.  Deterministic for fixed (n, density, seed)."""
+    zero.  Deterministic for fixed (n, density, seed).
+
+    Draw contract (keep it, or networks for a given seed change): the
+    seed's PCG64 stream is read by ``random``, one 64-bit draw per double.
+    Gate uniform k (cell k in row-major order) is draw k, and the uniform
+    u of weight (i, j) is draw n*n + i*n + j; the cell is ``1 - u`` where
+    its gate is below ``density``, else 0.  The matrix is filled a block
+    of about 1 MiB of rows at a time, from a second generator advanced
+    past the gates, so only the matrix and one block of gates are alive.
+    """
     check(n >= 1, "n", n, ">= 1")
     check(n * n <= MAX_CELLS, "n", n, f"such that n*n <= MAX_CELLS = {MAX_CELLS}")
     check(0.0 <= density <= 1.0, "density", density, "in [0, 1]")
-    rng = np.random.default_rng(seed)
-    # All n*n gate uniforms come first, then all n*n weights; the gate is
-    # drawn a row block at a time (``random`` fills in stream order, so the
-    # draws are the same) and kept only as a mask.
-    keep = np.empty((n, n), dtype=bool)
-    rows = _block_rows(n)
+    gates = np.random.default_rng(seed)
+    uniforms = np.random.default_rng(seed)
+    uniforms.bit_generator.advance(n * n)
+    w = np.empty((n, n))
+    rows = max(1, _block_rows(n) // 8)
+    gate = np.empty((min(rows, n), n))
     for a in range(0, n, rows):
-        block = keep[a:a + rows]
-        np.less(rng.random(block.shape), density, out=block)
-    w = rng.random((n, n))
-    np.subtract(1.0, w, out=w)  # uniform on (0, 1]
-    np.multiply(w, keep, out=w)
-    del keep  # validation below allocates masks of its own
+        block = w[a:a + rows]
+        keep = gate[:len(block)]
+        gates.random(out=keep)
+        uniforms.random(out=block)
+        np.subtract(1.0, block, out=block)  # uniform on (0, 1]
+        np.less(keep, density, out=keep)  # 1.0 where the gate opens, else 0.0
+        np.multiply(block, keep, out=block)
     np.fill_diagonal(w, 0.0)
     return _own_network(w)
 

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -1034,6 +1035,63 @@ def test_directory_as_output_exits_3():
                                 "--out", ""])
     assert status == 3
     assert_one_line(err, "error: IsADirectoryError: ")
+
+
+SIR_OUT = ["sir", "--preset", "fig6b", "--horizon", "1", "--quiet", "--out"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_outputs_get_the_mode_open_would_create(tmp_path, monkeypatch, umask, mode):
+    monkeypatch.chdir(tmp_path)
+    old = os.umask(umask)
+    try:
+        for argv in (["funds", "provinces", "--quiet", "--out", "prov.csv"],
+                     ["rd", "--length", "4", "--horizon", "1", "--snapshot_every",
+                      "100", "--quiet", "--out", "wave"]):
+            assert cli.main(argv) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert {"prov.csv", "prov.json", "prov.csv.manifest.json",
+            "wave_0000.csv", "wave_0001.csv", "wave.manifest.json"} <= set(modes)
+    assert set(modes.values()) == {mode}, modes
+
+
+@pytest.mark.parametrize("fifo, out", [
+    ("sir.csv", "sir.csv"),
+    ("sir.csv.manifest.json", "sir.csv"),
+    ("data.csv", "link.csv"),  # link.csv -> data.csv
+    ("wave_0001.csv", "wave"),
+])
+def test_an_output_that_is_not_a_regular_file_exits_3_untouched(
+        tmp_path, monkeypatch, capsys, fifo, out):
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo(fifo)
+    if out == "link.csv":
+        os.symlink(fifo, out)
+    argv = ["rd", "--length", "4", "--horizon", "1", "--snapshot_every", "100",
+            "--quiet", "--out", out] if out == "wave" else [*SIR_OUT, out]
+    assert cli.main(argv) == 3
+    err = one_error_line(capsys, "error: OSError: output path is not a regular file: ")
+    assert repr(fifo if out == "wave" or fifo.endswith(".json") else out) in err
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert not [p for p in os.listdir() if p.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("target", ["data/sir.csv", "data/new.csv"],
+                         ids=["existing", "dangling"])
+def test_an_output_symlink_stays_a_link_to_the_file_written(tmp_path, monkeypatch,
+                                                            target):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*SIR_OUT, "plain.csv"]) == 0
+    os.mkdir("data")
+    Path("data/sir.csv").write_text("old")
+    os.symlink(target, "link.csv")
+    assert cli.main([*SIR_OUT, "link.csv"]) == 0
+    assert os.readlink("link.csv") == target
+    assert Path(target).read_bytes() == Path("plain.csv").read_bytes()
+    assert sorted(os.listdir("data")) == sorted({"sir.csv", Path(target).name})
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -3,6 +3,7 @@ and the population simulation."""
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,6 +495,23 @@ def test_population_matches_reference_on_random_inputs(run):
     net, params, informed, rounds, seed = run
     assert gossip.simulate_population(net, params, informed, rounds, seed) == \
         reference_simulate_population(net, params, informed, rounds, seed)
+
+
+def test_population_peak_memory_is_under_half_the_network():
+    # The partner table holds each initiator's positive-weight columns only;
+    # the network itself is read in place, never copied.
+    n = 1000
+    net = netdiff.generate_random_network(n, 0.05, seed=3)
+    params = gossip.ExchangeParams(0.5, 0.1, 0.2, 0.8)
+    run = (net, params, [0], 20, 1)
+    gossip.simulate_population(*run)  # untraced: first-use allocations
+    tracemalloc.start()
+    try:
+        gossip.simulate_population(*run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * n * n * 8
 
 
 # -- empirical estimates -------------------------------------------------------

@@ -791,7 +791,10 @@ def reference_generate_random_network(n: int, density: float, seed: int) -> np.n
 
 def traced_peak(fn, *args):
     """(result, peak bytes that tracemalloc saw allocated during the call);
-    numpy reports its array buffers to tracemalloc."""
+    numpy reports its array buffers to tracemalloc.  One untraced call runs
+    first, so what a first call leaves behind for good (a codec imported on
+    first use, say) is not counted, whatever the test ran before."""
+    fn(*args)
     tracemalloc.start()
     try:
         result = fn(*args)
@@ -811,7 +814,8 @@ def test_generator_matches_whole_matrix_reference(n, density, seed):
 
 @pytest.mark.parametrize("n, density", [(1025, 0.1), (1500, 0.3), (2000, 0.01)])
 def test_generator_matches_reference_over_several_row_blocks(n, density):
-    assert n > netdiff._block_rows(n)
+    rows = max(1, netdiff._block_rows(n) // 8)  # the generator's block
+    assert n > rows and n % rows != 0  # several blocks, the last one short
     got = netdiff.generate_random_network(n, density, seed=n).w
     assert got.tobytes() == reference_generate_random_network(n, density, n).tobytes()
 
@@ -850,10 +854,10 @@ def test_hearing_peak_memory_is_the_result_plus_row_blocks():
     assert peak <= 1.05 * (n * n * 8 + 3 * netdiff._block_rows(n) * n * 8)
 
 
-def test_generator_peak_memory_is_one_matrix_a_mask_and_a_row_block():
+def test_generator_peak_memory_is_the_matrix_plus_about_a_mebibyte():
     n = 1500
     _, peak = traced_peak(netdiff.generate_random_network, n, 0.02, 1)
-    assert peak <= 1.05 * (n * n * 8 + n * n + netdiff._block_rows(n) * n * 8)
+    assert peak <= n * n * 8 + 1.5 * 2 ** 20
 
 
 def test_network_text_peak_memory_is_about_two_texts():
