@@ -1038,6 +1038,8 @@ def test_directory_as_output_exits_3():
 
 
 SIR_OUT = ["sir", "--preset", "fig6b", "--horizon", "1", "--quiet", "--out"]
+RD_OUT = ["rd", "--length", "4", "--horizon", "1", "--snapshot_every", "100",
+          "--quiet", "--out"]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
@@ -1047,8 +1049,7 @@ def test_outputs_get_the_mode_open_would_create(tmp_path, monkeypatch, umask, mo
     old = os.umask(umask)
     try:
         for argv in (["funds", "provinces", "--quiet", "--out", "prov.csv"],
-                     ["rd", "--length", "4", "--horizon", "1", "--snapshot_every",
-                      "100", "--quiet", "--out", "wave"]):
+                     [*RD_OUT, "wave"]):
             assert cli.main(argv) == 0
     finally:
         os.umask(old)
@@ -1058,23 +1059,21 @@ def test_outputs_get_the_mode_open_would_create(tmp_path, monkeypatch, umask, mo
     assert set(modes.values()) == {mode}, modes
 
 
-@pytest.mark.parametrize("fifo, out", [
-    ("sir.csv", "sir.csv"),
-    ("sir.csv.manifest.json", "sir.csv"),
-    ("data.csv", "link.csv"),  # link.csv -> data.csv
-    ("wave_0001.csv", "wave"),
+@pytest.mark.parametrize("fifo, out, named", [
+    ("sir.csv", "sir.csv", "sir.csv"),
+    ("sir.csv.manifest.json", "sir.csv", "sir.csv.manifest.json"),
+    ("data.csv", "link.csv", "link.csv"),  # link.csv -> data.csv
+    ("wave_0001.csv", "wave", "wave_0001.csv"),
 ])
 def test_an_output_that_is_not_a_regular_file_exits_3_untouched(
-        tmp_path, monkeypatch, capsys, fifo, out):
+        tmp_path, monkeypatch, capsys, fifo, out, named):
     monkeypatch.chdir(tmp_path)
     os.mkfifo(fifo)
     if out == "link.csv":
         os.symlink(fifo, out)
-    argv = ["rd", "--length", "4", "--horizon", "1", "--snapshot_every", "100",
-            "--quiet", "--out", out] if out == "wave" else [*SIR_OUT, out]
-    assert cli.main(argv) == 3
+    assert cli.main([*(RD_OUT if out == "wave" else SIR_OUT), out]) == 3
     err = one_error_line(capsys, "error: OSError: output path is not a regular file: ")
-    assert repr(fifo if out == "wave" or fifo.endswith(".json") else out) in err
+    assert repr(named) in err
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert not [p for p in os.listdir() if p.endswith(".tmp")]
 
