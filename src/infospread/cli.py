@@ -354,15 +354,10 @@ def _csv_chunks(header, columns):
         yield "\n".join(lines)
 
 
-def _write_atomic(path: Path, chunks) -> None:
-    """Write text chunks to ``path`` as UTF-8, through a temporary file in
-    the same directory that is renamed into place once every chunk is
-    written: an exception midway leaves neither file behind.  The file gets
-    mode ``0o666 & ~umask``, as ``open`` would create it.  A symlink's
-    target is written, and the link kept; an existing target that is not a
-    regular file (a directory, a FIFO, a device) is refused and left as it
-    is.  A directory or temporary file that cannot be created is reported
-    with ``path``."""
+def _output_target(path) -> Path:
+    """The file an output at ``path`` writes: ``path`` itself, or a
+    symlink's target, the link being kept.  An existing target that is not
+    a regular file (a directory, a FIFO, a device) is refused."""
     path = target = Path(path)
     try:
         st = os.lstat(path)
@@ -378,6 +373,24 @@ def _write_atomic(path: Path, chunks) -> None:
         if stat.S_ISDIR(st.st_mode):
             raise IsADirectoryError(f"output path is a directory: {str(path)!r}")
         raise OSError(f"output path is not a regular file: {str(path)!r}")
+    return target
+
+
+def _check_outputs(paths) -> None:
+    """Refuse every output path before the first is written, so a refused
+    one leaves no file of the run behind."""
+    for path in paths:
+        _output_target(path)
+
+
+def _write_atomic(path: Path, chunks) -> None:
+    """Write text chunks to ``path`` as UTF-8, through a temporary file in
+    the same directory that is renamed into place once every chunk is
+    written: an exception midway leaves neither file behind.  The file gets
+    mode ``0o666 & ~umask``, as ``open`` would create it.  The file written
+    is ``_output_target(path)``.  A directory or temporary file that cannot
+    be created is reported with ``path``."""
+    target = _output_target(path)
     mask = os.umask(0)
     os.umask(mask)
     try:
@@ -431,7 +444,11 @@ def _write_manifest(config: RunConfig, outputs, extra=None) -> None:
     if extra:
         manifest["results"] = extra
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    _write_atomic(Path(f"{config.out}.manifest.json"), [text])
+    _write_atomic(_manifest_path(config), [text])
+
+
+def _manifest_path(config: RunConfig) -> Path:
+    return Path(f"{config.out}.manifest.json")
 
 
 def _emit(config: RunConfig, chunks, extra=None, mirror=None) -> None:
@@ -442,9 +459,11 @@ def _emit(config: RunConfig, chunks, extra=None, mirror=None) -> None:
         _write_stdout(chunks)
         return
     outputs = [Path(config.out)]
-    _write_atomic(outputs[0], chunks)
     if mirror is not None:
         outputs.append(outputs[0].with_suffix(".json"))
+    _check_outputs([*outputs, _manifest_path(config)])
+    _write_atomic(outputs[0], chunks)
+    if mirror is not None:
         _write_atomic(outputs[1], [json.dumps(mirror, indent=2, sort_keys=True) + "\n"])
     _write_manifest(config, outputs, extra)
     if not config.quiet:
@@ -528,6 +547,7 @@ def _run_rd(config: RunConfig) -> None:
                                 snapshot_every=p["snapshot_every"])
     x = [str(v) for v in cfg.x.tolist()]  # formatted once for every snapshot
     outputs = [f"{config.out}_{k:04d}.csv" for k in range(len(snaps))]
+    _check_outputs([*outputs, _manifest_path(config)])
     for path, snap in zip(outputs, snaps):
         _write_atomic(path, _csv_chunks(("x", "u"), (x, snap.u)))
     _write_manifest(config, outputs,

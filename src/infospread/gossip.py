@@ -50,6 +50,11 @@ _ROW_SUM_TOL = 1e-12
 # Work bound: most contacts, n * rounds, of one population run.
 MAX_CONTACTS = 100_000_000
 
+# Cells of the network read per block while building the partner table, and
+# of the threshold comparison that picks the partners of a block of rounds.
+_TABLE_CELLS = 2**17
+_ROUND_CELLS = 2**16
+
 
 @dataclass(frozen=True)
 class ExchangeParams:
@@ -233,31 +238,70 @@ def stationary_distribution(matrix: PairTransitionMatrix) -> np.ndarray:
 def _partner_table(w: np.ndarray):
     """Partner-sampling thresholds of every initiator with out-weight.
 
-    ``w`` is read one row at a time, with its diagonal taken as zero (self
-    contacts are excluded), so no n-by-n copy is made.  Returns the active
-    initiator indices in index order and two padded (m, max_degree)
-    matrices: row r holds initiator active[r]'s _cumulative thresholds at
-    its positive-weight columns, padded with +inf, and those columns.  For
-    a uniform u in [0, 1), cols[r, count(thresholds[r] <= u)] equals
-    searchsorted(_cumulative(row), u, side="right"): the first threshold
-    above u always sits at a positive-weight column.
+    ``w`` is read one block of about ``_TABLE_CELLS`` cells at a time, with
+    its diagonal taken as zero (self contacts are excluded), so no n-by-n
+    copy is made.  Returns the active initiator indices in index order and
+    two padded (m, max_degree) matrices: row r holds initiator active[r]'s
+    _cumulative thresholds at its positive-weight columns, padded with
+    +inf, and those columns.  For a uniform u in [0, 1), cols[r,
+    count(thresholds[r] <= u)] equals searchsorted(_cumulative(row), u,
+    side="right"): the first threshold above u always sits at a
+    positive-weight column.
+
+    A first pass counts each row's partners, so both matrices are allocated
+    once; a second gathers each block's positive weights into its rows of
+    ``thresholds`` and takes their running sums there.  Those equal
+    _cumulative's at the same columns bit for bit: a cumulative sum adds in
+    index order, and adding the zeros between them changes no partial sum.
     """
-    active, support, cums = [], [], []
-    for i in range(w.shape[0]):
-        row = w[i].copy()
-        row[i] = 0.0
-        nz = np.flatnonzero(row)
-        if nz.size:
-            active.append(i)
-            support.append(nz)
-            cums.append(_cumulative(row)[nz])
-    width = max((nz.size for nz in support), default=0)
-    thresholds = np.full((len(active), width), np.inf)
-    cols = np.zeros((len(active), width), dtype=np.intp)
-    for r, (nz, cum) in enumerate(zip(support, cums)):
-        thresholds[r, :nz.size] = cum
-        cols[r, :nz.size] = nz
-    return np.array(active, dtype=np.intp), thresholds, cols
+    n = w.shape[0]
+    step = max(1, _TABLE_CELLS // n)
+    degree = np.empty(n, dtype=np.intp)
+    for a in range(0, n, step):
+        degree[a:a + step] = np.count_nonzero(w[a:a + step], axis=1)
+    degree -= np.diagonal(w) != 0.0
+    active = np.flatnonzero(degree)
+    width = int(degree.max(initial=0))
+    thresholds = np.zeros((active.size, width))
+    cols = np.zeros((active.size, width), dtype=np.intp)
+    r0 = 0
+    for a in range(0, n, step):
+        block = w[a:a + step]
+        positive = block != 0.0
+        local = np.arange(block.shape[0])
+        positive[local, a + local] = False
+        rows, nz = np.nonzero(positive)
+        count = degree[a:a + step]
+        count = count[count > 0]
+        # Rank of each entry within its row: rows come out in order.
+        starts = np.cumsum(count) - count
+        r = np.repeat(np.arange(count.size), count)
+        rank = np.arange(rows.size) - starts[r]
+        r1 = r0 + count.size
+        t = thresholds[r0:r1]
+        t[r, rank] = block[rows, nz]
+        cols[r0:r1][r, rank] = nz
+        np.cumsum(t, axis=1, out=t)
+        # Each row's total, which its padding leaves in the last column;
+        # the last positive entry becomes total / total, exactly 1.0.
+        t /= t[:, -1:].copy()
+        t[np.arange(width) >= count[:, None]] = np.inf
+        r0 = r1
+    return active, thresholds, cols
+
+
+def _round_picks(rng, thresholds, cols, rounds: int):
+    """Each round's partners and transition draws, as two lists in
+    initiator order, drawn for a block of rounds at a time.  One
+    ``rng.random((block, 2m))`` is the same stream as ``block`` successive
+    ``rng.random(2m)``: PCG64 gives one double per 64-bit draw, in order.
+    A block's comparison holds about ``_ROUND_CELLS`` cells."""
+    rows = np.arange(cols.shape[0])
+    block = max(1, _ROUND_CELLS // max(1, thresholds.size))
+    for start in range(0, rounds, block):
+        draws = rng.random((min(block, rounds - start), 2 * rows.size))
+        picks = np.count_nonzero(thresholds <= draws[:, 0::2, None], axis=2)
+        yield from zip(cols[rows, picks].tolist(), draws[:, 1::2].tolist())
 
 
 def simulate_population(net: ManagerNetwork, params: ExchangeParams,
@@ -279,7 +323,9 @@ def simulate_population(net: ManagerNetwork, params: ExchangeParams,
     index order.  Isolated initiators draw nothing, and once the population
     is frozen (everyone informed with p_drop = 0, or nobody with p_ext = 0)
     no round draws at all.  Each draw is compared with its thresholds as
-    by ``searchsorted(..., side="right")``.
+    by ``searchsorted(..., side="right")``.  A block of rounds takes its
+    draws in one ``rng.random((block, 2 * m))`` call, the same stream as
+    one call per round; the draws of rounds past a freeze are never used.
     """
     n = net.n
     check(rounds >= 1, "rounds", rounds, ">= 1")
@@ -292,11 +338,11 @@ def simulate_population(net: ManagerNetwork, params: ExchangeParams,
 
     active, thresholds, cols = _partner_table(net.w)
     m = active.size
-    rows = np.arange(m)
     initiators = active.tolist()
     row_cums = [row.tolist() for row in _row_cumsums(params)]
 
     rng = np.random.default_rng(seed)
+    picks = _round_picks(rng, thresholds, cols, rounds)
     counts = [sum(bits)]
     skips = 0
     for rnd in range(rounds):
@@ -304,17 +350,14 @@ def simulate_population(net: ManagerNetwork, params: ExchangeParams,
         frozen = (k == n and params.p_drop == 0.0) or \
                  (k == 0 and params.p_ext == 0.0)
         if frozen:
-            # No transition can change any bit; fill without consuming draws.
+            # No transition can change any bit; fill without using draws.
             counts.extend([k] * (rounds - rnd))
             break
-        draws = rng.random(2 * m)
-        picks = np.count_nonzero(thresholds <= draws[0::2, None], axis=1)
-        partners = cols[rows, picks].tolist()
-        for i, j, u in zip(initiators, partners, draws[1::2].tolist()):
+        partners, draws = next(picks)
+        for i, j, u in zip(initiators, partners, draws):
             # STATE_ORDER puts the pair state (a, b) at index 2a + b.
-            nxt = bisect_right(row_cums[2 * bits[i] + bits[j]], u)
-            bits[i] = nxt >> 1
-            bits[j] = nxt & 1
+            bits[i], bits[j] = STATE_ORDER[
+                bisect_right(row_cums[2 * bits[i] + bits[j]], u)]
         skips += n - m
         counts.append(sum(bits))
     return GossipTrace(

@@ -1040,6 +1040,7 @@ def test_directory_as_output_exits_3():
 SIR_OUT = ["sir", "--preset", "fig6b", "--horizon", "1", "--quiet", "--out"]
 RD_OUT = ["rd", "--length", "4", "--horizon", "1", "--snapshot_every", "100",
           "--quiet", "--out"]
+PROV_OUT = ["funds", "provinces", "--quiet", "--out"]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
@@ -1064,6 +1065,7 @@ def test_outputs_get_the_mode_open_would_create(tmp_path, monkeypatch, umask, mo
     ("sir.csv.manifest.json", "sir.csv", "sir.csv.manifest.json"),
     ("data.csv", "link.csv", "link.csv"),  # link.csv -> data.csv
     ("wave_0001.csv", "wave", "wave_0001.csv"),
+    ("prov.json", "prov.csv", "prov.json"),  # the JSON mirror of funds' CSV
 ])
 def test_an_output_that_is_not_a_regular_file_exits_3_untouched(
         tmp_path, monkeypatch, capsys, fifo, out, named):
@@ -1071,11 +1073,14 @@ def test_an_output_that_is_not_a_regular_file_exits_3_untouched(
     os.mkfifo(fifo)
     if out == "link.csv":
         os.symlink(fifo, out)
-    assert cli.main([*(RD_OUT if out == "wave" else SIR_OUT), out]) == 3
+    argv = {"wave": RD_OUT, "prov.csv": PROV_OUT}.get(out, SIR_OUT)
+    assert cli.main([*argv, out]) == 3
     err = one_error_line(capsys, "error: OSError: output path is not a regular file: ")
     assert repr(named) in err
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
-    assert not [p for p in os.listdir() if p.endswith(".tmp")]
+    # Every output is checked before the first is written: the run leaves
+    # no file behind, not even the CSV or snapshot before the refused one.
+    assert sorted(os.listdir()) == sorted({fifo, out} if out == "link.csv" else {fifo})
 
 
 @pytest.mark.parametrize("target", ["data/sir.csv", "data/new.csv"],

@@ -150,6 +150,27 @@ def reference_simulate_population(net, params, initially_informed, rounds,
     )
 
 
+def reference_partner_table(w):
+    """Partner table row by row, from its definition: each row with its
+    diagonal zeroed, _cumulative's thresholds at its positive columns."""
+    active, support, cums = [], [], []
+    for i in range(w.shape[0]):
+        row = np.array(w[i], dtype=float)
+        row[i] = 0.0
+        nz = np.flatnonzero(row)
+        if nz.size:
+            active.append(i)
+            support.append(nz)
+            cums.append(gossip._cumulative(row)[nz])
+    width = max((nz.size for nz in support), default=0)
+    thresholds = np.full((len(active), width), np.inf)
+    cols = np.zeros((len(active), width), dtype=np.intp)
+    for r, (nz, cum) in enumerate(zip(support, cums)):
+        thresholds[r, :nz.size] = cum
+        cols[r, :nz.size] = nz
+    return np.array(active, dtype=np.intp), thresholds, cols
+
+
 def param_grid():
     for s, d, l, g, e in itertools.product(GRID, repeat=5):
         yield gossip.ExchangeParams(p_select=s, p_drop=d, p_loss=l,
@@ -476,6 +497,53 @@ def test_population_matches_per_contact_reference(name):
     assert frozen == {0, n}
 
 
+def partner_table_networks():
+    nets = dict(equivalence_networks())
+    for n, density in ((300, 0.05), (1000, 0.05), (200, 1.0), (300, 0.0)):
+        nets[f"random-{n}-{density}"] = \
+            netdiff.generate_random_network(n, density, seed=n).w
+    return nets
+
+
+@pytest.mark.parametrize("name", sorted(partner_table_networks()))
+def test_partner_table_matches_its_definition(name):
+    w = partner_table_networks()[name]
+    got = gossip._partner_table(w)
+    for part, expected in zip(got, reference_partner_table(w)):
+        assert part.dtype == expected.dtype
+        assert np.array_equal(part, expected), name
+
+
+def rounds_per_block(w):
+    _, thresholds, _ = gossip._partner_table(w)
+    return max(1, gossip._ROUND_CELLS // max(1, thresholds.size))
+
+
+@pytest.mark.parametrize("density, rounds", [(0.05, 40), (1.0, 6)],
+                         ids=["several-blocks", "one-round-blocks"])
+def test_population_matches_reference_across_round_blocks(density, rounds):
+    net = netdiff.generate_random_network(300, density, seed=11)
+    block = rounds_per_block(net.w)
+    assert block == 1 if density == 1.0 else 1 < block < rounds / 2
+    params = EQUIVALENCE_PARAMS[0]
+    for seed in (0, 1):
+        assert gossip.simulate_population(net, params, [0], rounds, seed) == \
+            reference_simulate_population(net, params, [0], rounds, seed)
+
+
+def test_population_matches_reference_when_frozen_mid_block():
+    net = netdiff.generate_random_network(300, 0.05, seed=11)
+    frozen_from = []  # the first round that starts frozen
+    for params in EQUIVALENCE_PARAMS[1:3]:  # both freeze at full coverage
+        for seed in range(3):
+            got = gossip.simulate_population(net, params, [0], 40, seed)
+            assert got == reference_simulate_population(net, params, [0], 40, seed)
+            assert got.informed_count[-1] == 300
+            frozen_from.append(got.informed_count.index(300))
+    block = rounds_per_block(net.w)
+    assert any(rnd % block for rnd in frozen_from)
+
+
 @st.composite
 def small_population_runs(draw):
     n = draw(st.integers(1, 6))
@@ -512,6 +580,20 @@ def test_population_peak_memory_is_under_half_the_network():
     finally:
         tracemalloc.stop()
     assert peak <= 0.5 * n * n * 8
+
+
+def test_partner_table_peak_memory_is_about_the_table():
+    # The network is read a block of rows at a time, so the build holds
+    # little beyond the table it returns.
+    w = netdiff.generate_random_network(1000, 0.05, seed=3).w
+    gossip._partner_table(w)  # untraced: first-use allocations
+    tracemalloc.start()
+    try:
+        _, thresholds, cols = gossip._partner_table(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (thresholds.nbytes + cols.nbytes)
 
 
 # -- empirical estimates -------------------------------------------------------
