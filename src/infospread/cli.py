@@ -5,10 +5,12 @@ domain, 3 missing input file (or a directory given as a file), or an output
 that cannot be written or whose existing target is not a regular file.
 Flags are declared once, in ``_SUBCOMMANDS``; parameter domains are checked
 by the model types alone.
-Every file-writing invocation writes atomically (temp file + rename) and
-drops a sidecar ``<out>.manifest.json`` echoing the effective parameters,
-including defaulted ones, so identical config and seed reproduce identical
-bytes.  Each CSV cell is ``str`` of its Python scalar: ``repr`` for a float.
+Every file-writing invocation also writes a sidecar ``<out>.manifest.json``
+echoing the effective parameters, including defaulted ones, so identical
+config and seed reproduce identical bytes.  A run's files are staged under
+temporary names and renamed into place, the manifest last, only once all
+are written, so they appear together or not at all.  Each CSV cell is
+``str`` of its Python scalar: ``repr`` for a float.
 Outputs are written in chunks of bounded size, as UTF-8 whatever the locale,
 so a file and stdout carry the same bytes.
 """
@@ -376,41 +378,6 @@ def _output_target(path) -> Path:
     return target
 
 
-def _check_outputs(paths) -> None:
-    """Refuse every output path before the first is written, so a refused
-    one leaves no file of the run behind."""
-    for path in paths:
-        _output_target(path)
-
-
-def _write_atomic(path: Path, chunks) -> None:
-    """Write text chunks to ``path`` as UTF-8, through a temporary file in
-    the same directory that is renamed into place once every chunk is
-    written: an exception midway leaves neither file behind.  The file gets
-    mode ``0o666 & ~umask``, as ``open`` would create it.  The file written
-    is ``_output_target(path)``.  A directory or temporary file that cannot
-    be created is reported with ``path``."""
-    target = _output_target(path)
-    mask = os.umask(0)
-    os.umask(mask)
-    try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.",
-                                   suffix=".tmp")
-    except OSError as exc:
-        # OSError(errno, ...) is the errno's subclass, so the type is kept.
-        raise OSError(exc.errno, f"{exc.strerror}: cannot create {exc.filename!r} "
-                                 f"for the output path {str(path)!r}") from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            os.fchmod(fd, 0o666 & ~mask)  # mkstemp creates it 0600
-            fh.writelines(chunks)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _write_stdout(chunks) -> None:
     """Write text chunks to stdout as the UTF-8 bytes a file would hold,
     whatever the locale's encoding.  A text-only stream (one without a
@@ -433,39 +400,68 @@ def _write_stdout(chunks) -> None:
         os.close(devnull)
 
 
-def _write_manifest(config: RunConfig, outputs, extra=None) -> None:
+def _write_files(config: RunConfig, files, extra=None) -> None:
+    """Write ``files``, a list of ``(path, text chunks)`` pairs, and the
+    run's manifest ``<out>.manifest.json`` naming them, so that they appear
+    together or not at all.  Every target (``_output_target``) is resolved
+    before any byte is written.  Each file is written as UTF-8 to a
+    temporary file in its target's directory, with mode ``0o666 & ~umask``
+    as ``open`` would create it; once all are complete they are renamed
+    into place, the manifest last.  On any exception every temporary file
+    still staged is removed.  One window is left: a rename that fails
+    partway leaves the files renamed before it, with no manifest.  A
+    directory or temporary file that cannot be created is reported with
+    its output path."""
     manifest = {
         "subcommand": config.subcommand,
         "action": config.action,
         "seed": config.seed,
         "parameters": config.params,
-        "outputs": [Path(o).name for o in outputs],
+        "outputs": [Path(path).name for path, _ in files],
     }
     if extra:
         manifest["results"] = extra
-    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    _write_atomic(_manifest_path(config), [text])
-
-
-def _manifest_path(config: RunConfig) -> Path:
-    return Path(f"{config.out}.manifest.json")
+    files = [*files, (f"{config.out}.manifest.json",
+                      [json.dumps(manifest, sort_keys=True, indent=2) + "\n"])]
+    targets = [_output_target(path) for path, _ in files]
+    mask = os.umask(0)
+    os.umask(mask)
+    staged = []
+    try:
+        for (path, chunks), target in zip(files, targets):
+            try:
+                target.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=target.parent,
+                                           prefix=f".{target.name}.", suffix=".tmp")
+            except OSError as exc:
+                # OSError(errno, ...) is the errno's subclass, so the type is kept.
+                raise OSError(exc.errno, f"{exc.strerror}: cannot create "
+                                         f"{exc.filename!r} for the output path "
+                                         f"{str(path)!r}") from None
+            staged.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                os.fchmod(fd, 0o666 & ~mask)  # mkstemp creates it 0600
+                fh.writelines(chunks)
+        for target in targets:
+            os.replace(staged[0], target)
+            del staged[0]
+    except BaseException:
+        for tmp in staged:
+            os.unlink(tmp)
+        raise
 
 
 def _emit(config: RunConfig, chunks, extra=None, mirror=None) -> None:
     """Stream the CSV text chunks to stdout, or to --out; a ``mirror``
-    document is written as JSON beside it, to --out with the suffix .json.
-    The manifest comes last and lists every file written."""
+    document is written as JSON beside it, to --out with the suffix .json."""
     if config.out is None:
         _write_stdout(chunks)
         return
-    outputs = [Path(config.out)]
+    files = [(config.out, chunks)]
     if mirror is not None:
-        outputs.append(outputs[0].with_suffix(".json"))
-    _check_outputs([*outputs, _manifest_path(config)])
-    _write_atomic(outputs[0], chunks)
-    if mirror is not None:
-        _write_atomic(outputs[1], [json.dumps(mirror, indent=2, sort_keys=True) + "\n"])
-    _write_manifest(config, outputs, extra)
+        files.append((Path(config.out).with_suffix(".json"),
+                      [json.dumps(mirror, indent=2, sort_keys=True) + "\n"]))
+    _write_files(config, files, extra)
     if not config.quiet:
         print(f"wrote {config.out}")
 
@@ -546,15 +542,12 @@ def _run_rd(config: RunConfig) -> None:
     snaps = rdwave.rd_integrate(cfg, _rd_initial(cfg, p["init"]),
                                 snapshot_every=p["snapshot_every"])
     x = [str(v) for v in cfg.x.tolist()]  # formatted once for every snapshot
-    outputs = [f"{config.out}_{k:04d}.csv" for k in range(len(snaps))]
-    _check_outputs([*outputs, _manifest_path(config)])
-    for path, snap in zip(outputs, snaps):
-        _write_atomic(path, _csv_chunks(("x", "u"), (x, snap.u)))
-    _write_manifest(config, outputs,
-                    extra={"times": [s.t for s in snaps],
-                           "n_nodes": cfg.n_nodes, "dx": cfg.dx})
+    files = [(f"{config.out}_{k:04d}.csv", _csv_chunks(("x", "u"), (x, s.u)))
+             for k, s in enumerate(snaps)]
+    _write_files(config, files, extra={"times": [s.t for s in snaps],
+                                       "n_nodes": cfg.n_nodes, "dx": cfg.dx})
     if not config.quiet:
-        print(f"wrote {len(outputs)} snapshots with prefix {config.out}")
+        print(f"wrote {len(snaps)} snapshots with prefix {config.out}")
 
 
 def _run_fastslow(config: RunConfig) -> None:

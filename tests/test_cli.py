@@ -1,6 +1,7 @@
 """CLI parsing, dispatch, exit statuses, determinism, and the golden trace."""
 
 import contextlib
+import errno
 import hashlib
 import importlib.resources
 import io
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -519,11 +521,18 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def out_config(out) -> cli.RunConfig:
+    """The config of a run whose --out is ``out``, for the writer alone."""
+    return cli.RunConfig(subcommand="sir", action=None, seed=0, out=str(out),
+                         quiet=True, params={})
+
+
 def test_writer_memory_is_flat_in_row_count(tmp_path):
     def peak(rows):
         columns = [np.linspace(0.0, 1.0, rows) + k / 3 for k in range(4)]
-        return traced_peak(cli._write_atomic, tmp_path / f"{rows}.csv",
-                           cli._csv_chunks(("t", "S", "I", "R"), columns))
+        out = tmp_path / f"{rows}.csv"
+        return traced_peak(cli._write_files, out_config(out),
+                           [(out, cli._csv_chunks(("t", "S", "I", "R"), columns))])
 
     assert abs(peak(10 ** 5) - peak(10 ** 4)) < 2 ** 20
 
@@ -543,7 +552,8 @@ def test_sir_memory_beyond_its_trajectory_is_flat_in_horizon(tmp_path):
 def test_a_chunk_that_raises_leaves_no_file(tmp_path):
     out = tmp_path / "out.csv"
     with pytest.raises(ValueError):  # zip(strict=True) on unequal columns
-        cli._write_atomic(out, cli._csv_chunks(("a", "b"), ([1, 2, 3], [1, 2])))
+        cli._write_files(out_config(out),
+                         [(out, cli._csv_chunks(("a", "b"), ([1, 2, 3], [1, 2])))])
     assert not list(tmp_path.iterdir())
 
 
@@ -1081,6 +1091,100 @@ def test_an_output_that_is_not_a_regular_file_exits_3_untouched(
     # Every output is checked before the first is written: the run leaves
     # no file behind, not even the CSV or snapshot before the refused one.
     assert sorted(os.listdir()) == sorted({fifo, out} if out == "link.csv" else {fifo})
+
+
+GEN_OUT = ["network", "gen", "--n", "12", "--density", "0.4", "--quiet", "--out"]
+
+
+def listing():
+    """{name: (inode, bytes)} of the working directory: a file renamed over,
+    even with the same bytes, gets a new inode."""
+    return {p.name: (p.stat().st_ino, p.read_bytes()) for p in Path(".").iterdir()}
+
+
+# ``failing`` counts the run's files in the order they are written: the
+# CSV (or the six rd snapshots), funds' JSON mirror, then the manifest.
+@pytest.mark.parametrize("argv, out, failing", [
+    (SIR_OUT, "sir.csv", 0), (SIR_OUT, "sir.csv", 1),
+    (PROV_OUT, "prov.csv", 0), (PROV_OUT, "prov.csv", 1), (PROV_OUT, "prov.csv", 2),
+    (RD_OUT, "wave", 0), (RD_OUT, "wave", 3), (RD_OUT, "wave", 6),
+    (GEN_OUT, "gen.csv", 0), (GEN_OUT, "gen.csv", 1),
+], ids=["sir-csv", "sir-manifest", "prov-csv", "prov-json", "prov-manifest",
+        "rd-first", "rd-middle", "rd-manifest", "gen-csv", "gen-manifest"])
+def test_a_write_that_fails_at_any_file_leaves_the_directory_as_it_was(
+        tmp_path, monkeypatch, capsys, argv, out, failing):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, out, "--seed", "1"]) == 0  # the earlier run
+    before = listing()
+    real = os.fdopen
+    opened = []
+
+    def fdopen(fd, *args, **kwargs):
+        # The staged file of output number ``failing`` takes a few bytes,
+        # then the disk is full.
+        fh = real(fd, *args, **kwargs)
+        opened.append(fd)
+        if len(opened) == failing + 1:
+            fh.write("partial")
+            fh.close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return fh
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
+    assert cli.main([*argv, out]) == 3
+    one_error_line(capsys, f"error: OSError: [Errno {errno.ENOSPC}] ")
+    assert listing() == before
+    assert len(opened) == failing + 1
+
+
+def test_an_interrupt_while_writing_propagates_and_leaves_no_file(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    real = cli._csv_chunks
+    started = []
+
+    def chunks(header, columns):
+        started.append(header)
+        yield ",".join(header) + "\n"
+        if len(started) == 3:  # two snapshots are staged by now
+            raise KeyboardInterrupt
+        yield from islice(real(header, columns), 1, None)
+
+    monkeypatch.setattr(cli, "_csv_chunks", chunks)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main([*RD_OUT, "wave"])
+    assert len(started) == 3
+    assert os.listdir() == []
+
+
+def test_a_rename_that_fails_partway_leaves_no_temporary_file(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    real = os.replace
+    renamed = []
+
+    def replace(src, dst):
+        renamed.append(dst)
+        if len(renamed) == 2:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert cli.main([*PROV_OUT, "prov.csv"]) == 3
+    one_error_line(capsys, "error: OSError: ")
+    # The one window: the CSV renamed before the failure stays; the JSON
+    # mirror and the manifest, renamed last, do not appear.
+    assert os.listdir() == ["prov.csv"]
+
+
+def test_each_output_target_is_resolved_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    real = cli._output_target
+    resolved = []
+    monkeypatch.setattr(cli, "_output_target",
+                        lambda path: resolved.append(str(path)) or real(path))
+    assert cli.main([*PROV_OUT, "prov.csv"]) == 0
+    assert sorted(resolved) == ["prov.csv", "prov.csv.manifest.json", "prov.json"]
 
 
 @pytest.mark.parametrize("target", ["data/sir.csv", "data/new.csv"],
