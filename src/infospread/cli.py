@@ -570,7 +570,7 @@ def _funds_rows(action: str, params: dict, records):
         return fundstats.SummaryRow, fundstats.summarize(
             records, params["group_by"], params["value"])
     if action == "provinces":
-        return fundstats.ProvinceRow, fundstats.province_report(records).rows
+        return fundstats.ProvinceRow, fundstats.province_report(records)
     return fundstats.DemographicsRow, fundstats.demographics_report(records)
 
 

@@ -12,6 +12,9 @@ identity is used as a drift check instead of back-solving R = N - S - I.
 Integration is fixed-step classical Runge-Kutta: reproducible, and its
 fourth-order convergence is directly verifiable.  Named presets used by the
 CLI run with N = 1 (population fractions) and mu = 0.
+
+The informed equilibrium (S*, I*) is computed only by ``_informed_point``,
+for ``equilibria`` and for rdwave's fast-slow QSS reference.
 """
 
 from __future__ import annotations
@@ -193,11 +196,16 @@ def integrate(params: SirParams, init: SirState, h: float,
 
 def basic_reproduction_number(params: SirParams) -> float:
     """beta*N / (alpha + mu); information spreads from near-full
-    susceptibility iff this exceeds 1."""
+    susceptibility iff this exceeds 1.  DegenerateParamsError when alpha +
+    mu is 0, or when it and beta*N both overflow."""
     denom = params.alpha + params.mu
     if denom == 0.0:
         raise DegenerateParamsError("alpha + mu must be positive for R0")
-    return params.beta * params.n_total / denom
+    r0 = params.beta * params.n_total / denom
+    if math.isnan(r0):  # inf / inf
+        raise DegenerateParamsError(
+            "beta*N and alpha + mu overflow, so R0 is undefined")
+    return r0
 
 
 def _stability_label(eigenvalues) -> str:
@@ -208,15 +216,32 @@ def _stability_label(eigenvalues) -> str:
     return "stable" if max_real < 0.0 else "unstable"
 
 
+def _informed_point(p: SirParams) -> tuple[float, float] | None:
+    """(S*, I*) of the informed equilibrium, S* = (alpha + mu)/beta and
+    I* = mu*(N - S*)/(beta*S*), or None when beta*N <= alpha + mu (R0 <= 1
+    once alpha + mu > 0).
+
+    I* has no limit as alpha + mu -> 0 (it tends to N*mu/(alpha + mu)), so
+    rates for which beta*S* rounds to 0 raise ParamError.
+    """
+    if not (p.beta * p.n_total > p.alpha + p.mu and p.beta > 0.0):
+        return None
+    s_star = (p.alpha + p.mu) / p.beta
+    check(p.beta * s_star > 0.0, "alpha", p.alpha,
+          "such that beta*S* > 0 at the QSS state S* = (alpha + mu)/beta")
+    return s_star, p.mu * (p.n_total - s_star) / (p.beta * s_star)
+
+
 def equilibria(params: SirParams) -> EquilibriumReport:
     """Equilibria of the planar (S, I) system with Jacobian classification.
 
     The Jacobian is J(S, I) = [[-beta*I - mu, -beta*S],
                                [ beta*I,       beta*S - alpha - mu]].
     The disease-free point (N, 0) has eigenvalues -mu and beta*N-alpha-mu.
-    The endemic point S* = (alpha+mu)/beta, I* = mu*(N-S*)/(beta*S*) exists
-    iff R0 > 1; with mu = 0 it collapses and EndemicUndefinedError points the
-    caller at the final-size relation instead.
+    The endemic point is the informed point (S*, I*) of _informed_point; it
+    exists iff R0 > 1.  With mu = 0 it collapses and EndemicUndefinedError
+    points the caller at the final-size relation instead, and rates for
+    which beta*S* rounds to 0 raise ParamError.
     """
     beta, alpha, mu, n_total = params.beta, params.alpha, params.mu, params.n_total
     r0 = basic_reproduction_number(params)
@@ -231,8 +256,7 @@ def equilibria(params: SirParams) -> EquilibriumReport:
             "endemic equilibrium collapses when mu=0 and R0>1; use "
             "final_size for the long-horizon susceptible fraction",
             disease_free=disease_free)
-    s_star = (alpha + mu) / beta
-    i_star = mu * (n_total - s_star) / (beta * s_star)
+    s_star, i_star = _informed_point(params)
     r_star = alpha * i_star / mu
     jac = np.array([[-beta * i_star - mu, -beta * s_star],
                     [beta * i_star, beta * s_star - alpha - mu]])
@@ -251,7 +275,8 @@ def final_size(params: SirParams, s0: float, i0: float) -> float:
         ln(s0 / s_inf) = (beta/alpha) * (s0 + i0 - s_inf)
 
     by bisection to an interval of 1e-12.  Serves as the independent oracle
-    for long-horizon integration.
+    for long-horizon integration.  Raises BracketError when no bracket with
+    a sign change exists in floats, as when beta/alpha overflows.
     """
     check(params.mu == 0.0, "mu", params.mu, "0 for the final size")
     if params.alpha <= 0.0:
@@ -271,12 +296,12 @@ def final_size(params: SirParams, s0: float, i0: float) -> float:
     f_hi = f(hi)          # = -ratio * i0 < 0
     lo = s0
     f_lo = f_hi
-    for _ in range(2000):
+    # f is NaN where beta/alpha, or its product with s0 + i0 - x, overflows,
+    # so halving stops at the smallest positive float, never at 0.
+    while not f_lo > 0.0 and lo * 0.5 > 0.0:
         lo *= 0.5
         f_lo = f(lo)
-        if f_lo > 0.0:
-            break
-    if f_lo <= 0.0 or f_hi >= 0.0:
+    if not (f_lo > 0.0 and f_hi < 0.0):
         raise BracketError(
             f"no sign change on [{lo:.3e}, {hi:.3e}] "
             f"(f={f_lo:.3e}, {f_hi:.3e})")

@@ -44,7 +44,6 @@ __all__ = [
     "FundTable",
     "SummaryRow",
     "ProvinceRow",
-    "ProvinceReport",
     "DemographicsRow",
     "ingest_csv",
     "summarize",
@@ -98,14 +97,6 @@ class ProvinceRow:
     fund_count: int
     pct_of_funds: float
     pct_of_assets: float
-
-
-@dataclass(frozen=True)
-class ProvinceReport:
-    """All provinces, ranked by family count descending (list order ties
-    broken by the canonical province order)."""
-
-    rows: tuple[ProvinceRow, ...]
 
 
 @dataclass(frozen=True)
@@ -370,8 +361,10 @@ def _pct(part, whole) -> float:
     return 100.0 * part / whole if whole else 0.0
 
 
-def province_report(records) -> ProvinceReport:
-    """Family/fund counts and percentage shares per province.
+def province_report(records) -> tuple[ProvinceRow, ...]:
+    """Family/fund counts and percentage shares per province, one row for
+    every province, ranked by family count descending (ties keep the
+    canonical province order).
 
     Missing provinces appear with zeros.  Asset shares use exact summation,
     so input order cannot change them.
@@ -390,7 +383,7 @@ def province_report(records) -> ProvinceReport:
                         pct_of_assets=_pct(sums[p], total_assets))
             for p in PROVINCES]
     rows.sort(key=lambda row: -row.family_count)  # stable: ties keep PROVINCES order
-    return ProvinceReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 def demographics_report(records) -> tuple[DemographicsRow, ...]:

@@ -98,7 +98,7 @@ class PairTransitionMatrix:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (4, 4):
             raise ParamError(f"transition matrix must be 4x4, got {p.shape}")
-        if ((p < 0.0) | (p > 1.0)).any():
+        if not ((p >= 0.0) & (p <= 1.0)).all():  # NaN fails too
             raise ParamError("transition probabilities must lie in [0, 1]")
         if np.max(np.abs(p.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
             raise ParamError("transition matrix rows must sum to 1")
@@ -185,26 +185,20 @@ def _row_cumsums(params: ExchangeParams) -> np.ndarray:
 
 
 def _closed_classes(p: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Closed communicating classes of a small stochastic matrix."""
+    """Closed communicating classes of a small stochastic matrix.
+
+    A state lies in a closed class iff every state it reaches reaches it
+    back, and its class is then the set of states it reaches.  Each class
+    is listed once, at its smallest state, in state order."""
     n = p.shape[0]
     reach = np.eye(n, dtype=bool) | (p > 0.0)
     for _ in range(n):
         reach = reach | (reach @ reach)
-    mutual = reach & reach.T
-    classes = []
-    seen = set()
-    for i in range(n):
-        if i in seen:
-            continue
-        members = tuple(j for j in range(n) if mutual[i, j])
-        seen.update(members)
-        classes.append(members)
     closed = []
-    for members in classes:
-        inside = set(members)
-        if all(reach_j in inside
-               for m in members for reach_j in np.nonzero(p[m] > 0.0)[0]):
-            closed.append(members)
+    for i in range(n):
+        members = np.flatnonzero(reach[i])
+        if members[0] == i and reach[members, i].all():
+            closed.append(tuple(members.tolist()))
     return tuple(closed)
 
 

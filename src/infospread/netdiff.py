@@ -176,18 +176,15 @@ def leading_eigenpair(net: ManagerNetwork, tol: float = 1e-10,
             return EigenPair(eigenvalue=lam, eigenvector=v,
                              iterations=k, residual=residual)
         if stale >= _STALL_LIMIT:
-            lam_b, v_b, k_b = best
-            raise ConvergenceError(
-                f"power iteration stalled after {k} sweeps "
-                f"(best residual {best_residual:.3e}); "
-                "the matrix may be periodic (non-primitive)",
-                eigenvalue=lam_b, eigenvector=v_b,
-                residual=best_residual, iterations=k_b)
+            failure, hint = (f"stalled after {k} sweeps",
+                             "; the matrix may be periodic (non-primitive)")
+            break
         v = wv / lam
+    else:
+        failure, hint = f"did not reach tol={tol:g} within {max_iter} sweeps", ""
     lam_b, v_b, k_b = best
     raise ConvergenceError(
-        f"power iteration did not reach tol={tol:g} within {max_iter} sweeps "
-        f"(best residual {best_residual:.3e})",
+        f"power iteration {failure} (best residual {best_residual:.3e}){hint}",
         eigenvalue=lam_b, eigenvector=v_b,
         residual=best_residual, iterations=k_b)
 

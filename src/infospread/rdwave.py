@@ -26,7 +26,7 @@ planar contagion system by 1/epsilon:
 and integrates with substeps h_eff <= epsilon*h so the initial layer is
 resolved.  The quasi-steady-state (QSS) reference trajectory lives on the
 slow manifold: the branch I = 0 when R0 <= 1 (or I(0) = 0), else the
-consistent branch S = (alpha+mu)/beta with I forced by S' = 0.  With
+informed equilibrium that epi_sir computes, on which S' = 0 and I' = 0.  With
 epsilon = 1 the stepping arithmetic is identical to the plain integrator, so
 the trajectories agree bitwise at equal steps.
 """
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .epi_sir import SirParams
+from .epi_sir import SirParams, _informed_point
 from .errors import (
     NoCrossingError,
     NonFiniteError,
@@ -158,7 +158,7 @@ class FastSlowConfig:
     i0 = 1e-3, s0 = N - i0.  Construction derives ``steps`` and the RK4
     ``substeps`` per step, and bounds their product by MAX_SUBSTEPS.  It
     also rejects rates whose informed QSS state is undefined (see
-    _informed_state).
+    epi_sir._informed_point) when i0 > 0.
     """
 
     sir: SirParams
@@ -190,7 +190,8 @@ class FastSlowConfig:
         object.__setattr__(self, "steps", int(round(steps)))
         check(self.layer_time <= self.h * self.steps, "layer_time",
               self.layer_time, f"at most the last output time {self.h * self.steps!r}")
-        _informed_state(self.sir, self.i0)
+        if self.i0 > 0.0:
+            _informed_point(self.sir)
 
 
 # Steps between two finiteness checks of a field run.
@@ -368,24 +369,9 @@ def estimate_wave_speed(series, level: float, fit_window,
                              fit_window=(t_lo, t_hi), residual=rms)
 
 
-def _informed_state(p: SirParams, i0: float) -> tuple[float, float] | None:
-    """(S*, I*) of the informed QSS branch, or None when the QSS is I = 0.
-
-    I* = mu*(N - S*)/(beta*S*) with S* = (alpha + mu)/beta has no limit as
-    alpha + mu -> 0 (it tends to N*mu/(alpha + mu)), so rates for which
-    beta*S* rounds to 0 raise ParamError.
-    """
-    if not (i0 > 0.0 and p.beta * p.n_total > p.alpha + p.mu and p.beta > 0.0):
-        return None
-    s_star = (p.alpha + p.mu) / p.beta
-    check(p.beta * s_star > 0.0, "alpha", p.alpha,
-          "such that beta*S* > 0 at the QSS state S* = (alpha + mu)/beta")
-    return s_star, p.mu * (p.n_total - s_star) / (p.beta * s_star)
-
-
 def _qss_values(cfg: FastSlowConfig, ts: np.ndarray) -> PlanarTrajectory:
     p = cfg.sir
-    informed = _informed_state(p, cfg.i0)
+    informed = _informed_point(p) if cfg.i0 > 0.0 else None
     if informed is not None:
         s_star, i_star = informed
         return PlanarTrajectory(t=ts,

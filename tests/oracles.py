@@ -1,0 +1,104 @@
+"""Independent oracles and parameter grids shared by several test modules.
+
+Each is written from the definition, without the package's code, so a test
+that compares against one checks the package rather than itself.
+"""
+
+import itertools
+import math
+import tracemalloc
+
+import numpy as np
+
+from infospread import gossip
+
+GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def param_grid():
+    """Every ExchangeParams with all five probabilities on GRID (5^5)."""
+    for s, d, l, g, e in itertools.product(GRID, repeat=5):
+        yield gossip.ExchangeParams(p_select=s, p_drop=d, p_loss=l,
+                                    p_gain=g, p_ext=e)
+
+
+def gauss_stationary(p: np.ndarray) -> np.ndarray:
+    """Stationary vector by hand-rolled Gaussian elimination with partial
+    pivoting on (P^T - I) with the last balance row replaced by sum = 1."""
+    n = p.shape[0]
+    a = [[p[j][i] - (1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
+    a[n - 1] = [1.0] * n
+    b = [0.0] * (n - 1) + [1.0]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+            b[r] -= factor * b[col]
+    x = [0.0] * n
+    for r in range(n - 1, -1, -1):
+        x[r] = (b[r] - sum(a[r][c] * x[c] for c in range(r + 1, n))) / a[r][r]
+    return np.array(x)
+
+
+def closed_classes(p: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Closed communicating classes via brute-force reachability, each as
+    its sorted states, in the order of their smallest states."""
+    n = p.shape[0]
+    reach = [[p[i][j] > 0 or i == j for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+    classes = []
+    seen = set()
+    for i in range(n):
+        if i in seen:
+            continue
+        members = {j for j in range(n) if reach[i][j] and reach[j][i]}
+        seen |= members
+        if all(j in members or p[m][j] == 0 for m in members for j in range(n)):
+            classes.append(tuple(sorted(members)))
+    return tuple(classes)
+
+
+def closed_class_count(p: np.ndarray) -> int:
+    """Number of closed communicating classes."""
+    return len(closed_classes(p))
+
+
+def is_primitive(w: np.ndarray) -> bool:
+    """Wielandt bound: primitive iff the support of w^((n-1)^2 + 1) is full."""
+    n = w.shape[0]
+    b = (w > 0).astype(np.int64)
+    power = np.eye(n, dtype=np.int64)
+    for _ in range((n - 1) ** 2 + 1):
+        power = np.minimum(power @ b, 1)
+    return bool(power.all())
+
+
+def two_pass_stats(values):
+    """Mean, sample std, min and max: exact sums first, then moments."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    m2 = math.fsum((x - mean) ** 2 for x in values)
+    std = math.sqrt(m2 / (n - 1)) if n > 1 else 0.0
+    return mean, std, min(values), max(values)
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes that tracemalloc saw allocated during the call);
+    numpy reports its array buffers to tracemalloc.  One untraced call runs
+    first, so what a first call leaves behind for good (a codec imported on
+    first use, say) is not counted, whatever the test ran before."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -6,7 +6,6 @@ tolerance, including runtime budgets where one is specified.
 """
 
 import importlib.resources
-import itertools
 import math
 import random as pyrandom
 import time
@@ -17,8 +16,9 @@ import pytest
 
 from infospread import cli, epi_sir, fundstats, gossip, netdiff, rdwave
 from infospread.errors import ReducibleChainError
+from oracles import (closed_class_count, gauss_stationary, is_primitive,
+                     param_grid, two_pass_stats)
 
-GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 NETWORK10 = str(importlib.resources.files("infospread.data") / "network10.csv")
 GOLDEN = Path(__file__).parent / "golden" / "gossip_trace_10node_seed42.csv"
 
@@ -30,70 +30,6 @@ def check(num: int, name: str, body) -> None:
         print(f"[criterion {num:02d}] FAIL {name}")
         raise
     print(f"[criterion {num:02d}] PASS {name}")
-
-
-def param_grid():
-    for s, d, l, g, e in itertools.product(GRID, repeat=5):
-        yield gossip.ExchangeParams(p_select=s, p_drop=d, p_loss=l,
-                                    p_gain=g, p_ext=e)
-
-
-# -- independent oracles shared by several criteria -------------------------
-
-def gauss_stationary(p: np.ndarray) -> np.ndarray:
-    n = p.shape[0]
-    a = [[p[j][i] - (1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
-    a[n - 1] = [1.0] * n
-    b = [0.0] * (n - 1) + [1.0]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-            b[r] -= factor * b[col]
-    x = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        x[r] = (b[r] - sum(a[r][c] * x[c] for c in range(r + 1, n))) / a[r][r]
-    return np.array(x)
-
-
-def closed_class_count(p: np.ndarray) -> int:
-    n = p.shape[0]
-    reach = [[p[i][j] > 0 or i == j for j in range(n)] for i in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
-    count = 0
-    seen = set()
-    for i in range(n):
-        if i in seen:
-            continue
-        members = {j for j in range(n) if reach[i][j] and reach[j][i]}
-        seen |= members
-        if all(j in members or p[m][j] == 0 for m in members for j in range(n)):
-            count += 1
-    return count
-
-
-def is_primitive(w: np.ndarray) -> bool:
-    n = w.shape[0]
-    b = (w > 0).astype(np.int64)
-    power = np.eye(n, dtype=np.int64)
-    for _ in range((n - 1) ** 2 + 1):
-        power = np.minimum(power @ b, 1)
-    return bool(power.all())
-
-
-def two_pass_stats(values):
-    n = len(values)
-    mean = math.fsum(values) / n
-    m2 = math.fsum((x - mean) ** 2 for x in values)
-    std = math.sqrt(m2 / (n - 1)) if n > 1 else 0.0
-    return mean, std, min(values), max(values)
 
 
 # -- gossip chain (criteria 1-5) ---------------------------------------------
@@ -453,9 +389,9 @@ def test_criterion_16_fund_statistics():
             fundstats.demographics_report(fixture)
 
         provinces = fundstats.province_report(fixture)
-        assert sum(r.pct_of_funds for r in provinces.rows) == \
+        assert sum(r.pct_of_funds for r in provinces) == \
             pytest.approx(100.0, abs=0.1)
-        assert sum(r.pct_of_assets for r in provinces.rows) == \
+        assert sum(r.pct_of_assets for r in provinces) == \
             pytest.approx(100.0, abs=0.1)
         cells = fundstats.demographics_report(fixture)
         assert sum(r.pct_of_funds for r in cells) == pytest.approx(100.0, abs=0.1)

@@ -12,7 +12,6 @@ import stat
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from itertools import islice
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from infospread import cli, epi_sir, fundstats, netdiff
 from infospread.errors import ParamError, UsageError, check
+from oracles import traced_peak
 
 NETWORK10 = str(importlib.resources.files("infospread.data") / "network10.csv")
 GOLDEN = Path(__file__).parent / "golden" / "gossip_trace_10node_seed42.csv"
@@ -511,16 +511,6 @@ def test_chunks_join_to_the_whole_text_writer(rows):
     assert "".join(chunks) == whole_csv_text(header, columns)
 
 
-def traced_peak(fn, *args) -> int:
-    """Peak bytes that tracemalloc saw allocated during ``fn(*args)``."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def out_config(out) -> cli.RunConfig:
     """The config of a run whose --out is ``out``, for the writer alone."""
     return cli.RunConfig(subcommand="sir", action=None, seed=0, out=str(out),
@@ -531,8 +521,8 @@ def test_writer_memory_is_flat_in_row_count(tmp_path):
     def peak(rows):
         columns = [np.linspace(0.0, 1.0, rows) + k / 3 for k in range(4)]
         out = tmp_path / f"{rows}.csv"
-        return traced_peak(cli._write_files, out_config(out),
-                           [(out, cli._csv_chunks(("t", "S", "I", "R"), columns))])
+        return traced_peak(lambda: cli._write_files(out_config(out), [
+            (out, cli._csv_chunks(("t", "S", "I", "R"), columns))]))[1]
 
     assert abs(peak(10 ** 5) - peak(10 ** 4)) < 2 ** 20
 
@@ -541,9 +531,8 @@ def test_sir_memory_beyond_its_trajectory_is_flat_in_horizon(tmp_path):
     def peak(horizon):
         return traced_peak(cli.main, ["sir", "--preset", "fig6b", "--horizon",
                                       str(horizon), "--out", str(tmp_path / "sir.csv"),
-                                      "--quiet"])
+                                      "--quiet"])[1]
 
-    peak(1)  # builds the cached parser
     # The trajectory itself is four float arrays of one cell per step (h = 0.01).
     trajectory = 4 * 8 * (50_000 - 5_000)
     assert abs(peak(500) - peak(50) - trajectory) < 2 ** 20

@@ -8,9 +8,11 @@ import pytest
 
 from infospread import epi_sir
 from infospread.errors import (
+    BracketError,
     ConservationError,
     DegenerateParamsError,
     EndemicUndefinedError,
+    ParamError,
     StepSizeError,
 )
 
@@ -171,6 +173,16 @@ def test_r0_degenerate_params():
         epi_sir.equilibria(p)
 
 
+def test_r0_undefined_when_both_sides_overflow():
+    # beta*N and alpha + mu are both inf.  equilibria ended in numpy's
+    # LinAlgError on the Jacobian of an inf S*.
+    p = epi_sir.SirParams(beta=1e10, alpha=1e308, mu=1e308, n_total=1e300)
+    for call in (epi_sir.basic_reproduction_number, epi_sir.equilibria):
+        with pytest.raises(DegenerateParamsError,
+                           match=r"^beta\*N and alpha \+ mu overflow"):
+            call(p)
+
+
 def test_subcritical_equilibria():
     p = epi_sir.SirParams(beta=0.1, alpha=0.2, mu=0.05, n_total=1.0)
     report = epi_sir.equilibria(p)
@@ -205,6 +217,16 @@ def test_supercritical_without_turnover_raises():
         epi_sir.equilibria(p)
     assert err.value.disease_free is not None
     assert "final_size" in str(err.value)
+
+
+def test_endemic_point_needs_beta_times_s_star_positive():
+    # S* = 5e-324 / 1e308 rounds to 0, so I* = mu*(N - S*)/(beta*S*) has no
+    # value.  This raised a bare ZeroDivisionError.
+    p = epi_sir.SirParams(beta=1e308, alpha=0.0, mu=5e-324, n_total=1.0)
+    with pytest.raises(ParamError,
+                       match=r"^alpha must be such that beta\*S\* > 0") as err:
+        epi_sir.equilibria(p)
+    assert err.value.name == "alpha"
 
 
 def test_interior_states_converge_to_stable_endemic_point():
@@ -260,6 +282,28 @@ def test_final_size_requires_zero_turnover():
     p = epi_sir.SirParams(beta=0.2, alpha=0.1, mu=0.05, n_total=1.0)
     with pytest.raises(ValueError):
         epi_sir.final_size(p, s0=0.9, i0=0.1)
+
+
+@pytest.mark.parametrize("beta, alpha", [(1e308, 1e-308), (1e300, 1e-10)])
+def test_final_size_with_an_infinite_ratio_finds_no_bracket(beta, alpha):
+    # beta/alpha overflows, so f is -inf or NaN wherever it is evaluated.
+    # Halving the lower end down to 0.0 ended in a ZeroDivisionError.
+    p = epi_sir.SirParams(beta=beta, alpha=alpha, mu=0.0, n_total=1.0)
+    with pytest.raises(BracketError, match="^no sign change on "):
+        epi_sir.final_size(p, s0=0.9, i0=0.1)
+
+
+def test_final_size_requires_positive_alpha():
+    p = epi_sir.SirParams(beta=0.2, alpha=0.0, mu=0.0, n_total=1.0)
+    with pytest.raises(DegenerateParamsError,
+                       match="^alpha must be positive for the final size$"):
+        epi_sir.final_size(p, s0=0.9, i0=0.1)
+
+
+def test_final_size_requires_the_initial_state_within_n():
+    p = epi_sir.PRESETS["fig6b"]
+    with pytest.raises(ParamError, match=r"^need 0 < s0 and s0 \+ i0 <= N$"):
+        epi_sir.final_size(p, s0=0.95, i0=0.1)
 
 
 # -- threshold property ----------------------------------------------------------

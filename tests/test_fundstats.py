@@ -18,7 +18,8 @@ from infospread import fundstats
 from infospread.errors import RowError, SchemaError, UnknownFieldError
 from infospread.fundstats import (
     _NUMERIC_FIELDS, CSV_COLUMNS, GENDERS, PROVINCES, RACES, DemographicsRow,
-    FundRecord, ProvinceReport, ProvinceRow, SummaryRow)
+    FundRecord, ProvinceRow, SummaryRow)
+from oracles import two_pass_stats
 
 HEADER = ",".join(fundstats.CSV_COLUMNS)
 
@@ -29,15 +30,6 @@ def make_record(k, *, family=None, province="Gauteng", category="A",
         fund_id=f"F{k:04d}", family=family or f"fam{k % 7}",
         province=province, category=category, manager_race=race,
         manager_gender=gender, assets=assets, performance=performance)
-
-
-def two_pass_stats(values):
-    """Independent oracle: exact sums first, then moments."""
-    n = len(values)
-    mean = math.fsum(values) / n
-    m2 = math.fsum((x - mean) ** 2 for x in values)
-    std = math.sqrt(m2 / (n - 1)) if n > 1 else 0.0
-    return mean, std, min(values), max(values)
 
 
 def tally(records, key):
@@ -526,12 +518,12 @@ def test_summarize_groups_ordered_by_key():
 
 def test_single_province_concentration():
     records = [make_record(k, province="KZN", assets=5.0) for k in range(9)]
-    report = fundstats.province_report(records)
-    top = report.rows[0]
+    rows = fundstats.province_report(records)
+    top = rows[0]
     assert top.province == "KZN"
     assert top.pct_of_funds == 100.0
     assert top.pct_of_assets == 100.0
-    assert all(r.fund_count == 0 for r in report.rows[1:])
+    assert all(r.fund_count == 0 for r in rows[1:])
 
 
 def test_province_report_matches_tally_oracle():
@@ -540,19 +532,19 @@ def test_province_report_matches_tally_oracle():
     families = {}
     for rec in records:
         families.setdefault(rec.province, set()).add(rec.family)
-    report = fundstats.province_report(records)
-    for row in report.rows:
+    rows = fundstats.province_report(records)
+    for row in rows:
         assert row.fund_count == counts.get(row.province, 0)
         assert row.family_count == len(families.get(row.province, set()))
-    ranks = [r.family_count for r in report.rows]
+    ranks = [r.family_count for r in rows]
     assert ranks == sorted(ranks, reverse=True)
 
 
 def test_province_percentages_partition():
     records = fundstats.ingest_csv(fundstats.bundled_fixture_path())
-    report = fundstats.province_report(records)
-    assert sum(r.pct_of_funds for r in report.rows) == pytest.approx(100.0, abs=0.1)
-    assert sum(r.pct_of_assets for r in report.rows) == pytest.approx(100.0, abs=0.1)
+    rows = fundstats.province_report(records)
+    assert sum(r.pct_of_funds for r in rows) == pytest.approx(100.0, abs=0.1)
+    assert sum(r.pct_of_assets for r in rows) == pytest.approx(100.0, abs=0.1)
 
 
 def test_province_report_permutation_invariant():
@@ -633,7 +625,7 @@ def reference_summarize(records, group_by: str, value: str) -> list[SummaryRow]:
     return rows
 
 
-def reference_province_report(records) -> ProvinceReport:
+def reference_province_report(records) -> tuple[ProvinceRow, ...]:
     families: dict[str, set[str]] = {p: set() for p in PROVINCES}
     counts: dict[str, int] = {p: 0 for p in PROVINCES}
     assets: dict[str, list[float]] = {p: [] for p in PROVINCES}
@@ -646,7 +638,7 @@ def reference_province_report(records) -> ProvinceReport:
     total_assets = math.fsum(sorted(asset_sums.values()))
     order = sorted(PROVINCES,
                    key=lambda p: (-len(families[p]), PROVINCES.index(p)))
-    rows = tuple(
+    return tuple(
         ProvinceRow(
             province=p,
             family_count=len(families[p]),
@@ -655,7 +647,6 @@ def reference_province_report(records) -> ProvinceReport:
             pct_of_assets=100.0 * asset_sums[p] / total_assets if total_assets else 0.0,
         )
         for p in order)
-    return ProvinceReport(rows=rows)
 
 
 def reference_demographics_report(records) -> tuple[DemographicsRow, ...]:

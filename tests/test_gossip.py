@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from infospread import gossip, netdiff
 from infospread.errors import ModelError, ParamError, ReducibleChainError
-
-GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+from oracles import (GRID, closed_class_count, closed_classes, gauss_stationary,
+                     param_grid)
 
 
 # -- independent oracles ------------------------------------------------
@@ -55,47 +55,6 @@ def event_tree_matrix(p: gossip.ExchangeParams) -> np.ndarray:
     return out
 
 
-def gauss_stationary(p: np.ndarray) -> np.ndarray:
-    """Stationary vector by hand-rolled Gaussian elimination with partial
-    pivoting on (P^T - I) with the last balance row replaced by sum = 1."""
-    n = p.shape[0]
-    a = [[p[j][i] - (1.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
-    a[n - 1] = [1.0] * n
-    b = [0.0] * (n - 1) + [1.0]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-            b[r] -= factor * b[col]
-    x = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        x[r] = (b[r] - sum(a[r][c] * x[c] for c in range(r + 1, n))) / a[r][r]
-    return np.array(x)
-
-
-def closed_class_count(p: np.ndarray) -> int:
-    """Number of closed communicating classes via brute-force reachability."""
-    n = p.shape[0]
-    reach = [[p[i][j] > 0 or i == j for j in range(n)] for i in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
-    count = 0
-    seen = set()
-    for i in range(n):
-        if i in seen:
-            continue
-        members = {j for j in range(n) if reach[i][j] and reach[j][i]}
-        seen |= members
-        if all(reach_ok for m in members
-               for reach_ok in (j in members or p[m][j] == 0 for j in range(n))):
-            count += 1
-    return count
 
 
 def reference_simulate_population(net, params, initially_informed, rounds,
@@ -171,12 +130,6 @@ def reference_partner_table(w):
     return np.array(active, dtype=np.intp), thresholds, cols
 
 
-def param_grid():
-    for s, d, l, g, e in itertools.product(GRID, repeat=5):
-        yield gossip.ExchangeParams(p_select=s, p_drop=d, p_loss=l,
-                                    p_gain=g, p_ext=e)
-
-
 # -- parameters ----------------------------------------------------------
 
 def test_params_reject_out_of_range():
@@ -240,6 +193,30 @@ def test_uninformed_state_absorbing_without_exogenous_gain():
     p = gossip.ExchangeParams(p_select=0.9, p_drop=0.4, p_loss=0.0,
                               p_gain=1.0, p_ext=0.0)
     assert gossip.build_transition_matrix(p).row((0, 0)).tolist() == [1, 0, 0, 0]
+
+
+def eye_with(*entries):
+    """The 4x4 identity, a valid transition matrix, with (row, col, value)
+    entries set."""
+    p = np.eye(4)
+    for row, col, value in entries:
+        p[row, col] = value
+    return p
+
+
+@pytest.mark.parametrize("p, message", [
+    (np.eye(3), r"^transition matrix must be 4x4, got \(3, 3\)$"),
+    (eye_with((0, 0, np.nan)), r"^transition probabilities must lie in \[0, 1\]$"),
+    (eye_with((2, 2, -0.5)), r"^transition probabilities must lie in \[0, 1\]$"),
+    (eye_with((0, 1, 0.5)), r"^transition matrix rows must sum to 1$"),
+    (eye_with((1, 0, 1.0), (1, 1, 0.0)),
+     r"^entry \(0, 1\)->\(0, 0\) must be exactly 0 \(item persistence\)$"),
+    (eye_with((3, 2, 1.0), (3, 3, 0.0)),
+     r"^entry \(1, 1\)->\(1, 0\) must be exactly 0 \(item persistence\)$"),
+], ids=["shape", "nan", "negative", "row-sum", "persistence-01", "persistence-11"])
+def test_matrix_rejects_malformed_input(p, message):
+    with pytest.raises(ParamError, match=message):
+        gossip.PairTransitionMatrix(p=p)
 
 
 # -- scenarios -------------------------------------------------------------
@@ -375,6 +352,14 @@ def test_stationary_grid_agrees_with_class_structure():
         else:
             pi = gossip.stationary_distribution(m)
             assert np.max(np.abs(pi - gauss_stationary(m.p))) <= 1e-9
+
+
+def test_closed_classes_match_brute_force_reachability():
+    rng = np.random.default_rng(27)
+    for _ in range(3000):
+        n = int(rng.integers(1, 7))
+        p = np.where(rng.random((n, n)) < rng.random(), rng.random((n, n)), 0.0)
+        assert gossip._closed_classes(p) == closed_classes(p), p
 
 
 # -- population simulation ----------------------------------------------------

@@ -6,7 +6,6 @@ import os
 import shutil
 import tempfile
 import threading
-import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from itertools import chain
@@ -25,6 +24,7 @@ from infospread.errors import (
     RowError,
     ZeroMatrixError,
 )
+from oracles import is_primitive, traced_peak
 
 
 # -- independent oracles ------------------------------------------------
@@ -70,16 +70,6 @@ def reference_network_csv_text(net: netdiff.ManagerNetwork) -> str:
     must join to the same text."""
     lines = [",".join(repr(float(x)) for x in row) for row in net.w]
     return "\n".join(lines) + "\n"
-
-
-def is_primitive(w: np.ndarray) -> bool:
-    """Wielandt bound: primitive iff the support of w^((n-1)^2 + 1) is full."""
-    n = w.shape[0]
-    b = (w > 0).astype(np.int64)
-    power = np.eye(n, dtype=np.int64)
-    for _ in range((n - 1) ** 2 + 1):
-        power = np.minimum(power @ b, 1)
-    return bool(power.all())
 
 
 def primitive_networks(count: int, max_n: int = 8):
@@ -787,21 +777,6 @@ def reference_generate_random_network(n: int, density: float, seed: int) -> np.n
     w = np.where(gate < density, weights, 0.0)
     np.fill_diagonal(w, 0.0)
     return w
-
-
-def traced_peak(fn, *args):
-    """(result, peak bytes that tracemalloc saw allocated during the call);
-    numpy reports its array buffers to tracemalloc.  One untraced call runs
-    first, so what a first call leaves behind for good (a codec imported on
-    first use, say) is not counted, whatever the test ran before."""
-    fn(*args)
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
 
 
 @settings(max_examples=100, deadline=None)

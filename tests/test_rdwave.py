@@ -171,6 +171,15 @@ def test_integrate_rejects_wrong_grid():
         rdwave.rd_integrate(cfg, rdwave.FieldState(u=np.zeros(3), t=0.0), 10)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_integrate_rejects_a_non_finite_initial_field(value):
+    cfg = make_cfg()
+    u0 = np.zeros(cfg.n_nodes)
+    u0[5] = value
+    with pytest.raises(ParamError, match="^initial field must be finite$"):
+        rdwave.rd_integrate(cfg, rdwave.FieldState(u=u0, t=0.0), 10)
+
+
 def test_integrate_reports_nonfinite_blowup():
     cfg = make_cfg()
     u0 = np.full(cfg.n_nodes, 1e308)
@@ -482,6 +491,7 @@ def test_qss_branch_selection():
     s_star = (sup.alpha + sup.mu) / sup.beta
     assert np.all(result.qss_trajectory.s == s_star)
     assert result.qss_trajectory.i[0] == pytest.approx(7.0 / 30.0, rel=1e-12)
+    assert np.all(result.qss_trajectory.i == epi_sir.equilibria(sup).endemic.i)
     sub_cfg = rdwave.FastSlowConfig(sir=SUBCRITICAL, epsilon=0.1, h=0.05,
                                     horizon=10.0, layer_time=5.0, i0=0.2)
     sub = rdwave.fast_slow_integrate(sub_cfg)
