@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import re
 import stat
@@ -238,8 +237,6 @@ def _uniform_init(init: str) -> float | None:
         value = float(init.split(":", 1)[1])
     except ValueError:
         raise UsageError(f"--init uniform value is not a number: {init!r}") from None
-    if not math.isfinite(value):
-        raise UsageError(f"--init uniform value must be finite, got {init!r}")
     return value
 
 

@@ -240,8 +240,9 @@ def equilibria(params: SirParams) -> EquilibriumReport:
     The disease-free point (N, 0) has eigenvalues -mu and beta*N-alpha-mu.
     The endemic point is the informed point (S*, I*) of _informed_point; it
     exists iff R0 > 1.  With mu = 0 it collapses and EndemicUndefinedError
-    points the caller at the final-size relation instead, and rates for
-    which beta*S* rounds to 0 raise ParamError.
+    points the caller at the final-size relation instead, rates for which
+    beta*S* rounds to 0 raise ParamError, and rates for which a Jacobian
+    entry there overflows raise DegenerateParamsError.
     """
     beta, alpha, mu, n_total = params.beta, params.alpha, params.mu, params.n_total
     r0 = basic_reproduction_number(params)
@@ -260,6 +261,10 @@ def equilibria(params: SirParams) -> EquilibriumReport:
     r_star = alpha * i_star / mu
     jac = np.array([[-beta * i_star - mu, -beta * s_star],
                     [beta * i_star, beta * s_star - alpha - mu]])
+    if not np.isfinite(jac).all():
+        raise DegenerateParamsError(
+            "the Jacobian at the endemic point overflows, so its "
+            "eigenvalues are undefined")
     eigs = tuple(complex(ev) for ev in np.linalg.eigvals(jac))
     endemic = EquilibriumPoint(
         s=s_star, i=i_star, r=r_star, eigenvalues=eigs,

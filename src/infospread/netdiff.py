@@ -13,8 +13,10 @@ concurrently.
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,50 +324,50 @@ def read_network_csv(path) -> ManagerNetwork:
     whole goes through the checks of ``validate_network``.  The file is
     read once, front to back, so a pipe reads like a file.
 
-    Cost: Python's text layer splits the lines and makes CRLF and CR line
-    ends LF, decoding Latin-1 so that each byte stays one character (about
-    5 ms per 16.6 MB on a 2-core x86-64 host); then a few numpy passes over
-    each block of about 128 KiB of lines, so no Python work per cell, and
-    only the cells other than a plain ``0.0`` (in practice the nonzero
-    ones) go through numpy's float parser.  Memory: the result plus about
-    one block.  A pipe has no size to bound its row count, so its matrix
-    grows by doubling: at most about twice the result plus one block.
+    Cost: the file is read as bytes, ``_READ_BLOCK`` (128 KiB) at a time,
+    and each read's whole lines make a block; only a read that holds a CR
+    takes a pass to make CRLF and CR line ends LF.  About a dozen numpy passes over a
+    block's bytes find the "0.0" cells between two commas.  Only the other
+    cells' bytes are indexed, and only they go through numpy's float
+    parser, so there is no Python work per cell.  On a 2-core x86-64 host
+    a 16.6 MB file (n=2000, density 0.01) reads in about 40 ms: about a
+    third of it the float parser on its 42k cells, a third the masks, a
+    sixth the kept bytes' positions.  Memory: the result plus a few
+    blocks, since the block's masks take a byte per byte and the kept
+    bytes' positions eight bytes per kept byte: 4.4 blocks at density
+    0.05, and 14 blocks at density 1.  A pipe has no size to bound its row
+    count, so its matrix grows by doubling: at most about twice the result
+    plus those blocks.
     """
     w = None
     rows = 0
     line = 1  # the file line the next block starts on
-    with open(path, encoding="latin-1", newline=None) as fh:
+    with open(path, "rb") as fh:
         # A row is at least 2 * width - 1 bytes, so the file's size bounds
         # the row count: a long first line does not make an n-by-n allocation.
         size = os.fstat(fh.fileno()).st_size
-        while lines := fh.readlines(_READ_BLOCK):
-            start, line = line, line + len(lines)
-            kept = [s for s in lines if s != "\n"]
-            if not kept:  # empty lines only
-                continue
-            if w is None:
-                width = kept[0].count(",") + 1
+        for data, end in _line_blocks(fh):
+            if w is None:  # no copy of the block comes before the matrix
+                first = re.match(rb"\n*", data).end()
+                if first == end:  # empty lines only
+                    line += end
+                    continue
+                width = data.count(b",", first, data.index(b"\n", first)) + 1
                 w = np.zeros((min(width, size // (2 * width - 1) + 1), width))
-            if not kept[-1].endswith("\n"):  # the file's last line
-                kept[-1] += "\n"
-            block = "".join(kept).encode("latin-1")
-            # A fault's line is found in the block's lines as one text: the
-            # block itself unless it dropped empty lines.  So one copy of the
-            # lines is held while the block is parsed, not two.
-            text = block if len(kept) == len(lines) else "".join(lines).encode("latin-1")
-            del lines, kept
             try:
-                count, keep, values = _block_cells(block, width)
+                lines, count, cells, values = _block_cells(
+                    np.frombuffer(data, np.uint8, end), width)
             except ValueError as exc:
-                raise _first_fault(text, start, width, exc) from None
-            first = rows * width
+                raise _first_fault(data[:end], line, width, exc) from None
+            line += lines
+            cells += rows * width
             rows += count
             if len(w) < min(rows, width):  # a pipe has no size to bound rows by
                 grown = np.zeros((min(width, max(rows, 2 * len(w))), width))
                 grown[:len(w)] = w
                 w = grown
             if rows <= len(w):  # past that the file is not square
-                w.reshape(-1)[first:first + keep.size][keep] = values
+                w.reshape(-1)[cells] = values
     if w is None:
         raise DimensionError("network needs at least one node")
     if rows > width:
@@ -373,46 +375,97 @@ def read_network_csv(path) -> ManagerNetwork:
     return _own_network(w[:rows])
 
 
-# Characters per block of a network CSV; a block ends with the line that
-# takes it past this size.
+# Bytes per read of a network CSV; a block is the whole lines a read ends.
 _READ_BLOCK = 2 ** 17
 
 
-def _block_cells(block: bytes, width: int):
-    """(rows, keep, values) of ``block``, lines of ``width`` cells that each
-    end in LF: ``keep`` marks the cells that are not "0.0", and ``values``
-    holds their floats.  Raises ValueError for a ragged row or a cell that
-    is not a number."""
-    a = np.frombuffer(block, np.uint8)
-    newline = a == 10
-    end = a == 44
-    end |= newline  # a cell's last byte
-    lines = np.flatnonzero(newline)
-    del newline
-    ends = np.flatnonzero(end)
-    if not np.array_equal(ends[width - 1::width], lines):
-        raise ValueError("a row's width differs from the first row's")
-    # zero[i]: bytes i-3..i are a whole "0.0" cell with its end byte.
-    zero = end.copy()
-    zero[:3] = False  # too early in the block to end a 4-byte cell
-    for k, byte in enumerate(b"0.0"):
-        zero[3:] &= a[k:a.size - 3 + k] == byte
-    zero[4:] &= end[:-4]
-    del end
-    keep = ~zero[ends]
-    if not keep.any():
-        return lines.size, keep, ()
+def _line_blocks(fh):
+    """The lines of the binary file ``fh`` in blocks, each the whole lines
+    that a read of ``_READ_BLOCK`` bytes completes, as text mode reads them:
+    CRLF and CR line ends become LF, and the last line ends in LF.  Yields
+    (data, end) with the block in ``data[:end]``, so that it is not copied.
+
+    Until the first block, the reads are of io's buffer size, so that the
+    caller sizes its matrix from the first line before a block-sized buffer
+    exists: such a buffer could take part of the place that a freed matrix
+    left, and the new matrix would then need new memory."""
+    rest = []  # the unfinished line, in pieces
+    held = b""  # a CR that ended a read: the next may start with its LF
+    size = min(io.DEFAULT_BUFFER_SIZE, _READ_BLOCK)
+    while data := fh.read(size):
+        data, held = held + data, b""
+        if b"\r" in data:
+            if data.endswith(b"\r"):
+                data, held = data[:-1], b"\r"
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        end = data.rfind(b"\n") + 1
+        if not end:
+            rest.append(data)
+            continue
+        if rest:
+            rest.append(data)
+            data = b"".join(rest)
+            end += len(data) - len(rest[-1])
+        rest = [data[end:]] if end < len(data) else []
+        size = _READ_BLOCK
+        yield data, end
+    if rest or held:
+        data = b"".join(rest) + b"\n"
+        yield data, len(data)
+
+
+def _block_cells(a: np.ndarray, width: int):
+    """(lines, rows, cells, values) of the bytes ``a``: ``lines`` lines that
+    each end in LF, ``rows`` of them not empty, each of ``width`` cells.
+    ``cells`` are the row-major indices, among those rows, of the cells
+    other than a "0.0" between two commas, and ``values`` their floats.
+    Raises ValueError for a ragged row or a cell that is not a number.
+
+    Only the kept cells' bytes are indexed.  Every other byte is in a
+    4-byte "0.0" cell, so a kept cell that ends at byte p, after k kept
+    bytes and j kept cells, is cell (p - k) / 4 + j."""
+    comma = a == 44
+    digit = a == 48
+    # zero[i]: bytes i-4..i are ",0.0,", so i ends a "0.0" cell.
+    zero = np.empty(a.size, bool)
+    zero[:4] = False
+    np.logical_and(comma[4:], comma[:-4], out=zero[4:])
+    del comma
+    zero[4:] &= digit[1:-3]
+    zero[4:] &= digit[3:-1]
+    del digit
+    zero[4:] &= a[2:-2] == 46
     zero[:-1] |= zero[1:]
-    zero[:-2] |= zero[2:]  # now every byte of a "0.0" cell
-    # The other cells, each with its end byte, made one line for numpy; an
+    zero[:-2] |= zero[2:]  # now every byte of those cells
+    at = np.flatnonzero(np.logical_not(zero, out=zero))  # the kept bytes
+    del zero
+    kept = a[at]
+    ends = np.flatnonzero((kept == 44) | (kept == 10))  # k of each kept cell
+    # A "0.0" cell is kept unless a comma follows it, so every LF ends a
+    # kept cell, the last of its line.  An empty line's LF follows an LF, or
+    # starts the block, whose last byte is an LF.
+    last = kept[ends] == 10
+    lf = ends[last]
+    empty = lf[kept[lf - 1] == 10]
+    if empty.size:
+        if empty.size == lf.size:
+            return lf.size, 0, np.empty(0, np.intp), ()
+        lines, rows, cells, values = _block_cells(np.delete(a, at[empty]), width)
+        return lines + empty.size, rows, cells, values
+    cells = at[ends]  # p of each kept cell
+    del at
+    cells -= ends
+    cells //= 4
+    cells += np.arange(ends.size)
+    if not np.array_equal(cells[last],
+                          np.arange(width - 1, width * lf.size, width)):
+        raise ValueError("a row's width differs from the first row's")
+    # The kept cells, each with its end byte, made one line for numpy; an
     # undecodable byte becomes a lone surrogate there: not a number.
-    cells = a[~zero]
-    cells[cells == 10] = 44
-    text = cells[:-1].tobytes().decode("utf-8", "surrogateescape")
-    if not text:  # numpy would warn and skip an empty line
-        raise ValueError("an empty cell")
-    return lines.size, keep, np.loadtxt([text], delimiter=",", comments=None,
-                                        ndmin=1)
+    kept[ends] = 44
+    text = kept[:-1].tobytes().decode("utf-8", "surrogateescape")
+    return lf.size, lf.size, cells, np.loadtxt([text], delimiter=",",
+                                               comments=None, ndmin=1)
 
 
 def _first_fault(text: bytes, start: int, width: int, exc: ValueError) -> ModelError:

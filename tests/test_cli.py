@@ -911,9 +911,9 @@ BAD_PARAMETERS = {
                                              None, "--horizon must be such that horizon*n*n"),
     "rd --D negative": (["rd", "--D", "-1", "--out", "wave"], None, "--D must be positive"),
     "rd uniform nan": (["rd", "--init", "uniform:nan", "--out", "wave"], None,
-                       "--init uniform value must be finite"),
+                       "initial field must be finite"),
     "rd uniform inf": (["rd", "--init", "uniform:inf", "--out", "wave"], None,
-                       "--init uniform value must be finite"),
+                       "initial field must be finite"),
     # beta*S* = 0 at S* = (alpha + mu)/beta: the informed QSS state I* has no
     # limit there.  This ended in a ZeroDivisionError traceback.
     "fastslow --alpha 0 --mu 0": (["fastslow", "--alpha", "0", "--mu", "0",

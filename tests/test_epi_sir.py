@@ -1,6 +1,7 @@
 """Compartment model: derivatives, integrator order, conservation,
 equilibria, and the final-size oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from infospread.errors import (
     ConservationError,
     DegenerateParamsError,
     EndemicUndefinedError,
+    ModelError,
     ParamError,
     StepSizeError,
 )
@@ -181,6 +183,27 @@ def test_r0_undefined_when_both_sides_overflow():
         with pytest.raises(DegenerateParamsError,
                            match=r"^beta\*N and alpha \+ mu overflow"):
             call(p)
+
+
+def test_overflowing_jacobian_is_degenerate():
+    # -beta*I* - mu is -inf at the endemic point.  equilibria ended in
+    # numpy's LinAlgError ("Array must not contain infs or NaNs").
+    p = epi_sir.SirParams(beta=1e300, alpha=0.1, mu=0.05, n_total=1e10)
+    with pytest.raises(DegenerateParamsError,
+                       match=r"^the Jacobian at the endemic point overflows"):
+        epi_sir.equilibria(p)
+
+
+def test_equilibria_end_in_a_model_error_or_a_report():
+    rates = (0.0, 5e-324, 1e-300, 1e-10, 0.05, 0.1, 0.5, 1.0, 10.0, 1e10,
+             1e300, 1e308)
+    for beta, alpha, mu, n_total in itertools.product(
+            rates, rates, rates, (1e-300, 1.0, 1e300)):
+        p = epi_sir.SirParams(beta=beta, alpha=alpha, mu=mu, n_total=n_total)
+        try:
+            epi_sir.equilibria(p)
+        except ModelError:
+            pass
 
 
 def test_subcritical_equilibria():

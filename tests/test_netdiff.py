@@ -680,9 +680,9 @@ def test_piped_fault_past_the_first_block_names_its_line(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("edge", [8192, 2 ** 16, 2 ** 17])
 def test_a_crlf_split_at_a_read_edge_ends_one_line(tmp_path, edge):
-    # The CR of a CRLF is the last byte of a read: of 8 KiB, the text
-    # layer's decode chunk, or of _READ_BLOCK bytes.  The LF that starts the
-    # next read must not end a second, empty line.
+    # The CR of a CRLF is the last byte of a read: of 8 KiB, the size of
+    # io's buffer, or of _READ_BLOCK bytes.  The LF that starts the next
+    # read must not end a second, empty line.
     row = b"0.0,0.5\r\n"
     good, pad = divmod(edge - 8, len(row))  # pad blank lines end row good at the edge
     text = b"\n" * pad + row * (good + 1) + b"0.0,x\r\n" + row * 3
@@ -715,6 +715,19 @@ def test_reader_memory_is_the_result_plus_a_block(tmp_path):
     net, peak = traced_peak(netdiff.read_network_csv, path)
     assert net.n == n
     assert peak <= 1.1 * n * n * 8
+
+
+def test_reader_memory_beyond_the_matrix_is_a_few_blocks(tmp_path):
+    # Beyond the matrix: one copy of a block's text, its masks of a byte
+    # per byte, and eight bytes per byte of the cells other than "0.0"
+    # (about 1.7 blocks at this density), 4.4 blocks in all.  Reading the
+    # block as lines of text, then joined and encoded, took 6.3.
+    n = 1100
+    path = tmp_path / "net.csv"
+    netdiff.write_network_csv(path, netdiff.generate_random_network(n, 0.05, seed=3))
+    net, peak = traced_peak(netdiff.read_network_csv, path)
+    assert net.n == n
+    assert peak - n * n * 8 <= 5 * netdiff._READ_BLOCK
 
 
 def test_piped_reader_memory_is_at_most_twice_the_result_plus_a_block(tmp_path):
