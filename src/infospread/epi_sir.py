@@ -54,7 +54,8 @@ CONSERVATION_RTOL = 1e-8
 # Work bound: most RK4 steps (horizon / h) one trajectory may take.
 MAX_STEPS = 10_000_000
 
-# Eigenvalues within this relative band of zero are labeled non-hyperbolic.
+# An eigenvalue whose real part is within this band of zero, relative to
+# its own modulus (at least 1), makes a point non-hyperbolic.
 _HYPERBOLIC_RTOL = 1e-12
 
 
@@ -209,11 +210,12 @@ def basic_reproduction_number(params: SirParams) -> float:
 
 
 def _stability_label(eigenvalues) -> str:
-    max_real = max(ev.real for ev in eigenvalues)
-    scale = max(1.0, max(abs(ev) for ev in eigenvalues))
-    if abs(max_real) <= _HYPERBOLIC_RTOL * scale:
+    # Each eigenvalue against its own modulus: a stiff stable point, with
+    # eigenvalues -3e307 and -0.15, is stable.
+    if any(abs(ev.real) <= _HYPERBOLIC_RTOL * max(1.0, abs(ev))
+           for ev in eigenvalues):
         return "non-hyperbolic"
-    return "stable" if max_real < 0.0 else "unstable"
+    return "stable" if max(ev.real for ev in eigenvalues) < 0.0 else "unstable"
 
 
 def _informed_point(p: SirParams) -> tuple[float, float] | None:

@@ -2,13 +2,14 @@
 
 The CSV contract is strict: an exact header row
 fund_id,family,province,category,manager_race,manager_gender,assets,performance
-(leading '#' comment lines are skipped so bundled fixtures can document
-themselves), provinces from a closed list, enumerated race/gender values,
-and nonnegative assets.  Every rejected row reports its file line number.
-The file is read in one pass over one handle, so it may be a pipe; rows
-are checked in bulk, and only a chunk that fails is checked row by row to
-name its first faulty row.  Records are read into a ``FundTable``, one list
-per field, and the reports read its columns.
+(a comment row, whose first cell starts with '#' after any spaces, and a
+blank row are skipped wherever they stand, so bundled fixtures can
+document themselves), provinces from a closed list, enumerated
+race/gender values, and nonnegative assets.  Every rejected row reports
+its file line number.  The file is read in one pass over one handle, so
+it may be a pipe; rows are checked in bulk, and only a chunk that fails is
+checked row by row to name its first faulty row.  Records are read into a
+``FundTable``, one list per field, and the reports read its columns.
 
 Summary statistics stream through Welford accumulation; records are put in
 a canonical order first and asset totals use exact summation, so shuffling

@@ -24,13 +24,14 @@ The chain is time-homogeneous; no per-round parameter schedules.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParamError, ReducibleChainError, check
-from .netdiff import ManagerNetwork
+from .netdiff import ManagerNetwork, _block_rows
 
 __all__ = [
     "STATE_ORDER",
@@ -49,11 +50,6 @@ _ROW_SUM_TOL = 1e-12
 
 # Work bound: most contacts, n * rounds, of one population run.
 MAX_CONTACTS = 100_000_000
-
-# Cells of the network read per block while building the partner table, and
-# of the threshold comparison that picks the partners of a block of rounds.
-_TABLE_CELLS = 2**17
-_ROUND_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -205,10 +201,16 @@ def _closed_classes(p: np.ndarray) -> tuple[tuple[int, ...], ...]:
 def stationary_distribution(matrix: PairTransitionMatrix) -> np.ndarray:
     """Unique stationary distribution pi with pi P = pi and sum(pi) = 1.
 
-    Solved as a linear system with one balance equation replaced by the
-    normalization row.  Raises ReducibleChainError, naming the closed
-    classes, when more than one closed communicating class exists, or
-    when the system is singular in floating point (e.g. p_select = 1e-300).
+    Raises ReducibleChainError, naming the closed classes, when more than
+    one closed communicating class exists.  Otherwise (0,0), which no
+    state re-enters, is transient, so pi(00) = 0, and the Markov chain tree
+    theorem gives the rest in closed form.  With b, c = P[01->10],
+    P[01->11]; d, f = P[10->01], P[10->11]; and g = P[11->01]:
+    pi(01) ~ g(d + f), pi(10) ~ g b, pi(11) ~ b f + c(d + f).  The weights
+    are sums of products of nonnegative floats, taken in a fixed order, so
+    no entry is negative and the bits do not depend on the LAPACK kernel.
+    A weight sum below the smallest normal float (e.g. p_select = 1e-300)
+    raises ReducibleChainError too.
     """
     p = matrix.p
     closed = _closed_classes(p)
@@ -218,23 +220,24 @@ def stationary_distribution(matrix: PairTransitionMatrix) -> np.ndarray:
             f"no unique stationary distribution: {len(closed)} closed "
             f"communicating classes {labels}",
             closed_classes=labels)
-    a = p.T - np.eye(4)
-    a[3, :] = 1.0
-    b = np.array([0.0, 0.0, 0.0, 1.0])
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
+    b, c, d, f, g = (float(p[i, j]) for i, j in
+                     ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1)))
+    w01, w10, w11 = g * (d + f), g * b, b * f + c * (d + f)
+    # Left to right, not sum(): that compensates float sums from Python 3.12 on.
+    total = w01 + w10 + w11
+    if total < sys.float_info.min:
         raise ReducibleChainError(
-            "no unique stationary distribution: the balance equations are "
-            "singular in floating point") from None
+            "no unique stationary distribution: the spanning-tree weights "
+            "underflow in floating point")
+    return np.array([0.0, w01 / total, w10 / total, w11 / total])
 
 
 def _partner_table(w: np.ndarray):
     """Partner-sampling thresholds of every initiator with out-weight.
 
-    ``w`` is read one block of about ``_TABLE_CELLS`` cells at a time, with
-    its diagonal taken as zero (self contacts are excluded), so no n-by-n
-    copy is made.  Returns the active initiator indices in index order and
+    ``w`` is read a block of rows of about ``netdiff._BLOCK`` cells at a
+    time, with its diagonal taken as zero (self contacts are excluded), so
+    no n-by-n copy is made.  Returns the active initiator indices in index order and
     two padded (m, max_degree) matrices: row r holds initiator active[r]'s
     _cumulative thresholds at its positive-weight columns, padded with
     +inf, and those columns.  For a uniform u in [0, 1), cols[r,
@@ -249,7 +252,7 @@ def _partner_table(w: np.ndarray):
     index order, and adding the zeros between them changes no partial sum.
     """
     n = w.shape[0]
-    step = max(1, _TABLE_CELLS // n)
+    step = _block_rows(n)
     degree = np.empty(n, dtype=np.intp)
     for a in range(0, n, step):
         degree[a:a + step] = np.count_nonzero(w[a:a + step], axis=1)
@@ -289,9 +292,9 @@ def _round_picks(rng, thresholds, cols, rounds: int):
     initiator order, drawn for a block of rounds at a time.  One
     ``rng.random((block, 2m))`` is the same stream as ``block`` successive
     ``rng.random(2m)``: PCG64 gives one double per 64-bit draw, in order.
-    A block's comparison holds about ``_ROUND_CELLS`` cells."""
+    A block's comparison holds about ``netdiff._BLOCK`` cells."""
     rows = np.arange(cols.shape[0])
-    block = max(1, _ROUND_CELLS // max(1, thresholds.size))
+    block = _block_rows(thresholds.size)
     for start in range(0, rounds, block):
         draws = rng.random((min(block, rounds - start), 2 * rows.size))
         picks = np.count_nonzero(thresholds <= draws[:, 0::2, None], axis=2)

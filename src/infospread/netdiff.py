@@ -56,6 +56,15 @@ _STALL_LIMIT = 50
 # the T walk-count terms of a centrality run (T * n * n).
 MAX_CELLS = 100_000_000
 
+# The one memory budget of every blocked pass over a network: cells per
+# block (1 MiB of floats), and bytes per read of a network CSV.
+_BLOCK = 2 ** 17
+
+
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` cells in a block of about ``_BLOCK`` cells."""
+    return max(1, _BLOCK // max(1, width))
+
 
 @dataclass(frozen=True)
 class ManagerNetwork:
@@ -196,10 +205,11 @@ def hearing_matrix(net: ManagerNetwork, T: int) -> np.ndarray:
 
     Entry (i, j) is the expected number of times, within T periods, that
     manager j hears an item originating from manager i.  Computed by
-    repeated multiply-accumulate, a block of rows at a time (row i of w^t is
-    row i of w^(t-1) times w), so only the result and two row blocks are
-    alive besides w.  Raises the builtin OverflowError with the first term
-    index at which an entry of the sum leaves the finite float range.
+    repeated multiply-accumulate, a block of rows of about ``_BLOCK`` cells
+    at a time (row i of w^t is row i of w^(t-1) times w), so only the result
+    and two row blocks are alive besides w.  Raises the builtin
+    OverflowError with the first term index at which an entry of the sum
+    leaves the finite float range.
     """
     T = _horizon(T, net.n)
     w = net.w
@@ -222,11 +232,6 @@ def hearing_matrix(net: ManagerNetwork, T: int) -> np.ndarray:
         raise OverflowError(
             f"hearing matrix left the finite float range at term t={overflow}")
     return total
-
-
-def _block_rows(n: int) -> int:
-    """Rows per block of an n-column float array: about 8 MiB."""
-    return max(1, 2 ** 20 // n)
 
 
 def diffusion_centrality(net: ManagerNetwork, T: int) -> np.ndarray:
@@ -283,8 +288,9 @@ def generate_random_network(n: int, density: float, seed: int) -> ManagerNetwork
     Gate uniform k (cell k in row-major order) is draw k, and the uniform
     u of weight (i, j) is draw n*n + i*n + j; the cell is ``1 - u`` where
     its gate is below ``density``, else 0.  The matrix is filled a block
-    of about 1 MiB of rows at a time, from a second generator advanced
-    past the gates, so only the matrix and one block of gates are alive.
+    of ``_BLOCK`` cells (1 MiB) of rows at a time, from a second generator
+    advanced past the gates, so only the matrix and one block of gates are
+    alive.
     """
     check(n >= 1, "n", n, ">= 1")
     check(n * n <= MAX_CELLS, "n", n, f"such that n*n <= MAX_CELLS = {MAX_CELLS}")
@@ -293,7 +299,7 @@ def generate_random_network(n: int, density: float, seed: int) -> ManagerNetwork
     uniforms = np.random.default_rng(seed)
     uniforms.bit_generator.advance(n * n)
     w = np.empty((n, n))
-    rows = max(1, _block_rows(n) // 8)
+    rows = _block_rows(n)
     gate = np.empty((min(rows, n), n))
     for a in range(0, n, rows):
         block = w[a:a + rows]
@@ -324,7 +330,7 @@ def read_network_csv(path) -> ManagerNetwork:
     whole goes through the checks of ``validate_network``.  The file is
     read once, front to back, so a pipe reads like a file.
 
-    Cost: the file is read as bytes, ``_READ_BLOCK`` (128 KiB) at a time,
+    Cost: the file is read as bytes, ``_BLOCK`` (128 KiB) at a time,
     and each read's whole lines make a block; only a read that holds a CR
     takes a pass to make CRLF and CR line ends LF.  About a dozen numpy passes over a
     block's bytes find the "0.0" cells between two commas.  Only the other
@@ -375,13 +381,9 @@ def read_network_csv(path) -> ManagerNetwork:
     return _own_network(w[:rows])
 
 
-# Bytes per read of a network CSV; a block is the whole lines a read ends.
-_READ_BLOCK = 2 ** 17
-
-
 def _line_blocks(fh):
     """The lines of the binary file ``fh`` in blocks, each the whole lines
-    that a read of ``_READ_BLOCK`` bytes completes, as text mode reads them:
+    that a read of ``_BLOCK`` bytes completes, as text mode reads them:
     CRLF and CR line ends become LF, and the last line ends in LF.  Yields
     (data, end) with the block in ``data[:end]``, so that it is not copied.
 
@@ -391,7 +393,7 @@ def _line_blocks(fh):
     left, and the new matrix would then need new memory."""
     rest = []  # the unfinished line, in pieces
     held = b""  # a CR that ended a read: the next may start with its LF
-    size = min(io.DEFAULT_BUFFER_SIZE, _READ_BLOCK)
+    size = min(io.DEFAULT_BUFFER_SIZE, _BLOCK)
     while data := fh.read(size):
         data, held = held + data, b""
         if b"\r" in data:
@@ -407,7 +409,7 @@ def _line_blocks(fh):
             data = b"".join(rest)
             end += len(data) - len(rest[-1])
         rest = [data[end:]] if end < len(data) else []
-        size = _READ_BLOCK
+        size = _BLOCK
         yield data, end
     if rest or held:
         data = b"".join(rest) + b"\n"
@@ -495,33 +497,28 @@ def _first_fault(text: bytes, start: int, width: int, exc: ValueError) -> ModelE
 
 def network_csv_chunks(net: ManagerNetwork):
     """Headerless CSV text of a network, one row per line, in blocks of
-    rows of about 2**18 cells each (1 MiB of text when most cells are zero);
-    every block ends in a newline.
+    rows of about ``_BLOCK`` cells each (512 KiB of text when most cells
+    are zero); every block ends in a newline.
 
     Each cell is ``repr`` of the float, so the text reads back to the same
     bits.  Only the cells that are nonzero or carry a sign bit (``-0.0``)
-    are formatted one by one; each run of zero cells between them is one
-    slice of a zero row's text.  So the Python work is per such cell, and
-    the memory is the network plus about two blocks of text.
+    are formatted one by one; the text between them is cut from one string
+    of the block with every cell "0.0".  So the Python work is per such
+    cell, and the memory is the network plus about two blocks of text.
     """
     n = net.n
-    zeros = "0.0," * (n - 1) + "0.0\n"  # cell j is zeros[4*j:4*j + 4]
-    rows = max(1, _block_rows(n) // 4)
+    zeros = "0.0," * (n - 1) + "0.0\n"
+    rows = _block_rows(n)
     for a in range(0, n, rows):
-        block = net.w[a:a + rows]
-        flat = block.reshape(-1)
+        flat = net.w[a:a + rows].reshape(-1)
         cells = np.flatnonzero((flat != 0.0) | np.signbit(flat))
-        texts = map(repr, flat[cells].tolist())
-        rows_of, cols = np.divmod(cells, n)
-        parts = []
-        row = end = 0  # the text so far ends at zeros[:end] of row ``row``
-        for i, j, text in zip(rows_of.tolist(), (4 * cols).tolist(), texts):
-            if i != row:
-                parts += (zeros[end:], zeros * (i - row - 1))
-                row, end = i, 0
-            parts += (zeros[end:j], text)
-            end = j + 3  # the cell's comma or newline comes from zeros
-        parts += (zeros[end:], zeros * (len(block) - row - 1))
+        # Cell k of the block is text[4k:4k + 3], its comma or LF text[4k + 3].
+        text = zeros * (flat.size // n)
+        cuts = [0, *np.add.outer(4 * cells, (0, 3)).ravel().tolist(), len(text)]
+        parts = [None] * (2 * cells.size + 1)
+        parts[0::2] = [text[i:j] for i, j in zip(cuts[0::2], cuts[1::2])]
+        del text
+        parts[1::2] = map(repr, flat[cells].tolist())
         yield "".join(parts)
 
 

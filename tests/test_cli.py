@@ -727,10 +727,12 @@ PINNED = {
     "gossip-matrix": (
         ["gossip", "matrix", *PROBS, "--p_gain", "0.8", "--out", "m.csv"],
         "94cdd12e908931a19191a1c4c969a5f158c836c7e9e9f57abf7d13abcb7f8905"),
+    # Re-pinned once for the closed-form stationary law: pi(00) is 0.0, where
+    # the LAPACK solve printed -4.163336342344337e-17.
     "gossip-stationary": (
         ["gossip", "stationary", *PROBS, "--p_gain", "0.8", "--p_ext", "0.3",
          "--out", "pi.csv"],
-        "8cd229afff4421b314e92e80fb4161db8fd4032e8ba87b4c7627dc87f8569358"),
+        "9b8bafb957d9678acf035cabc8fe7a8c876f96009c12df198d69e8386394ca89"),
     "gossip-simulate": (
         ["gossip", "simulate", "--network", "net10.csv", *PROBS, "--p_gain", "0.8",
          "--rounds", "30", "--seed", "42", "--informed", "3,0", "--out", "trace.csv"],
@@ -794,6 +796,23 @@ def test_outputs_match_pinned_digests(key):
     for name, data in files.items():
         digest.update(name.encode() + b"\0" + data)
     assert digest.hexdigest() == expected
+
+
+def test_stationary_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # Sandybridge is the kernel OpenBLAS picks on an x86-64 CPU without AVX2;
+    # a LAPACK solve gave it other bytes than the default kernel's.
+    argv = ["gossip", "stationary", *PROBS, "--p_gain", "0.8", "--p_ext", "0.3"]
+    outputs = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"}):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-m", "infospread", *argv],
+                              cwd=tmp_path, env={**env, **kernel},
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(b"state,probability\n00,0.0\n")
 
 
 RUNS = ["--p_drop", "0.1", "--p_loss", "0.2", "--p_gain", "0.8"]

@@ -234,6 +234,16 @@ def test_threshold_is_non_hyperbolic():
     assert report.endemic is None
 
 
+def test_stiff_stable_endemic_point_is_stable():
+    # Eigenvalues about -3.3e307 and -0.15: each is far from the imaginary
+    # axis against its own size, though -0.15 is not against the larger.
+    p = epi_sir.SirParams(beta=1e308, alpha=0.1, mu=0.05, n_total=1.0)
+    e = epi_sir.equilibria(p).endemic
+    assert sorted(ev.real for ev in e.eigenvalues) == pytest.approx(
+        [-1e308 / 3, -0.15], rel=1e-12)
+    assert e.stability == "stable"
+
+
 def test_supercritical_without_turnover_raises():
     p = epi_sir.PRESETS["fig6b"]
     with pytest.raises(EndemicUndefinedError) as err:

@@ -109,6 +109,18 @@ def test_validate_rejects_nonfinite_and_negative(bad):
         netdiff.validate_network([[0, bad], [0, 0]])
 
 
+def test_validate_rejects_cells_that_are_not_numbers():
+    with pytest.raises(EntryRangeError,
+                       match=r"^network entries must be real numbers: "):
+        netdiff.validate_network([["a"]])
+
+
+def test_validate_rejects_a_vector():
+    with pytest.raises(DimensionError) as err:
+        netdiff.validate_network([1.0, 0.5])
+    assert str(err.value) == "network must be a 2-d matrix, got ndim=1"
+
+
 def test_validate_rejects_non_square():
     with pytest.raises(DimensionError):
         netdiff.validate_network([[0, 1, 0], [0, 0, 1]])
@@ -646,7 +658,7 @@ def test_block_reader_matches_the_whole_text_reader(text, block):
         path.write_bytes(text)
         expected = outcome(whole_text_read_network_csv, path)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(netdiff, "_READ_BLOCK", block)
+            mp.setattr(netdiff, "_BLOCK", block)
             assert outcome(netdiff.read_network_csv, path) == expected
             piped = through_a_pipe(netdiff.read_network_csv)
             assert outcome(piped, path) == expected
@@ -654,7 +666,7 @@ def test_block_reader_matches_the_whole_text_reader(text, block):
 
 @pytest.mark.parametrize("block", [7, 64])
 def test_piped_fault_past_the_first_block_names_its_line(tmp_path, monkeypatch, block):
-    monkeypatch.setattr(netdiff, "_READ_BLOCK", block)
+    monkeypatch.setattr(netdiff, "_BLOCK", block)
     n = 40
     row = ",".join(["0.0"] * (n - 1) + ["0.5"]).encode()
     ends = [b"\n", b"\r\n", b"\r"]
@@ -681,7 +693,7 @@ def test_piped_fault_past_the_first_block_names_its_line(tmp_path, monkeypatch, 
 @pytest.mark.parametrize("edge", [8192, 2 ** 16, 2 ** 17])
 def test_a_crlf_split_at_a_read_edge_ends_one_line(tmp_path, edge):
     # The CR of a CRLF is the last byte of a read: of 8 KiB, the size of
-    # io's buffer, or of _READ_BLOCK bytes.  The LF that starts the next
+    # io's buffer, or of _BLOCK bytes.  The LF that starts the next
     # read must not end a second, empty line.
     row = b"0.0,0.5\r\n"
     good, pad = divmod(edge - 8, len(row))  # pad blank lines end row good at the edge
@@ -727,7 +739,7 @@ def test_reader_memory_beyond_the_matrix_is_a_few_blocks(tmp_path):
     netdiff.write_network_csv(path, netdiff.generate_random_network(n, 0.05, seed=3))
     net, peak = traced_peak(netdiff.read_network_csv, path)
     assert net.n == n
-    assert peak - n * n * 8 <= 5 * netdiff._READ_BLOCK
+    assert peak - n * n * 8 <= 5 * netdiff._BLOCK
 
 
 def test_piped_reader_memory_is_at_most_twice_the_result_plus_a_block(tmp_path):
@@ -753,7 +765,7 @@ def test_one_long_line_allocates_one_row(tmp_path):
 
 @pytest.mark.parametrize("block", [7, 2 ** 17])
 def test_more_rows_than_columns_names_the_shape(tmp_path, monkeypatch, block):
-    monkeypatch.setattr(netdiff, "_READ_BLOCK", block)
+    monkeypatch.setattr(netdiff, "_BLOCK", block)
     path = tmp_path / "tall.csv"
     path.write_text("0.0,0.5\n" * 7 + "0.25,0.0\n")
     with pytest.raises(DimensionError) as err:
@@ -802,7 +814,7 @@ def test_generator_matches_whole_matrix_reference(n, density, seed):
 
 @pytest.mark.parametrize("n, density", [(1025, 0.1), (1500, 0.3), (2000, 0.01)])
 def test_generator_matches_reference_over_several_row_blocks(n, density):
-    rows = max(1, netdiff._block_rows(n) // 8)  # the generator's block
+    rows = netdiff._block_rows(n)  # the generator's block
     assert n > rows and n % rows != 0  # several blocks, the last one short
     got = netdiff.generate_random_network(n, density, seed=n).w
     assert got.tobytes() == reference_generate_random_network(n, density, n).tobytes()
@@ -817,7 +829,7 @@ def test_hearing_matches_whole_matrix_reference_bitwise(n, T, seed):
 
 
 def test_hearing_in_one_block_is_bitwise_the_reference():
-    n = 1024
+    n = 362
     assert netdiff._block_rows(n) == n
     net = netdiff.generate_random_network(n, 0.02, seed=5)
     assert np.array_equal(netdiff.hearing_matrix(net, 4),
@@ -875,7 +887,7 @@ def test_network_chunks_join_to_the_whole_text_writer(n, tmp_path):
     w[0, -1] = -0.0
     net = netdiff.validate_network(w)
     chunks = list(netdiff.network_csv_chunks(net))
-    rows = max(1, netdiff._block_rows(n) // 4)
+    rows = netdiff._block_rows(n)
     assert len(chunks) == -(-n // rows)
     assert all(chunk.endswith("\n") for chunk in chunks)
     assert "".join(chunks) == whole_network_csv_text(net)
@@ -888,7 +900,7 @@ def edge_matrix(case: str) -> np.ndarray:
     if case.startswith("1x1"):
         return np.array([[float(case[4:])]])
     n = 1100
-    rows = max(1, netdiff._block_rows(n) // 4)
+    rows = netdiff._block_rows(n)
     w = (netdiff.generate_random_network(n, 0.3, seed=4).w.copy()
          if case == "dense" else np.zeros((n, n)))
     w[rows:2 * rows] = 0.0  # an all-zero block
@@ -904,7 +916,7 @@ def edge_matrix(case: str) -> np.ndarray:
 def test_network_chunks_match_the_whole_text_writer_at_the_edges(case):
     net = netdiff.validate_network(edge_matrix(case))
     chunks = list(netdiff.network_csv_chunks(net))
-    rows = max(1, netdiff._block_rows(net.n) // 4)
+    rows = netdiff._block_rows(net.n)
     assert len(chunks) == -(-net.n // rows)
     assert all(chunk.endswith("\n") for chunk in chunks)
     assert "".join(chunks) == whole_network_csv_text(net)

@@ -393,6 +393,11 @@ def test_wave_speed_pure_translation():
     assert est.residual <= 1e-9
 
 
+def test_wave_speed_needs_a_series():
+    with pytest.raises(ParamError, match="^series must be nonempty$"):
+        rdwave.estimate_wave_speed([], 0.5, (0, 1), 0.1)
+
+
 def test_wave_speed_saturated_field_has_no_crossing():
     x = 0.1 * np.arange(101)
     series = [rdwave.FieldState(u=np.ones_like(x), t=float(t)) for t in range(5)]
