@@ -232,58 +232,46 @@ def stationary_distribution(matrix: PairTransitionMatrix) -> np.ndarray:
     return np.array([0.0, w01 / total, w10 / total, w11 / total])
 
 
-def _partner_table(w: np.ndarray):
+def _partner_table(net: ManagerNetwork):
     """Partner-sampling thresholds of every initiator with out-weight.
 
-    ``w`` is read a block of rows of about ``netdiff._BLOCK`` cells at a
-    time, with its diagonal taken as zero (self contacts are excluded), so
-    no n-by-n copy is made.  Returns the active initiator indices in index order and
-    two padded (m, max_degree) matrices: row r holds initiator active[r]'s
+    Built from the network's kept cells, with the diagonal (self contacts
+    are excluded) and the ``-0.0`` cells dropped, so no n-by-n array is
+    made.  Returns the active initiator indices in index order and two
+    padded (m, max_degree) matrices: row r holds initiator active[r]'s
     _cumulative thresholds at its positive-weight columns, padded with
     +inf, and those columns.  For a uniform u in [0, 1), cols[r,
     count(thresholds[r] <= u)] equals searchsorted(_cumulative(row), u,
     side="right"): the first threshold above u always sits at a
     positive-weight column.
 
-    A first pass counts each row's partners, so both matrices are allocated
-    once; a second gathers each block's positive weights into its rows of
-    ``thresholds`` and takes their running sums there.  Those equal
-    _cumulative's at the same columns bit for bit: a cumulative sum adds in
-    index order, and adding the zeros between them changes no partial sum.
+    Each row's positive weights are placed in its row of ``thresholds`` in
+    column order and summed there.  The running sums equal _cumulative's
+    at the same columns bit for bit: a cumulative sum adds in index order,
+    and adding the zeros between them changes no partial sum.
     """
-    n = w.shape[0]
-    step = _block_rows(n)
-    degree = np.empty(n, dtype=np.intp)
-    for a in range(0, n, step):
-        degree[a:a + step] = np.count_nonzero(w[a:a + step], axis=1)
-    degree -= np.diagonal(w) != 0.0
+    rows = net.cell_rows()
+    positive = (net.data != 0.0) & (net.cols != rows)
+    rows = rows[positive]
+    degree = np.bincount(rows, minlength=net.n)
+    del rows
     active = np.flatnonzero(degree)
-    width = int(degree.max(initial=0))
+    count = degree[active]
+    width = int(count.max(initial=0))
+    # Cell k of the kept ones, the q-th of active row r, goes to r * width
+    # + q, which is k plus that row's offset r * width - (cells before it).
+    at = np.repeat(np.arange(active.size) * width - (np.cumsum(count) - count), count)
+    at += np.arange(at.size)
     thresholds = np.zeros((active.size, width))
+    thresholds.reshape(-1)[at] = net.data[positive]
     cols = np.zeros((active.size, width), dtype=np.intp)
-    r0 = 0
-    for a in range(0, n, step):
-        block = w[a:a + step]
-        positive = block != 0.0
-        local = np.arange(block.shape[0])
-        positive[local, a + local] = False
-        rows, nz = np.nonzero(positive)
-        count = degree[a:a + step]
-        count = count[count > 0]
-        # Rank of each entry within its row: rows come out in order.
-        starts = np.cumsum(count) - count
-        r = np.repeat(np.arange(count.size), count)
-        rank = np.arange(rows.size) - starts[r]
-        r1 = r0 + count.size
-        t = thresholds[r0:r1]
-        t[r, rank] = block[rows, nz]
-        cols[r0:r1][r, rank] = nz
-        np.cumsum(t, axis=1, out=t)
-        # Each row's total, which its padding leaves in the last column;
-        # the last positive entry becomes total / total, exactly 1.0.
-        t /= t[:, -1:].copy()
-        t[np.arange(width) >= count[:, None]] = np.inf
-        r0 = r1
+    cols.reshape(-1)[at] = net.cols[positive]
+    del at
+    np.cumsum(thresholds, axis=1, out=thresholds)
+    # Each row's total, which its padding leaves in the last column; the
+    # last positive entry becomes total / total, exactly 1.0.
+    thresholds /= thresholds[:, -1:].copy()
+    thresholds[np.arange(width) >= count[:, None]] = np.inf
     return active, thresholds, cols
 
 
@@ -333,7 +321,7 @@ def simulate_population(net: ManagerNetwork, params: ExchangeParams,
         check(0 <= idx < n, "informed", idx, f"node indices in [0, n) for n={n}")
         bits[idx] = 1
 
-    active, thresholds, cols = _partner_table(net.w)
+    active, thresholds, cols = _partner_table(net)
     m = active.size
     initiators = active.tolist()
     row_cums = [row.tolist() for row in _row_cumsums(params)]

@@ -1,11 +1,14 @@
 """Manager contact networks: validation, connectivity, leading eigenpairs,
 hearing matrices, and diffusion centrality.
 
-The network is a dense n-by-n matrix w with entries in [0, 1]; w[i, j] is the
-relative probability that manager i speaks to manager j.  Centrality over a
-horizon T sums the walk counts of length 1..T, so it is computed by repeated
-multiply-accumulate rather than through an eigendecomposition: that stays
-exact on non-diagonalizable matrices and T is small in practice.
+The network is an n-by-n matrix w with entries in [0, 1]; w[i, j] is the
+relative probability that manager i speaks to manager j.  It is held as its
+nonzero (and -0.0) cells in CSR form, and no command forms the dense
+matrix.  Centrality over a horizon T sums the walk counts of length 1..T,
+so it is computed by repeated multiply-accumulate rather than through an
+eigendecomposition: that stays exact on non-diagonalizable matrices and T
+is small in practice.  Every row sum and mat-vec adds each row's cells
+left to right, so its bits do not depend on the CPU or the BLAS kernel.
 
 All operations are pure functions over immutable inputs and are safe to call
 concurrently.
@@ -13,9 +16,7 @@ concurrently.
 
 from __future__ import annotations
 
-import io
 import math
-import os
 import re
 from dataclasses import dataclass
 
@@ -68,14 +69,37 @@ def _block_rows(width: int) -> int:
 
 @dataclass(frozen=True)
 class ManagerNetwork:
-    """Validated weighted directed contact network over ``n`` managers.
+    """Validated weighted directed contact network over ``n`` managers,
+    held as its kept cells in CSR form: row i's cells are at the columns
+    ``cols[indptr[i]:indptr[i + 1]]``, in increasing order, with the
+    weights ``data[indptr[i]:indptr[i + 1]]``.  A kept cell is one that is
+    nonzero or has its sign bit set (``-0.0``), so the network writes and
+    reads back to the same bits; every other cell is 0.0.  The arrays are
+    read-only.  A kept cell costs 12 bytes (an int32 column and a float64
+    weight) and a row 8, so a network of density d takes 1.5 d times the
+    8 n^2 bytes of its dense matrix.
 
     Diagonal self-weights are accepted by validation (their meaning is
     self-communication) but the random generator always zeroes them.
     """
 
     n: int
-    w: np.ndarray
+    indptr: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+
+    @property
+    def w(self) -> np.ndarray:
+        """The dense read-only n-by-n matrix, built anew on each access:
+        for ``hearing_matrix`` and for oracles.  No CLI command reads it."""
+        w = np.zeros((self.n, self.n))
+        w[self.cell_rows(), self.cols] = self.data
+        w.setflags(write=False)
+        return w
+
+    def cell_rows(self) -> np.ndarray:
+        """The row of each kept cell, aligned with ``cols`` and ``data``."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
 
 @dataclass(frozen=True)
@@ -107,28 +131,36 @@ def validate_network(raw) -> ManagerNetwork:
         w = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise EntryRangeError(f"network entries must be real numbers: {exc}") from None
-    return _own_network(w)
-
-
-def _own_network(w: np.ndarray) -> ManagerNetwork:
-    """``validate_network`` for a float array nothing else refers to: it is
-    checked and frozen in place, without the copy."""
     if w.ndim != 2:
         raise DimensionError(f"network must be a 2-d matrix, got ndim={w.ndim}")
     if w.shape[0] != w.shape[1]:
         raise DimensionError(f"network must be square, got shape {w.shape}")
     if w.shape[0] < 1:
         raise DimensionError("network needs at least one node")
-    # NaN fails both comparisons and an infinity one, so the masks are only
+    kept = (w != 0.0) | np.signbit(w)
+    return _own_network(np.count_nonzero(kept, axis=1),
+                        np.nonzero(kept)[1].astype(np.int32), w[kept])
+
+
+def _own_network(counts: np.ndarray, cols: np.ndarray,
+                 data: np.ndarray) -> ManagerNetwork:
+    """The network whose row i has ``counts[i]`` kept cells, their int32
+    columns ``cols`` and weights ``data`` in row-major order: arrays that
+    nothing else refers to, so they are checked and frozen in place.
+    Raises EntryRangeError naming the first weight outside [0, 1]."""
+    indptr = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    # NaN fails both comparisons and an infinity one, so the mask is only
     # built to name the first bad entry.
-    if not (w.min() >= 0.0 and w.max() <= 1.0):
-        bad = ~np.isfinite(w) | (w < 0.0) | (w > 1.0)
-        i, j = map(int, np.argwhere(bad)[0])
+    if not (data.min(initial=0.0) >= 0.0 and data.max(initial=0.0) <= 1.0):
+        k = int(np.flatnonzero(~((data >= 0.0) & (data <= 1.0)))[0])
+        i = int(np.searchsorted(indptr, k, side="right")) - 1
         raise EntryRangeError(
-            f"entry w[{i},{j}]={w[i, j]!r} outside [0, 1] or non-finite"
+            f"entry w[{i},{int(cols[k])}]={data[k]!r} outside [0, 1] or non-finite"
         )
-    w.setflags(write=False)
-    return ManagerNetwork(n=w.shape[0], w=w)
+    for a in (indptr, cols, data):
+        a.setflags(write=False)
+    return ManagerNetwork(n=counts.size, indptr=indptr, cols=cols, data=data)
 
 
 def strongly_connected(net: ManagerNetwork) -> bool:
@@ -136,20 +168,25 @@ def strongly_connected(net: ManagerNetwork) -> bool:
 
     Uses one forward and one backward reachability sweep from node 0.
     """
-    adj = net.w > 0.0
-    return _reaches_all(adj, 0) and _reaches_all(adj.T, 0)
+    positive = net.data > 0.0
+    rows, cols = net.cell_rows()[positive], net.cols[positive]
+    return _reaches_all(rows, cols, net.n) and _reaches_all(cols, rows, net.n)
 
 
-def _reaches_all(adj: np.ndarray, start: int) -> bool:
-    n = adj.shape[0]
+def _reaches_all(tails: np.ndarray, heads: np.ndarray, n: int) -> bool:
+    """True iff node 0 reaches every node along the edges tails -> heads."""
+    order = np.argsort(tails, kind="stable")
+    heads = heads[order]
+    starts = np.searchsorted(tails[order], np.arange(n + 1))
     seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
+    seen[0] = True
+    stack = [0]
     while stack:
         i = stack.pop()
-        for j in np.nonzero(adj[i] & ~seen)[0]:
-            seen[j] = True
-            stack.append(int(j))
+        new = heads[starts[i]:starts[i + 1]]
+        new = new[~seen[new]]  # a node's heads are distinct
+        seen[new] = True
+        stack.extend(new.tolist())
     return bool(seen.all())
 
 
@@ -166,15 +203,15 @@ def leading_eigenpair(net: ManagerNetwork, tol: float = 1e-10,
     """
     check(0.0 < tol < math.inf, "tol", tol, "positive and finite")
     check(max_iter >= 1, "max_iter", max_iter, ">= 1")
-    w = net.w
-    if not w.any():
+    if not net.data.any():
         raise ZeroMatrixError("leading eigenpair undefined for the zero matrix")
+    rows = net.cell_rows()
     v = np.full(net.n, 1.0 / net.n)
     best_residual = np.inf
     best = None
     stale = 0
     for k in range(1, max_iter + 1):
-        wv = w @ v
+        wv = _row_sums(rows, net.data * v[net.cols], net.n)
         lam = float(wv.sum())  # 1-norm of a nonnegative vector
         residual = float(np.max(np.abs(wv - lam * v)))
         if residual < best_residual:
@@ -205,9 +242,10 @@ def hearing_matrix(net: ManagerNetwork, T: int) -> np.ndarray:
 
     Entry (i, j) is the expected number of times, within T periods, that
     manager j hears an item originating from manager i.  Computed by
-    repeated multiply-accumulate, a block of rows of about ``_BLOCK`` cells
-    at a time (row i of w^t is row i of w^(t-1) times w), so only the result
-    and two row blocks are alive besides w.  Raises the builtin
+    repeated multiply-accumulate on the dense w, a block of rows of about
+    ``_BLOCK`` cells at a time (row i of w^t is row i of w^(t-1) times w),
+    so only w, the result and two row blocks are alive.  The oracle of the
+    centrality tests; no command calls it.  Raises the builtin
     OverflowError with the first term index at which an entry of the sum
     leaves the finite float range.
     """
@@ -238,23 +276,34 @@ def diffusion_centrality(net: ManagerNetwork, T: int) -> np.ndarray:
     """Row sums of the hearing matrix: expected total hearings per source.
 
     Computed as the sum of the walk-count vectors w^t 1 for t = 1..T, by T-1
-    mat-vecs from the row sums of w, so the hearing matrix is never formed;
-    the horizon-1 result is exactly ``w.sum(axis=1)``.  Raises the builtin
-    OverflowError with the first term index at which an entry of the sum
-    leaves the finite float range.
+    mat-vecs from the row sums of w, so the hearing matrix is never formed.
+    Every row sum adds the row's kept cells left to right, so the horizon-1
+    result is each row's cells added in column order, on every CPU.  Raises
+    the builtin OverflowError with the first term index at which an entry
+    of the sum leaves the finite float range.
     """
     T = _horizon(T, net.n)
-    w = net.w
-    walks = w.sum(axis=1)
+    rows = net.cell_rows()
+    walks = _row_sums(rows, net.data, net.n)
     total = walks.copy()
     with np.errstate(over="ignore"):
         for t in range(2, T + 1):
-            walks = w @ walks
+            walks = _row_sums(rows, net.data * walks[net.cols], net.n)
             total += walks  # at least every term, since entries are >= 0
             if not np.isfinite(total).all():
                 raise OverflowError(
                     f"diffusion centrality left the finite float range at term t={t}")
     return total
+
+
+def _row_sums(rows: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
+    """Each of the n rows' sum of ``cells``, one value per kept cell of a
+    network whose ``cell_rows()`` are ``rows``.  ``np.bincount`` adds in a
+    plain C loop, cell by cell in CSR order, so every row is added left to
+    right from 0.0 whatever the CPU; ``np.add.reduceat`` would not start at
+    0.0, nor give 0.0 for an empty row."""
+    # bincount returns integer zeros when there are no cells at all.
+    return np.bincount(rows, weights=cells, minlength=n).astype(float, copy=False)
 
 
 def _horizon(T, n: int) -> int:
@@ -287,9 +336,10 @@ def generate_random_network(n: int, density: float, seed: int) -> ManagerNetwork
     seed's PCG64 stream is read by ``random``, one 64-bit draw per double.
     Gate uniform k (cell k in row-major order) is draw k, and the uniform
     u of weight (i, j) is draw n*n + i*n + j; the cell is ``1 - u`` where
-    its gate is below ``density``, else 0.  The matrix is filled a block
-    of ``_BLOCK`` cells (1 MiB) of rows at a time, from a second generator
-    advanced past the gates, so only the matrix and one block of gates are
+    its gate is below ``density``, else 0.  The draws are taken a block of
+    ``_BLOCK`` cells (1 MiB) of rows at a time, the weights' from a second
+    generator advanced past the gates, and only each block's kept cells
+    are appended to the network, so the network and one block of draws are
     alive.
     """
     check(n >= 1, "n", n, ">= 1")
@@ -298,19 +348,43 @@ def generate_random_network(n: int, density: float, seed: int) -> ManagerNetwork
     gates = np.random.default_rng(seed)
     uniforms = np.random.default_rng(seed)
     uniforms.bit_generator.advance(n * n)
-    w = np.empty((n, n))
+    parts = [], [], []
     rows = _block_rows(n)
-    gate = np.empty((min(rows, n), n))
+    draws = np.empty(min(rows, n) * n)
     for a in range(0, n, rows):
-        block = w[a:a + rows]
-        keep = gate[:len(block)]
-        gates.random(out=keep)
+        block = draws[:min(rows, n - a) * n]
+        gates.random(out=block)
+        opens = block < density
+        local = np.arange(block.size // n)
+        opens.reshape(-1, n)[local, a + local] = False  # the diagonal is zero
+        cells = np.flatnonzero(opens)
         uniforms.random(out=block)
-        np.subtract(1.0, block, out=block)  # uniform on (0, 1]
-        np.less(keep, density, out=keep)  # 1.0 where the gate opens, else 0.0
-        np.multiply(block, keep, out=block)
-    np.fill_diagonal(w, 0.0)
-    return _own_network(w)
+        _append_rows(parts, local.size, n, cells, np.subtract(1.0, block[cells]))
+    del draws, block
+    return _own_network(*map(_joined, parts))
+
+
+def _append_rows(parts, rows: int, width: int, cells: np.ndarray,
+                 values: np.ndarray) -> None:
+    """Append to the lists ``parts`` = (counts, cols, data) a block of
+    ``rows`` rows of ``width`` cells whose cells at the increasing
+    row-major indices ``cells`` hold ``values`` and all others 0.0: each
+    row's count of kept cells, and their int32 columns and weights."""
+    kept = (values != 0.0) | np.signbit(values)
+    row, col = np.divmod(cells[kept], width)
+    counts, cols, data = parts
+    counts.append(np.bincount(row, minlength=rows))
+    cols.append(col.astype(np.int32))
+    data.append(values[kept])
+
+
+def _joined(blocks: list) -> np.ndarray:
+    """The arrays ``blocks`` joined into one, and the list emptied, so that
+    joining (counts, cols, data) in turn holds one joined part at a time
+    beside the blocks."""
+    whole = np.concatenate(blocks)
+    blocks.clear()
+    return whole
 
 
 def read_network_csv(path) -> ManagerNetwork:
@@ -332,69 +406,57 @@ def read_network_csv(path) -> ManagerNetwork:
 
     Cost: the file is read as bytes, ``_BLOCK`` (128 KiB) at a time,
     and each read's whole lines make a block; only a read that holds a CR
-    takes a pass to make CRLF and CR line ends LF.  About a dozen numpy passes over a
-    block's bytes find the "0.0" cells between two commas.  Only the other
-    cells' bytes are indexed, and only they go through numpy's float
-    parser, so there is no Python work per cell.  On a 2-core x86-64 host
-    a 16.6 MB file (n=2000, density 0.01) reads in about 40 ms: about a
-    third of it the float parser on its 42k cells, a third the masks, a
-    sixth the kept bytes' positions.  Memory: the result plus a few
-    blocks, since the block's masks take a byte per byte and the kept
-    bytes' positions eight bytes per kept byte: 4.4 blocks at density
-    0.05, and 14 blocks at density 1.  A pipe has no size to bound its row
-    count, so its matrix grows by doubling: at most about twice the result
-    plus those blocks.
+    takes a pass to make CRLF and CR line ends LF.  About a dozen numpy
+    passes over a block's bytes find the "0.0" cells between two commas.
+    Only the other cells' bytes are indexed, and only they go through
+    numpy's float parser, so there is no Python work per cell.  On a
+    2-core x86-64 host a 16.6 MB file (n=2000, density 0.01) reads in about
+    40 ms: about a third of it the float parser on its 42k cells, a third
+    the masks, a sixth the kept bytes' positions.  Memory: each block's
+    kept cells are appended to the network (rows past the n-th are
+    checked but not kept).  Beside them the read holds a few blocks, since
+    the block's masks take a byte per byte and the kept bytes' positions
+    eight bytes per kept byte: 4.2 blocks at density 0.05.  At its end the
+    weights are joined from their blocks, 8 bytes per kept cell more.  A
+    pipe reads the same way.
     """
-    w = None
+    width = None
     rows = 0
     line = 1  # the file line the next block starts on
+    parts = [], [], []
     with open(path, "rb") as fh:
-        # A row is at least 2 * width - 1 bytes, so the file's size bounds
-        # the row count: a long first line does not make an n-by-n allocation.
-        size = os.fstat(fh.fileno()).st_size
         for data, end in _line_blocks(fh):
-            if w is None:  # no copy of the block comes before the matrix
+            if width is None:
                 first = re.match(rb"\n*", data).end()
                 if first == end:  # empty lines only
                     line += end
                     continue
                 width = data.count(b",", first, data.index(b"\n", first)) + 1
-                w = np.zeros((min(width, size // (2 * width - 1) + 1), width))
             try:
                 lines, count, cells, values = _block_cells(
                     np.frombuffer(data, np.uint8, end), width)
             except ValueError as exc:
                 raise _first_fault(data[:end], line, width, exc) from None
             line += lines
-            cells += rows * width
+            if count and rows < width:  # past that the file is not square
+                _append_rows(parts, count, width, cells, values)
             rows += count
-            if len(w) < min(rows, width):  # a pipe has no size to bound rows by
-                grown = np.zeros((min(width, max(rows, 2 * len(w))), width))
-                grown[:len(w)] = w
-                w = grown
-            if rows <= len(w):  # past that the file is not square
-                w.reshape(-1)[cells] = values
-    if w is None:
+    if width is None:
         raise DimensionError("network needs at least one node")
-    if rows > width:
+    if rows != width:
         raise DimensionError(f"network must be square, got shape {(rows, width)}")
-    return _own_network(w[:rows])
+    del data, cells, values  # the last block, before the network is joined
+    return _own_network(*map(_joined, parts))
 
 
 def _line_blocks(fh):
     """The lines of the binary file ``fh`` in blocks, each the whole lines
     that a read of ``_BLOCK`` bytes completes, as text mode reads them:
     CRLF and CR line ends become LF, and the last line ends in LF.  Yields
-    (data, end) with the block in ``data[:end]``, so that it is not copied.
-
-    Until the first block, the reads are of io's buffer size, so that the
-    caller sizes its matrix from the first line before a block-sized buffer
-    exists: such a buffer could take part of the place that a freed matrix
-    left, and the new matrix would then need new memory."""
+    (data, end) with the block in ``data[:end]``, so that it is not copied."""
     rest = []  # the unfinished line, in pieces
     held = b""  # a CR that ended a read: the next may start with its LF
-    size = min(io.DEFAULT_BUFFER_SIZE, _BLOCK)
-    while data := fh.read(size):
+    while data := fh.read(_BLOCK):
         data, held = held + data, b""
         if b"\r" in data:
             if data.endswith(b"\r"):
@@ -409,7 +471,6 @@ def _line_blocks(fh):
             data = b"".join(rest)
             end += len(data) - len(rest[-1])
         rest = [data[end:]] if end < len(data) else []
-        size = _BLOCK
         yield data, end
     if rest or held:
         data = b"".join(rest) + b"\n"
@@ -501,24 +562,27 @@ def network_csv_chunks(net: ManagerNetwork):
     are zero); every block ends in a newline.
 
     Each cell is ``repr`` of the float, so the text reads back to the same
-    bits.  Only the cells that are nonzero or carry a sign bit (``-0.0``)
-    are formatted one by one; the text between them is cut from one string
-    of the block with every cell "0.0".  So the Python work is per such
-    cell, and the memory is the network plus about two blocks of text.
+    bits.  Only the kept cells (nonzero or ``-0.0``) are formatted one by
+    one; the text between them is cut from one string of the block with
+    every cell "0.0".  So the Python work is per kept cell, and the memory
+    is the network plus about two blocks of text.
     """
     n = net.n
     zeros = "0.0," * (n - 1) + "0.0\n"
     rows = _block_rows(n)
     for a in range(0, n, rows):
-        flat = net.w[a:a + rows].reshape(-1)
-        cells = np.flatnonzero((flat != 0.0) | np.signbit(flat))
+        ends = net.indptr[a:a + rows + 1]
+        first, last = int(ends[0]), int(ends[-1])
+        # Row-major index of each kept cell in the block.
+        cells = np.repeat(np.arange(0, n * (ends.size - 1), n), np.diff(ends))
+        cells += net.cols[first:last]
         # Cell k of the block is text[4k:4k + 3], its comma or LF text[4k + 3].
-        text = zeros * (flat.size // n)
+        text = zeros * (ends.size - 1)
         cuts = [0, *np.add.outer(4 * cells, (0, 3)).ravel().tolist(), len(text)]
         parts = [None] * (2 * cells.size + 1)
         parts[0::2] = [text[i:j] for i, j in zip(cuts[0::2], cuts[1::2])]
         del text
-        parts[1::2] = map(repr, flat[cells].tolist())
+        parts[1::2] = map(repr, net.data[first:last].tolist())
         yield "".join(parts)
 
 

@@ -4,8 +4,10 @@ Each is written from the definition, without the package's code, so a test
 that compares against one checks the package rather than itself.
 """
 
+import functools
 import itertools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -78,6 +80,15 @@ def is_primitive(w: np.ndarray) -> bool:
     for _ in range((n - 1) ** 2 + 1):
         power = np.minimum(power @ b, 1)
     return bool(power.all())
+
+
+def left_to_right_row_sums(w: np.ndarray) -> np.ndarray:
+    """Each row of w added left to right from 0.0 in Python floats (not
+    sum(), which compensates float sums from Python 3.12 on).  Adding a
+    0.0 cell changes no partial sum, so this is also the sum of each row's
+    nonzero and -0.0 cells in column order."""
+    return np.array([functools.reduce(operator.add, row, 0.0)
+                     for row in w.tolist()])
 
 
 def two_pass_stats(values):

@@ -17,7 +17,7 @@ import pytest
 from infospread import cli, epi_sir, fundstats, gossip, netdiff, rdwave
 from infospread.errors import ReducibleChainError
 from oracles import (closed_class_count, gauss_stationary, is_primitive,
-                     param_grid, two_pass_stats)
+                     left_to_right_row_sums, param_grid, two_pass_stats)
 
 NETWORK10 = str(importlib.resources.files("infospread.data") / "network10.csv")
 GOLDEN = Path(__file__).parent / "golden" / "gossip_trace_10node_seed42.csv"
@@ -149,7 +149,7 @@ def test_criterion_06_diffusion_centrality():
             T = int(rng.integers(1, 7))
             net = netdiff.generate_random_network(n, 0.6, int(rng.integers(1 << 30)))
             assert np.array_equal(netdiff.diffusion_centrality(net, 1),
-                                  net.w.sum(axis=1))
+                                  left_to_right_row_sums(net.w))
             oracle = sum(np.linalg.matrix_power(net.w, t)
                          for t in range(1, T + 1)) @ np.ones(n)
             dc = netdiff.diffusion_centrality(net, T)

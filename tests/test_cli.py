@@ -538,6 +538,40 @@ def test_sir_memory_beyond_its_trajectory_is_flat_in_horizon(tmp_path):
     assert abs(peak(500) - peak(50) - trajectory) < 2 ** 20
 
 
+# The benchmark's network jobs in a fresh process: the rise of its peak
+# resident set over what importing the CLI took.  ru_maxrss is in KiB on
+# Linux and in bytes on macOS.
+NETWORK_JOBS = """
+import resource, sys
+from infospread import cli
+
+def peak():
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss if sys.platform == "darwin" else rss * 1024
+
+base = peak()
+for argv in (
+        ["network", "gen", "--n", "2000", "--density", "0.01", "--seed", "1",
+         "--out", "net.csv"],
+        ["network", "centrality", "--network", "net.csv", "--horizon", "5",
+         "--out", "dc.csv"],
+        ["network", "eigen", "--network", "net.csv", "--out", "eig.csv"]):
+    assert cli.main([*argv, "--quiet"]) == 0
+print(peak() - base)
+"""
+
+
+def test_network_jobs_peak_rss_is_a_few_mebibytes_over_the_import(tmp_path):
+    # A dense n-by-n matrix alone would be 30.5 MiB; the 40k kept cells
+    # take under half a MiB.
+    done = subprocess.run([sys.executable, "-c", NETWORK_JOBS], cwd=tmp_path,
+                          env={**os.environ,
+                               "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 12 * 2 ** 20
+
+
 def test_a_chunk_that_raises_leaves_no_file(tmp_path):
     out = tmp_path / "out.csv"
     with pytest.raises(ValueError):  # zip(strict=True) on unequal columns
@@ -717,13 +751,16 @@ PINNED = {
         ["network", "gen", "--n", "12", "--density", "0.4", "--seed", "7",
          "--out", "gen.csv"],
         "22d99a869b6931ad48bf2b2f071cd8955127c4475ce8630c709bccf223118a3b"),
+    # Re-pinned once for row sums added left to right over each row's kept
+    # cells (the BLAS mat-vec's bytes depended on its kernel); they moved
+    # in the last bit or two.
     "network-centrality": (
         ["network", "centrality", "--network", "net10.csv", "--horizon", "4",
          "--out", "dc.csv"],
-        "8205098eda32756fa5f02d305d6321ad192cfb90f4e30de11f9b8f9101f84fa8"),
+        "d53da520b23b28452eec000fc62aa50bc49a7e311d70dc8edf550ebab7e19d2e"),
     "network-eigen": (
         ["network", "eigen", "--network", "net10.csv", "--out", "eig.csv"],
-        "4c61dfdfe9d772379ac456e38c86bb235fcce6109bae0b6b1796cd747c5ed3bf"),
+        "979adb0af42fce9ce0c48ea2bc74cadd2ded282749ce756d64c4190f6af27c95"),
     "gossip-matrix": (
         ["gossip", "matrix", *PROBS, "--p_gain", "0.8", "--out", "m.csv"],
         "94cdd12e908931a19191a1c4c969a5f158c836c7e9e9f57abf7d13abcb7f8905"),
@@ -786,16 +823,59 @@ PINNED = {
 PINNED_CONFIG = {"preset": "fig6d", "horizon": 5, "i0": 0.01, "quiet": True}
 
 
-@pytest.mark.parametrize("key", sorted(PINNED))
-def test_outputs_match_pinned_digests(key):
-    argv, expected = PINNED[key]
+def pinned_digest(key) -> str:
+    """The digest of PINNED[key]'s run through cli.main."""
+    argv, _ = PINNED[key]
     config = PINNED_CONFIG if key == "sir-config" else None
     status, _, err, files = invoke([*argv, "--quiet"], config)
     assert status == 0, err
     digest = hashlib.sha256()
     for name, data in files.items():
         digest.update(name.encode() + b"\0" + data)
-    assert digest.hexdigest() == expected
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_outputs_match_pinned_digests(key):
+    assert pinned_digest(key) == PINNED[key][1]
+
+
+def print_digests():
+    """Print, as JSON, every pinned digest and the golden trace run's
+    sha256, each run through cli.main in this process."""
+    digests = {key: pinned_digest(key) for key in sorted(PINNED)}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "trace.csv"
+        assert cli.main(GOSSIP_ARGS + ["--out", str(out)]) == 0
+        digests["golden"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    print(json.dumps(digests))
+
+
+# The kernels numpy and OpenBLAS pick by CPU: OpenBLAS's for an x86-64 CPU
+# without AVX2, and numpy's loops without the AVX-512 (x86-64-v4) ones.
+KERNELS = {"default": {}, "sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+           "no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}}
+
+
+def test_pinned_bytes_do_not_depend_on_the_cpu_kernels():
+    expected = {key: digest for key, (_, digest) in PINNED.items()}
+    expected["golden"] = hashlib.sha256(GOLDEN.read_bytes()).hexdigest()
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                         str(Path(__file__).parent)])
+    children = {
+        name: subprocess.Popen(
+            [sys.executable, "-c", "import test_cli; test_cli.print_digests()"],
+            env={**env, **kernel}, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for name, kernel in KERNELS.items()}
+    differ = {}
+    for name, child in children.items():
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, (name, err.decode(errors="replace"))
+        got = json.loads(out)
+        differ[name] = sorted(key for key in expected if got.get(key) != expected[key])
+    assert differ == {name: [] for name in KERNELS}
 
 
 def test_stationary_bytes_do_not_depend_on_the_blas_kernel(tmp_path):

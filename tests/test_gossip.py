@@ -507,14 +507,14 @@ def partner_table_networks():
 @pytest.mark.parametrize("name", sorted(partner_table_networks()))
 def test_partner_table_matches_its_definition(name):
     w = partner_table_networks()[name]
-    got = gossip._partner_table(w)
+    got = gossip._partner_table(netdiff.validate_network(w))
     for part, expected in zip(got, reference_partner_table(w)):
         assert part.dtype == expected.dtype
         assert np.array_equal(part, expected), name
 
 
-def rounds_per_block(w):
-    _, thresholds, _ = gossip._partner_table(w)
+def rounds_per_block(net):
+    _, thresholds, _ = gossip._partner_table(net)
     return netdiff._block_rows(thresholds.size)
 
 
@@ -522,7 +522,7 @@ def rounds_per_block(w):
                          ids=["several-blocks", "one-round-blocks"])
 def test_population_matches_reference_across_round_blocks(density, rounds):
     net = netdiff.generate_random_network(300, density, seed=11)
-    block = rounds_per_block(net.w)
+    block = rounds_per_block(net)
     assert block == 1 if density == 1.0 else 1 < block < rounds / 2
     params = EQUIVALENCE_PARAMS[0]
     for seed in (0, 1):
@@ -539,7 +539,7 @@ def test_population_matches_reference_when_frozen_mid_block():
             assert got == reference_simulate_population(net, params, [0], 40, seed)
             assert got.informed_count[-1] == 300
             frozen_from.append(got.informed_count.index(300))
-    block = rounds_per_block(net.w)
+    block = rounds_per_block(net)
     assert any(rnd % block for rnd in frozen_from)
 
 
@@ -565,8 +565,10 @@ def test_population_matches_reference_on_random_inputs(run):
 
 
 def test_population_peak_memory_is_under_half_the_network():
-    # The partner table holds each initiator's positive-weight columns only;
-    # the network itself is read in place, never copied.
+    # The partner table holds each initiator's positive-weight columns only,
+    # padded to the largest out-degree, at 16 bytes a cell (here about twice
+    # the network's 12 bytes per kept cell); building it takes about one
+    # network more, and a block of round picks about _BLOCK cells.
     n = 1000
     net = netdiff.generate_random_network(n, 0.05, seed=3)
     params = gossip.ExchangeParams(0.5, 0.1, 0.2, 0.8)
@@ -578,17 +580,18 @@ def test_population_peak_memory_is_under_half_the_network():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5 * n * n * 8
+    network = net.indptr.nbytes + net.cols.nbytes + net.data.nbytes
+    assert peak <= 3 * network + 8 * netdiff._BLOCK
 
 
 def test_partner_table_peak_memory_is_about_the_table():
-    # The network is read a block of rows at a time, so the build holds
-    # little beyond the table it returns.
-    w = netdiff.generate_random_network(1000, 0.05, seed=3).w
-    gossip._partner_table(w)  # untraced: first-use allocations
+    # The build holds the table it returns and index arrays of its kept
+    # cells, never an n-by-n array.
+    net = netdiff.generate_random_network(1000, 0.05, seed=3)
+    gossip._partner_table(net)  # untraced: first-use allocations
     tracemalloc.start()
     try:
-        _, thresholds, cols = gossip._partner_table(w)
+        _, thresholds, cols = gossip._partner_table(net)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -24,7 +24,7 @@ from infospread.errors import (
     RowError,
     ZeroMatrixError,
 )
-from oracles import is_primitive, traced_peak
+from oracles import is_primitive, left_to_right_row_sums, traced_peak
 
 
 # -- independent oracles ------------------------------------------------
@@ -263,8 +263,12 @@ def test_centrality_line_example():
 
 
 def test_centrality_horizon_one_is_row_sums_exactly():
-    net = netdiff.generate_random_network(7, 0.6, seed=11)
-    assert np.array_equal(netdiff.diffusion_centrality(net, 1), net.w.sum(axis=1))
+    # Each row's cells added left to right, on every CPU: numpy's own row
+    # sums add 8 or more cells pairwise.
+    for n in (7, 8, 200):
+        net = netdiff.generate_random_network(n, 0.6, seed=11)
+        assert np.array_equal(netdiff.diffusion_centrality(net, 1),
+                              left_to_right_row_sums(net.w))
 
 
 def test_centrality_complete_graph_single_period():
@@ -554,7 +558,7 @@ def whole_text_read_network_csv(path) -> netdiff.ManagerNetwork:
         except ValueError as exc:
             fh.seek(0)
             raise whole_text_first_fault(fh, exc) from None
-    return netdiff._own_network(w)
+    return netdiff.validate_network(w)
 
 
 def whole_text_first_fault(lines, exc: ValueError):
@@ -720,41 +724,68 @@ def test_a_cr_only_file_over_several_blocks_names_its_line(tmp_path):
                                   "to float64 at column 2.")
 
 
+def network_bytes(net: netdiff.ManagerNetwork) -> int:
+    """What a network holds: 12 bytes per kept cell plus ``indptr``."""
+    assert net.cols.itemsize + net.data.itemsize == 12
+    return net.indptr.nbytes + net.cols.nbytes + net.data.nbytes
+
+
 def test_reader_memory_is_the_result_plus_a_block(tmp_path):
+    # The kept cells of each block are appended, then joined: the network
+    # beside the blocks it is joined from, and one block's work.
     n = 1100
     path = tmp_path / "net.csv"
     netdiff.write_network_csv(path, netdiff.generate_random_network(n, 0.05, seed=3))
     net, peak = traced_peak(netdiff.read_network_csv, path)
     assert net.n == n
-    assert peak <= 1.1 * n * n * 8
+    assert peak <= 2 * network_bytes(net)
 
 
 def test_reader_memory_beyond_the_matrix_is_a_few_blocks(tmp_path):
-    # Beyond the matrix: one copy of a block's text, its masks of a byte
+    # Beyond the network: one copy of a block's text, its masks of a byte
     # per byte, and eight bytes per byte of the cells other than "0.0"
-    # (about 1.7 blocks at this density), 4.4 blocks in all.  Reading the
+    # (about 1.7 blocks at this density), 4.2 blocks in all.  Reading the
     # block as lines of text, then joined and encoded, took 6.3.
     n = 1100
     path = tmp_path / "net.csv"
     netdiff.write_network_csv(path, netdiff.generate_random_network(n, 0.05, seed=3))
     net, peak = traced_peak(netdiff.read_network_csv, path)
     assert net.n == n
-    assert peak - n * n * 8 <= 5 * netdiff._BLOCK
+    assert peak - network_bytes(net) <= 5 * netdiff._BLOCK
 
 
 def test_piped_reader_memory_is_at_most_twice_the_result_plus_a_block(tmp_path):
-    # Without a size to bound the rows, the matrix grows by doubling: the
-    # last copy holds the old rows and the result at once.
+    # A pipe reads like a file: no row count to bound, nothing to grow.
     n = 1100
     path = tmp_path / "net.csv"
     netdiff.write_network_csv(path, netdiff.generate_random_network(n, 0.05, seed=3))
     net, peak = traced_peak(through_a_pipe(netdiff.read_network_csv), path)
     assert net.w.tobytes() == netdiff.read_network_csv(path).w.tobytes()
-    assert peak <= 2.1 * n * n * 8
+    assert peak <= 2 * network_bytes(net) + netdiff._BLOCK
+
+
+@pytest.mark.parametrize("source", ["read", "generate"])
+def test_a_full_network_costs_one_and_a_half_dense_matrices(tmp_path, source):
+    # At density 1 every off-diagonal cell is kept, at 12 bytes against the
+    # dense matrix's 8.  Joining the weights holds them twice for a moment.
+    n = 1000
+    net = netdiff.generate_random_network(n, 1.0, seed=3)
+    if source == "read":
+        path = tmp_path / "net.csv"
+        netdiff.write_network_csv(path, net)
+        net, peak = traced_peak(netdiff.read_network_csv, path)
+        work = 5 * netdiff._BLOCK
+    else:
+        net, peak = traced_peak(netdiff.generate_random_network, n, 1.0, 3)
+        work = 1.5 * 2 ** 20
+    assert net.data.size == n * (n - 1)
+    assert network_bytes(net) <= 1.5 * n * n * 8 + 8 * (n + 1)
+    assert peak <= network_bytes(net) + net.data.nbytes + work
 
 
 def test_one_long_line_allocates_one_row(tmp_path):
-    # The file's size allows one row of 200 000 cells, not 200 000 rows.
+    # The reader keeps only the cells other than 0.0, so one row of 200 000
+    # cells allocates no 200 000 rows.
     path = tmp_path / "line.csv"
     path.write_text(",".join(["0.0"] * 200_000) + "\n")
     err, peak = traced_peak(pytest.raises, DimensionError,
@@ -848,16 +879,20 @@ def test_hearing_over_row_blocks_matches_the_reference(n):
 
 
 def test_hearing_peak_memory_is_the_result_plus_row_blocks():
+    # The network holds only its kept cells, so hearing_matrix builds the
+    # dense matrix it multiplies by: the network and the call together hold
+    # that matrix, the result and row blocks, as when the network held it.
     n, T = 1500, 3
-    net = netdiff.generate_random_network(n, 0.02, seed=1)
-    _, peak = traced_peak(netdiff.hearing_matrix, net, T)
-    assert peak <= 1.05 * (n * n * 8 + 3 * netdiff._block_rows(n) * n * 8)
+    _, peak = traced_peak(lambda: netdiff.hearing_matrix(
+        netdiff.generate_random_network(n, 0.02, seed=1), T))
+    assert peak <= 1.05 * (2 * n * n * 8 + 3 * netdiff._block_rows(n) * n * 8)
 
 
 def test_generator_peak_memory_is_the_matrix_plus_about_a_mebibyte():
+    # The network plus one block of draws (1 MiB) and its gate mask.
     n = 1500
-    _, peak = traced_peak(netdiff.generate_random_network, n, 0.02, 1)
-    assert peak <= n * n * 8 + 1.5 * 2 ** 20
+    net, peak = traced_peak(netdiff.generate_random_network, n, 0.02, 1)
+    assert peak <= network_bytes(net) + 1.5 * 2 ** 20
 
 
 def test_network_text_peak_memory_is_about_two_texts():
