@@ -26,7 +26,7 @@ import stat
 import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -337,17 +337,28 @@ def parse_args(argv=None) -> RunConfig:
 # chunk rather than growing with its row count.
 _CHUNK_ROWS = 4096
 
+# Cells of an ndarray column turned into Python scalars at a time.
+_SLICE_CELLS = 256
+
+
+def _cells(column):
+    """The cells of a column; an ndarray's as Python scalars, read a slice
+    of ``_SLICE_CELLS`` at a time with ``tolist``, which gives the same
+    scalars as ``item`` a cell at a time at a fraction of the calls."""
+    if not isinstance(column, np.ndarray):
+        return column
+    return chain.from_iterable(column[k:k + _SLICE_CELLS].tolist()
+                               for k in range(0, len(column), _SLICE_CELLS))
+
 
 def _csv_chunks(header, columns):
-    """CSV text of equal-length columns (ndarrays, ranges, or lists of ints,
-    floats or strings) in chunks: the header line, then up to
+    """CSV text of equal-length columns (1-D ndarrays, ranges, or lists of
+    ints, floats or strings) in chunks: the header line, then up to
     ``_CHUNK_ROWS`` rows at a time, each chunk ending in a newline.  An
-    ndarray yields its cells as Python scalars one at a time (``item``), so
-    no whole column of them is alive at once."""
+    ndarray's cells are read a slice at a time (``_cells``), so no whole
+    column of Python scalars is alive at once."""
     yield ",".join(header) + "\n"
-    cells = [map(str, map(c.item, range(c.size)) if isinstance(c, np.ndarray) else c)
-             for c in columns]
-    rows = map(",".join, zip(*cells, strict=True))
+    rows = map(",".join, zip(*(map(str, _cells(c)) for c in columns), strict=True))
     while lines := list(islice(rows, _CHUNK_ROWS)):
         lines.append("")  # the chunk's last newline, without a second copy
         yield "\n".join(lines)

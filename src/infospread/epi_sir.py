@@ -135,25 +135,6 @@ PRESETS = {
 }
 
 
-def _rhs(s: float, i: float, r: float, p: SirParams):
-    """(dS, dI, dR) at a state; their sum is mu*(N - S - I - R)."""
-    ds = -p.beta * s * i + p.mu * (p.n_total - s)
-    di = p.beta * s * i - p.alpha * i - p.mu * i
-    dr = p.alpha * i - p.mu * r
-    return ds, di, dr
-
-
-def _rk4(s: float, i: float, r: float, p: SirParams, h: float):
-    k1s, k1i, k1r = _rhs(s, i, r, p)
-    k2s, k2i, k2r = _rhs(s + 0.5 * h * k1s, i + 0.5 * h * k1i, r + 0.5 * h * k1r, p)
-    k3s, k3i, k3r = _rhs(s + 0.5 * h * k2s, i + 0.5 * h * k2i, r + 0.5 * h * k2r, p)
-    k4s, k4i, k4r = _rhs(s + h * k3s, i + h * k3i, r + h * k3r, p)
-    c = h / 6.0
-    return (s + c * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
-            i + c * (k1i + 2.0 * k2i + 2.0 * k3i + k4i),
-            r + c * (k1r + 2.0 * k2r + 2.0 * k3r + k4r))
-
-
 def integrate(params: SirParams, init: SirState, h: float,
               horizon: float) -> Trajectory:
     """Fixed-step trajectory over ``horizon`` time units.
@@ -162,6 +143,9 @@ def integrate(params: SirParams, init: SirState, h: float,
     and the initial state must be finite (ParamError).  Conservation
     |S+I+R-N| <= 1e-8*N is enforced at the initial condition and after every
     step; a violation raises ConservationError (the step is too large).
+    The RK4 step is written out inline, with the rates, 0.5*h and h/6 held
+    in locals, so a step makes no function call; every stage is the
+    textbook formula's arithmetic, operation for operation.
     """
     check(0.0 < h < math.inf, "h", h, "positive and finite", StepSizeError)
     check(h <= horizon < math.inf, "horizon", horizon,
@@ -179,13 +163,39 @@ def integrate(params: SirParams, init: SirState, h: float,
     if not drift <= limit:
         raise ConservationError(
             f"initial state off the conservation manifold: |S+I+R-N|={drift:.3e}")
+    beta, alpha, mu = params.beta, params.alpha, params.mu
+    half, sixth = 0.5 * h, h / 6.0
     ts = init.t + h * np.arange(steps + 1)
     ss = np.empty(steps + 1)
     ii = np.empty(steps + 1)
     rr = np.empty(steps + 1)
     ss[0], ii[0], rr[0] = s, i, r
     for k in range(1, steps + 1):
-        s, i, r = _rk4(s, i, r, params, h)
+        # With b = beta*S*I, the S' stage mu*(N - S) - b equals
+        # -beta*S*I + mu*(N - S) bitwise, since negation is exact and
+        # a + (-b) == a - b.
+        b = beta * s * i
+        k1s = mu * (n_total - s) - b
+        k1i = b - alpha * i - mu * i
+        k1r = alpha * i - mu * r
+        s2, i2, r2 = s + half * k1s, i + half * k1i, r + half * k1r
+        b = beta * s2 * i2
+        k2s = mu * (n_total - s2) - b
+        k2i = b - alpha * i2 - mu * i2
+        k2r = alpha * i2 - mu * r2
+        s3, i3, r3 = s + half * k2s, i + half * k2i, r + half * k2r
+        b = beta * s3 * i3
+        k3s = mu * (n_total - s3) - b
+        k3i = b - alpha * i3 - mu * i3
+        k3r = alpha * i3 - mu * r3
+        s4, i4, r4 = s + h * k3s, i + h * k3i, r + h * k3r
+        b = beta * s4 * i4
+        k4s = mu * (n_total - s4) - b
+        k4i = b - alpha * i4 - mu * i4
+        k4r = alpha * i4 - mu * r4
+        s = s + sixth * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        i = i + sixth * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+        r = r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         drift = abs(s + i + r - n_total)
         if not drift <= limit:
             raise ConservationError(

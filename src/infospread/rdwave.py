@@ -206,9 +206,12 @@ def _ftcs_kernel(cfg: ReactionDiffusionConfig, u: np.ndarray, out: np.ndarray,
     buffers and the coefficients (0-d float64 arrays, which numpy applies
     faster than Python or numpy scalars) are built here, once, so a step
     only calls ufuncs.  Each ufunc applies one operation of the formula in
-    its order, so the result is bitwise the same as evaluating the formula
-    with fresh arrays.  The caller decides how overflow is reported
-    (``np.errstate``).
+    its order, on the same operands, so the result is bitwise the same as
+    evaluating the formula with fresh arrays.  The two operations that are
+    exact identities for this config are left out: r*u when r == 1 and u/K
+    when K == 1, since x*1.0 and x/1.0 are x for every double; the next
+    operation then reads u itself.  The caller decides how overflow is
+    reported (``np.errstate``).
     """
     n = len(u)
     nu, r, k_cap, a, dt, two, one = (
@@ -216,6 +219,12 @@ def _ftcs_kernel(cfg: ReactionDiffusionConfig, u: np.ndarray, out: np.ndarray,
         for v in (cfg.d_coeff / (cfg.dx * cfg.dx), cfg.r_rate, cfg.k_cap,
                   cfg.allee_threshold, cfg.dt, 2.0, 1.0))
     allee = cfg.rate_family == "allee"
+    scale_r, scale_k = cfg.r_rate != 1.0, cfg.k_cap != 1.0
+    # The buffers that hold r*u, the rate's product before its last factor,
+    # and u/K once they are computed: u itself where the operation is left out.
+    ru = out if scale_r else u
+    product = out if scale_r or allee else u
+    u_over_k = g if scale_k else u
     lap_in, u_in, u_left, u_right = lap[1:-1], u[1:-1], u[:-2], u[2:]
     if n > 1:
         # The end nodes and their inner neighbours u[1] and u[n-2], one view
@@ -237,13 +246,15 @@ def _ftcs_kernel(cfg: ReactionDiffusionConfig, u: np.ndarray, out: np.ndarray,
             lap[0] = 0.0
         multiply(nu, lap, lap)
         # The rate: r*u*(1 - u/K), or r*u*(u - a)*(1 - u/K) for the Allee family.
-        multiply(r, u, out)
+        if scale_r:
+            multiply(r, u, out)
         if allee:
             subtract(u, a, g)
-            multiply(out, g, out)
-        divide(u, k_cap, g)
-        subtract(one, g, g)
-        multiply(out, g, g)
+            multiply(ru, g, out)
+        if scale_k:
+            divide(u, k_cap, g)
+        subtract(one, u_over_k, g)
+        multiply(product, g, g)
         add(lap, g, lap)
         multiply(dt, lap, lap)
         add(u, lap, out)

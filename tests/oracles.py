@@ -91,6 +91,27 @@ def left_to_right_row_sums(w: np.ndarray) -> np.ndarray:
                      for row in w.tolist()])
 
 
+def sir_rhs(s: float, i: float, r: float, p):
+    """(dS, dI, dR) of the SIR system with turnover at a state, each written
+    as the model's formula; their sum is mu*(N - S - I - R)."""
+    ds = -p.beta * s * i + p.mu * (p.n_total - s)
+    di = p.beta * s * i - p.alpha * i - p.mu * i
+    dr = p.alpha * i - p.mu * r
+    return ds, di, dr
+
+
+def sir_rk4(s: float, i: float, r: float, p, h: float):
+    """One classical RK4 step of sir_rhs from (s, i, r)."""
+    k1s, k1i, k1r = sir_rhs(s, i, r, p)
+    k2s, k2i, k2r = sir_rhs(s + 0.5 * h * k1s, i + 0.5 * h * k1i, r + 0.5 * h * k1r, p)
+    k3s, k3i, k3r = sir_rhs(s + 0.5 * h * k2s, i + 0.5 * h * k2i, r + 0.5 * h * k2r, p)
+    k4s, k4i, k4r = sir_rhs(s + h * k3s, i + h * k3i, r + h * k3r, p)
+    c = h / 6.0
+    return (s + c * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
+            i + c * (k1i + 2.0 * k2i + 2.0 * k3i + k4i),
+            r + c * (k1r + 2.0 * k2r + 2.0 * k3r + k4r))
+
+
 def two_pass_stats(values):
     """Mean, sample std, min and max: exact sums first, then moments."""
     n = len(values)

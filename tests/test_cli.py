@@ -508,7 +508,36 @@ def test_chunks_join_to_the_whole_text_writer(rows):
     assert chunks[0] == "float,int64,range,str\n"
     assert len(chunks) == 1 + -(-rows // CHUNK)
     assert all(chunk.endswith("\n") and chunk.count("\n") <= CHUNK for chunk in chunks)
-    assert "".join(chunks) == whole_csv_text(header, columns)
+    # Compared as lines: pytest's diff of two texts of thousands of lines
+    # did not finish in 4 minutes.
+    assert "".join(chunks).split("\n") == whole_csv_text(header, columns).split("\n")
+
+
+SLICE = cli._SLICE_CELLS
+# Cells whose text is easy to get wrong: signed zeros, nan, the infinities,
+# subnormals and the extremes of each float width.
+SPECIAL64 = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.0 ** -1022 * (1 - 2 ** -52),
+             2.0 ** -1022, 1.7976931348623157e308, 0.1, 1 / 3]
+SPECIAL32 = [-0.0, np.nan, np.inf, -np.inf, 1e-45, 1.1754942e-38, 3.4028235e38, 0.1]
+
+
+@pytest.mark.parametrize("rows", [0, 1, SLICE - 1, SLICE, SLICE + 1, CHUNK + SLICE + 1])
+def test_ndarray_columns_read_in_slices_give_each_cell_its_item_text(rows):
+    rng = np.random.default_rng(rows)
+    int64 = np.iinfo(np.int64)
+    f64 = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows)
+    f64[:len(SPECIAL64)] = SPECIAL64[:rows]
+    f32 = rng.standard_normal(rows).astype(np.float32)
+    f32[:len(SPECIAL32)] = np.array(SPECIAL32, dtype=np.float32)[:rows]
+    columns = [f64, f32,
+               rng.integers(int64.min, int64.max, rows, dtype=np.int64, endpoint=True),
+               rng.random(rows) < 0.5,
+               f64[::-1]]  # a view with a negative stride
+    header = ("f64", "f32", "int64", "bool", "reversed")
+    expected = ["f64,f32,int64,bool,reversed", *(",".join(str(c.item(k)) for c in columns)
+                                                   for k in range(rows)), ""]
+    # Compared as lines, like the test above.
+    assert "".join(cli._csv_chunks(header, columns)).split("\n") == expected
 
 
 def out_config(out) -> cli.RunConfig:
@@ -538,10 +567,10 @@ def test_sir_memory_beyond_its_trajectory_is_flat_in_horizon(tmp_path):
     assert abs(peak(500) - peak(50) - trajectory) < 2 ** 20
 
 
-# The benchmark's network jobs in a fresh process: the rise of its peak
-# resident set over what importing the CLI took.  ru_maxrss is in KiB on
-# Linux and in bytes on macOS.
-NETWORK_JOBS = """
+# CLI jobs, each a string of arguments, in a fresh process, which prints the
+# rise of its peak resident set over what importing the CLI took.
+# ru_maxrss is in KiB on Linux and in bytes on macOS.
+JOBS_PEAK_RSS = """
 import resource, sys
 from infospread import cli
 
@@ -550,26 +579,48 @@ def peak():
     return rss if sys.platform == "darwin" else rss * 1024
 
 base = peak()
-for argv in (
-        ["network", "gen", "--n", "2000", "--density", "0.01", "--seed", "1",
-         "--out", "net.csv"],
-        ["network", "centrality", "--network", "net.csv", "--horizon", "5",
-         "--out", "dc.csv"],
-        ["network", "eigen", "--network", "net.csv", "--out", "eig.csv"]):
-    assert cli.main([*argv, "--quiet"]) == 0
+for job in sys.argv[1:]:
+    assert cli.main([*job.split(), "--quiet"]) == 0
 print(peak() - base)
 """
 
 
-def test_network_jobs_peak_rss_is_a_few_mebibytes_over_the_import(tmp_path):
-    # A dense n-by-n matrix alone would be 30.5 MiB; the 40k kept cells
-    # take under half a MiB.
-    done = subprocess.run([sys.executable, "-c", NETWORK_JOBS], cwd=tmp_path,
+# Linux carries a process's peak resident set over fork and exec, so a child
+# of the test process starts at the test process's own size, which can hide
+# the jobs' rise altogether.  A bare interpreter spawns the jobs' process
+# instead, and its size is below what importing the CLI takes.
+SPAWN = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+def jobs_peak_rss(cwd, *jobs) -> int:
+    done = subprocess.run([sys.executable, "-c", SPAWN,
+                           sys.executable, "-c", JOBS_PEAK_RSS, *jobs], cwd=cwd,
                           env={**os.environ,
                                "PYTHONPATH": str(Path(cli.__file__).parents[1])},
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) < 12 * 2 ** 20
+    return int(done.stdout)
+
+
+def test_network_jobs_peak_rss_is_a_few_mebibytes_over_the_import(tmp_path):
+    # The benchmark's network jobs.  A dense n-by-n matrix alone would be
+    # 30.5 MiB; the 40k kept cells take under half a MiB.
+    assert jobs_peak_rss(
+        tmp_path,
+        "network gen --n 2000 --density 0.01 --seed 1 --out net.csv",
+        "network centrality --network net.csv --horizon 5 --out dc.csv",
+        "network eigen --network net.csv --out eig.csv") < 12 * 2 ** 20
+
+
+def test_field_jobs_peak_rss_is_a_few_mebibytes_over_the_import(tmp_path):
+    # The benchmark's field-dynamics jobs: 3.8 MiB.  The largest output is
+    # sir's four columns of 50,001 cells; turning each whole column into
+    # Python floats at once, not a slice at a time, rose to 11.4 MiB.
+    assert jobs_peak_rss(
+        tmp_path,
+        "sir --preset fig6b --h 0.01 --horizon 500 --out sir.csv",
+        "rd --out wave",
+        "fastslow --epsilon 1e-3 --out fs.csv") < 6 * 2 ** 20
 
 
 def test_a_chunk_that_raises_leaves_no_file(tmp_path):
@@ -792,6 +843,13 @@ PINNED = {
         ["rd", "--length", "4", "--horizon", "1", "--snapshot_every", "100",
          "--out", "wave"],
         "b48dbab5256a8edc546b2609d5195f0165f0da85837624daaf21a2241c7d3534"),
+    # Rates other than 1, so every operation of the rate r*u*(1 - u/K) runs:
+    # the kernel leaves out r*u at r = 1 and u/K at K = 1.  Recorded with
+    # the kernel that applied both at every rate.
+    "rd-rates": (
+        ["rd", "--r", "0.5", "--K", "2", "--length", "4", "--horizon", "1",
+         "--snapshot_every", "100", "--out", "wave"],
+        "d1c767125da1edc941f505cde7a2674289cabac2906255adb4b263a147ec66e8"),
     # The default 2001-node grid for 5000 steps: many finiteness-check
     # intervals, and the subnormal values ahead of the front.  Recorded with
     # the kernel that checked every step.

@@ -17,6 +17,7 @@ from infospread.errors import (
     ParamError,
     StepSizeError,
 )
+from oracles import sir_rhs, sir_rk4
 
 
 def endpoint(params, init, h, horizon):
@@ -28,12 +29,12 @@ def endpoint(params, init, h, horizon):
 
 def test_disease_free_is_stationary():
     p = epi_sir.SirParams(beta=0.4, alpha=0.2, mu=0.1, n_total=1.0)
-    assert epi_sir._rhs(1.0, 0.0, 0.0, p) == (0.0, 0.0, 0.0)
+    assert sir_rhs(1.0, 0.0, 0.0, p) == (0.0, 0.0, 0.0)
 
 
 def test_derivatives_hand_checked_values():
     p = epi_sir.SirParams(beta=0.2, alpha=0.1, mu=0.0, n_total=1.0)
-    ds, di, dr = epi_sir._rhs(0.99, 0.01, 0.0, p)
+    ds, di, dr = sir_rhs(0.99, 0.01, 0.0, p)
     assert ds == pytest.approx(-0.00198, abs=1e-15)
     assert di == pytest.approx(0.00098, abs=1e-15)
     assert dr == pytest.approx(0.001, abs=1e-15)
@@ -44,7 +45,7 @@ def test_derivative_sum_vanishes_on_manifold():
     p = epi_sir.SirParams(beta=0.7, alpha=0.3, mu=0.2, n_total=1.0)
     for _ in range(100):
         s, i = rng.random(2) * 0.5
-        assert abs(sum(epi_sir._rhs(s, i, 1.0 - s - i, p))) <= 1e-15
+        assert abs(sum(sir_rhs(s, i, 1.0 - s - i, p))) <= 1e-15
 
 
 # -- rk4 ---------------------------------------------------------------------
@@ -135,6 +136,44 @@ def test_off_manifold_initial_state_rejected():
     with pytest.raises(ConservationError):
         epi_sir.integrate(p, epi_sir.SirState(s=0.9, i=0.3, r=0.0),
                           h=0.01, horizon=1.0)
+
+
+def _reference_outcome(p, init, h, horizon):
+    """The bytes of t, S, I and R stepped by the oracle RK4, or the
+    ConservationError type and text at the first step off the manifold."""
+    steps = int(round(horizon / h))
+    ts = init.t + h * np.arange(steps + 1)
+    state, rows = (init.s, init.i, init.r), [(init.s, init.i, init.r)]
+    for k in range(1, steps + 1):
+        state = sir_rk4(*state, p, h)
+        drift = abs(sum(state) - p.n_total)
+        if not drift <= epi_sir.CONSERVATION_RTOL * p.n_total:
+            return ConservationError, (f"conservation drift |S+I+R-N|={drift:.3e} "
+                                       f"at t={ts[k]:g}; reduce the step size")
+        rows.append(state)
+    return [ts.tobytes(), *(np.array(column).tobytes() for column in zip(*rows))]
+
+
+def _outcome(p, init, h, horizon):
+    try:
+        traj = epi_sir.integrate(p, init, h=h, horizon=horizon)
+    except ConservationError as err:
+        return type(err), str(err)
+    return [a.tobytes() for a in (traj.t, traj.s, traj.i, traj.r)]
+
+
+@pytest.mark.parametrize("p, init, h, horizon, raises", [
+    *((p, epi_sir.SirState(s=1.0 - 1e-3, i=1e-3, r=0.0), 0.01, 500.0, False)
+      for p in epi_sir.PRESETS.values()),
+    (epi_sir.SirParams(beta=0.003, alpha=0.1, mu=0.05, n_total=250.0),
+     epi_sir.SirState(s=200.0, i=10.0, r=40.0, t=1.5), 0.05, 100.0, False),
+    (epi_sir.SirParams(beta=0.5, alpha=0.1, mu=0.05, n_total=1.0),
+     epi_sir.SirState(s=0.999, i=1e-3, r=0.0), 50.0, 200.0, True),
+], ids=[*epi_sir.PRESETS, "turnover", "oversized-step"])
+def test_integrate_matches_the_reference_rk4_bitwise(p, init, h, horizon, raises):
+    expected = _reference_outcome(p, init, h, horizon)
+    assert _outcome(p, init, h, horizon) == expected
+    assert isinstance(expected, tuple) == raises
 
 
 def test_trajectory_endpoints_and_timestamps():

@@ -250,7 +250,7 @@ def _reference_fields(cfg, family):
     spike = u.copy()
     spike[cfg.n_nodes // 2] = 1e100
     still = make_cfg(length=cfg.length, horizon=cfg.horizon, r_rate=0.0,
-                     rate_family=family, allee_threshold=0.3)
+                     k_cap=cfg.k_cap, rate_family=family, allee_threshold=0.3)
     return [(cfg, u, False), (cfg, spike, True),
             (still, np.full(cfg.n_nodes, 1e306), False)]
 
@@ -261,12 +261,24 @@ def _reference_fields(cfg, family):
 NODE_LENGTHS = {1: 0.04, 2: 0.1, 3: 0.2, 4: 0.3, 5: 0.4, 2001: 200.0}
 
 
+# The kernel leaves out r*u when r == 1 and u/K when K == 1, so each rate
+# family runs at an (r, K) for each of the four kernels it can build.  The
+# default rates keep the family alone as their id.
+FAMILY_RATES = [
+    pytest.param(family, r_rate, k_cap,
+                 id=family if (r_rate, k_cap) == (1.0, 1.0)
+                 else f"{family}-r{r_rate:g}-K{k_cap:g}")
+    for family in ("logistic", "allee")
+    for r_rate, k_cap in ((1.0, 1.0), (0.5, 1.0), (1.0, 2.5), (0.7, 0.3))]
+
+
 @pytest.mark.parametrize("snapshot_every", [1, 7, 500])
 @pytest.mark.parametrize("n_nodes", sorted(NODE_LENGTHS))
-@pytest.mark.parametrize("family", ["logistic", "allee"])
-def test_integrate_matches_the_reference_bitwise(family, n_nodes, snapshot_every):
+@pytest.mark.parametrize("family, r_rate, k_cap", FAMILY_RATES)
+def test_integrate_matches_the_reference_bitwise(family, r_rate, k_cap, n_nodes,
+                                                 snapshot_every):
     cfg = make_cfg(length=NODE_LENGTHS[n_nodes], horizon=2.2, rate_family=family,
-                   allee_threshold=0.3)
+                   allee_threshold=0.3, r_rate=r_rate, k_cap=k_cap)
     assert (cfg.n_nodes, cfg.steps) == (n_nodes, 1100)
     for run_cfg, u, blows_up in _reference_fields(cfg, family):
         init = rdwave.FieldState(u=u, t=0.5)
@@ -276,10 +288,10 @@ def test_integrate_matches_the_reference_bitwise(family, n_nodes, snapshot_every
 
 
 @pytest.mark.parametrize("n_nodes", sorted(NODE_LENGTHS))
-@pytest.mark.parametrize("family", ["logistic", "allee"])
-def test_chained_steps_match_the_reference_bitwise(family, n_nodes):
+@pytest.mark.parametrize("family, r_rate, k_cap", FAMILY_RATES)
+def test_chained_steps_match_the_reference_bitwise(family, r_rate, k_cap, n_nodes):
     cfg = make_cfg(length=NODE_LENGTHS[n_nodes], horizon=0.2, rate_family=family,
-                   allee_threshold=0.3)
+                   allee_threshold=0.3, r_rate=r_rate, k_cap=k_cap)
     for run_cfg, u, _ in _reference_fields(cfg, family):
         state, t = rdwave.FieldState(u=u, t=0.5), 0.5
         for _ in range(100):
