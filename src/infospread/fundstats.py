@@ -7,9 +7,13 @@ blank row are skipped wherever they stand, so bundled fixtures can
 document themselves), provinces from a closed list, enumerated
 race/gender values, and nonnegative assets.  Every rejected row reports
 its file line number.  The file is read in one pass over one handle, so
-it may be a pipe; rows are checked in bulk, and only a chunk that fails is
-checked row by row to name its first faulty row.  Records are read into a
-``FundTable``, one list per field, and the reports read its columns.
+it may be a pipe.  After the header, blocks of whole lines that hold no
+quote are split at commas with str methods; from the first block that
+needs the csv module on, csv.reader splits the rest.  Either way rows are
+checked in bulk, and only a chunk that fails is checked row by row to name
+its first faulty row, so both give the same records and the same errors.
+Records are read into a ``FundTable``, one list per field, and the reports
+read its columns.
 
 Summary statistics stream through Welford accumulation; records are put in
 a canonical order first and asset totals use exact summation, so shuffling
@@ -25,12 +29,13 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import io
 import json
 import math
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -151,7 +156,13 @@ class FundTable(Sequence):
 _RECORD_VALUES = attrgetter(*CSV_COLUMNS)
 _WIDTH = len(CSV_COLUMNS)
 _BLANK_CELLS = ("",) * (_WIDTH - 1)
-# Rows validated per bulk check; each chunk's numeric strings are freed with it.
+# Characters read at a time after the header.  A block is a read's whole
+# lines and the unfinished line of the read before, so it stays under the
+# csv module's default field size limit (131072) and its cells need no
+# length check.
+_READ_CHARS = 2 ** 16
+# Rows of csv.reader validated per bulk check; each chunk's numeric strings
+# are freed with it.
 _CHUNK_ROWS = 8192
 # Each enumerated value mapped to the package's own string, so every row
 # shares it and a lookup validates the value.
@@ -164,42 +175,111 @@ def ingest_csv(path) -> FundTable:
     """Read and validate fund records into a ``FundTable``; empty data is an
     empty table.
 
-    The file is opened once and read once, so ``path`` may be a pipe.  Rows
-    are checked in bulk, a chunk at a time; when a check fails, or a row
-    that cannot be read arrives, the rows of that chunk are checked one by
-    one in file order, so the first faulty row is reported with the same
-    error and line as a row-by-row read.  The file must be UTF-8: a row
-    holding bytes that are not, a NUL character, or text the csv module
-    cannot split (a field over its size limit), is a RowError naming its
-    line, or a SchemaError if no header came before it.
+    The file is opened once and read once, so ``path`` may be a pipe.  The
+    csv module reads the lines through the header.  After it the file is
+    read ``_READ_CHARS`` characters at a time, and each read's whole lines
+    make a block.  A block that csv.reader would split at its commas alone
+    (no quote, no CR but those of CRLF, eight cells on every line, none over
+    the field size limit) is split with str methods and checked in bulk.
+    The first block that is not, or a read with no line end, hands the rest
+    of the file, from that block's first line on, to csv.reader, whose rows
+    are checked in bulk ``_CHUNK_ROWS`` at a time.  When a bulk check fails,
+    or a row that cannot be read arrives, the rows of that block or chunk
+    are checked one by one in file order, so the first faulty row is
+    reported with the same error and line as a row-by-row read.  The file
+    must be UTF-8: a row holding bytes that are not, a NUL character, or
+    text the csv module cannot split (a field over its size limit), is a
+    RowError naming its line, or a SchemaError if no header came before it.
+
+    Cost: a quote-free block takes a ``str.replace`` and a ``str.split``
+    (one more ``str.replace`` if it holds a CR), and a count over every
+    ninth cell checks its widths, so no Python code runs per row.  On a
+    2-core x86-64 host the benchmark's 50k-row file (3.3 MB) reads in about
+    57 ms, against 92 ms when csv.reader split every row (medians of 15
+    interleaved calls in one process); about 15 ms of it is the split and
+    25 ms the bulk checks, float parsing most of that.  Memory: beside the
+    table the read holds one block, its text and its cells: 0.5-0.6 MiB at
+    20k to 80k rows, against 2.3 MiB for a chunk of 8192 csv.reader rows.
     """
     columns = [[] for _ in CSV_COLUMNS]
-    cells: list[str] = []
-    chunk_cells = _CHUNK_ROWS * _WIDTH
     # surrogateescape decodes every byte, so an undecodable one is named by
     # the row that holds it.
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh)
-        first = _read_header(reader) + 1  # the line of the chunk's first row
-        try:
-            for row in reader:
-                if len(row) != _WIDTH:
-                    if row and not _is_comment(row[0]):
-                        # A data row of the wrong width: raises.
-                        _check_row(row, _check_rows(cells, first))
-                    # A blank or comment row keeps its line, and its text for
-                    # the text check, as one full-width comment row.
-                    row = ["#" + "".join(row), *_BLANK_CELLS]
-                cells += row
-                if len(cells) == chunk_cells:
-                    _append_chunk(columns, cells, first)
-                    first += _CHUNK_ROWS
-                    cells = []
-        except csv.Error as exc:
-            lineno = _check_rows(cells, first)
-            raise RowError(f"line {lineno}: {exc}", line=lineno) from None
-    _append_chunk(columns, cells, first)
+        first = _read_header(csv.reader(fh)) + 1  # the line of a chunk's first row
+        first, rest = _read_blocks(fh, columns, first)
+        _read_rows(csv.reader(rest), columns, first)
     return FundTable(*columns)
+
+
+def _read_blocks(fh, columns: list, first: int):
+    """Append the rows of ``fh``'s quote-free blocks to the columns, the
+    first on line ``first``.  Returns the line of the next row, and the
+    lines from it on: what is left of the file, as ``fh`` would give them."""
+    limit = csv.field_size_limit()
+    text = ""  # the unfinished line
+    while end := (data := fh.read(_READ_CHARS)).rfind("\n") + 1:
+        block, text = text + data[:end], data[end:]
+        cells = _block_cells(block, limit)
+        if cells is None:
+            text = block + text
+            break
+        _append_chunk(columns, cells, first)
+        first += len(cells) // _WIDTH
+        del data, block, cells  # so that one block at a time is held
+    else:
+        text += data
+    # The unfinished line is completed from fh, so that every line handed on
+    # starts and ends where fh's own would.
+    return first, chain(io.StringIO(text + fh.readline(), newline=""), fh)
+
+
+def _block_cells(block: str, limit: int):
+    """The cells of a block of whole lines, row after row, if csv.reader
+    would split it at its commas alone: no quote, no CR but those of CRLF,
+    ``_WIDTH`` cells on every line and none over ``limit`` characters.
+    Otherwise None."""
+    if '"' in block:
+        return None
+    if "\r" in block:
+        block = block.replace("\r\n", "\n")
+        if "\r" in block:
+            return None
+    # Each line's cells, then "\n" as a cell of its own, then "" at the end:
+    # every line has _WIDTH cells iff each (_WIDTH + 1)-th cell is a "\n".
+    cells = block.replace("\n", ",\n,").split(",")
+    rows, extra = divmod(len(cells), _WIDTH + 1)
+    if extra != 1 or cells[_WIDTH::_WIDTH + 1].count("\n") != rows:
+        return None
+    if len(block) > limit and max(map(len, cells)) > limit:
+        return None
+    del cells[_WIDTH::_WIDTH + 1]
+    cells.pop()
+    return cells
+
+
+def _read_rows(reader, columns: list, first: int) -> None:
+    """Append the rows of a csv.reader to the columns, the first on line
+    ``first``, ``_CHUNK_ROWS`` at a time."""
+    cells: list[str] = []
+    chunk_cells = _CHUNK_ROWS * _WIDTH
+    try:
+        for row in reader:
+            if len(row) != _WIDTH:
+                if row and not _is_comment(row[0]):
+                    # A data row of the wrong width: raises.
+                    _check_row(row, _check_rows(cells, first))
+                # A blank or comment row keeps its line, and its text for
+                # the text check, as one full-width comment row.
+                row = ["#" + "".join(row), *_BLANK_CELLS]
+            cells += row
+            if len(cells) == chunk_cells:
+                _append_chunk(columns, cells, first)
+                first += _CHUNK_ROWS
+                cells = []
+    except csv.Error as exc:
+        lineno = _check_rows(cells, first)
+        raise RowError(f"line {lineno}: {exc}", line=lineno) from None
+    _append_chunk(columns, cells, first)
 
 
 def _is_comment(cell: str) -> bool:

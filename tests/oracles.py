@@ -126,11 +126,17 @@ def traced_peak(fn, *args):
     numpy reports its array buffers to tracemalloc.  One untraced call runs
     first, so what a first call leaves behind for good (a codec imported on
     first use, say) is not counted, whatever the test ran before."""
+    return traced_peak_and_held(fn, *args)[:2]
+
+
+def traced_peak_and_held(fn, *args):
+    """``traced_peak``'s result and peak, and the bytes still traced when the
+    call returned: what the result holds, unless the call leaked."""
     fn(*args)
     tracemalloc.start()
     try:
         result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, peak
+    return result, peak, held

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import math
 import os
 import random
@@ -19,7 +20,7 @@ from infospread.errors import RowError, SchemaError, UnknownFieldError
 from infospread.fundstats import (
     _NUMERIC_FIELDS, CSV_COLUMNS, GENDERS, PROVINCES, RACES, DemographicsRow,
     FundRecord, ProvinceRow, SummaryRow)
-from oracles import two_pass_stats
+from oracles import traced_peak_and_held, two_pass_stats
 
 HEADER = ",".join(fundstats.CSV_COLUMNS)
 
@@ -408,6 +409,168 @@ def test_a_pipe_names_the_fault_of_its_file(tmp_path, fault):
     outcome = ingest_outcome(fundstats.ingest_csv, path)
     assert outcome[::2] == (RowError, CHUNK + 19)
     assert piped_outcome(path.read_bytes()) == outcome
+
+
+# After the header ingest reads _READ_CHARS characters at a time and splits
+# each read's whole lines with str methods, until a block or a read that
+# csv.reader must split hands it the rest of the file.
+READ = fundstats._READ_CHARS
+
+
+def counting_csv_reader(monkeypatch) -> list:
+    """The rows every csv.reader made from here on yields, as a list that
+    grows as they are read."""
+    rows = []
+    reader = csv.reader
+
+    def counting(*args, **kwargs):
+        for row in reader(*args, **kwargs):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(csv, "reader", counting)
+    return rows
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+def test_clean_blocks_skip_csv_reader(tmp_path, monkeypatch, newline):
+    path = tmp_path / "funds.csv"
+    path.write_text(newline.join(["# notes", HEADER, *LONG_ROWS]) + newline,
+                    newline="")
+    assert path.stat().st_size > 8 * READ
+    expected = ingest_outcome(reference_ingest_csv, path)
+    rows = counting_csv_reader(monkeypatch)
+    assert ingest_outcome(fundstats.ingest_csv, path) == expected
+    assert rows == [["# notes"], list(CSV_COLUMNS)]
+
+
+def test_csv_reader_reads_from_the_first_block_that_needs_it(tmp_path, monkeypatch):
+    lines = ["# notes", HEADER, *LONG_ROWS]
+    ends = list(itertools.accumulate(len(line) + 1 for line in lines))
+    start = ends[1]  # where the first read starts
+    # The third block holds the lines that end in the third read.
+    third = next(k for k, end in enumerate(ends) if end > start + 2 * READ)
+    lines[third + 5] = 'F1,"fam, quoted",Gauteng,A,white,M,1,0.2'
+    path = tmp_path / "funds.csv"
+    path.write_text("\n".join(lines) + "\n")
+    expected = ingest_outcome(reference_ingest_csv, path)
+    rows = counting_csv_reader(monkeypatch)
+    assert ingest_outcome(fundstats.ingest_csv, path) == expected
+    assert rows[2:] == [line.split(",") for line in lines[third:third + 5]] + \
+        [["F1", "fam, quoted", "Gauteng", "A", "white", "M", "1", "0.2"]] + \
+        [line.split(",") for line in lines[third + 6:]]
+
+
+FILL_ROW = "F{:06d},fam,Gauteng,A,white,M,1.5,0.25\n"
+FIELD_LIMIT = csv.field_size_limit()
+
+
+def fill_rows(chars: int) -> list[str]:
+    """Good rows of ``chars`` characters in all, line ends included."""
+    count, spare = divmod(chars, len(FILL_ROW.format(0)))
+    rows = [FILL_ROW.format(k) for k in range(count)]
+    rows[-1] = rows[-1].replace(",", "x" * spare + ",", 1)
+    return rows
+
+
+# Each kind of line that csv.reader must split, or that fails a check:
+# (its bytes, and the message of its RowError, or None where the reference
+# reads the file).
+IRREGULAR_LINES = {
+    "quoted LF": (b'F1,"fam\nily",Gauteng,A,white,M,1,0.2\n', None),
+    "CRLF": (b"F1,fam,Gauteng,A,white,M,1,0.2\r\n", None),
+    "lone CR": (b"F1,fam,Gauteng,A,white,M,1,0.2\rF2,fam,KZN,A,black,F,2,0.1\n",
+                None),
+    "lone CR in 8 cells": (b"F1,fam,Gauteng,A\r,white,M,1,0.2\n", None),
+    "rows of 7 and 9 cells": (b"F1,fam,Gauteng,A,white,M,1\n"
+                              b"F2,fam,KZN,A,black,F,2,0.1,extra\n", None),
+    "blank": (b"\n", None),
+    "comment of 1 cell": (b"# note\n", None),
+    "comment of 8 cells": (b"# F1,fam,Gauteng,A,white,M,1,0.2\n", None),
+    "NUL": (b"F1,fa\x00m,Gauteng,A,white,M,1,0.2\n", "line contains NUL"),
+    "not UTF-8": (b"F1,fam\xff,Gauteng,A,white,M,1,0.2\n", "text is not UTF-8"),
+    "field over the limit": (
+        b"F1," + b"x" * (FIELD_LIMIT + 1) + b",Gauteng,A,white,M,1,0.2\n",
+        f"field larger than field limit ({FIELD_LIMIT})"),
+    "longer than a read": (
+        b"F1," + b"x" * FIELD_LIMIT + b",Gauteng,A,white,M,1,0.2\n", None),
+    "last, with no LF": (b"F1,fam,Gauteng,A,white,M,1,0.2", None),
+}
+# Where the line starts, from the end of a read past the first block (the
+# second, or a later one for a line longer than a read): it is that read's
+# last line, it straddles the read's end, only its last character (the LF of
+# a CRLF) is in the next read, or it is the next read's first line.
+READ_END_OFFSETS = {"last in its read": lambda line: -len(line),
+                    "across the end": lambda line: -(len(line) // 2),
+                    "last character in the next": lambda line: 1 - len(line),
+                    "first in the next": lambda line: 0}
+
+
+@pytest.mark.parametrize("offset", sorted(READ_END_OFFSETS))
+@pytest.mark.parametrize("kind", sorted(IRREGULAR_LINES))
+def test_a_line_at_a_read_boundary_matches_the_reference(tmp_path, kind, offset):
+    line, message = IRREGULAR_LINES[kind]
+    line_start = (2 + len(line) // READ) * READ + READ_END_OFFSETS[offset](line)
+    before = fill_rows(line_start)
+    after = [] if kind.startswith("last") else fill_rows(2000)
+    data = b"".join([f"{HEADER}\n".encode(), *map(str.encode, before), line,
+                     *map(str.encode, after)])
+    assert data[len(HEADER) + 1 + line_start:].startswith(line)
+    path = tmp_path / "funds.csv"
+    path.write_bytes(data)
+    if message is None:
+        expected = ingest_outcome(reference_ingest_csv, path)
+    else:
+        lineno = len(before) + 2
+        expected = (RowError, f"line {lineno}: {message}", lineno)
+    assert ingest_outcome(fundstats.ingest_csv, path) == expected
+    assert piped_outcome(data) == expected
+
+
+@settings(max_examples=200)
+@given(text=FUND_FILES, read=st.integers(1, 40))
+def test_reads_of_any_size_match_the_dataclass_reference(text, read):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fundstats, "_READ_CHARS", read)
+        path = Path(tmp) / "funds.csv"
+        path.write_text(text, newline="")
+        assert ingest_outcome(fundstats.ingest_csv, path) == \
+            ingest_outcome(reference_ingest_csv, path)
+
+
+@pytest.mark.parametrize("width", [100, 101])
+def test_a_lowered_field_size_limit_holds_in_every_block(tmp_path, width):
+    lines = LONG_ROWS.copy()
+    where = 3 * READ // len(lines[0])  # well past the first block
+    lines[where] = f"F1,{'x' * width},Gauteng,A,white,M,1,0.2"
+    path = tmp_path / "funds.csv"
+    write_long_file(path, lines)
+    limit = csv.field_size_limit(100)
+    try:
+        outcome = ingest_outcome(fundstats.ingest_csv, path)
+    finally:
+        csv.field_size_limit(limit)
+    if width == 100:
+        assert outcome == ingest_outcome(reference_ingest_csv, path)
+    else:
+        assert outcome == (RowError, f"line {where + 2}: field larger than "
+                           "field limit (100)", where + 2)
+
+
+def test_ingest_memory_beyond_its_table_is_flat_in_row_count(tmp_path):
+    def transient(rows):
+        lines = [LONG_ROWS[k % len(LONG_ROWS)] for k in range(rows)]
+        path = tmp_path / f"{rows}.csv"
+        write_long_file(path, lines)
+        table, peak, held = traced_peak_and_held(fundstats.ingest_csv, path)
+        assert len(table) == rows
+        return peak - held
+
+    # One block's text and cells: 0.6 MiB, against 2.3 MiB for a chunk of
+    # 8192 rows of csv.reader.
+    small, large = transient(20_000), transient(80_000)
+    assert large < 2 ** 20
+    assert abs(large - small) < 2 ** 18
 
 
 def test_importing_fundstats_leaves_numpy_unloaded():
