@@ -18,6 +18,7 @@ so a file and stdout carry the same bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -455,7 +456,10 @@ def _write_files(config: RunConfig, files, extra=None) -> None:
             del staged[0]
     except BaseException:
         for tmp in staged:
-            os.unlink(tmp)
+            # An interrupt between a rename and its ``del`` leaves a name
+            # that is gone; its unlink must not hide the first exception.
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
 
 
@@ -617,13 +621,14 @@ _DISPATCH = {
 
 
 # The failures the exit contract covers; anything else is a bug and escapes.
-_FAILURES = (UsageError, ModelError, OverflowError, OSError)
+_FAILURES = (UsageError, ModelError, OverflowError, MemoryError, OSError)
 
 
 def _report(exc: BaseException) -> int:
     """Print the one-line diagnosis of a failure and return its exit
     status: 2 for a usage or parameter error, 3 for a file that cannot be
-    opened, 1 for any other model error or an overflow."""
+    opened, 1 for any other model error, an overflow or running out of
+    memory."""
     message = " ".join(str(exc).split())
     if isinstance(exc, (UsageError, ParamError)):
         if isinstance(exc, ParamError) and exc.name is not None:

@@ -106,10 +106,6 @@ class Trajectory:
         return SirState(s=float(self.s[k]), i=float(self.i[k]),
                         r=float(self.r[k]), t=float(self.t[k]))
 
-    @property
-    def final(self) -> SirState:
-        return self.state(len(self.t) - 1)
-
 
 @dataclass(frozen=True)
 class EquilibriumPoint:

@@ -41,7 +41,6 @@ __all__ = [
     "build_transition_matrix",
     "stationary_distribution",
     "simulate_population",
-    "empirical_transition_estimate",
 ]
 
 STATE_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -105,14 +104,6 @@ class PairTransitionMatrix:
                     "exactly 0 (item persistence)")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
-
-    def row(self, state) -> np.ndarray:
-        """Transition probabilities out of the bit pair ``state`` = (a, b),
-        which STATE_ORDER puts at index 2a + b."""
-        a, b = state
-        if a not in (0, 1) or b not in (0, 1):
-            raise ParamError(f"pair state bits must be 0 or 1, got {tuple(state)}")
-        return self.p[2 * a + b]
 
 
 @dataclass(frozen=True)
@@ -353,23 +344,3 @@ def simulate_population(net: ManagerNetwork, params: ExchangeParams,
         params=params,
         isolated_skips=skips,
     )
-
-
-def empirical_transition_estimate(params: ExchangeParams, trials: int,
-                                  seed: int) -> np.ndarray:
-    """Empirical transition frequencies from ``trials`` samples per pre-state.
-
-    Each sample is one exchange of a pair: one uniform draw compared with
-    the cumulative thresholds of the analytic row, as by
-    ``searchsorted(..., side="right")``, the same rule simulate_population
-    applies per contact.  Pre-states run in STATE_ORDER, each drawing one
-    block of ``trials`` uniforms.
-    """
-    check(trials >= 1, "trials", trials, ">= 1")
-    rng = np.random.default_rng(seed)
-    cums = _row_cumsums(params)
-    out = np.empty((4, 4))
-    for s in range(4):
-        draws = np.searchsorted(cums[s], rng.random(trials), side="right")
-        out[s] = np.bincount(draws, minlength=4) / trials
-    return out

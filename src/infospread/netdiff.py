@@ -1,5 +1,5 @@
-"""Manager contact networks: validation, connectivity, leading eigenpairs,
-hearing matrices, and diffusion centrality.
+"""Manager contact networks: validation, leading eigenpairs, hearing
+matrices, and diffusion centrality.
 
 The network is an n-by-n matrix w with entries in [0, 1]; w[i, j] is the
 relative probability that manager i speaks to manager j.  It is held as its
@@ -38,7 +38,6 @@ __all__ = [
     "EigenPair",
     "CentralityReport",
     "validate_network",
-    "strongly_connected",
     "leading_eigenpair",
     "hearing_matrix",
     "diffusion_centrality",
@@ -161,33 +160,6 @@ def _own_network(counts: np.ndarray, cols: np.ndarray,
     for a in (indptr, cols, data):
         a.setflags(write=False)
     return ManagerNetwork(n=counts.size, indptr=indptr, cols=cols, data=data)
-
-
-def strongly_connected(net: ManagerNetwork) -> bool:
-    """True iff every node reaches every other along positive-weight edges.
-
-    Uses one forward and one backward reachability sweep from node 0.
-    """
-    positive = net.data > 0.0
-    rows, cols = net.cell_rows()[positive], net.cols[positive]
-    return _reaches_all(rows, cols, net.n) and _reaches_all(cols, rows, net.n)
-
-
-def _reaches_all(tails: np.ndarray, heads: np.ndarray, n: int) -> bool:
-    """True iff node 0 reaches every node along the edges tails -> heads."""
-    order = np.argsort(tails, kind="stable")
-    heads = heads[order]
-    starts = np.searchsorted(tails[order], np.arange(n + 1))
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        new = heads[starts[i]:starts[i + 1]]
-        new = new[~seen[new]]  # a node's heads are distinct
-        seen[new] = True
-        stack.extend(new.tolist())
-    return bool(seen.all())
 
 
 def leading_eigenpair(net: ManagerNetwork, tol: float = 1e-10,

@@ -56,7 +56,6 @@ __all__ = [
     "FastSlowResult",
     "PlanarTrajectory",
     "WaveSpeedEstimate",
-    "rd_step",
     "rd_integrate",
     "estimate_wave_speed",
     "fast_slow_integrate",
@@ -270,15 +269,6 @@ def _first_non_finite(u: np.ndarray) -> int | None:
         return None
     bad = np.flatnonzero(~np.isfinite(u))
     return int(bad[0]) if len(bad) else None
-
-
-def rd_step(field: FieldState, cfg: ReactionDiffusionConfig) -> FieldState:
-    """One forward-time central-space update; t advances by dt."""
-    u = np.asarray(field.u, dtype=float)
-    out = np.empty_like(u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _ftcs_kernel(cfg, u, out, np.empty_like(u), np.empty_like(u))()
-    return FieldState(u=out, t=field.t + cfg.dt)
 
 
 def rd_integrate(cfg: ReactionDiffusionConfig, init: FieldState,

@@ -82,6 +82,26 @@ def is_primitive(w: np.ndarray) -> bool:
     return bool(power.all())
 
 
+def sampled_transition_frequencies(params, trials: int, seed: int) -> np.ndarray:
+    """Transition frequencies from ``trials`` sampled exchanges per pre-state.
+
+    Unlike the oracles above, this samples through the package's own
+    thresholds: each exchange compares one uniform draw with
+    ``gossip._row_cumsums(params)`` as by ``searchsorted(..., side="right")``,
+    the rule simulate_population applies to each contact's transition draw.
+    Checked against the analytic matrix, it tests those thresholds.
+    Pre-states run in STATE_ORDER, each drawing one block of ``trials``
+    uniforms from ``default_rng(seed)``.
+    """
+    rng = np.random.default_rng(seed)
+    cums = gossip._row_cumsums(params)
+    out = np.empty((4, 4))
+    for s in range(4):
+        draws = np.searchsorted(cums[s], rng.random(trials), side="right")
+        out[s] = np.bincount(draws, minlength=4) / trials
+    return out
+
+
 def left_to_right_row_sums(w: np.ndarray) -> np.ndarray:
     """Each row of w added left to right from 0.0 in Python floats (not
     sum(), which compensates float sums from Python 3.12 on).  Adding a

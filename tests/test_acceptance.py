@@ -5,6 +5,7 @@ Each test prints a single ``[criterion NN] PASS|FAIL`` line (run with
 tolerance, including runtime budgets where one is specified.
 """
 
+import dataclasses
 import importlib.resources
 import math
 import random as pyrandom
@@ -17,7 +18,8 @@ import pytest
 from infospread import cli, epi_sir, fundstats, gossip, netdiff, rdwave
 from infospread.errors import ReducibleChainError
 from oracles import (closed_class_count, gauss_stationary, is_primitive,
-                     left_to_right_row_sums, param_grid, two_pass_stats)
+                     left_to_right_row_sums, param_grid,
+                     sampled_transition_frequencies, two_pass_stats)
 
 NETWORK10 = str(importlib.resources.files("infospread.data") / "network10.csv")
 GOLDEN = Path(__file__).parent / "golden" / "gossip_trace_10node_seed42.csv"
@@ -49,7 +51,7 @@ def test_criterion_02_lossless_reduction():
     def body():
         p = gossip.ExchangeParams(p_select=0.7, p_drop=0.3, p_loss=0.0,
                                   p_gain=1.0, p_ext=0.0)
-        row = gossip.build_transition_matrix(p).row((0, 0))
+        row = gossip.build_transition_matrix(p).p[0]
         assert row.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     check(2, "p_loss=0, p_gain=1, p_ext=0 makes the uninformed pair absorbing",
@@ -67,7 +69,7 @@ def test_criterion_03_monte_carlo_agreement():
         for draw in range(20):
             p = gossip.ExchangeParams(*rng.random(5))
             analytic = gossip.build_transition_matrix(p).p
-            est = gossip.empirical_transition_estimate(p, trials, seed=draw)
+            est = sampled_transition_frequencies(p, trials, seed=draw)
             sigma = np.sqrt(analytic * (1.0 - analytic) / trials)
             assert np.all(np.abs(est - analytic) <= 3.0 * sigma + 1e-12)
         assert time.perf_counter() - start < 30.0
@@ -163,14 +165,14 @@ def test_criterion_07_leading_eigenpair():
     def body():
         # Power iteration converges on primitive matrices; periodic
         # (imprimitive) ones raise ConvergenceError by contract, so the
-        # sample restricts to primitive strongly-connected networks.
+        # sample restricts to primitive (hence irreducible) networks.
         checked = 0
         seed = 0
         while checked < 100:
             seed += 1
             n = 3 + seed % 6
             net = netdiff.generate_random_network(n, 0.6, seed)
-            if not (netdiff.strongly_connected(net) and is_primitive(net.w)):
+            if not is_primitive(net.w):
                 continue
             pair = netdiff.leading_eigenpair(net, tol=1e-12, max_iter=200000)
             oracle = max(abs(np.linalg.eigvals(net.w)))
@@ -206,7 +208,8 @@ def test_criterion_09_integrator_order():
         init = epi_sir.SirState(s=0.6, i=0.3, r=0.1)
 
         def endpoint(h):
-            f = epi_sir.integrate(p, init, h=h, horizon=20.0).final
+            traj = epi_sir.integrate(p, init, h=h, horizon=20.0)
+            f = traj.state(len(traj) - 1)
             return np.array([f.s, f.i, f.r])
 
         ref = endpoint(1e-4)
@@ -225,7 +228,7 @@ def test_criterion_10_final_size_oracle():
             root = epi_sir.final_size(p, s0, i0)
             traj = epi_sir.integrate(p, epi_sir.SirState(s=s0, i=i0, r=0.0),
                                      h=0.01, horizon=400.0)
-            assert abs(traj.final.s - root) <= 1e-4, name
+            assert abs(traj.state(len(traj) - 1).s - root) <= 1e-4, name
 
     check(10, "integrated susceptible fraction at t=400 matches the "
               "final-size bisection root within 1e-4 for every preset", body)
@@ -234,8 +237,9 @@ def test_criterion_10_final_size_oracle():
 def test_criterion_11_endemic_equilibrium():
     def body():
         p = epi_sir.SirParams(beta=0.5, alpha=0.1, mu=0.05, n_total=1.0)
-        f = epi_sir.integrate(p, epi_sir.SirState(s=0.999, i=1e-3, r=0.0),
-                              h=0.01, horizon=2000.0).final
+        traj = epi_sir.integrate(p, epi_sir.SirState(s=0.999, i=1e-3, r=0.0),
+                                 h=0.01, horizon=2000.0)
+        f = traj.state(len(traj) - 1)
         assert abs(f.s - 0.3) <= 1e-6
         assert abs(f.i - 7.0 / 30.0) <= 1e-6
         assert abs(f.r - 7.0 / 15.0) <= 1e-6
@@ -259,7 +263,7 @@ def test_criterion_12_stability_classification_grid():
                 traj = epi_sir.integrate(
                     p, epi_sir.SirState(s=n_total - i0, i=i0, r=0.0),
                     h=0.01, horizon=5.0)
-                grew = traj.final.i > i0
+                grew = traj.state(len(traj) - 1).i > i0
                 assert grew == (not should_be_stable)
 
     check(12, "disease-free point classified stable iff beta*N < alpha+mu "
@@ -294,12 +298,17 @@ def test_criterion_14_reaction_diffusion_sanity():
         cfg = rdwave.ReactionDiffusionConfig(
             d_coeff=1.0, r_rate=1.0, k_cap=1.0, dx=0.1, dt=0.002,
             length=20.0, horizon=20.0)
-        zero = rdwave.FieldState(u=np.zeros(cfg.n_nodes), t=0.0)
-        full = rdwave.FieldState(u=np.full(cfg.n_nodes, cfg.k_cap), t=0.0)
-        for state, expected in ((zero, 0.0), (full, cfg.k_cap)):
-            for _ in range(100):
-                state = rdwave.rd_step(state, cfg)
-            assert np.array_equal(state.u, np.full(cfg.n_nodes, expected))
+
+        def each_step(u, steps):
+            # The fields after each of ``steps`` steps of cfg's scheme from u.
+            run = dataclasses.replace(cfg, horizon=steps * cfg.dt)
+            assert run.steps == steps
+            return rdwave.rd_integrate(run, rdwave.FieldState(u=u, t=0.0),
+                                       snapshot_every=1)[1:]
+
+        for expected in (0.0, cfg.k_cap):
+            for state in each_step(np.full(cfg.n_nodes, expected), 100):
+                assert np.array_equal(state.u, np.full(cfg.n_nodes, expected))
 
         diffusion = rdwave.ReactionDiffusionConfig(
             d_coeff=1.0, r_rate=0.0, k_cap=1.0, dx=0.1, dt=0.002,
@@ -314,9 +323,7 @@ def test_criterion_14_reaction_diffusion_sanity():
             assert abs(snap.u.sum() * diffusion.dx - mass0) <= 1e-10
 
         rng = np.random.default_rng(14)
-        state = rdwave.FieldState(u=rng.random(cfg.n_nodes) * cfg.k_cap, t=0.0)
-        for _ in range(1000):
-            state = rdwave.rd_step(state, cfg)
+        for state in each_step(rng.random(cfg.n_nodes) * cfg.k_cap, 1000):
             assert state.u.min() >= -1e-10
             assert state.u.max() <= cfg.k_cap + 1e-10
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from infospread import cli, epi_sir, fundstats, netdiff
+from infospread import cli, epi_sir, fundstats, netdiff, rdwave
 from infospread.errors import ParamError, UsageError, check
 from oracles import traced_peak
 
@@ -1344,6 +1344,55 @@ def test_a_rename_that_fails_partway_leaves_no_temporary_file(
     # The one window: the CSV renamed before the failure stays; the JSON
     # mirror and the manifest, renamed last, do not appear.
     assert os.listdir() == ["prov.csv"]
+
+
+@pytest.mark.parametrize("renames", [1, 2, 3])
+def test_an_interrupt_right_after_a_rename_propagates_and_leaves_no_staged_file(
+        tmp_path, monkeypatch, renames):
+    # The interrupt lands between a rename and the cleanup's record of it, so
+    # the cleanup meets a staged name that is already gone.
+    monkeypatch.chdir(tmp_path)
+    real = os.replace
+    renamed = []
+
+    def replace(src, dst):
+        real(src, dst)
+        renamed.append(dst.name)
+        if len(renamed) == renames:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main([*PROV_OUT, "prov.csv"])
+    assert sorted(os.listdir()) == sorted(renamed)
+
+
+def exhaust_memory(*args, **kwargs):
+    # 4 EiB, past any address space: the allocation fails at once.
+    np.empty(1 << 62, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("where", ["layer", "writing"])
+def test_running_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch, capsys,
+                                                     where):
+    monkeypatch.chdir(tmp_path)
+    if where == "layer":
+        monkeypatch.setattr(rdwave, "rd_integrate", exhaust_memory)
+    else:
+        real = cli._csv_chunks
+        started = []
+
+        def chunks(header, columns):
+            started.append(header)
+            if len(started) == 3:  # two snapshots are staged by now
+                exhaust_memory()
+            yield from real(header, columns)
+
+        monkeypatch.setattr(cli, "_csv_chunks", chunks)
+    assert cli.main([*RD_OUT, "wave"]) == 1
+    # numpy raises a MemoryError subclass that it names MemoryError.
+    one_error_line(capsys, "error: MemoryError: Unable to allocate ")
+    assert os.listdir() == []
 
 
 def test_each_output_target_is_resolved_once(tmp_path, monkeypatch):

@@ -21,7 +21,8 @@ from oracles import sir_rhs, sir_rk4
 
 
 def endpoint(params, init, h, horizon):
-    f = epi_sir.integrate(params, init, h=h, horizon=horizon).final
+    traj = epi_sir.integrate(params, init, h=h, horizon=horizon)
+    f = traj.state(len(traj) - 1)
     return np.array([f.s, f.i, f.r])
 
 
@@ -65,10 +66,11 @@ def test_step_matches_exponential_relaxation():
     h = 0.1
     traj = epi_sir.integrate(p, epi_sir.SirState(s=0.0, i=0.0, r=1.0), h=h, horizon=h)
     assert len(traj) == 2
+    final = traj.state(1)
     exact = 1.0 - math.exp(-p.mu * h)
-    assert abs(traj.final.s - exact) <= (p.mu * h) ** 5
-    assert abs(traj.final.r - (1.0 - exact)) <= (p.mu * h) ** 5
-    assert traj.final.t == h
+    assert abs(final.s - exact) <= (p.mu * h) ** 5
+    assert abs(final.r - (1.0 - exact)) <= (p.mu * h) ** 5
+    assert final.t == h
 
 
 def test_step_rejects_nonpositive_h():
@@ -94,7 +96,7 @@ def test_no_infection_source_relaxes_to_full_susceptibility():
     traj = epi_sir.integrate(p, epi_sir.SirState(s=0.4, i=0.0, r=0.6),
                              h=0.01, horizon=200.0)
     assert not traj.i.any()
-    assert traj.final.s == pytest.approx(1.0, abs=1e-8)
+    assert traj.state(len(traj) - 1).s == pytest.approx(1.0, abs=1e-8)
 
 
 def test_single_peaked_wave_shape():
@@ -189,7 +191,7 @@ def test_endemic_convergence_to_closed_form():
     p = epi_sir.SirParams(beta=0.5, alpha=0.1, mu=0.05, n_total=1.0)
     traj = epi_sir.integrate(p, epi_sir.SirState(s=0.999, i=1e-3, r=0.0),
                              h=0.01, horizon=2000.0)
-    f = traj.final
+    f = traj.state(len(traj) - 1)
     assert abs(f.s - 0.3) <= 1e-6
     assert abs(f.i - 7.0 / 30.0) <= 1e-6
     assert abs(f.r - 7.0 / 15.0) <= 1e-6
@@ -310,7 +312,8 @@ def test_interior_states_converge_to_stable_endemic_point():
         s0 = 0.05 + 0.85 * rng.random()
         i0 = 0.05 + (0.95 - s0 - 0.05) * rng.random()
         init = epi_sir.SirState(s=s0, i=i0, r=1.0 - s0 - i0)
-        f = epi_sir.integrate(p, init, h=0.01, horizon=2000.0).final
+        traj = epi_sir.integrate(p, init, h=0.01, horizon=2000.0)
+        f = traj.state(len(traj) - 1)
         assert abs(f.s - e.s) <= 1e-6
         assert abs(f.i - e.i) <= 1e-6
         assert abs(f.r - e.r) <= 1e-6
@@ -339,7 +342,7 @@ def test_final_size_cross_checks_integration():
     s_inf = epi_sir.final_size(p, s0, i0)
     traj = epi_sir.integrate(p, epi_sir.SirState(s=s0, i=i0, r=0.0),
                              h=0.01, horizon=400.0)
-    assert abs(traj.final.s - s_inf) <= 1e-4
+    assert abs(traj.state(len(traj) - 1).s - s_inf) <= 1e-4
 
 
 def test_final_size_small_outbreak_bound():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from infospread import gossip, netdiff
 from infospread.errors import ModelError, ParamError, ReducibleChainError
 from oracles import (GRID, closed_class_count, closed_classes, gauss_stationary,
-                     param_grid)
+                     param_grid, sampled_transition_frequencies)
 
 
 # -- independent oracles ------------------------------------------------
@@ -164,7 +164,7 @@ def test_matrix_matches_event_tree_random():
 def test_matrix_derived_row():
     p = gossip.ExchangeParams(p_select=0.5, p_drop=0.4, p_loss=0.25,
                               p_gain=0.8, p_ext=0.1)
-    row = gossip.build_transition_matrix(p).row((1, 0))
+    row = gossip.build_transition_matrix(p).p[2]
     assert row == pytest.approx([0.0, 0.12, 0.6, 0.28], abs=1e-15)
 
 
@@ -177,7 +177,7 @@ def test_matrix_identity_when_inert():
 def test_matrix_lossless_push_is_certain():
     p = gossip.ExchangeParams(p_select=1.0, p_drop=0.0, p_loss=0.0,
                               p_gain=1.0, p_ext=0.0)
-    row = gossip.build_transition_matrix(p).row((1, 0))
+    row = gossip.build_transition_matrix(p).p[2]
     assert row.tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
@@ -192,7 +192,7 @@ def test_row_sums_and_structural_zeros_on_grid():
 def test_uninformed_state_absorbing_without_exogenous_gain():
     p = gossip.ExchangeParams(p_select=0.9, p_drop=0.4, p_loss=0.0,
                               p_gain=1.0, p_ext=0.0)
-    assert gossip.build_transition_matrix(p).row((0, 0)).tolist() == [1, 0, 0, 0]
+    assert gossip.build_transition_matrix(p).p[0].tolist() == [1, 0, 0, 0]
 
 
 def eye_with(*entries):
@@ -227,7 +227,7 @@ def test_matrix_rejects_malformed_input(p, message):
 # [0, complete, no attempt + forward loss, feedback loss].
 
 def confirmed_drop_row(p: gossip.ExchangeParams) -> np.ndarray:
-    return gossip.build_transition_matrix(dataclasses.replace(p, p_drop=1.0)).row((1, 0))
+    return gossip.build_transition_matrix(dataclasses.replace(p, p_drop=1.0)).p[2]
 
 
 def test_scenarios_perfect_channel():
@@ -258,19 +258,20 @@ def test_scenarios_partition_on_grid():
 
 
 # -- single-pair sampling ---------------------------------------------------
-# empirical_transition_estimate samples one exchange per draw, each pre-state
-# in its own block of draws.
+# sampled_transition_frequencies samples one exchange per draw through the
+# thresholds simulate_population uses, each pre-state in its own block of
+# draws.
 
 def test_step_pair_uninformed_absorbing_without_exogenous():
     p = gossip.ExchangeParams(p_select=0.8, p_drop=0.2, p_loss=0.1,
                               p_gain=0.9, p_ext=0.0)
-    est = gossip.empirical_transition_estimate(p, trials=200, seed=0)
+    est = sampled_transition_frequencies(p, trials=200, seed=0)
     assert est[0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_step_pair_deterministic_row():
     p = gossip.ExchangeParams(p_select=1.0, p_drop=0.0, p_loss=0.0, p_gain=1.0)
-    est = gossip.empirical_transition_estimate(p, trials=100, seed=1)
+    est = sampled_transition_frequencies(p, trials=100, seed=1)
     assert est[2].tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
@@ -279,7 +280,7 @@ def test_step_pair_frequencies_within_three_sigma():
                               p_gain=0.8, p_ext=0.1)
     expected = np.array([0.0, 0.12, 0.6, 0.28])
     samples = 100_000
-    freq = gossip.empirical_transition_estimate(p, trials=samples, seed=7)[2]
+    freq = sampled_transition_frequencies(p, trials=samples, seed=7)[2]
     sigma = np.sqrt(expected * (1 - expected) / samples)
     assert np.all(np.abs(freq - expected) <= 3 * sigma + 1e-12)
     assert freq[0] == 0.0  # structurally impossible outcome
@@ -288,22 +289,15 @@ def test_step_pair_frequencies_within_three_sigma():
 def test_step_pair_chi_square_against_analytic_row():
     p = gossip.ExchangeParams(p_select=0.5, p_drop=0.4, p_loss=0.25,
                               p_gain=0.8, p_ext=0.1)
-    expected = gossip.build_transition_matrix(p).row((1, 0))
+    expected = gossip.build_transition_matrix(p).p[2]
     samples = 100_000
-    counts = samples * gossip.empirical_transition_estimate(p, trials=samples, seed=11)[2]
+    counts = samples * sampled_transition_frequencies(p, trials=samples, seed=11)[2]
     live = expected > 0
     chi2 = float(np.sum((counts[live] - samples * expected[live]) ** 2
                         / (samples * expected[live])))
     # 99.9% critical value of chi-square with 2 degrees of freedom
     assert chi2 < 13.816
     assert counts[~live].sum() == 0
-
-
-def test_step_pair_rejects_bad_state():
-    m = gossip.build_transition_matrix(gossip.ExchangeParams(0.5, 0.5, 0.5, 0.5))
-    for bad in ((2, 0), (0, -1), (0.5, 1)):
-        with pytest.raises(ValueError):
-            m.row(bad)
 
 
 # -- stationary distribution -------------------------------------------------
@@ -602,7 +596,7 @@ def test_partner_table_peak_memory_is_about_the_table():
 
 def test_empirical_single_trial_rows_are_one_hot():
     p = gossip.ExchangeParams(0.5, 0.4, 0.25, 0.8, 0.1)
-    est = gossip.empirical_transition_estimate(p, trials=1, seed=0)
+    est = sampled_transition_frequencies(p, trials=1, seed=0)
     assert np.array_equal(np.sort(est, axis=1)[:, :3], np.zeros((4, 3)))
     assert np.array_equal(est.sum(axis=1), np.ones(4))
 
@@ -610,19 +604,13 @@ def test_empirical_single_trial_rows_are_one_hot():
 def test_empirical_deterministic_rows_exact():
     p = gossip.ExchangeParams(p_select=0.0, p_drop=0.5, p_loss=0.5,
                               p_gain=0.5, p_ext=0.0)
-    est = gossip.empirical_transition_estimate(p, trials=1000, seed=0)
+    est = sampled_transition_frequencies(p, trials=1000, seed=0)
     assert np.array_equal(est, np.eye(4))
 
 
 def test_empirical_within_three_sigma_of_analytic():
     p = gossip.ExchangeParams(0.5, 0.4, 0.25, 0.8, 0.1)
     analytic = gossip.build_transition_matrix(p).p
-    est = gossip.empirical_transition_estimate(p, trials=100_000, seed=21)
+    est = sampled_transition_frequencies(p, trials=100_000, seed=21)
     sigma = np.sqrt(analytic * (1 - analytic) / 100_000)
     assert np.all(np.abs(est - analytic) <= 3 * sigma + 1e-12)
-
-
-def test_empirical_rejects_bad_trials():
-    with pytest.raises(ValueError):
-        gossip.empirical_transition_estimate(
-            gossip.ExchangeParams(0.5, 0.5, 0.5, 0.5), trials=0, seed=0)

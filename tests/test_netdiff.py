@@ -29,17 +29,6 @@ from oracles import is_primitive, left_to_right_row_sums, traced_peak
 
 # -- independent oracles ------------------------------------------------
 
-def closure_connected(w) -> bool:
-    """Brute-force strong connectivity via Floyd-Warshall closure."""
-    n = len(w)
-    reach = [[w[i][j] > 0 or i == j for j in range(n)] for i in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
-    return all(reach[i][j] for i in range(n) for j in range(n))
-
-
 def hearing_oracle(w: np.ndarray, T: int) -> np.ndarray:
     """Sum of matrix powers computed independently per term."""
     return sum(np.linalg.matrix_power(w, t) for t in range(1, T + 1))
@@ -73,14 +62,14 @@ def reference_network_csv_text(net: netdiff.ManagerNetwork) -> str:
 
 
 def primitive_networks(count: int, max_n: int = 8):
-    """First `count` random strongly-connected primitive networks."""
+    """First `count` random primitive (hence strongly connected) networks."""
     nets = []
     seed = 0
     while len(nets) < count:
         seed += 1
         n = 3 + seed % (max_n - 2)
         net = netdiff.generate_random_network(n, 0.6, seed)
-        if netdiff.strongly_connected(net) and is_primitive(net.w):
+        if is_primitive(net.w):
             nets.append(net)
     return nets
 
@@ -135,39 +124,6 @@ def test_network_matrix_is_frozen():
     net = netdiff.validate_network([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         net.w[0, 0] = 0.5
-
-
-# -- strong connectivity ------------------------------------------------
-
-def test_cycle_is_strongly_connected():
-    net = netdiff.validate_network([[0, .5, 0], [0, 0, .5], [.5, 0, 0]])
-    assert netdiff.strongly_connected(net)
-
-
-def test_directed_line_is_not_strongly_connected():
-    net = netdiff.validate_network([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    assert not netdiff.strongly_connected(net)
-
-
-def test_single_node_is_strongly_connected():
-    assert netdiff.strongly_connected(netdiff.validate_network([[0]]))
-
-
-def test_strong_connectivity_matches_closure_exhaustive_n3():
-    for mask in range(2 ** 9):
-        w = np.array([(mask >> k) & 1 for k in range(9)], dtype=float)
-        w = w.reshape(3, 3)
-        net = netdiff.validate_network(w)
-        assert netdiff.strongly_connected(net) == closure_connected(w.tolist())
-
-
-@pytest.mark.parametrize("n", [4, 5])
-def test_strong_connectivity_matches_closure_random(n):
-    rng = np.random.default_rng(n)
-    for _ in range(300):
-        w = (rng.random((n, n)) < 0.3) * rng.random((n, n))
-        net = netdiff.validate_network(w)
-        assert netdiff.strongly_connected(net) == closure_connected(w.tolist())
 
 
 # -- leading eigenpair --------------------------------------------------

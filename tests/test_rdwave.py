@@ -1,6 +1,7 @@
 """Reaction-diffusion stepping, front speed measurement, and the
 fast-slow sweep."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,14 +25,23 @@ def make_cfg(**kw):
     return rdwave.ReactionDiffusionConfig(**base)
 
 
+def ftcs_steps(cfg, u, steps):
+    """The field u and each of the next ``steps`` FTCS steps from it: the
+    snapshots of rd_integrate over a ``steps``-step horizon at
+    snapshot_every=1."""
+    cfg = dataclasses.replace(cfg, horizon=steps * cfg.dt)
+    assert cfg.steps == steps
+    return rdwave.rd_integrate(cfg, rdwave.FieldState(u=u, t=0.0), snapshot_every=1)
+
+
 # -- rates ---------------------------------------------------------------
 
 def uniform_step(value, **kw):
-    """rd_step of a uniform field on a unit-time-step grid.  The flux
+    """One FTCS step of a uniform field on a unit-time-step grid.  The flux
     Laplacian of a uniform field is exactly 0, so every node becomes
     value + g(value), bit for bit."""
     cfg = make_cfg(dx=2.0, dt=1.0, length=4.0, **kw)
-    u = rdwave.rd_step(rdwave.FieldState(u=np.full(cfg.n_nodes, value), t=0.0), cfg).u
+    u = ftcs_steps(cfg, np.full(cfg.n_nodes, value), 1)[-1].u
     assert np.all(u == u[0])
     return float(u[0])
 
@@ -90,29 +100,23 @@ def test_grid_geometry():
 
 def test_zero_field_is_exact_fixed_point():
     cfg = make_cfg()
-    state = rdwave.FieldState(u=np.zeros(cfg.n_nodes), t=0.0)
-    for _ in range(100):
-        state = rdwave.rd_step(state, cfg)
-    assert np.array_equal(state.u, np.zeros(cfg.n_nodes))
+    for state in ftcs_steps(cfg, np.zeros(cfg.n_nodes), 100):
+        assert np.array_equal(state.u, np.zeros(cfg.n_nodes))
 
 
 def test_saturated_field_is_exact_fixed_point():
     cfg = make_cfg(k_cap=0.7)
-    state = rdwave.FieldState(u=np.full(cfg.n_nodes, 0.7), t=0.0)
-    for _ in range(100):
-        state = rdwave.rd_step(state, cfg)
-    assert np.array_equal(state.u, np.full(cfg.n_nodes, 0.7))
+    for state in ftcs_steps(cfg, np.full(cfg.n_nodes, 0.7), 100):
+        assert np.array_equal(state.u, np.full(cfg.n_nodes, 0.7))
 
 
 def test_pure_diffusion_conserves_mass_per_step():
     cfg = make_cfg(r_rate=0.0)
     u = np.zeros(cfg.n_nodes)
     u[cfg.n_nodes // 2] = 1.0
-    state = rdwave.FieldState(u=u, t=0.0)
-    for _ in range(200):
-        before = state.u.sum() * cfg.dx
-        state = rdwave.rd_step(state, cfg)
-        assert abs(state.u.sum() * cfg.dx - before) <= 1e-12
+    snaps = ftcs_steps(cfg, u, 200)
+    for before, after in zip(snaps, snaps[1:]):
+        assert abs(after.u.sum() * cfg.dx - before.u.sum() * cfg.dx) <= 1e-12
 
 
 def test_pure_diffusion_mass_drift_over_many_steps():
@@ -130,9 +134,7 @@ def test_pure_diffusion_mass_drift_over_many_steps():
 def test_discrete_maximum_principle():
     rng = np.random.default_rng(3)
     cfg = make_cfg()
-    state = rdwave.FieldState(u=rng.random(cfg.n_nodes), t=0.0)
-    for _ in range(500):
-        state = rdwave.rd_step(state, cfg)
+    for state in ftcs_steps(cfg, rng.random(cfg.n_nodes), 500)[1:]:
         assert state.u.min() >= -1e-10
         assert state.u.max() <= cfg.k_cap + 1e-10
 
@@ -191,8 +193,8 @@ def test_integrate_reports_nonfinite_blowup():
 # -- reference stepping ------------------------------------------------------
 # The FTCS step as first written, one fresh array per operation, kept
 # verbatim (with the rate formulas copied in): the buffered kernel behind
-# rd_step and rd_integrate must give the same bytes at every step, and a
-# blow-up the same NonFiniteError text.
+# rd_integrate must give the same bytes at every step, and a blow-up the
+# same NonFiniteError text.
 
 def _reference_laplacian(u: np.ndarray) -> np.ndarray:
     lap = np.empty_like(u)
@@ -290,14 +292,20 @@ def test_integrate_matches_the_reference_bitwise(family, r_rate, k_cap, n_nodes,
 @pytest.mark.parametrize("n_nodes", sorted(NODE_LENGTHS))
 @pytest.mark.parametrize("family, r_rate, k_cap", FAMILY_RATES)
 def test_chained_steps_match_the_reference_bitwise(family, r_rate, k_cap, n_nodes):
-    cfg = make_cfg(length=NODE_LENGTHS[n_nodes], horizon=0.2, rate_family=family,
+    # One-step runs, each resumed from the last one's field and time: a run
+    # restarted from its snapshot continues with the reference's bytes.
+    cfg = make_cfg(length=NODE_LENGTHS[n_nodes], horizon=0.002, rate_family=family,
                    allee_threshold=0.3, r_rate=r_rate, k_cap=k_cap)
-    for run_cfg, u, _ in _reference_fields(cfg, family):
-        state, t = rdwave.FieldState(u=u, t=0.5), 0.5
+    assert cfg.steps == 1
+    for run_cfg, u, blows_up in _reference_fields(cfg, family):
+        state = rdwave.FieldState(u=u, t=0.5)
         for _ in range(100):
-            u, t = _reference_step_array(u, run_cfg), t + run_cfg.dt
-            state = rdwave.rd_step(state, run_cfg)
-            assert (state.u.tobytes(), state.t) == (u.tobytes(), t)
+            outcome = _outcome(rdwave.rd_integrate, run_cfg, state, 1)
+            assert outcome == _outcome(_reference_integrate, run_cfg, state, 1)
+            if not isinstance(outcome, list):
+                break
+            state = rdwave.FieldState(u=np.frombuffer(outcome[-1][1]), t=outcome[-1][0])
+        assert isinstance(outcome, list) != blows_up
 
 
 def _spike_blowing_up_at(cfg, step):
@@ -358,9 +366,6 @@ def test_snapshots_share_no_memory():
         snap.u[:] = -1.0
         assert all(np.array_equal(other.u, was)
                    for other, was in zip(snaps[k + 1:], before[k + 1:]))
-    field = rdwave.FieldState(u=u0.copy(), t=0.0)
-    rdwave.rd_step(field, cfg)
-    assert np.array_equal(field.u, u0)
 
 
 @pytest.mark.parametrize("snapshot_every, domain", [

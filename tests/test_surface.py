@@ -1,5 +1,7 @@
 """Public surface of the package: every exported name resolves, every public
-function or class a module defines is exported, and no import goes unused.
+function or class a module defines is exported, every exported function of
+a model layer is used by another module, no import goes unused, and every
+name the benchmark traces resolves.
 
 A module with no ``__all__`` (``errors``, ``__main__``) is checked for unused
 imports only."""
@@ -8,13 +10,33 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
 import infospread
 
-SOURCES = sorted(Path(inspect.getfile(infospread)).parent.glob("*.py"))
+PACKAGE = Path(inspect.getfile(infospread)).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+LAYERS = ("netdiff", "gossip", "epi_sir", "rdwave", "fundstats")
+
+# Exported layer functions that no other module under src/ uses, each with
+# why it stays.  A function that gains a caller leaves this table.
+BENCHMARK = "perfbench looks it up by name"
+WIRED_LATER = "to be reported in a run's manifest results (ROADMAP item 5)"
+KEPT = {
+    "netdiff.centrality_report": BENCHMARK,
+    "netdiff.hearing_matrix": BENCHMARK,
+    "netdiff.write_network_csv": BENCHMARK,
+    "epi_sir.basic_reproduction_number": WIRED_LATER,
+    "epi_sir.equilibria": WIRED_LATER,
+    "epi_sir.final_size": WIRED_LATER,
+    "rdwave.estimate_wave_speed": WIRED_LATER,
+    "netdiff.validate_network": "the library constructor of a network",
+}
 
 
 def module_name(path: Path) -> str:
@@ -90,3 +112,60 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def layer_names_used_elsewhere() -> set:
+    """``"layer.name"`` for every name of a model layer that another module
+    under src/ reads: through ``from .layer import name``, or as
+    ``layer.name`` after ``from . import layer``."""
+    used = set()
+    for path in SOURCES:
+        tree = parsed(path)
+        layers = {}  # bound name -> layer, from ``from . import layer``
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            for alias in node.names:
+                if node.module is None and alias.name in LAYERS:
+                    layers[alias.asname or alias.name] = alias.name
+                elif node.module in LAYERS:
+                    used.add(f"{node.module}.{alias.name}")
+        used |= {f"{layers[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id in layers}
+    return used
+
+
+def test_every_exported_layer_function_is_used_by_another_module():
+    used = layer_names_used_elsewhere()
+    unused = set()
+    for layer in LAYERS:
+        tree = parsed(PACKAGE / f"{layer}.py")
+        exported = set(declared_all(tree))
+        unused |= {f"{layer}.{node.name}" for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name in exported
+                   and f"{layer}.{node.name}" not in used}
+    assert not unused - set(KEPT), (
+        f"exported functions no other module uses: {sorted(unused - set(KEPT))}")
+    assert not set(KEPT) - unused, (
+        f"KEPT names that are used or gone: {sorted(set(KEPT) - unused)}")
+
+
+def benchmark_targets(monkeypatch):
+    """``perfbench/tracing.py``'s TARGETS, loaded without writing bytecode
+    or leaving the module imported."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_every_name_the_benchmark_traces_resolves(monkeypatch):
+    targets = benchmark_targets(monkeypatch)
+    assert targets
+    missing = [f"{layer}.{attr}" for layer, attr, _ in targets
+               if not callable(getattr(importlib.import_module(f"infospread.{layer}"),
+                                       attr, None))]
+    assert not missing, f"perfbench/tracing.py TARGETS names missing: {missing}"
