@@ -23,9 +23,9 @@ import functools
 import json
 import os
 import re
+import signal
 import stat
 import sys
-import tempfile
 from dataclasses import dataclass, fields, replace
 from itertools import chain, islice
 from pathlib import Path
@@ -416,11 +416,12 @@ def _write_files(config: RunConfig, files, extra=None) -> None:
     before any byte is written.  Each file is written as UTF-8 to a
     temporary file in its target's directory, with mode ``0o666 & ~umask``
     as ``open`` would create it; once all are complete they are renamed
-    into place, the manifest last.  On any exception every temporary file
-    still staged is removed.  One window is left: a rename that fails
-    partway leaves the files renamed before it, with no manifest.  A
-    directory or temporary file that cannot be created is reported with
-    its output path."""
+    into place, the manifest last.  A temporary name is staged before its
+    file is created, so on any exception every staged file is removed.
+    One window is left: a rename that fails, or an interrupt, partway
+    through the renames leaves the files renamed before it, with no
+    manifest.  A directory or temporary file that cannot be created is
+    reported with its output path."""
     manifest = {
         "subcommand": config.subcommand,
         "action": config.action,
@@ -433,31 +434,29 @@ def _write_files(config: RunConfig, files, extra=None) -> None:
     files = [*files, (f"{config.out}.manifest.json",
                       [json.dumps(manifest, sort_keys=True, indent=2) + "\n"])]
     targets = [_output_target(path) for path, _ in files]
-    mask = os.umask(0)
-    os.umask(mask)
     staged = []
     try:
         for (path, chunks), target in zip(files, targets):
+            tmp = os.path.join(target.parent, f".{target.name}.{os.urandom(8).hex()}.tmp")
+            staged.append(tmp)
             try:
                 target.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=target.parent,
-                                           prefix=f".{target.name}.", suffix=".tmp")
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             except OSError as exc:
+                del staged[-1]  # no file of this run has the name
                 # OSError(errno, ...) is the errno's subclass, so the type is kept.
                 raise OSError(exc.errno, f"{exc.strerror}: cannot create "
                                          f"{exc.filename!r} for the output path "
                                          f"{str(path)!r}") from None
-            staged.append(tmp)
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                os.fchmod(fd, 0o666 & ~mask)  # mkstemp creates it 0600
                 fh.writelines(chunks)
         for target in targets:
             os.replace(staged[0], target)
             del staged[0]
     except BaseException:
         for tmp in staged:
-            # An interrupt between a rename and its ``del`` leaves a name
-            # that is gone; its unlink must not hide the first exception.
+            # A name not yet created, or already renamed, is gone: its
+            # unlink must not hide the first exception.
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
         raise
@@ -522,7 +521,7 @@ def _run_gossip(config: RunConfig) -> None:
             rounds=config.params["rounds"], seed=config.seed)
         _emit(config, _csv_chunks(("round", "informed_count", "informed_fraction"),
                                   (range(trace.rounds + 1), trace.informed_count,
-                                   trace.informed_fraction)),
+                                   [c / net.n for c in trace.informed_count])),
               extra={"isolated_skips": trace.isolated_skips})
 
 
@@ -659,8 +658,22 @@ def main(argv=None) -> int:
     return run(config)
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised where the run is, so that its cleanup runs."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def app() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    """The console entry; SIGTERM ends a run as Ctrl-C does, in status 143."""
+    signal.signal(signal.SIGTERM, _terminate)
+    try:
+        status = main(sys.argv[1:])
+    except _Terminated:
+        status = 128 + signal.SIGTERM
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

@@ -29,9 +29,7 @@ from .errors import (
     ConservationError,
     DegenerateParamsError,
     EndemicUndefinedError,
-    HorizonError,
     ParamError,
-    StepSizeError,
     check,
 )
 
@@ -86,14 +84,13 @@ class SirState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step trajectory stored as parallel arrays.
+    """Fixed-step trajectory of ``params`` stored as parallel arrays.
 
-    Index 0 is the supplied initial condition; timestamps advance by
-    ``step`` exactly (t0 + k*step).
+    Index 0 is the supplied initial condition; entry k is at t0 + k*h for
+    the step h passed to ``integrate``.
     """
 
     params: SirParams
-    step: float
     t: np.ndarray
     s: np.ndarray
     i: np.ndarray
@@ -143,9 +140,9 @@ def integrate(params: SirParams, init: SirState, h: float,
     in locals, so a step makes no function call; every stage is the
     textbook formula's arithmetic, operation for operation.
     """
-    check(0.0 < h < math.inf, "h", h, "positive and finite", StepSizeError)
+    check(0.0 < h < math.inf, "h", h, "positive and finite")
     check(h <= horizon < math.inf, "horizon", horizon,
-          f"finite and at least one step h={h!r}", HorizonError)
+          f"finite and at least one step h={h!r}")
     check(horizon / h <= MAX_STEPS, "horizon", horizon,
           f"at most MAX_STEPS = {MAX_STEPS} steps of h={h!r}")
     steps = int(round(horizon / h))
@@ -198,7 +195,7 @@ def integrate(params: SirParams, init: SirState, h: float,
                 f"conservation drift |S+I+R-N|={drift:.3e} at t={ts[k]:g}; "
                 "reduce the step size")
         ss[k], ii[k], rr[k] = s, i, r
-    return Trajectory(params=params, step=h, t=ts, s=ss, i=ii, r=rr)
+    return Trajectory(params=params, t=ts, s=ss, i=ii, r=rr)
 
 
 def basic_reproduction_number(params: SirParams) -> float:

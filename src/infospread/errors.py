@@ -25,11 +25,11 @@ class ParamError(ModelError, ValueError):
         self.name = name
 
 
-def check(ok: bool, name: str, value, domain: str, error=ParamError):
-    """Return ``value``, or raise ``error`` "<name> must be <domain>, got
+def check(ok: bool, name: str, value, domain: str):
+    """Return ``value``, or raise ParamError "<name> must be <domain>, got
     <value>" unless ``ok``.  Write ``ok`` as a comparison that NaN fails."""
     if not ok:
-        raise error(f"{name} must be {domain}, got {shown(value)}", name)
+        raise ParamError(f"{name} must be {domain}, got {shown(value)}", name)
     return value
 
 
@@ -57,11 +57,6 @@ class EntryRangeError(ModelError):
 
 class ZeroMatrixError(ModelError):
     """Eigen-iteration requested on an all-zero matrix."""
-
-
-class HorizonError(ParamError):
-    """Horizon below one hearing-matrix term or one integration step, or
-    not finite."""
 
 
 class ConvergenceError(ModelError):
@@ -93,10 +88,6 @@ class ReducibleChainError(ModelError):
 
 
 # epi_sir ---------------------------------------------------------------
-
-class StepSizeError(ParamError):
-    """Integrator step size is not positive and finite."""
-
 
 class ConservationError(ModelError):
     """Population conservation drifted beyond tolerance (step too large)."""

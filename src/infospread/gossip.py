@@ -111,15 +111,13 @@ class GossipTrace:
     """Per-round informed counts from a population run.
 
     informed_count[0] is the initial condition; entry t is the count after
-    round t.  isolated_skips counts initiators that had zero out-weight and
-    were skipped (warning counter, not an error).
+    round t (divide by the network's n for the informed fraction).
+    isolated_skips counts initiators that had zero out-weight and were
+    skipped (warning counter, not an error).
     """
 
     rounds: int
     informed_count: tuple[int, ...]
-    informed_fraction: tuple[float, ...]
-    seed: int
-    params: ExchangeParams
     isolated_skips: int = 0
 
 
@@ -336,11 +334,5 @@ def simulate_population(net: ManagerNetwork, params: ExchangeParams,
                 bisect_right(row_cums[2 * bits[i] + bits[j]], u)]
         skips += n - m
         counts.append(sum(bits))
-    return GossipTrace(
-        rounds=rounds,
-        informed_count=tuple(counts),
-        informed_fraction=tuple(c / n for c in counts),
-        seed=seed,
-        params=params,
-        isolated_skips=skips,
-    )
+    return GossipTrace(rounds=rounds, informed_count=tuple(counts),
+                       isolated_skips=skips)

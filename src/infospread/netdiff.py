@@ -26,7 +26,6 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     EntryRangeError,
-    HorizonError,
     ModelError,
     RowError,
     ZeroMatrixError,
@@ -280,10 +279,9 @@ def _row_sums(rows: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
 
 def _horizon(T, n: int) -> int:
     # NaN and inf fail the range test before int() could raise on them.
-    check(1 <= T < math.inf and int(T) == T, "horizon", T, "an integer >= 1",
-          HorizonError)
+    check(1 <= T < math.inf and int(T) == T, "horizon", T, "an integer >= 1")
     check(T * n * n <= MAX_CELLS, "horizon", T,
-          f"such that horizon*n*n <= MAX_CELLS = {MAX_CELLS} (n = {n})", HorizonError)
+          f"such that horizon*n*n <= MAX_CELLS = {MAX_CELLS} (n = {n})")
     return int(T)
 
 

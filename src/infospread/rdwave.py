@@ -129,8 +129,6 @@ class FieldState:
 @dataclass(frozen=True)
 class WaveSpeedEstimate:
     speed: float
-    level: float
-    fit_window: tuple[float, float]
     residual: float
 
 
@@ -366,8 +364,7 @@ def estimate_wave_speed(series, level: float, fit_window,
             f"t in [{t_lo}, {t_hi}]")
     coeffs, res, *_ = np.polyfit(times, fronts, 1, full=True)
     rms = math.sqrt(float(res[0]) / len(times)) if len(res) else 0.0
-    return WaveSpeedEstimate(speed=float(coeffs[0]), level=level,
-                             fit_window=(t_lo, t_hi), residual=rms)
+    return WaveSpeedEstimate(speed=float(coeffs[0]), residual=rms)
 
 
 def _qss_values(cfg: FastSlowConfig, ts: np.ndarray) -> PlanarTrajectory:

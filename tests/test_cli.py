@@ -8,10 +8,12 @@ import io
 import json
 import os
 import shutil
+import signal
 import stat
 import subprocess
 import sys
 import tempfile
+import time
 from itertools import islice
 from pathlib import Path
 
@@ -777,6 +779,20 @@ def test_golden_ten_node_gossip_trace(tmp_path):
     assert out.read_bytes() == GOLDEN.read_bytes()
 
 
+def test_gossip_fraction_column_is_the_count_over_n(tmp_path):
+    net = tmp_path / "net7.csv"
+    net.write_text("".join(",".join("0.0" if i == j else "0.5" for j in range(7)) + "\n"
+                           for i in range(7)))
+    out = tmp_path / "trace.csv"
+    assert cli.main(["gossip", "simulate", "--network", str(net), *GOSSIP_ARGS[4:],
+                     "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header == ["round", "informed_count", "informed_fraction"]
+    assert len(rows) == 101 and len({count for _, count, _ in rows}) > 1
+    for _, count, fraction in rows:
+        assert fraction == repr(int(count) / 7)
+
+
 # -- exit contract -----------------------------------------------------------------
 #
 # Invocations run in a fresh working directory holding copies of the bundled
@@ -1365,6 +1381,57 @@ def test_an_interrupt_right_after_a_rename_propagates_and_leaves_no_staged_file(
     with pytest.raises(KeyboardInterrupt):
         cli.main([*PROV_OUT, "prov.csv"])
     assert sorted(os.listdir()) == sorted(renamed)
+
+
+@pytest.mark.parametrize("files", [1, 2, 3])
+def test_an_interrupt_right_after_a_staged_open_propagates_and_leaves_no_file(
+        tmp_path, monkeypatch, files):
+    # The interrupt lands once the staged file exists, before the run holds
+    # its descriptor: only the name, staged first, tells the cleanup of it.
+    monkeypatch.chdir(tmp_path)
+    real = os.open
+    created = []
+
+    def open_(path, flags, *args, **kwargs):
+        fd = real(path, flags, *args, **kwargs)
+        if flags & os.O_CREAT and str(path).endswith(".tmp"):
+            created.append(path)
+            if len(created) == files:
+                os.close(fd)
+                raise KeyboardInterrupt
+        return fd
+
+    monkeypatch.setattr(os, "open", open_)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main([*PROV_OUT, "prov.csv"])
+    assert len(created) == files
+    assert os.listdir() == []
+
+
+def test_sigterm_ends_a_run_with_143_and_leaves_no_staged_file(tmp_path):
+    # The handler belongs to the console entry alone: main leaves it as it is.
+    handler = signal.getsignal(signal.SIGTERM)
+    assert cli.main(["sir", "--preset", "fig6b", "--horizon", "1", "--quiet"]) == 0
+    assert signal.getsignal(signal.SIGTERM) is handler
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "infospread", "rd", "--length", "40", "--horizon", "20",
+         "--snapshot_every", "20", "--out", str(tmp_path / "w")],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob(".*.tmp")):
+            assert proc.poll() is None, "the run ended before it staged a file"
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 143, err
+    assert err == b""
+    assert os.listdir(tmp_path) == []
 
 
 def exhaust_memory(*args, **kwargs):

@@ -15,7 +15,6 @@ from infospread.errors import (
     EndemicUndefinedError,
     ModelError,
     ParamError,
-    StepSizeError,
 )
 from oracles import sir_rhs, sir_rk4
 
@@ -76,7 +75,7 @@ def test_step_matches_exponential_relaxation():
 def test_step_rejects_nonpositive_h():
     p = epi_sir.SirParams(beta=0.1, alpha=0.1, mu=0.0, n_total=1.0)
     for h in (0.0, -0.1, math.nan, math.inf):
-        with pytest.raises(StepSizeError):
+        with pytest.raises(ParamError, match="^h must be "):
             epi_sir.integrate(p, epi_sir.SirState(s=1.0, i=0.0, r=0.0), h=h, horizon=1.0)
 
 

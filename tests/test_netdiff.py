@@ -20,7 +20,7 @@ from infospread.errors import (
     ConvergenceError,
     DimensionError,
     EntryRangeError,
-    HorizonError,
+    ParamError,
     RowError,
     ZeroMatrixError,
 )
@@ -193,7 +193,7 @@ def test_hearing_zero_matrix():
 def test_hearing_rejects_bad_horizon():
     net = netdiff.validate_network(LINE)
     for bad in (0, -1, 1.5, 10 ** 9, math.nan, math.inf):
-        with pytest.raises(HorizonError):
+        with pytest.raises(ParamError, match="^horizon must be "):
             netdiff.hearing_matrix(net, bad)
 
 
@@ -248,7 +248,7 @@ def test_centrality_matches_power_oracle():
 def test_centrality_rejects_bad_horizon():
     net = netdiff.validate_network(LINE)
     for bad in (0, -1, 1.5, 10 ** 9, math.nan, math.inf):
-        with pytest.raises(HorizonError):
+        with pytest.raises(ParamError, match="^horizon must be "):
             netdiff.diffusion_centrality(net, bad)
 
 

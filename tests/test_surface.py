@@ -1,21 +1,26 @@
 """Public surface of the package: every exported name resolves, every public
 function or class a module defines is exported, every exported function of
-a model layer is used by another module, no import goes unused, and every
-name the benchmark traces resolves.
+a model layer is used by another module, no import goes unused, every name
+the benchmark traces resolves, and every work counter it keeps runs on the
+result of a real call.
 
 A module with no ``__all__`` (``errors``, ``__main__``) is checked for unused
 imports only."""
 
 import ast
 import importlib
+import importlib.resources
 import importlib.util
 import inspect
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import infospread
+from infospread import epi_sir, gossip, netdiff, rdwave
 
 PACKAGE = Path(inspect.getfile(infospread)).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -169,3 +174,55 @@ def test_every_name_the_benchmark_traces_resolves(monkeypatch):
                if not callable(getattr(importlib.import_module(f"infospread.{layer}"),
                                        attr, None))]
     assert not missing, f"perfbench/tracing.py TARGETS names missing: {missing}"
+
+
+def counted_calls(tmp: Path) -> dict:
+    """``(args, kwargs)`` of a small real call of each function whose span
+    the benchmark counts, keyed ``"layer.name"`` as TARGETS names it."""
+    path = tmp / "net.csv"
+    path.write_text("0.0,0.5,0.2\n0.3,0.0,0.4\n0.6,0.1,0.0\n")
+    net = netdiff.read_network_csv(path)
+    field = rdwave.ReactionDiffusionConfig(d_coeff=1.0, r_rate=1.0, k_cap=1.0, dx=0.1,
+                                           dt=0.002, length=4.0, horizon=1.0)
+    step = np.where(field.x < 1.0, 1.0, 0.0)
+    rates = epi_sir.SirParams(beta=0.1, alpha=0.2, mu=0.05, n_total=1.0)
+    return {
+        "netdiff.read_network_csv": ((path,), {}),
+        "netdiff.hearing_matrix": ((net, 3), {}),
+        "netdiff.leading_eigenpair": ((net,), {}),
+        "gossip.simulate_population": (
+            (net, gossip.ExchangeParams(0.5, 0.1, 0.2, 0.8), [0]), {"rounds": 5, "seed": 1}),
+        "epi_sir.integrate": (
+            (epi_sir.PRESETS["fig6b"], epi_sir.SirState(s=0.99, i=0.01, r=0.0)),
+            {"h": 0.1, "horizon": 1.0}),
+        "rdwave.rd_integrate": ((field, rdwave.FieldState(u=step, t=0.0), 100), {}),
+        "rdwave.fast_slow_integrate": ((rdwave.FastSlowConfig(
+            sir=rates, epsilon=0.1, h=0.05, horizon=1.0, layer_time=0.5, s0=0.8, i0=0.2),),
+            {}),
+        "fundstats.ingest_csv": (
+            (importlib.resources.files("infospread.data") / "funds_sample.csv",), {}),
+    }
+
+
+def test_every_benchmark_counter_runs_on_a_real_call(monkeypatch, tmp_path):
+    # A counter reads its call's arguments and result, as perfbench's Tracer
+    # hands them over; one that reads a field the layer dropped fails here.
+    targets = benchmark_targets(monkeypatch)
+    counted = {f"{layer}.{attr}": counter for layer, attr, counter in targets if counter}
+    calls = counted_calls(tmp_path)
+    assert counted.keys() == calls.keys(), (
+        f"counters without a call: {sorted(counted.keys() - calls.keys())}, "
+        f"calls without a counter: {sorted(calls.keys() - counted.keys())}")
+    # The field counter imports perfbench's workloads module by its plain name.
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    try:
+        for name, counter in counted.items():
+            layer, attr = name.split(".")
+            function = getattr(importlib.import_module(f"infospread.{layer}"), attr)
+            args, kwargs = calls[name]
+            arguments = inspect.signature(function).bind(*args, **kwargs).arguments
+            counts = counter(arguments, function(*args, **kwargs))
+            assert counts and all(math.isfinite(v) for v in counts.values()), (name, counts)
+    finally:
+        sys.modules.pop("workloads", None)
