@@ -6,12 +6,13 @@ fund_id,family,province,category,manager_race,manager_gender,assets,performance
 blank row are skipped wherever they stand, so bundled fixtures can
 document themselves), provinces from a closed list, enumerated
 race/gender values, and nonnegative assets.  Every rejected row reports
-its file line number.  The file is read in one pass over one handle, so
-it may be a pipe.  After the header, blocks of whole lines that hold no
-quote are split at commas with str methods; from the first block that
-needs the csv module on, csv.reader splits the rest.  Either way rows are
-checked in bulk, and only a chunk that fails is checked row by row to name
-its first faulty row, so both give the same records and the same errors.
+the file line it starts on, also after a quoted field that spans lines.
+The file is read in one pass over one handle, so it may be a pipe.  After
+the header, blocks of whole lines that hold no quote and no comment row are
+split at commas with str methods and checked in bulk, and only a block that
+fails is checked row by row to name its first faulty row; from the first
+block that needs the csv module on, csv.reader splits the rest and each of
+its rows is checked as it is read.  Both give the same records and errors.
 Records are read into a ``FundTable``, one list per field, and the reports
 read its columns.
 
@@ -35,7 +36,7 @@ import math
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -155,15 +156,11 @@ class FundTable(Sequence):
 
 _RECORD_VALUES = attrgetter(*CSV_COLUMNS)
 _WIDTH = len(CSV_COLUMNS)
-_BLANK_CELLS = ("",) * (_WIDTH - 1)
 # Characters read at a time after the header.  A block is a read's whole
 # lines and the unfinished line of the read before, so it stays under the
 # csv module's default field size limit (131072) and its cells need no
 # length check.
 _READ_CHARS = 2 ** 16
-# Rows of csv.reader validated per bulk check; each chunk's numeric strings
-# are freed with it.
-_CHUNK_ROWS = 8192
 # Each enumerated value mapped to the package's own string, so every row
 # shares it and a lookup validates the value.
 _PROVINCE_OF = {p: p for p in PROVINCES}
@@ -180,32 +177,34 @@ def ingest_csv(path) -> FundTable:
     read ``_READ_CHARS`` characters at a time, and each read's whole lines
     make a block.  A block that csv.reader would split at its commas alone
     (no quote, no CR but those of CRLF, eight cells on every line, none over
-    the field size limit) is split with str methods and checked in bulk.
-    The first block that is not, or a read with no line end, hands the rest
-    of the file, from that block's first line on, to csv.reader, whose rows
-    are checked in bulk ``_CHUNK_ROWS`` at a time.  When a bulk check fails,
-    or a row that cannot be read arrives, the rows of that block or chunk
-    are checked one by one in file order, so the first faulty row is
-    reported with the same error and line as a row-by-row read.  The file
-    must be UTF-8: a row holding bytes that are not, a NUL character, or
-    text the csv module cannot split (a field over its size limit), is a
-    RowError naming its line, or a SchemaError if no header came before it.
+    the field size limit) and that holds no comment row is split with str
+    methods and checked in bulk; if that check fails, its rows are checked
+    one by one in file order, so the first faulty row is reported with the
+    same error and line as a row-by-row read.  The first block that is not,
+    or a read with no line end, hands the rest of the file, from that
+    block's first line on, to csv.reader, which checks each row as it reads
+    it.  A row's line is the file line it starts on.  The file must be
+    UTF-8: a row holding bytes that are not, a NUL character, or text the
+    csv module cannot split (a field over its size limit), is a RowError
+    naming its line, or a SchemaError if no header came before it.
 
     Cost: a quote-free block takes a ``str.replace`` and a ``str.split``
     (one more ``str.replace`` if it holds a CR), and a count over every
     ninth cell checks its widths, so no Python code runs per row.  On a
     2-core x86-64 host the benchmark's 50k-row file (3.3 MB) reads in about
-    57 ms, against 92 ms when csv.reader split every row (medians of 15
-    interleaved calls in one process); about 15 ms of it is the split and
-    25 ms the bulk checks, float parsing most of that.  Memory: beside the
-    table the read holds one block, its text and its cells: 0.5-0.6 MiB at
-    20k to 80k rows, against 2.3 MiB for a chunk of 8192 csv.reader rows.
+    57 ms (medians of 15 interleaved calls in one process); about 15 ms of
+    it is the split and 25 ms the bulk checks, float parsing most of that.
+    csv.reader's rows each run Python code: a 50k-row file like it, its
+    first row quoted, reads in 116-137 ms (medians of 9 calls), twice the
+    time.  Memory: beside the table the read holds one block, its text and
+    its cells, or one csv.reader row: 0.5-0.6 MiB or 0.28 MiB at 20k to 80k
+    rows.
     """
     columns = [[] for _ in CSV_COLUMNS]
     # surrogateescape decodes every byte, so an undecodable one is named by
     # the row that holds it.
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        first = _read_header(csv.reader(fh)) + 1  # the line of a chunk's first row
+        first = _read_header(csv.reader(fh)) + 1  # the line of the next row
         first, rest = _read_blocks(fh, columns, first)
         _read_rows(csv.reader(rest), columns, first)
     return FundTable(*columns)
@@ -223,7 +222,7 @@ def _read_blocks(fh, columns: list, first: int):
         if cells is None:
             text = block + text
             break
-        _append_chunk(columns, cells, first)
+        _append_block(columns, cells, first)
         first += len(cells) // _WIDTH
         del data, block, cells  # so that one block at a time is held
     else:
@@ -235,9 +234,9 @@ def _read_blocks(fh, columns: list, first: int):
 
 def _block_cells(block: str, limit: int):
     """The cells of a block of whole lines, row after row, if csv.reader
-    would split it at its commas alone: no quote, no CR but those of CRLF,
-    ``_WIDTH`` cells on every line and none over ``limit`` characters.
-    Otherwise None."""
+    would split it at its commas alone (no quote, no CR but those of CRLF,
+    ``_WIDTH`` cells on every line and none over ``limit`` characters) and
+    it holds no comment row.  Otherwise None."""
     if '"' in block:
         return None
     if "\r" in block:
@@ -250,6 +249,8 @@ def _block_cells(block: str, limit: int):
     rows, extra = divmod(len(cells), _WIDTH + 1)
     if extra != 1 or cells[_WIDTH::_WIDTH + 1].count("\n") != rows:
         return None
+    if "#" in "".join(firsts := cells[::_WIDTH + 1]) and any(map(_is_comment, firsts)):
+        return None
     if len(block) > limit and max(map(len, cells)) > limit:
         return None
     del cells[_WIDTH::_WIDTH + 1]
@@ -258,28 +259,19 @@ def _block_cells(block: str, limit: int):
 
 
 def _read_rows(reader, columns: list, first: int) -> None:
-    """Append the rows of a csv.reader to the columns, the first on line
-    ``first``, ``_CHUNK_ROWS`` at a time."""
-    cells: list[str] = []
-    chunk_cells = _CHUNK_ROWS * _WIDTH
+    """Check the rows of a csv.reader one at a time, the first on line
+    ``first``, and append each record to the columns."""
+    appends = [column.append for column in columns]
+    lineno = first
     try:
         for row in reader:
-            if len(row) != _WIDTH:
-                if row and not _is_comment(row[0]):
-                    # A data row of the wrong width: raises.
-                    _check_row(row, _check_rows(cells, first))
-                # A blank or comment row keeps its line, and its text for
-                # the text check, as one full-width comment row.
-                row = ["#" + "".join(row), *_BLANK_CELLS]
-            cells += row
-            if len(cells) == chunk_cells:
-                _append_chunk(columns, cells, first)
-                first += _CHUNK_ROWS
-                cells = []
+            record = _check_row(row, lineno)
+            if record is not None:
+                for append, value in zip(appends, record):
+                    append(value)
+            lineno = first + reader.line_num
     except csv.Error as exc:
-        lineno = _check_rows(cells, first)
         raise RowError(f"line {lineno}: {exc}", line=lineno) from None
-    _append_chunk(columns, cells, first)
 
 
 def _is_comment(cell: str) -> bool:
@@ -300,49 +292,42 @@ def _check_text(text: str, lineno: int) -> None:
 
 
 def _read_header(reader) -> int:
-    """Consume rows through the header row, check it, and return its line.
-    A row that cannot be read before the header is a SchemaError."""
-    lineno = 0
+    """Consume rows through the header row, check it, and return its last
+    line.  A row that cannot be read before the header is a SchemaError."""
+    lineno = 1  # the line the next row starts on
     try:
-        for lineno, row in enumerate(reader, start=1):
+        for row in reader:
             _check_text("".join(row), lineno)
-            if not row or _is_comment(row[0]):
-                continue
-            header = tuple(cell.strip() for cell in row)
-            if header != CSV_COLUMNS:
-                raise SchemaError(f"header {header} does not match required "
-                                  f"schema {CSV_COLUMNS}")
-            return lineno
+            if row and not _is_comment(row[0]):
+                header = tuple(cell.strip() for cell in row)
+                if header != CSV_COLUMNS:
+                    raise SchemaError(f"header {header} does not match required "
+                                      f"schema {CSV_COLUMNS}")
+                return reader.line_num
+            lineno = reader.line_num + 1
     except csv.Error as exc:
-        raise SchemaError(f"line {lineno + 1}: {exc}") from None
+        raise SchemaError(f"line {lineno}: {exc}") from None
     except RowError as exc:
         raise SchemaError(str(exc)) from None
     raise SchemaError("file has no header row")
 
 
-def _check_rows(cells: list, first: int) -> int:
-    """Check the rows of a flat cell list one by one, the first on line
-    ``first``, raising the first faulty row's RowError; the line after them."""
-    for lineno, row in enumerate(zip(*[iter(cells)] * _WIDTH), start=first):
-        _check_row(row, lineno)
-    return first + len(cells) // _WIDTH
-
-
-def _check_row(row, lineno: int) -> None:
-    """Raise the RowError of a faulty row: its text first, then, unless it
-    is a comment row, its fields."""
+def _check_row(row, lineno: int):
+    """The record of a row, or None for a blank or comment row.  Raise the
+    RowError of a faulty row: its text first, then, unless it is a blank or
+    comment row, its fields."""
     _check_text("".join(row), lineno)
-    if _is_comment(row[0]):
-        return
+    if not row or _is_comment(row[0]):
+        return None
     if len(row) != len(CSV_COLUMNS):
         raise RowError(f"line {lineno}: expected {len(CSV_COLUMNS)} fields, "
                        f"got {len(row)}", line=lineno)
-    _, _, province, _, race, gender, assets_s, perf_s = row
-    if province not in PROVINCES:
+    fund_id, family, province, category, race, gender, assets_s, perf_s = row
+    if province not in _PROVINCE_OF:
         raise RowError(f"line {lineno}: unknown province {province!r}", line=lineno)
-    if race not in RACES:
+    if race not in _RACE_OF:
         raise RowError(f"line {lineno}: unknown manager_race {race!r}", line=lineno)
-    if gender not in GENDERS:
+    if gender not in _GENDER_OF:
         raise RowError(f"line {lineno}: unknown manager_gender {gender!r}",
                        line=lineno)
     try:
@@ -356,37 +341,35 @@ def _check_row(row, lineno: int) -> None:
                        line=lineno)
     if assets < 0:
         raise RowError(f"line {lineno}: negative assets {assets!r}", line=lineno)
+    return (fund_id, family, _PROVINCE_OF[province], category, _RACE_OF[race],
+            _GENDER_OF[gender], assets, performance)
 
 
-def _append_chunk(columns: list, cells: list, first: int) -> None:
-    """Check the rows of a flat cell list all at once, the first on line
-    ``first``, drop the comment rows and append the others to the columns.
-    If any row is faulty, raise the first one's RowError, appending nothing."""
-    chunk = [cells[k::_WIDTH] for k in range(_WIDTH)]
-    text = "".join(chunk[0])
-    if "#" in text:
-        keep = [not _is_comment(cell) for cell in chunk[0]]
-        chunk = [list(compress(column, keep)) for column in chunk]
-        text = "".join(cells)  # a comment row's cells are not checked below
+def _append_block(columns: list, cells: list, first: int) -> None:
+    """Check the rows of a block's flat cell list all at once, the first on
+    line ``first``, and append them to the columns.  If any row is faulty,
+    raise the first one's RowError, appending nothing."""
+    parts = [cells[k::_WIDTH] for k in range(_WIDTH)]
     try:
         # A NUL or escaped byte in a column that a lookup or float() checks
         # fails that check, so the text check needs only the free-text columns.
-        _check_text("".join([text, *chunk[1], *chunk[3]]), first)
-        chunk[2] = list(map(_PROVINCE_OF.__getitem__, chunk[2]))
-        chunk[4] = list(map(_RACE_OF.__getitem__, chunk[4]))
-        chunk[5] = list(map(_GENDER_OF.__getitem__, chunk[5]))
-        assets = chunk[6] = list(map(float, chunk[6]))
-        performance = chunk[7] = list(map(float, chunk[7]))
+        _check_text("".join([*parts[0], *parts[1], *parts[3]]), first)
+        parts[2] = list(map(_PROVINCE_OF.__getitem__, parts[2]))
+        parts[4] = list(map(_RACE_OF.__getitem__, parts[4]))
+        parts[5] = list(map(_GENDER_OF.__getitem__, parts[5]))
+        assets = parts[6] = list(map(float, parts[6]))
+        performance = parts[7] = list(map(float, parts[7]))
     except (RowError, KeyError, ValueError):
         pass
     else:
         if (all(map(math.isfinite, assets)) and all(map(math.isfinite, performance))
                 and (not assets or min(assets) >= 0)):
-            for column, part in zip(columns, chunk):
+            for column, part in zip(columns, parts):
                 column.extend(part)
             return
-    _check_rows(cells, first)
-    raise AssertionError(f"line {first}: a chunk failed with no faulty row")
+    for lineno, row in enumerate(zip(*[iter(cells)] * _WIDTH), start=first):
+        _check_row(row, lineno)
+    raise AssertionError(f"line {first}: a block failed with no faulty row")
 
 
 def summarize(records, group_by: str, value: str) -> list[SummaryRow]:

@@ -7,6 +7,7 @@ import importlib.resources
 import io
 import json
 import os
+import resource
 import shutil
 import signal
 import stat
@@ -720,6 +721,8 @@ def test_outputs_are_the_same_utf8_bytes_under_an_ascii_locale(argv, tmp_path):
     lines = fundstats.bundled_fixture_path().read_text(encoding="utf-8").splitlines()
     rows = [line for line in lines if line and not line.startswith("#")]
     rows[1] = rows[1].replace(rows[1].split(",")[1], "B\u00e4cker-\u2026", 1)
+    # A quoted family sends the rows to csv.reader, which reads them row by row.
+    rows[2] = rows[2].replace(rows[2].split(",")[1], '"B\u00e4cker, S\u00f6hne"', 1)
     (tmp_path / "funds.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     got = {}
     for name, env in [("ascii", ASCII_LOCALE), ("utf8", UTF8_MODE)]:
@@ -734,6 +737,7 @@ def test_outputs_are_the_same_utf8_bytes_under_an_ascii_locale(argv, tmp_path):
     assert stdout == written
     if argv[0] == "funds":
         assert "B\u00e4cker-\u2026".encode() in written
+        assert "B\u00e4cker, S\u00f6hne".encode() in written
 
 
 def test_a_reader_that_stops_early_ends_the_run_quietly(tmp_path):
@@ -1460,6 +1464,35 @@ def test_running_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch, caps
     # numpy raises a MemoryError subclass that it names MemoryError.
     one_error_line(capsys, "error: MemoryError: Unable to allocate ")
     assert os.listdir() == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_a_process_out_of_address_space_exits_1_with_one_line(tmp_path):
+    # A density-1 network of 10^4 nodes needs gigabytes; the child may map
+    # only 256 MiB beyond what importing the CLI took.  One BLAS thread, so
+    # that the probe and the run map the same thread stacks.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import infospread.cli; "
+         "print(open('/proc/self/status').read())"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    peak = next(int(line.split()[1]) for line in probe.stdout.splitlines()
+                if line.startswith("VmPeak:")) * 1024
+    limit = peak + 256 * 2 ** 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "infospread", "network", "gen", "--n", "10000",
+         "--density", "1", "--out", str(tmp_path / "net.csv")],
+        env=env, preexec_fn=cap_address_space, capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith("error: MemoryError: "), done.stderr
+    assert os.listdir(tmp_path) == []
 
 
 def test_each_output_target_is_resolved_once(tmp_path, monkeypatch):

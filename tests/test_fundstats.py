@@ -95,10 +95,13 @@ def test_comment_lines_are_skipped(tmp_path):
 
 
 # -- reference ingest -----------------------------------------------------------
-# Ingest as first written, one frozen dataclass per row, kept verbatim: the
-# NamedTuple records must carry the same values (the sign of a zero included),
-# and a bad file must fail with the same error, message and line, so the
-# first bad line and the order of the row checks stay as they were.
+# Ingest as first written, one frozen dataclass per row, kept verbatim but for
+# its line numbers: the NamedTuple records must carry the same values (the
+# sign of a zero included), and a bad file must fail with the same error,
+# message and line, so the first bad line and the order of the row checks
+# stay as they were.  A row is numbered by the file line it starts on, which
+# csv.reader's line count gives; counting rows instead names the line above
+# once a quoted field has spanned two lines.
 
 @dataclasses.dataclass(frozen=True)
 class ReferenceRecord:
@@ -118,7 +121,9 @@ def reference_ingest_csv(path) -> list[ReferenceRecord]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = None
-        for lineno, row in enumerate(reader, start=1):
+        next_line = 1  # the line the next row starts on
+        for row in reader:
+            lineno, next_line = next_line, reader.line_num + 1
             if not row:
                 continue
             if row[0].lstrip().startswith("#"):
@@ -245,9 +250,9 @@ def test_ingest_matches_the_dataclass_reference(text):
             ingest_outcome(reference_ingest_csv, path)
 
 
-# Ingest checks rows in bulk, one chunk at a time; the generated files above
-# are far smaller than a chunk, so these files span three.
-CHUNK = fundstats._CHUNK_ROWS
+# The generated files above are far smaller than a read; these span many
+# reads, in three parts of up to 8192 rows that the test ids call chunks.
+CHUNK = 8192
 LONG_ROWS = [f"F{k:05d},fam{k % 7},{PROVINCES[k % 8]},{'ABC'[k % 3]},{RACES[k % 3]},"
              f"{GENDERS[k % 3]},{k % 1000}.5,{k % 13 - 6}e-1"
              for k in range(2 * CHUNK + 1000)]
@@ -291,6 +296,29 @@ def test_comment_and_blank_rows_at_a_chunk_boundary(tmp_path, shift):
         ingest_outcome(reference_ingest_csv, path)
 
 
+# A quoted field that spans two lines makes a row of two lines, so each row
+# after it starts one line further on than its count of rows says.
+SPANNING_LINES = {
+    "family": [HEADER, 'F1,"fam\nily",Gauteng,A,white,M,1,0.2'],
+    "comment before the header": ['"# notes\nmore notes"', HEADER],
+}
+
+
+@pytest.mark.parametrize("where", [0, CHUNK + 17], ids=["first-row", "second-chunk"])
+@pytest.mark.parametrize("kind", sorted(SPANNING_LINES))
+def test_a_fault_after_a_field_spanning_lines_is_named_at_its_line(tmp_path, kind,
+                                                                   where):
+    lines = [*SPANNING_LINES[kind], *LONG_ROWS]
+    lines[2 + where] = ROW_FAULTS["unknown province"]
+    path = tmp_path / "funds.csv"
+    path.write_text("\n".join(lines) + "\n")
+    lineno = where + 4
+    expected = (RowError, f"line {lineno}: unknown province 'Atlantis'", lineno)
+    assert ingest_outcome(fundstats.ingest_csv, path) == expected
+    assert ingest_outcome(reference_ingest_csv, path) == expected
+    assert piped_outcome(path.read_bytes()) == expected
+
+
 # Text the csv module cannot read.  The decoder works on blocks of the file,
 # so a row deep in a long file checks that the line is the faulty row's, not
 # the first row of the block that held it.
@@ -332,7 +360,7 @@ def test_utf8_text_is_read_by_both_passes(tmp_path):
     path = tmp_path / "funds.csv"
     path.write_bytes(f"{HEADER}\n{good}\n".encode())
     assert fundstats.ingest_csv(path)[0].family == "Caf\u00e9 \u2013 \U0001f4c8"
-    # A faulty row sends its chunk to the row-by-row checks, which must get
+    # A faulty row sends its block to the row-by-row checks, which must get
     # past the UTF-8 row to the fault.
     path.write_bytes(f"{HEADER}\n{good}\nF2,fam,Atlantis,A,black,F,1,0.5\n".encode())
     with pytest.raises(RowError, match="^line 3: unknown province"):
@@ -423,12 +451,20 @@ def counting_csv_reader(monkeypatch) -> list:
     rows = []
     reader = csv.reader
 
-    def counting(*args, **kwargs):
-        for row in reader(*args, **kwargs):
-            rows.append(row)
-            yield row
+    class Counting:
+        """A csv.reader, its ``line_num`` included, that logs each row."""
 
-    monkeypatch.setattr(csv, "reader", counting)
+        def __init__(self, *args, **kwargs):
+            self.reader = reader(*args, **kwargs)
+
+        def __iter__(self):
+            for row in self.reader:
+                rows.append(row)
+                yield row
+
+        line_num = property(lambda self: self.reader.line_num)
+
+    monkeypatch.setattr(csv, "reader", Counting)
     return rows
 
 
@@ -558,19 +594,22 @@ def test_a_lowered_field_size_limit_holds_in_every_block(tmp_path, width):
 
 
 def test_ingest_memory_beyond_its_table_is_flat_in_row_count(tmp_path):
-    def transient(rows):
+    def transient(rows, quoted):
         lines = [LONG_ROWS[k % len(LONG_ROWS)] for k in range(rows)]
+        if quoted:  # csv.reader reads the file from its first row on
+            lines[0] = lines[0].replace("fam0", '"fam0"')
         path = tmp_path / f"{rows}.csv"
         write_long_file(path, lines)
         table, peak, held = traced_peak_and_held(fundstats.ingest_csv, path)
         assert len(table) == rows
         return peak - held
 
-    # One block's text and cells: 0.6 MiB, against 2.3 MiB for a chunk of
-    # 8192 rows of csv.reader.
-    small, large = transient(20_000), transient(80_000)
-    assert large < 2 ** 20
-    assert abs(large - small) < 2 ** 18
+    # One block's text and cells: 0.5-0.6 MiB; csv.reader's rows, each
+    # checked as it is read: 0.3 MiB.
+    for quoted in (False, True):
+        small, large = transient(20_000, quoted), transient(80_000, quoted)
+        assert large < 2 ** 20, (quoted, large)
+        assert abs(large - small) < 2 ** 18, (quoted, small, large)
 
 
 def test_importing_fundstats_leaves_numpy_unloaded():

@@ -1,8 +1,9 @@
 """Public surface of the package: every exported name resolves, every public
 function or class a module defines is exported, every exported function of
 a model layer is used by another module, no import goes unused, every name
-the benchmark traces resolves, and every work counter it keeps runs on the
-result of a real call.
+the benchmark traces resolves, every work counter it keeps runs on the
+result of a real call, and every Python file of the repository parses under
+Python 3.10's grammar.
 
 A module with no ``__all__`` (``errors``, ``__main__``) is checked for unused
 imports only."""
@@ -24,7 +25,8 @@ from infospread import epi_sir, gossip, netdiff, rdwave
 
 PACKAGE = Path(inspect.getfile(infospread)).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+REPO = Path(__file__).resolve().parents[1]
+TRACING = REPO / "perfbench" / "tracing.py"
 
 LAYERS = ("netdiff", "gossip", "epi_sir", "rdwave", "fundstats")
 
@@ -68,6 +70,17 @@ def test_every_source_file_is_checked():
     names = {p.stem for p in SOURCES}
     assert {"cli", "epi_sir", "fundstats", "gossip", "netdiff", "rdwave"} <= names
     assert len(EXPORTING) >= 7
+
+
+def test_every_python_file_parses_as_python_3_10():
+    # pyproject.toml allows Python 3.10: ast rejects what its grammar lacks
+    # (except*, a starred subscript, ...) on any newer interpreter too.
+    paths = [path for folder in ("src", "tests", "perfbench", "scripts")
+             for path in sorted((REPO / folder).rglob("*.py"))]
+    assert TRACING in paths and Path(__file__).resolve() in paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("path", EXPORTING, ids=lambda p: p.stem)
