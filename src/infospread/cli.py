@@ -27,7 +27,6 @@ import signal
 import stat
 import sys
 from dataclasses import dataclass, fields, replace
-from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -336,31 +335,35 @@ def parse_args(argv=None) -> RunConfig:
 
 # Rows per chunk of CSV text, so the memory an output takes is bounded by a
 # chunk rather than growing with its row count.
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 1024
 
-# Cells of an ndarray column turned into Python scalars at a time.
-_SLICE_CELLS = 256
+# What a text cell must not hold bare: the separator, the quote, a line break.
+_QUOTED = re.compile(r'[,"\r\n]')
 
 
-def _cells(column):
-    """The cells of a column; an ndarray's as Python scalars, read a slice
-    of ``_SLICE_CELLS`` at a time with ``tolist``, which gives the same
-    scalars as ``item`` a cell at a time at a fraction of the calls."""
-    if not isinstance(column, np.ndarray):
-        return column
-    return chain.from_iterable(column[k:k + _SLICE_CELLS].tolist()
-                               for k in range(0, len(column), _SLICE_CELLS))
+def _quoted(cells):
+    """``cells`` (one column's, all of one kind), each text cell that holds a
+    comma, a quote, CR or LF put in double quotes with every quote doubled
+    (RFC 4180).  One search of the joined text clears a whole slice."""
+    if not (cells and isinstance(cells[0], str) and _QUOTED.search("".join(cells))):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _QUOTED.search(c) else c for c in cells]
 
 
 def _csv_chunks(header, columns):
     """CSV text of equal-length columns (1-D ndarrays, ranges, or lists of
     ints, floats or strings) in chunks: the header line, then up to
-    ``_CHUNK_ROWS`` rows at a time, each chunk ending in a newline.  An
-    ndarray's cells are read a slice at a time (``_cells``), so no whole
-    column of Python scalars is alive at once."""
-    yield ",".join(header) + "\n"
-    rows = map(",".join, zip(*(map(str, _cells(c)) for c in columns), strict=True))
-    while lines := list(islice(rows, _CHUNK_ROWS)):
+    ``_CHUNK_ROWS`` rows at a time, each chunk ending in a newline.  Each
+    column is sliced once per chunk, an ndarray slice turned into Python
+    scalars with one ``tolist``, so no whole column of them is alive at once."""
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+    yield ",".join(_quoted(header)) + "\n"
+    for a in range(0, max(lengths, default=0), _CHUNK_ROWS):
+        parts = (c[a:a + _CHUNK_ROWS] for c in columns)
+        cells = [_quoted(p.tolist() if isinstance(p, np.ndarray) else p) for p in parts]
+        lines = list(map(",".join, zip(*(map(str, c) for c in cells))))
         lines.append("")  # the chunk's last newline, without a second copy
         yield "\n".join(lines)
 

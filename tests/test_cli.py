@@ -1,6 +1,7 @@
 """CLI parsing, dispatch, exit statuses, determinism, and the golden trace."""
 
 import contextlib
+import csv
 import errno
 import hashlib
 import importlib.resources
@@ -411,6 +412,27 @@ def test_funds_reports_write_csv_and_json(tmp_path):
     assert len(doc["rows"]) == 8
 
 
+def test_family_names_with_commas_quotes_and_line_breaks_come_out_as_one_cell(tmp_path):
+    path = tmp_path / "funds.csv"
+    path.write_text(",".join(fundstats.CSV_COLUMNS) + "\n"
+                    'F1,"Baecker, Soehne",KZN,A,black,F,1,0.5\n'
+                    'F2,"Say ""hi""",Gauteng,B,white,M,2,0.1\n'
+                    'F3,"two\nlines",KZN,A,black,F,4,-0.5\n', encoding="utf-8")
+    families = sorted(set(fundstats.ingest_csv(path).family))
+    assert families == ["Baecker, Soehne", 'Say "hi"', "two\nlines"]
+    argv = ["funds", "summarize", "--input", str(path), "--group_by", "family",
+            "--value", "assets"]
+    status, stdout, err, _ = invoke(argv)
+    assert status == 0, err
+    status, _, err, files = invoke([*argv, "--out", "r.csv", "--quiet"])
+    assert status == 0, err
+    assert stdout.encode() == files["r.csv"]
+    rows = list(csv.reader(io.StringIO(stdout, newline="")))
+    assert [len(row) for row in rows] == [6] * 4
+    assert sorted(row[0] for row in rows[1:]) == families
+    doc = json.loads(files["r.json"])
+    assert sorted(row["group"] for row in doc["rows"]) == families
+
 
 @pytest.mark.parametrize("action", ["summarize", "provinces", "demographics"])
 def test_funds_manifest_lists_every_file_written(action):
@@ -445,8 +467,8 @@ def test_stdout_emission_without_out(capsys):
 
 # -- CSV writer ------------------------------------------------------------------
 #
-# The row-wise writer the column writer replaced, verbatim; the column writer
-# must write the same bytes for the same table.
+# The row-wise writer the column writer replaced, with text cells quoted as
+# RFC 4180 asks; the column writer must write the same bytes for the same table.
 
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
@@ -458,9 +480,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_cell(value) -> str:
+    text = _fmt(value)
+    if isinstance(value, str) and any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -477,14 +506,22 @@ def column(rows):
         st.lists(INT64, min_size=rows, max_size=rows).map(
             lambda xs: np.array(xs, dtype=np.int64)),
         st.integers(-5, 5).map(lambda start: range(start, start + rows)),
-        st.lists(st.text(max_size=3), min_size=rows, max_size=rows))
+        st.lists(st.text(max_size=3) | st.text(',"\r\na\u00e4 ', max_size=3),
+                 min_size=rows, max_size=rows))
 
 
 @given(st.integers(0, 3).flatmap(lambda rows: st.lists(column(rows), min_size=1,
                                                        max_size=4)))
+@example([["a\rb", "c"], ["d,e", 'f"g\nh']])  # a CR alone in its column
 def test_column_writer_matches_row_writer(columns):
     header = [f"c{k}" for k in range(len(columns))]
-    assert "".join(cli._csv_chunks(header, columns)) == _csv_text(header, zip(*columns))
+    text = "".join(cli._csv_chunks(header, columns))
+    assert text == _csv_text(header, zip(*columns))
+    # Every handler writes two or more columns; a one-column row holding ""
+    # reads back as an empty row.
+    if len(columns) >= 2:
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [
+            header, *([_fmt(cell) for cell in row] for row in zip(*columns))]
 
 
 def whole_csv_text(header, columns) -> str:
@@ -498,7 +535,8 @@ def whole_csv_text(header, columns) -> str:
 CHUNK = cli._CHUNK_ROWS
 
 
-@pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                  4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1])
 def test_chunks_join_to_the_whole_text_writer(rows):
     rng = np.random.default_rng(rows)
     int64 = np.iinfo(np.int64)
@@ -516,7 +554,7 @@ def test_chunks_join_to_the_whole_text_writer(rows):
     assert "".join(chunks).split("\n") == whole_csv_text(header, columns).split("\n")
 
 
-SLICE = cli._SLICE_CELLS
+SLICE = 256  # the ndarray slice width the writer read before it sliced whole chunks
 # Cells whose text is easy to get wrong: signed zeros, nan, the infinities,
 # subnormals and the extremes of each float width.
 SPECIAL64 = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.0 ** -1022 * (1 - 2 ** -52),
@@ -524,7 +562,7 @@ SPECIAL64 = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.0 ** -1022 * (1 - 2 
 SPECIAL32 = [-0.0, np.nan, np.inf, -np.inf, 1e-45, 1.1754942e-38, 3.4028235e38, 0.1]
 
 
-@pytest.mark.parametrize("rows", [0, 1, SLICE - 1, SLICE, SLICE + 1, CHUNK + SLICE + 1])
+@pytest.mark.parametrize("rows", [0, 1, SLICE - 1, SLICE, SLICE + 1, 4 * CHUNK + SLICE + 1])
 def test_ndarray_columns_read_in_slices_give_each_cell_its_item_text(rows):
     rng = np.random.default_rng(rows)
     int64 = np.iinfo(np.int64)
@@ -557,6 +595,13 @@ def test_writer_memory_is_flat_in_row_count(tmp_path):
             (out, cli._csv_chunks(("t", "S", "I", "R"), columns))]))[1]
 
     assert abs(peak(10 ** 5) - peak(10 ** 4)) < 2 ** 20
+
+
+def test_writer_memory_is_under_768_kib_for_100k_rows_of_four_floats():
+    columns = [np.linspace(0.0, 1.0, 10 ** 5) + k / 3 for k in range(4)]
+    header = ("t", "S", "I", "R")
+    peak = traced_peak(lambda: sum(map(len, cli._csv_chunks(header, columns))))[1]
+    assert peak < 768 * 2 ** 10
 
 
 def test_sir_memory_beyond_its_trajectory_is_flat_in_horizon(tmp_path):
@@ -651,7 +696,7 @@ def test_fund_jobs_peak_rss_is_a_few_mebibytes_over_the_import(tmp_path):
 
 def test_a_chunk_that_raises_leaves_no_file(tmp_path):
     out = tmp_path / "out.csv"
-    with pytest.raises(ValueError):  # zip(strict=True) on unequal columns
+    with pytest.raises(ValueError):  # the writer's check for unequal columns
         cli._write_files(out_config(out),
                          [(out, cli._csv_chunks(("a", "b"), ([1, 2, 3], [1, 2])))])
     assert not list(tmp_path.iterdir())
