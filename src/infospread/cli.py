@@ -281,6 +281,8 @@ def parse_args(argv=None) -> RunConfig:
         raise UsageError("--seed must be a 64-bit nonnegative integer, "
                          f"got {shown(seed)}")
     out = pick("out", _COMMON["out"])
+    if out == "":
+        raise UsageError("--out must not be empty")
     quiet = pick("quiet", _COMMON["quiet"])
     if args.subcommand == "sir":
         preset = pick("preset", flags["preset"])
@@ -370,8 +372,11 @@ def _csv_chunks(header, columns):
 
 def _output_target(path) -> Path:
     """The file an output at ``path`` writes: ``path`` itself, or a
-    symlink's target, the link being kept.  An existing target that is not
-    a regular file (a directory, a FIFO, a device) is refused."""
+    symlink's target, the link being kept.  A path that ends in a separator,
+    ".", or "..", and an existing target that is not a regular file (a
+    directory, a FIFO, a device), are refused."""
+    if os.path.basename(path) in ("", ".", ".."):  # it names no file
+        raise IsADirectoryError(f"output path is a directory: {str(path)!r}")
     path = target = Path(path)
     try:
         st = os.lstat(path)
@@ -473,7 +478,8 @@ def _emit(config: RunConfig, chunks, extra=None, mirror=None) -> None:
         return
     files = [(config.out, chunks)]
     if mirror is not None:
-        files.append((Path(config.out).with_suffix(".json"),
+        # Split as a str, so an --out naming no file reaches _write_files' check.
+        files.append((os.path.splitext(config.out)[0] + ".json",
                       [json.dumps(mirror, indent=2, sort_keys=True) + "\n"]))
     _write_files(config, files, extra)
     if not config.quiet:
@@ -594,7 +600,7 @@ _REFERENCE_SECTIONS = {"summarize": "summary", "provinces": "provinces",
 
 def _run_funds(config: RunConfig) -> None:
     # The JSON mirror is --out with its suffix replaced by .json.
-    if config.out is not None and Path(config.out).suffix == ".json":
+    if config.out is not None and os.path.splitext(config.out)[1] == ".json":
         raise UsageError("--out must not end in .json, the path of the report's "
                          f"JSON mirror, got {config.out!r}")
     source = config.params["input"]

@@ -9,10 +9,10 @@ race/gender values, and nonnegative assets.  Every rejected row reports
 the file line it starts on, also after a quoted field that spans lines.
 The file is read in one pass over one handle, so it may be a pipe.  After
 the header, blocks of whole lines that hold no quote and no comment row are
-split at commas with str methods and checked in bulk, and only a block that
-fails is checked row by row to name its first faulty row; from the first
-block that needs the csv module on, csv.reader splits the rest and each of
-its rows is checked as it is read.  Both give the same records and errors.
+split at commas with str methods and checked in bulk.  From the first block
+that is not, or that fails a check, csv.reader splits the rest and each of
+its rows is checked as it is read, so only csv.reader names a faulty row.
+Both give the same records.
 Records are read into a ``FundTable``, one list per field, and the reports
 read its columns.
 
@@ -156,10 +156,9 @@ class FundTable(Sequence):
 
 _RECORD_VALUES = attrgetter(*CSV_COLUMNS)
 _WIDTH = len(CSV_COLUMNS)
-# Characters read at a time after the header.  A block is a read's whole
-# lines and the unfinished line of the read before, so it stays under the
-# csv module's default field size limit (131072) and its cells need no
-# length check.
+# Characters read at a time after the header.  A block is a read and the
+# rest of its last line, so it holds whole lines, and its length is a read's
+# plus one line's.
 _READ_CHARS = 2 ** 16
 # Each enumerated value mapped to the package's own string, so every row
 # shares it and a lookup validates the value.
@@ -174,31 +173,28 @@ def ingest_csv(path) -> FundTable:
 
     The file is opened once and read once, so ``path`` may be a pipe.  The
     csv module reads the lines through the header.  After it the file is
-    read ``_READ_CHARS`` characters at a time, and each read's whole lines
-    make a block.  A block that csv.reader would split at its commas alone
-    (no quote, no CR but those of CRLF, eight cells on every line, none over
-    the field size limit) and that holds no comment row is split with str
-    methods and checked in bulk; if that check fails, its rows are checked
-    one by one in file order, so the first faulty row is reported with the
-    same error and line as a row-by-row read.  The first block that is not,
-    or a read with no line end, hands the rest of the file, from that
-    block's first line on, to csv.reader, which checks each row as it reads
-    it.  A row's line is the file line it starts on.  The file must be
-    UTF-8: a row holding bytes that are not, a NUL character, or text the
-    csv module cannot split (a field over its size limit), is a RowError
-    naming its line, or a SchemaError if no header came before it.
+    read in blocks: ``_READ_CHARS`` characters and the rest of the line the
+    last of them is on.  A block that csv.reader would split at its commas
+    alone (no quote, no CR but those of CRLF, eight cells on every line,
+    none over the field size limit) and that holds no comment row is split
+    with str methods and checked in bulk.  The
+    first block that is not, or that fails a check, hands the rest of the
+    file, from that block's first line on, to csv.reader, which checks each
+    row as it reads it, so a faulty row is named by csv.reader alone.  A
+    row's line is the file line it starts on.  The file must be UTF-8: a
+    row holding bytes that are not, a NUL character, or text the csv module
+    cannot split (a field over its size limit), is a RowError naming its
+    line, or a SchemaError if no header came before it.
 
     Cost: a quote-free block takes a ``str.replace`` and a ``str.split``
     (one more ``str.replace`` if it holds a CR), and a count over every
     ninth cell checks its widths, so no Python code runs per row.  On a
-    2-core x86-64 host the benchmark's 50k-row file (3.3 MB) reads in about
-    57 ms (medians of 15 interleaved calls in one process); about 15 ms of
-    it is the split and 25 ms the bulk checks, float parsing most of that.
-    csv.reader's rows each run Python code: a 50k-row file like it, its
-    first row quoted, reads in 116-137 ms (medians of 9 calls), twice the
-    time.  Memory: beside the table the read holds one block, its text and
-    its cells, or one csv.reader row: 0.5-0.6 MiB or 0.28 MiB at 20k to 80k
-    rows.
+    2-core x86-64 host the benchmark's 50k-row file (2.7 MB) reads in about
+    41 ms; csv.reader's rows each run Python code, and the same file with
+    its first row quoted reads in about 114 ms (medians of 15 calls in one
+    process).  Memory: beside the table the read holds one block, its text
+    and its columns, or one csv.reader row: 0.3-0.4 MiB or 0.28 MiB at 20k
+    to 80k rows.
     """
     columns = [[] for _ in CSV_COLUMNS]
     # surrogateescape decodes every byte, so an undecodable one is named by
@@ -211,40 +207,42 @@ def ingest_csv(path) -> FundTable:
 
 
 def _read_blocks(fh, columns: list, first: int):
-    """Append the rows of ``fh``'s quote-free blocks to the columns, the
-    first on line ``first``.  Returns the line of the next row, and the
-    lines from it on: what is left of the file, as ``fh`` would give them."""
+    """Append the rows of ``fh``'s blocks to the columns, the first on line
+    ``first``, up to the first block that ``_block_columns`` refuses.
+    Returns the line of the next row, and the lines from it on: what is
+    left of the file, as ``fh`` would give them."""
     limit = csv.field_size_limit()
-    text = ""  # the unfinished line
-    while end := (data := fh.read(_READ_CHARS)).rfind("\n") + 1:
-        block, text = text + data[:end], data[end:]
-        cells = _block_cells(block, limit)
-        if cells is None:
-            text = block + text
-            break
-        _append_block(columns, cells, first)
-        first += len(cells) // _WIDTH
-        del data, block, cells  # so that one block at a time is held
-    else:
-        text += data
-    # The unfinished line is completed from fh, so that every line handed on
-    # starts and ends where fh's own would.
-    return first, chain(io.StringIO(text + fh.readline(), newline=""), fh)
+    # fh is opened with newline="", so readline stops at LF, CRLF or a lone
+    # CR: every block ends where one of fh's own lines does, and a file of
+    # lone CRs is read a block at a time too.
+    while block := fh.read(_READ_CHARS) + fh.readline():
+        parts = _block_columns(block, limit)
+        if parts is None:
+            return first, chain(io.StringIO(block, newline=""), fh)
+        for column, part in zip(columns, parts):
+            column.extend(part)
+        first += len(parts[0])
+        del block, parts  # so that one block at a time is held
+    return first, fh
 
 
-def _block_cells(block: str, limit: int):
-    """The cells of a block of whole lines, row after row, if csv.reader
-    would split it at its commas alone (no quote, no CR but those of CRLF,
-    ``_WIDTH`` cells on every line and none over ``limit`` characters) and
-    it holds no comment row.  Otherwise None."""
+def _block_columns(block: str, limit: int):
+    """The ``_WIDTH`` checked columns of a block of whole lines, if
+    csv.reader would split it at its commas alone (no quote, no CR but
+    those of CRLF, ``_WIDTH`` cells on every line and none over ``limit``
+    characters) and it holds no comment row and no faulty row.  Otherwise
+    None."""
     if '"' in block:
         return None
+    if block[-1] != "\n":  # the file's last line, or a line ending in a lone CR
+        block += "\n"  # which csv.reader splits as it would with a LF
     if "\r" in block:
         block = block.replace("\r\n", "\n")
         if "\r" in block:
             return None
     # Each line's cells, then "\n" as a cell of its own, then "" at the end:
-    # every line has _WIDTH cells iff each (_WIDTH + 1)-th cell is a "\n".
+    # every line has _WIDTH cells iff each (_WIDTH + 1)-th cell is a "\n"
+    # and no other is, which the column checks below see to.
     cells = block.replace("\n", ",\n,").split(",")
     rows, extra = divmod(len(cells), _WIDTH + 1)
     if extra != 1 or cells[_WIDTH::_WIDTH + 1].count("\n") != rows:
@@ -253,9 +251,24 @@ def _block_cells(block: str, limit: int):
         return None
     if len(block) > limit and max(map(len, cells)) > limit:
         return None
-    del cells[_WIDTH::_WIDTH + 1]
-    cells.pop()
-    return cells
+    parts = [cells[k:-1:_WIDTH + 1] for k in range(_WIDTH)]
+    del cells
+    # A "\n", NUL or escaped byte in a column that a lookup or float() checks
+    # fails that check, so the text checks need only the free-text columns.
+    text = "".join([*parts[0], *parts[1], *parts[3]])
+    if "\n" in text:
+        return None
+    try:
+        _check_text(text, 0)  # its RowError only refuses the block
+        parts[2] = list(map(_PROVINCE_OF.__getitem__, parts[2]))
+        parts[4] = list(map(_RACE_OF.__getitem__, parts[4]))
+        parts[5] = list(map(_GENDER_OF.__getitem__, parts[5]))
+        assets = parts[6] = list(map(float, parts[6]))
+        performance = parts[7] = list(map(float, parts[7]))
+    except (RowError, KeyError, ValueError):
+        return None
+    finite = all(map(math.isfinite, assets)) and all(map(math.isfinite, performance))
+    return parts if finite and min(assets) >= 0 else None
 
 
 def _read_rows(reader, columns: list, first: int) -> None:
@@ -343,33 +356,6 @@ def _check_row(row, lineno: int):
         raise RowError(f"line {lineno}: negative assets {assets!r}", line=lineno)
     return (fund_id, family, _PROVINCE_OF[province], category, _RACE_OF[race],
             _GENDER_OF[gender], assets, performance)
-
-
-def _append_block(columns: list, cells: list, first: int) -> None:
-    """Check the rows of a block's flat cell list all at once, the first on
-    line ``first``, and append them to the columns.  If any row is faulty,
-    raise the first one's RowError, appending nothing."""
-    parts = [cells[k::_WIDTH] for k in range(_WIDTH)]
-    try:
-        # A NUL or escaped byte in a column that a lookup or float() checks
-        # fails that check, so the text check needs only the free-text columns.
-        _check_text("".join([*parts[0], *parts[1], *parts[3]]), first)
-        parts[2] = list(map(_PROVINCE_OF.__getitem__, parts[2]))
-        parts[4] = list(map(_RACE_OF.__getitem__, parts[4]))
-        parts[5] = list(map(_GENDER_OF.__getitem__, parts[5]))
-        assets = parts[6] = list(map(float, parts[6]))
-        performance = parts[7] = list(map(float, parts[7]))
-    except (RowError, KeyError, ValueError):
-        pass
-    else:
-        if (all(map(math.isfinite, assets)) and all(map(math.isfinite, performance))
-                and (not assets or min(assets) >= 0)):
-            for column, part in zip(columns, parts):
-                column.extend(part)
-            return
-    for lineno, row in enumerate(zip(*[iter(cells)] * _WIDTH), start=first):
-        _check_row(row, lineno)
-    raise AssertionError(f"line {first}: a block failed with no faulty row")
 
 
 def summarize(records, group_by: str, value: str) -> list[SummaryRow]:

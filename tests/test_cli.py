@@ -1276,7 +1276,7 @@ def test_an_output_path_through_a_file_is_named(tmp_path, through):
 
 def test_directory_as_output_exits_3():
     status, _, err, _ = invoke(["sir", "--preset", "fig6b", "--horizon", "1",
-                                "--out", ""])
+                                "--out", "."])
     assert status == 3
     assert_one_line(err, "error: IsADirectoryError: ")
 
@@ -1285,6 +1285,24 @@ SIR_OUT = ["sir", "--preset", "fig6b", "--horizon", "1", "--quiet", "--out"]
 RD_OUT = ["rd", "--length", "4", "--horizon", "1", "--snapshot_every", "100",
           "--quiet", "--out"]
 PROV_OUT = ["funds", "provinces", "--quiet", "--out"]
+
+
+# An --out that names no file: empty is a usage error, and one that ends in a
+# separator, "." or ".." is a directory, refused before anything is made.
+@pytest.mark.parametrize("argv, status", [
+    ([*PROV_OUT, ""], 2), ([*RD_OUT, ""], 2), ([*SIR_OUT, ""], 2),
+    ([*PROV_OUT, "."], 3), ([*PROV_OUT, "/"], 3), ([*PROV_OUT, ".."], 3),
+    ([*PROV_OUT, "sub/"], 3), ([*SIR_OUT, "sub/"], 3), ([*PROV_OUT, "sub/."], 3),
+    ([*SIR_OUT, "new/sub/.."], 3),
+], ids=["funds-empty", "rd-empty", "sir-empty", "funds-dot", "funds-root",
+        "funds-dotdot", "funds-slash", "sir-slash", "funds-slash-dot", "sir-new-dotdot"])
+def test_an_out_naming_no_file_exits_with_one_line_and_makes_nothing(
+        tmp_path, monkeypatch, capsys, argv, status):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == status
+    prefix = "usage error: --out" if status == 2 else "error: IsADirectoryError: "
+    assert_one_line(capsys.readouterr().err, prefix)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],

@@ -242,6 +242,8 @@ def ingest_outcome(ingest, path):
 @example(text=HEADER + "\nF1,fam,KZN,A,black,F,-0.0,-0.0\nF2,fam,KZN,A,black,F,0,0\n")
 @example(text=HEADER + "\nF1,fam,Atlantis,A,green,X,nan,-1\n")
 @example(text=HEADER + "\nF1,fam,KZN,A,black,F,-1,inf\nF2,fam,KZN,A,black,F,1\n")
+@example(text=HEADER + "\nF1,fam,Gauteng\nwhite,M,1,0.2\n")  # 3 + 4 cells
+@example(text=HEADER + "\nF1,fam,KZN,A,black,F,1,0\nF2")
 def test_ingest_matches_the_dataclass_reference(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "funds.csv"
@@ -360,8 +362,8 @@ def test_utf8_text_is_read_by_both_passes(tmp_path):
     path = tmp_path / "funds.csv"
     path.write_bytes(f"{HEADER}\n{good}\n".encode())
     assert fundstats.ingest_csv(path)[0].family == "Caf\u00e9 \u2013 \U0001f4c8"
-    # A faulty row sends its block to the row-by-row checks, which must get
-    # past the UTF-8 row to the fault.
+    # A faulty row sends its block to csv.reader, which must get past the
+    # UTF-8 row to the fault.
     path.write_bytes(f"{HEADER}\n{good}\nF2,fam,Atlantis,A,black,F,1,0.5\n".encode())
     with pytest.raises(RowError, match="^line 3: unknown province"):
         fundstats.ingest_csv(path)
@@ -439,10 +441,23 @@ def test_a_pipe_names_the_fault_of_its_file(tmp_path, fault):
     assert piped_outcome(path.read_bytes()) == outcome
 
 
-# After the header ingest reads _READ_CHARS characters at a time and splits
-# each read's whole lines with str methods, until a block or a read that
-# csv.reader must split hands it the rest of the file.
+# After the header ingest reads blocks of _READ_CHARS characters and the rest
+# of the last one's line, and splits each with str methods, until a block
+# that csv.reader must split, or that fails a check, hands it the rest of the
+# file.
 READ = fundstats._READ_CHARS
+
+
+def block_start(lines, k: int) -> int:
+    """The index of the first line of block ``k`` (the first is 0) of a file
+    of ``lines``, each ending in LF: a comment, the header, then rows."""
+    ends = list(itertools.accumulate(len(line) + 1 for line in lines))
+    start = ends[1]
+    for _ in range(k):
+        # A block ends at the first line end past its read, where readline
+        # stops.
+        start = next(end for end in ends if end > start + READ)
+    return ends.index(start) + 1
 
 
 def counting_csv_reader(monkeypatch) -> list:
@@ -482,10 +497,7 @@ def test_clean_blocks_skip_csv_reader(tmp_path, monkeypatch, newline):
 
 def test_csv_reader_reads_from_the_first_block_that_needs_it(tmp_path, monkeypatch):
     lines = ["# notes", HEADER, *LONG_ROWS]
-    ends = list(itertools.accumulate(len(line) + 1 for line in lines))
-    start = ends[1]  # where the first read starts
-    # The third block holds the lines that end in the third read.
-    third = next(k for k, end in enumerate(ends) if end > start + 2 * READ)
+    third = block_start(lines, 2)
     lines[third + 5] = 'F1,"fam, quoted",Gauteng,A,white,M,1,0.2'
     path = tmp_path / "funds.csv"
     path.write_text("\n".join(lines) + "\n")
@@ -495,6 +507,36 @@ def test_csv_reader_reads_from_the_first_block_that_needs_it(tmp_path, monkeypat
     assert rows[2:] == [line.split(",") for line in lines[third:third + 5]] + \
         [["F1", "fam, quoted", "Gauteng", "A", "white", "M", "1", "0.2"]] + \
         [line.split(",") for line in lines[third + 6:]]
+
+
+# One faulty row in a quote-free block well past the first: the bulk check
+# refuses the block, and csv.reader names the row.  (Its bytes, and the
+# message of its RowError.)
+BULK_FAULTS = {
+    "unknown province": (ROW_FAULTS["unknown province"].encode(),
+                         "unknown province 'Atlantis'"),
+    "negative assets": (ROW_FAULTS["negative assets"].encode(), "negative assets -5.0"),
+    "not UTF-8": UNREADABLE["not UTF-8"],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BULK_FAULTS))
+def test_a_block_that_fails_its_bulk_check_is_read_by_csv_reader(tmp_path, monkeypatch,
+                                                                 fault):
+    row, message = BULK_FAULTS[fault]
+    lines = [line.encode() for line in ["# notes", HEADER, *LONG_ROWS]]
+    fourth = block_start(lines, 3)
+    lines[fourth + 5] = row
+    path = tmp_path / "funds.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    lineno = fourth + 6
+    expected = (RowError, f"line {lineno}: {message}", lineno)
+    if fault != "not UTF-8":  # the reference reads UTF-8 alone
+        assert ingest_outcome(reference_ingest_csv, path) == expected
+    rows = counting_csv_reader(monkeypatch)
+    assert ingest_outcome(fundstats.ingest_csv, path) == expected
+    assert rows[2:] == [line.decode(errors="surrogateescape").split(",")
+                        for line in lines[fourth:fourth + 6]]
 
 
 FILL_ROW = "F{:06d},fam,Gauteng,A,white,M,1.5,0.25\n"
@@ -520,6 +562,8 @@ IRREGULAR_LINES = {
     "lone CR in 8 cells": (b"F1,fam,Gauteng,A\r,white,M,1,0.2\n", None),
     "rows of 7 and 9 cells": (b"F1,fam,Gauteng,A,white,M,1\n"
                               b"F2,fam,KZN,A,black,F,2,0.1,extra\n", None),
+    # Eight cells on two lines: the LF between them falls where a category is.
+    "rows of 3 and 4 cells": (b"F1,fam,Gauteng\nwhite,M,1,0.2\n", None),
     "blank": (b"\n", None),
     "comment of 1 cell": (b"# note\n", None),
     "comment of 8 cells": (b"# F1,fam,Gauteng,A,white,M,1,0.2\n", None),
@@ -531,6 +575,7 @@ IRREGULAR_LINES = {
     "longer than a read": (
         b"F1," + b"x" * FIELD_LIMIT + b",Gauteng,A,white,M,1,0.2\n", None),
     "last, with no LF": (b"F1,fam,Gauteng,A,white,M,1,0.2", None),
+    "last, of 1 cell with no LF": (b"F1", None),
 }
 # Where the line starts, from the end of a read past the first block (the
 # second, or a later one for a line longer than a read): it is that read's
@@ -594,22 +639,25 @@ def test_a_lowered_field_size_limit_holds_in_every_block(tmp_path, width):
 
 
 def test_ingest_memory_beyond_its_table_is_flat_in_row_count(tmp_path):
-    def transient(rows, quoted):
+    def transient(rows, quoted, newline):
         lines = [LONG_ROWS[k % len(LONG_ROWS)] for k in range(rows)]
         if quoted:  # csv.reader reads the file from its first row on
             lines[0] = lines[0].replace("fam0", '"fam0"')
         path = tmp_path / f"{rows}.csv"
-        write_long_file(path, lines)
+        path.write_text(newline.join([HEADER, *lines]) + newline, newline="")
         table, peak, held = traced_peak_and_held(fundstats.ingest_csv, path)
         assert len(table) == rows
         return peak - held
 
-    # One block's text and cells: 0.5-0.6 MiB; csv.reader's rows, each
-    # checked as it is read: 0.3 MiB.
-    for quoted in (False, True):
-        small, large = transient(20_000, quoted), transient(80_000, quoted)
-        assert large < 2 ** 20, (quoted, large)
-        assert abs(large - small) < 2 ** 18, (quoted, small, large)
+    # One block's text and columns: 0.3-0.4 MiB; csv.reader's rows, each
+    # checked as it is read: 0.3 MiB.  A file of lone CRs goes to csv.reader
+    # from its first block, which is a read and one line, as readline stops
+    # at a lone CR.
+    for quoted, newline in [(False, "\n"), (True, "\n"), (False, "\r")]:
+        small, large = (transient(20_000, quoted, newline),
+                        transient(80_000, quoted, newline))
+        assert large < 2 ** 20, (quoted, newline, large)
+        assert abs(large - small) < 2 ** 18, (quoted, newline, small, large)
 
 
 def test_importing_fundstats_leaves_numpy_unloaded():
