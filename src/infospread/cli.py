@@ -370,13 +370,19 @@ def _csv_chunks(header, columns):
         yield "\n".join(lines)
 
 
+def _check_names_a_file(path) -> None:
+    """Refuse an output path, or an rd prefix, that names no file: one that
+    ends in a separator, ".", or ".."."""
+    if os.path.basename(path) in ("", ".", ".."):
+        raise IsADirectoryError(f"output path is a directory: {str(path)!r}")
+
+
 def _output_target(path) -> Path:
     """The file an output at ``path`` writes: ``path`` itself, or a
-    symlink's target, the link being kept.  A path that ends in a separator,
-    ".", or "..", and an existing target that is not a regular file (a
-    directory, a FIFO, a device), are refused."""
-    if os.path.basename(path) in ("", ".", ".."):  # it names no file
-        raise IsADirectoryError(f"output path is a directory: {str(path)!r}")
+    symlink's target, the link being kept.  A path that names no file, and
+    an existing target that is not a regular file (a directory, a FIFO, a
+    device), are refused."""
+    _check_names_a_file(path)
     path = target = Path(path)
     try:
         st = os.lstat(path)
@@ -424,9 +430,10 @@ def _write_files(config: RunConfig, files, extra=None) -> None:
     before any byte is written.  Each file is written as UTF-8 to a
     temporary file in its target's directory, with mode ``0o666 & ~umask``
     as ``open`` would create it; once all are complete they are renamed
-    into place, the manifest last.  A temporary name is staged before its
-    file is created, so on any exception every staged file is removed.
-    One window is left: a rename that fails, or an interrupt, partway
+    into place, the manifest last, with SIGINT and SIGTERM held until the
+    last rename is done, so no interrupt splits the set.  A temporary name
+    is staged before its file is created, so on any exception every staged
+    file is removed.  One window is left: a rename that fails partway
     through the renames leaves the files renamed before it, with no
     manifest.  A directory or temporary file that cannot be created is
     reported with its output path."""
@@ -458,9 +465,13 @@ def _write_files(config: RunConfig, files, extra=None) -> None:
                                          f"{str(path)!r}") from None
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(chunks)
-        for target in targets:
-            os.replace(staged[0], target)
-            del staged[0]
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
+        try:
+            for target in targets:
+                os.replace(staged[0], target)
+                del staged[0]
+        finally:  # a signal that came meanwhile is delivered here
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
     except BaseException:
         for tmp in staged:
             # A name not yet created, or already renamed, is gone: its
@@ -556,6 +567,7 @@ def _run_rd(config: RunConfig) -> None:
     p = config.params
     if config.out is None:
         raise UsageError("rd requires --out (used as the snapshot file prefix)")
+    _check_names_a_file(config.out)  # a prefix like "." or "sub/" names no file stem
     cfg = rdwave.ReactionDiffusionConfig(
         d_coeff=p["D"], r_rate=p["r"], k_cap=p["K"], dx=p["dx"], dt=p["dt"],
         length=p["length"], horizon=p["horizon"])
@@ -584,14 +596,14 @@ def _run_fastslow(config: RunConfig) -> None:
           extra={"sup_deviation": result.sup_deviation})
 
 
-def _funds_rows(action: str, params: dict, records):
+def _funds_rows(action: str, params: dict, table: fundstats.FundTable):
     """The report's row dataclass and its rows."""
     if action == "summarize":
         return fundstats.SummaryRow, fundstats.summarize(
-            records, params["group_by"], params["value"])
+            table, params["group_by"], params["value"])
     if action == "provinces":
-        return fundstats.ProvinceRow, fundstats.province_report(records)
-    return fundstats.DemographicsRow, fundstats.demographics_report(records)
+        return fundstats.ProvinceRow, fundstats.province_report(table)
+    return fundstats.DemographicsRow, fundstats.demographics_report(table)
 
 
 _REFERENCE_SECTIONS = {"summarize": "summary", "provinces": "provinces",
@@ -605,8 +617,8 @@ def _run_funds(config: RunConfig) -> None:
                          f"JSON mirror, got {config.out!r}")
     source = config.params["input"]
     path = fundstats.bundled_fixture_path() if source is None else source
-    records = fundstats.ingest_csv(path)
-    row_type, rows = _funds_rows(config.action, config.params, records)
+    table = fundstats.ingest_csv(path)
+    row_type, rows = _funds_rows(config.action, config.params, table)
     header = [f.name for f in fields(row_type)]
     docs = [{name: getattr(row, name) for name in header} for row in rows]
     _emit(config, _csv_chunks(header, [[doc[name] for doc in docs] for name in header]),

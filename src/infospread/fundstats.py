@@ -14,7 +14,7 @@ that is not, or that fails a check, csv.reader splits the rest and each of
 its rows is checked as it is read, so only csv.reader names a faulty row.
 Both give the same records.
 Records are read into a ``FundTable``, one list per field, and the reports
-read its columns.
+take that table and read its columns.
 
 Summary statistics stream through Welford accumulation; records are put in
 a canonical order first and asset totals use exact summation, so shuffling
@@ -34,11 +34,8 @@ import io
 import json
 import math
 from collections import defaultdict
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
-from typing import NamedTuple
 
 from .errors import RowError, SchemaError, UnknownFieldError
 
@@ -47,7 +44,6 @@ __all__ = [
     "RACES",
     "GENDERS",
     "CSV_COLUMNS",
-    "FundRecord",
     "FundTable",
     "SummaryRow",
     "ProvinceRow",
@@ -68,20 +64,6 @@ CSV_COLUMNS = ("fund_id", "family", "province", "category",
                "manager_race", "manager_gender", "assets", "performance")
 
 _NUMERIC_FIELDS = ("assets", "performance")
-
-
-class FundRecord(NamedTuple):
-    fund_id: str
-    family: str
-    province: str
-    category: str
-    manager_race: str
-    manager_gender: str
-    assets: float
-    performance: float
-
-
-_FIELD_NAMES = frozenset(FundRecord._fields)
 
 
 @dataclass(frozen=True)
@@ -115,13 +97,10 @@ class DemographicsRow:
     pct_of_assets: float
 
 
-class FundTable(Sequence):
+class FundTable:
     """Fund records held as columns: one list per name in ``CSV_COLUMNS``,
-    each an attribute of that name.
-
-    As a sequence it holds ``FundRecord``s: ``len`` counts rows, an index
-    builds that row's record, and a slice is a list of records.
-    """
+    each an attribute of that name and all of one length, the row count
+    that ``len`` gives.  Row k of the file is the k-th value of each list."""
 
     __slots__ = CSV_COLUMNS
 
@@ -129,32 +108,10 @@ class FundTable(Sequence):
         for name, column in zip(CSV_COLUMNS, columns, strict=True):
             setattr(self, name, column)
 
-    @classmethod
-    def from_records(cls, records) -> FundTable:
-        """The columns of an iterable of records (anything with the
-        ``FundRecord`` field names as attributes); a table is returned as is."""
-        if isinstance(records, cls):
-            return records
-        columns = [list(column) for column in zip(*map(_RECORD_VALUES, records))]
-        return cls(*columns) if columns else cls(*([] for _ in CSV_COLUMNS))
-
-    def _columns(self):
-        return [getattr(self, name) for name in CSV_COLUMNS]
-
     def __len__(self) -> int:
         return len(self.fund_id)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(FundRecord._make,
-                            zip(*(column[index] for column in self._columns()))))
-        return tuple.__new__(FundRecord, [column[index] for column in self._columns()])
 
-    def __iter__(self):
-        return map(FundRecord._make, zip(*self._columns()))
-
-
-_RECORD_VALUES = attrgetter(*CSV_COLUMNS)
 _WIDTH = len(CSV_COLUMNS)
 # Characters read at a time after the header.  A block is a read and the
 # rest of its last line, so it holds whole lines, and its length is a read's
@@ -181,10 +138,12 @@ def ingest_csv(path) -> FundTable:
     first block that is not, or that fails a check, hands the rest of the
     file, from that block's first line on, to csv.reader, which checks each
     row as it reads it, so a faulty row is named by csv.reader alone.  A
-    row's line is the file line it starts on.  The file must be UTF-8: a
-    row holding bytes that are not, a NUL character, or text the csv module
-    cannot split (a field over its size limit), is a RowError naming its
-    line, or a SchemaError if no header came before it.
+    row's line is the file line it starts on.  The file must be UTF-8, and
+    a byte-order mark before its first line is read as the encoding's
+    signature, not as text.  A row holding bytes that are not UTF-8, a NUL
+    character, or text the csv module cannot split (a field over its size
+    limit), is a RowError naming its line, or a SchemaError if no header
+    came before it.
 
     Cost: a quote-free block takes a ``str.replace`` and a ``str.split``
     (one more ``str.replace`` if it holds a CR), and a count over every
@@ -199,7 +158,7 @@ def ingest_csv(path) -> FundTable:
     columns = [[] for _ in CSV_COLUMNS]
     # surrogateescape decodes every byte, so an undecodable one is named by
     # the row that holds it.
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         first = _read_header(csv.reader(fh)) + 1  # the line of the next row
         first, rest = _read_blocks(fh, columns, first)
         _read_rows(csv.reader(rest), columns, first)
@@ -358,7 +317,7 @@ def _check_row(row, lineno: int):
             _GENDER_OF[gender], assets, performance)
 
 
-def summarize(records, group_by: str, value: str) -> list[SummaryRow]:
+def summarize(table: FundTable, group_by: str, value: str) -> list[SummaryRow]:
     """Per-group mean/std/min/max/count of a numeric field.
 
     Streams each group through Welford accumulation after canonical
@@ -368,9 +327,8 @@ def summarize(records, group_by: str, value: str) -> list[SummaryRow]:
     if value not in _NUMERIC_FIELDS:
         raise UnknownFieldError(
             f"value field must be numeric ({_NUMERIC_FIELDS}), got {value!r}")
-    if group_by not in _FIELD_NAMES:
+    if group_by not in CSV_COLUMNS:
         raise UnknownFieldError(f"fund records have no field {group_by!r}")
-    table = FundTable.from_records(records)
     groups = _group(map(str, getattr(table, group_by)),
                     map(float, getattr(table, value)))
     rows: list[SummaryRow] = []
@@ -411,7 +369,7 @@ def _pct(part, whole) -> float:
     return 100.0 * part / whole if whole else 0.0
 
 
-def province_report(records) -> tuple[ProvinceRow, ...]:
+def province_report(table: FundTable) -> tuple[ProvinceRow, ...]:
     """Family/fund counts and percentage shares per province, one row for
     every province, ranked by family count descending (ties keep the
     canonical province order).
@@ -419,7 +377,6 @@ def province_report(records) -> tuple[ProvinceRow, ...]:
     Missing provinces appear with zeros.  Asset shares use exact summation,
     so input order cannot change them.
     """
-    table = FundTable.from_records(records)
     families: dict[str, set[str]] = {p: set() for p in PROVINCES}
     assets: dict[str, list[float]] = {p: [] for p in PROVINCES}
     for province, family, x in zip(table.province, table.family, table.assets):
@@ -436,9 +393,8 @@ def province_report(records) -> tuple[ProvinceRow, ...]:
     return tuple(rows)
 
 
-def demographics_report(records) -> tuple[DemographicsRow, ...]:
+def demographics_report(table: FundTable) -> tuple[DemographicsRow, ...]:
     """Fund count and shares per (race, gender) cell present in the data."""
-    table = FundTable.from_records(records)
     assets = _group(zip(table.manager_race, table.manager_gender), table.assets)
     sums, total_funds, total_assets = _tally(assets)
     return tuple(

@@ -422,12 +422,14 @@ def read_network_csv(path) -> ManagerNetwork:
 def _line_blocks(fh):
     """The lines of the binary file ``fh`` in blocks, each the whole lines
     that a read of ``_BLOCK`` bytes completes, as text mode reads them:
-    CRLF and CR line ends become LF, and the last line ends in LF.  Yields
+    CRLF and CR line ends become LF, the last line ends in LF, and a UTF-8
+    byte-order mark that starts the file, a signature, is dropped.  Yields
     (data, end) with the block in ``data[:end]``, so that it is not copied."""
     rest = []  # the unfinished line, in pieces
     held = b""  # a CR that ended a read: the next may start with its LF
+    mark = b"\xef\xbb\xbf"  # looked for at the start of the first read only
     while data := fh.read(_BLOCK):
-        data, held = held + data, b""
+        data, held, mark = (held + data).removeprefix(mark), b"", b""
         if b"\r" in data:
             if data.endswith(b"\r"):
                 data, held = data[:-1], b"\r"

@@ -9,10 +9,11 @@ import itertools
 import math
 import operator
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 
-from infospread import gossip
+from infospread import fundstats, gossip
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -130,6 +131,33 @@ def sir_rk4(s: float, i: float, r: float, p, h: float):
     return (s + c * (k1s + 2.0 * k2s + 2.0 * k3s + k4s),
             i + c * (k1i + 2.0 * k2i + 2.0 * k3i + k4i),
             r + c * (k1r + 2.0 * k2r + 2.0 * k3r + k4r))
+
+
+class FundRecord(NamedTuple):
+    """One fund row, the fields of ``fundstats.CSV_COLUMNS`` in order: the
+    row view that tests build reports' inputs from."""
+
+    fund_id: str
+    family: str
+    province: str
+    category: str
+    manager_race: str
+    manager_gender: str
+    assets: float
+    performance: float
+
+
+def fund_table(records) -> fundstats.FundTable:
+    """The FundTable of a list of records (anything with the ``FundRecord``
+    field names as attributes), in their order."""
+    return fundstats.FundTable(*([getattr(rec, name) for rec in records]
+                                 for name in fundstats.CSV_COLUMNS))
+
+
+def fund_records(table: fundstats.FundTable) -> list[FundRecord]:
+    """A FundTable's rows as FundRecords, in order."""
+    return list(map(FundRecord._make,
+                    zip(*(getattr(table, name) for name in FundRecord._fields))))
 
 
 def two_pass_stats(values):

@@ -17,9 +17,9 @@ import pytest
 
 from infospread import cli, epi_sir, fundstats, gossip, netdiff, rdwave
 from infospread.errors import ReducibleChainError
-from oracles import (closed_class_count, gauss_stationary, is_primitive,
-                     left_to_right_row_sums, param_grid,
-                     sampled_transition_frequencies, two_pass_stats)
+from oracles import (FundRecord, closed_class_count, fund_records, fund_table,
+                     gauss_stationary, is_primitive, left_to_right_row_sums,
+                     param_grid, sampled_transition_frequencies, two_pass_stats)
 
 NETWORK10 = str(importlib.resources.files("infospread.data") / "network10.csv")
 GOLDEN = Path(__file__).parent / "golden" / "gossip_trace_10node_seed42.csv"
@@ -365,7 +365,7 @@ def test_criterion_16_fund_statistics():
     def body():
         rng = pyrandom.Random(16)
         records = [
-            fundstats.FundRecord(
+            FundRecord(
                 fund_id=f"F{k:05d}", family=f"fam{k % 31}",
                 province=rng.choice(fundstats.PROVINCES),
                 category=rng.choice("ABCDEFGH"),
@@ -375,7 +375,7 @@ def test_criterion_16_fund_statistics():
                 performance=rng.uniform(0, 1) * 10 ** rng.randint(-3, 3))
             for k in range(10_000)
         ]
-        rows = fundstats.summarize(records, "category", "performance")
+        rows = fundstats.summarize(fund_table(records), "category", "performance")
         by_group = {}
         for rec in records:
             by_group.setdefault(rec.category, []).append(rec.performance)
@@ -386,8 +386,9 @@ def test_criterion_16_fund_statistics():
             assert (row.min, row.max) == (lo, hi)
 
         fixture = fundstats.ingest_csv(fundstats.bundled_fixture_path())
-        shuffled = fixture[:]
+        shuffled = fund_records(fixture)
         rng.shuffle(shuffled)
+        shuffled = fund_table(shuffled)
         assert fundstats.summarize(shuffled, "category", "performance") == \
             fundstats.summarize(fixture, "category", "performance")
         assert fundstats.province_report(shuffled) == \

@@ -1288,17 +1288,26 @@ PROV_OUT = ["funds", "provinces", "--quiet", "--out"]
 
 
 # An --out that names no file: empty is a usage error, and one that ends in a
-# separator, "." or ".." is a directory, refused before anything is made.
+# separator, "." or ".." is a directory, refused before anything is made.  So
+# is such an rd prefix, which names no file stem, before rd integrates.
 @pytest.mark.parametrize("argv, status", [
     ([*PROV_OUT, ""], 2), ([*RD_OUT, ""], 2), ([*SIR_OUT, ""], 2),
     ([*PROV_OUT, "."], 3), ([*PROV_OUT, "/"], 3), ([*PROV_OUT, ".."], 3),
     ([*PROV_OUT, "sub/"], 3), ([*SIR_OUT, "sub/"], 3), ([*PROV_OUT, "sub/."], 3),
     ([*SIR_OUT, "new/sub/.."], 3),
+    ([*RD_OUT, "."], 3), ([*RD_OUT, ".."], 3), ([*RD_OUT, "sub/"], 3),
+    ([*RD_OUT, "sub/."], 3),
 ], ids=["funds-empty", "rd-empty", "sir-empty", "funds-dot", "funds-root",
-        "funds-dotdot", "funds-slash", "sir-slash", "funds-slash-dot", "sir-new-dotdot"])
+        "funds-dotdot", "funds-slash", "sir-slash", "funds-slash-dot", "sir-new-dotdot",
+        "rd-dot", "rd-dotdot", "rd-slash", "rd-slash-dot"])
 def test_an_out_naming_no_file_exits_with_one_line_and_makes_nothing(
         tmp_path, monkeypatch, capsys, argv, status):
     monkeypatch.chdir(tmp_path)
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("rd integrated the field of a refused prefix")
+
+    monkeypatch.setattr(rdwave, "rd_integrate", integrate)
     assert cli.main(argv) == status
     prefix = "usage error: --out" if status == 2 else "error: IsADirectoryError: "
     assert_one_line(capsys.readouterr().err, prefix)
@@ -1448,6 +1457,37 @@ def test_an_interrupt_right_after_a_rename_propagates_and_leaves_no_staged_file(
     with pytest.raises(KeyboardInterrupt):
         cli.main([*PROV_OUT, "prov.csv"])
     assert sorted(os.listdir()) == sorted(renamed)
+
+
+# SIGINT and SIGTERM are held while the files are renamed into place: one
+# that comes after the first rename is delivered once the whole set, the
+# manifest included, is in place, and still ends the run.
+@pytest.mark.parametrize("signum, handler, raised", [
+    (signal.SIGINT, signal.default_int_handler, KeyboardInterrupt),
+    (signal.SIGTERM, cli._terminate, cli._Terminated),
+], ids=["SIGINT", "SIGTERM"])
+def test_a_signal_during_the_renames_waits_for_the_whole_set(
+        tmp_path, monkeypatch, signum, handler, raised):
+    monkeypatch.chdir(tmp_path)
+    real = os.replace
+    renamed = []
+
+    def replace(src, dst):
+        real(src, dst)
+        renamed.append(dst.name)
+        if len(renamed) == 1:
+            signal.raise_signal(signum)
+
+    monkeypatch.setattr(os, "replace", replace)
+    old = signal.signal(signum, handler)
+    try:
+        with pytest.raises(raised):
+            cli.main([*PROV_OUT, "prov.csv"])
+    finally:
+        signal.signal(signum, old)
+    assert renamed == ["prov.csv", "prov.json", "prov.csv.manifest.json"]
+    assert sorted(os.listdir()) == sorted(renamed)
+    assert signum not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
 
 @pytest.mark.parametrize("files", [1, 2, 3])

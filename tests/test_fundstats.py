@@ -19,15 +19,16 @@ from infospread import fundstats
 from infospread.errors import RowError, SchemaError, UnknownFieldError
 from infospread.fundstats import (
     _NUMERIC_FIELDS, CSV_COLUMNS, GENDERS, PROVINCES, RACES, DemographicsRow,
-    FundRecord, ProvinceRow, SummaryRow)
-from oracles import traced_peak_and_held, two_pass_stats
+    ProvinceRow, SummaryRow)
+from oracles import (FundRecord, fund_records, fund_table, traced_peak_and_held,
+                     two_pass_stats)
 
 HEADER = ",".join(fundstats.CSV_COLUMNS)
 
 
 def make_record(k, *, family=None, province="Gauteng", category="A",
                 race="white", gender="M", assets=10.0, performance=0.5):
-    return fundstats.FundRecord(
+    return FundRecord(
         fund_id=f"F{k:04d}", family=family or f"fam{k % 7}",
         province=province, category=category, manager_race=race,
         manager_gender=gender, assets=assets, performance=performance)
@@ -45,16 +46,17 @@ def tally(records, key):
 # -- ingestion ----------------------------------------------------------
 
 def test_bundled_fixture_has_200_records():
-    records = fundstats.ingest_csv(fundstats.bundled_fixture_path())
-    assert len(records) == 200
-    assert all(rec.assets >= 0 for rec in records)
+    table = fundstats.ingest_csv(fundstats.bundled_fixture_path())
+    assert len(table) == 200
+    assert all(len(getattr(table, name)) == 200 for name in CSV_COLUMNS)
+    assert all(x >= 0 for x in table.assets)
 
 
 def test_header_only_file_is_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(HEADER + "\n")
     table = fundstats.ingest_csv(path)
-    assert len(table) == 0 and list(table) == []
+    assert len(table) == 0 and fund_records(table) == []
 
 
 def test_negative_assets_rejected_with_line_number(tmp_path):
@@ -89,9 +91,9 @@ def test_unknown_enum_values_rejected(tmp_path):
 def test_comment_lines_are_skipped(tmp_path):
     path = tmp_path / "commented.csv"
     path.write_text("# synthetic\n" + HEADER + "\nF1,fam,KZN,B,black,F,3,0.1\n")
-    records = fundstats.ingest_csv(path)
-    assert len(records) == 1
-    assert records[0].province == "KZN"
+    table = fundstats.ingest_csv(path)
+    assert len(table) == 1
+    assert table.province == ["KZN"]
 
 
 # -- reference ingest -----------------------------------------------------------
@@ -229,11 +231,13 @@ FUND_FILES = st.builds(
 
 def ingest_outcome(ingest, path):
     """Every record's field values (repr keeps the sign of a zero), or the
-    error's type, message and line."""
+    error's type, message and line.  A FundTable is read as its records."""
     try:
         records = ingest(path)
     except (RowError, SchemaError) as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
+    if isinstance(records, fundstats.FundTable):
+        records = fund_records(records)
     return repr([tuple(getattr(rec, name) for name in CSV_COLUMNS) for rec in records])
 
 
@@ -361,7 +365,7 @@ def test_utf8_text_is_read_by_both_passes(tmp_path):
     good = "F1,Caf\u00e9 \u2013 \U0001f4c8,KZN,A,black,F,1,0.5"
     path = tmp_path / "funds.csv"
     path.write_bytes(f"{HEADER}\n{good}\n".encode())
-    assert fundstats.ingest_csv(path)[0].family == "Caf\u00e9 \u2013 \U0001f4c8"
+    assert fundstats.ingest_csv(path).family == ["Caf\u00e9 \u2013 \U0001f4c8"]
     # A faulty row sends its block to csv.reader, which must get past the
     # UTF-8 row to the fault.
     path.write_bytes(f"{HEADER}\n{good}\nF2,fam,Atlantis,A,black,F,1,0.5\n".encode())
@@ -439,6 +443,30 @@ def test_a_pipe_names_the_fault_of_its_file(tmp_path, fault):
     outcome = ingest_outcome(fundstats.ingest_csv, path)
     assert outcome[::2] == (RowError, CHUNK + 19)
     assert piped_outcome(path.read_bytes()) == outcome
+
+
+# A UTF-8 byte-order mark before the first line is the encoding's signature,
+# not text: each file reads as it does without one, in bulk or by csv.reader
+# (from a quoted row on), with a comment row first, and with a faulty row.
+MARKED_FILES = {
+    "bulk": f"{HEADER}\nF1,fam,KZN,A,black,F,1,0.5\n".encode(),
+    "csv.reader": f'{HEADER}\nF1,"fam, quoted",KZN,A,black,F,1,0.5\n'.encode(),
+    "bundled sample": fundstats.bundled_fixture_path().read_bytes(),
+    "faulty row": f"{HEADER}\nF1,fam,KZN,A,black,F,1,0.5\nF2,fam,Atlantis,A,black,F,1,0.5\n"
+                  .encode(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MARKED_FILES))
+def test_a_leading_byte_order_mark_is_read_as_no_text(tmp_path, kind):
+    data = MARKED_FILES[kind]
+    path = tmp_path / "funds.csv"
+    path.write_bytes(data)
+    expected = ingest_outcome(fundstats.ingest_csv, path)
+    assert (expected[0] is RowError) == (kind == "faulty row")
+    path.write_bytes(b"\xef\xbb\xbf" + data)
+    assert ingest_outcome(fundstats.ingest_csv, path) == expected
+    assert piped_outcome(b"\xef\xbb\xbf" + data) == expected
 
 
 # After the header ingest reads blocks of _READ_CHARS characters and the rest
@@ -678,38 +706,28 @@ GOOD_FILES = st.lists(st.one_of(csv_line(GOOD_ROW), COMMENT_OR_BLANK), max_size=
 @given(text=GOOD_FILES, group_by=st.sampled_from(CSV_COLUMNS),
        value=st.sampled_from(_NUMERIC_FIELDS))
 def test_reports_on_columns_match_reports_on_records(text, group_by, value):
+    # The reports on an ingested table equal the reference reports on its rows.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "funds.csv"
         path.write_text(text, newline="")
         table = fundstats.ingest_csv(path)
-    records = list(table)
-    assert all(isinstance(rec, FundRecord) for rec in records)
+    records = fund_records(table)
     assert repr(fundstats.summarize(table, group_by, value)) == \
-        repr(fundstats.summarize(records, group_by, value))
+        repr(reference_summarize(records, group_by, value))
     assert repr(fundstats.province_report(table)) == \
-        repr(fundstats.province_report(records))
+        repr(reference_province_report(records))
     assert repr(fundstats.demographics_report(table)) == \
-        repr(fundstats.demographics_report(records))
+        repr(reference_demographics_report(records))
     # Enumerated values are the package's own strings, shared by every row.
     for column, values in [(table.province, PROVINCES), (table.manager_race, RACES),
                            (table.manager_gender, GENDERS)]:
         assert all(any(cell is v for v in values) for cell in column)
 
 
-def test_table_indexing_builds_records():
-    table = fundstats.ingest_csv(fundstats.bundled_fixture_path())
-    records = list(table)
-    assert table[0] == records[0] and type(table[-1]) is FundRecord
-    assert table[-1] == records[-1]
-    assert table[3:7] == records[3:7] and table[::-50] == records[::-50]
-    with pytest.raises(IndexError):
-        table[len(table)]
-
-
 # -- summarize ------------------------------------------------------------
 
 def test_single_record_group_degenerates():
-    rows = fundstats.summarize([make_record(1, performance=0.4)],
+    rows = fundstats.summarize(fund_table([make_record(1, performance=0.4)]),
                                group_by="category", value="performance")
     assert len(rows) == 1
     row = rows[0]
@@ -725,7 +743,8 @@ def test_summarize_matches_two_pass_oracle():
                     performance=rng.uniform(0, 1) * 10 ** rng.randint(-3, 3))
         for k in range(10_000)
     ]
-    rows = fundstats.summarize(records, group_by="category", value="performance")
+    rows = fundstats.summarize(fund_table(records), group_by="category",
+                               value="performance")
     by_group = {}
     for rec in records:
         by_group.setdefault(rec.category, []).append(rec.performance)
@@ -742,25 +761,26 @@ def test_summarize_is_permutation_invariant():
     rng = random.Random(5)
     records = [make_record(k, category=rng.choice("ABC"),
                            performance=rng.uniform(0, 2)) for k in range(500)]
-    baseline = fundstats.summarize(records, "category", "performance")
+    baseline = fundstats.summarize(fund_table(records), "category", "performance")
     shuffled = records[:]
     rng.shuffle(shuffled)
-    assert fundstats.summarize(shuffled, "category", "performance") == baseline
+    assert fundstats.summarize(fund_table(shuffled), "category", "performance") == \
+        baseline
 
 
 def test_summarize_rejects_unknown_fields():
-    records = [make_record(1)]
+    table = fund_table([make_record(1)])
     with pytest.raises(UnknownFieldError):
-        fundstats.summarize(records, group_by="city", value="performance")
+        fundstats.summarize(table, group_by="city", value="performance")
     with pytest.raises(UnknownFieldError):
-        fundstats.summarize(records, group_by="category", value="family")
+        fundstats.summarize(table, group_by="category", value="family")
     with pytest.raises(UnknownFieldError):
-        fundstats.summarize([], group_by="city", value="performance")
+        fundstats.summarize(fund_table([]), group_by="city", value="performance")
 
 
 def test_summarize_groups_ordered_by_key():
     records = [make_record(k, category=c) for k, c in enumerate("CABCAB")]
-    rows = fundstats.summarize(records, "category", "assets")
+    rows = fundstats.summarize(fund_table(records), "category", "assets")
     assert [r.group for r in rows] == ["A", "B", "C"]
 
 
@@ -768,7 +788,7 @@ def test_summarize_groups_ordered_by_key():
 
 def test_single_province_concentration():
     records = [make_record(k, province="KZN", assets=5.0) for k in range(9)]
-    rows = fundstats.province_report(records)
+    rows = fundstats.province_report(fund_table(records))
     top = rows[0]
     assert top.province == "KZN"
     assert top.pct_of_funds == 100.0
@@ -777,12 +797,13 @@ def test_single_province_concentration():
 
 
 def test_province_report_matches_tally_oracle():
-    records = fundstats.ingest_csv(fundstats.bundled_fixture_path())
+    table = fundstats.ingest_csv(fundstats.bundled_fixture_path())
+    records = fund_records(table)
     counts, _ = tally(records, lambda r: r.province)
     families = {}
     for rec in records:
         families.setdefault(rec.province, set()).add(rec.family)
-    rows = fundstats.province_report(records)
+    rows = fundstats.province_report(table)
     for row in rows:
         assert row.fund_count == counts.get(row.province, 0)
         assert row.family_count == len(families.get(row.province, set()))
@@ -791,33 +812,34 @@ def test_province_report_matches_tally_oracle():
 
 
 def test_province_percentages_partition():
-    records = fundstats.ingest_csv(fundstats.bundled_fixture_path())
-    rows = fundstats.province_report(records)
+    table = fundstats.ingest_csv(fundstats.bundled_fixture_path())
+    rows = fundstats.province_report(table)
     assert sum(r.pct_of_funds for r in rows) == pytest.approx(100.0, abs=0.1)
     assert sum(r.pct_of_assets for r in rows) == pytest.approx(100.0, abs=0.1)
 
 
 def test_province_report_permutation_invariant():
-    records = fundstats.ingest_csv(fundstats.bundled_fixture_path())
-    shuffled = records[:]
+    table = fundstats.ingest_csv(fundstats.bundled_fixture_path())
+    shuffled = fund_records(table)
     random.Random(3).shuffle(shuffled)
-    assert fundstats.province_report(shuffled) == fundstats.province_report(records)
+    assert fundstats.province_report(fund_table(shuffled)) == \
+        fundstats.province_report(table)
 
 
 # -- demographics -------------------------------------------------------------
 
 def test_single_cell_demographics():
     records = [make_record(k, race="white", gender="M") for k in range(5)]
-    rows = fundstats.demographics_report(records)
+    rows = fundstats.demographics_report(fund_table(records))
     assert len(rows) == 1
     assert rows[0].pct_of_funds == 100.0
     assert rows[0].pct_of_assets == 100.0
 
 
 def test_demographics_matches_tally_oracle():
-    records = fundstats.ingest_csv(fundstats.bundled_fixture_path())
-    counts, _ = tally(records, lambda r: (r.manager_race, r.manager_gender))
-    rows = fundstats.demographics_report(records)
+    table = fundstats.ingest_csv(fundstats.bundled_fixture_path())
+    counts, _ = tally(fund_records(table), lambda r: (r.manager_race, r.manager_gender))
+    rows = fundstats.demographics_report(table)
     assert {(r.manager_race, r.manager_gender) for r in rows} == set(counts)
     for row in rows:
         assert row.fund_count == counts[(row.manager_race, row.manager_gender)]
@@ -826,11 +848,11 @@ def test_demographics_matches_tally_oracle():
 
 
 def test_demographics_permutation_invariant():
-    records = fundstats.ingest_csv(fundstats.bundled_fixture_path())
-    shuffled = records[:]
+    table = fundstats.ingest_csv(fundstats.bundled_fixture_path())
+    shuffled = fund_records(table)
     random.Random(8).shuffle(shuffled)
-    assert fundstats.demographics_report(shuffled) == \
-        fundstats.demographics_report(records)
+    assert fundstats.demographics_report(fund_table(shuffled)) == \
+        fundstats.demographics_report(table)
 
 
 # -- reference reports ----------------------------------------------------------
@@ -944,11 +966,12 @@ RECORDS = st.lists(st.builds(
                   make_record(3, category="B", assets=-0.0)],
          group_by="category", value="performance")
 def test_reports_match_the_reference_bit_for_bit(records, group_by, value):
-    assert repr(fundstats.summarize(records, group_by, value)) == \
+    table = fund_table(records)
+    assert repr(fundstats.summarize(table, group_by, value)) == \
         repr(reference_summarize(records, group_by, value))
-    assert repr(fundstats.province_report(records)) == \
+    assert repr(fundstats.province_report(table)) == \
         repr(reference_province_report(records))
-    assert repr(fundstats.demographics_report(records)) == \
+    assert repr(fundstats.demographics_report(table)) == \
         repr(reference_demographics_report(records))
 
 
@@ -958,7 +981,7 @@ def test_summarize_with_nan_values_matches_the_reference(order):
     # still pass over a NaN wherever it sorts.
     records = [make_record(k, performance=x)
                for k, x in enumerate([math.nan, 1.0, -0.0, 2.0, math.nan])][::order]
-    assert repr(fundstats.summarize(records, "category", "performance")) == \
+    assert repr(fundstats.summarize(fund_table(records), "category", "performance")) == \
         repr(reference_summarize(records, "category", "performance"))
 
 

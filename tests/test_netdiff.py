@@ -680,6 +680,24 @@ def test_a_cr_only_file_over_several_blocks_names_its_line(tmp_path):
                                   "to float64 at column 2.")
 
 
+# A UTF-8 byte-order mark that starts the file is its encoding's signature,
+# not text: the file reads as it does without one, from a first read that
+# holds the mark alone too.  A mark anywhere else is a cell's text.
+@pytest.mark.parametrize("block", [3, 64])
+@pytest.mark.parametrize("text", [b"0,0.5\n0.25,0\n", b"\n\r\n0,0.5\r\n0.25,0",
+                                  b"0,0.5\nx,0\n"], ids=["plain", "blank-first", "faulty"])
+def test_a_leading_byte_order_mark_is_read_as_no_text(tmp_path, monkeypatch, text, block):
+    monkeypatch.setattr(netdiff, "_BLOCK", block)
+    plain, marked, inner = (tmp_path / name for name in ("plain", "marked", "inner"))
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    inner.write_bytes(b"0,0.5\n\xef\xbb\xbf0.25,0\n")
+    expected = outcome(netdiff.read_network_csv, plain)
+    for read in (netdiff.read_network_csv, through_a_pipe(netdiff.read_network_csv)):
+        assert outcome(read, marked) == expected
+        assert outcome(read, inner)[::2] == (RowError, 2)
+
+
 def network_bytes(net: netdiff.ManagerNetwork) -> int:
     """What a network holds: 12 bytes per kept cell plus ``indptr``."""
     assert net.cols.itemsize + net.data.itemsize == 12
