@@ -8,6 +8,7 @@ import importlib.resources
 import io
 import json
 import os
+import re
 import resource
 import shutil
 import signal
@@ -49,6 +50,20 @@ def test_explicit_flag_overrides_preset():
     config = cli.parse_args(["sir", "--preset", "fig6b", "--mu", "0.05"])
     assert config.params["mu"] == 0.05
     assert config.params["beta"] == 0.20
+
+
+@pytest.mark.parametrize("sub", [None, *cli._SUBCOMMANDS])
+def test_help_goes_to_stdout_and_exits_0(sub, capsys):
+    assert cli.main([*filter(None, [sub]), "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("usage: infospread")
+    # argparse owns the layout, so only the names are checked.
+    if sub is None:
+        names = list(cli._SUBCOMMANDS)
+    else:
+        names = [f"--{name}" for name in [*cli._COMMON, *cli._SUBCOMMANDS[sub][2]]]
+    assert [name for name in names if not re.search(rf"(?<![\w-]){name}\b", out)] == []
 
 
 def test_missing_subcommand_is_usage_error():
@@ -162,6 +177,15 @@ def test_reducible_chain_exits_1(tmp_path, capsys):
                        "--p_ext", "0.0", "--out", str(tmp_path / "pi.csv")])
     assert status == 1
     assert "ReducibleChainError" in capsys.readouterr().err
+
+
+def test_power_iteration_out_of_sweeps_exits_1_with_one_line():
+    status, out, err, files = invoke(["network", "eigen", "--network", "net10.csv",
+                                      "--max_iter", "1", "--out", "eig.csv"])
+    assert status == 1
+    assert err == ("error: ConvergenceError: power iteration did not reach "
+                   "tol=1e-10 within 1 sweeps (best residual 1.787e-01)\n")
+    assert (out, files) == ("", {})
 
 
 def test_out_of_range_informed_index_exits_1(tmp_path, capsys):
@@ -757,32 +781,80 @@ def run_under(locale, argv, cwd):
     return done.returncode, done.stdout, done.stderr.decode(errors="replace")
 
 
-@pytest.mark.parametrize("argv", [
-    ["funds", "summarize", "--input", "funds.csv", "--group_by", "family",
-     "--value", "assets"],
-    ["sir", "--preset", "fig6b", "--horizon", "50"],
-], ids=["funds", "sir"])
-def test_outputs_are_the_same_utf8_bytes_under_an_ascii_locale(argv, tmp_path):
+def write_locale_inputs(directory):
+    """The input files of ``LOCALE_FORMS`` in ``directory``: funds.csv,
+    bom.csv and net.csv."""
     lines = fundstats.bundled_fixture_path().read_text(encoding="utf-8").splitlines()
     rows = [line for line in lines if line and not line.startswith("#")]
     rows[1] = rows[1].replace(rows[1].split(",")[1], "B\u00e4cker-\u2026", 1)
     # A quoted family sends the rows to csv.reader, which reads them row by row.
     rows[2] = rows[2].replace(rows[2].split(",")[1], '"B\u00e4cker, S\u00f6hne"', 1)
-    (tmp_path / "funds.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (directory / "funds.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    # Over 64K characters of plain rows come before the quoted row, so this
+    # file is read in bulk blocks first and by csv.reader from the block that
+    # holds the quote on.  It starts with a byte-order mark.
+    text = "\n".join([
+        ",".join(fundstats.CSV_COLUMNS),
+        "F1,B\u00e4cker-\u2026,Gauteng,A,white,M,1.5,0.2",
+        "F2,Okafor,KZN,B,black,F,2,-0.5",
+        *(f"P{k},Padding,Gauteng,C,black,F,{k},0.25" for k in range(1, 2001)),
+        'F3,"B\u00e4cker, ""S\u00f6hne""",W.Cape,A,other/unknown,unknown,4,0.1',
+    ]) + "\n"
+    assert text.index('"') > fundstats._READ_CHARS + text.index("\n")
+    (directory / "bom.csv").write_text(text, encoding="utf-8-sig")
+    netdiff.write_network_csv(directory / "net.csv",
+                              netdiff.generate_random_network(50, 0.2, 7))
+
+
+LOCALE_PROBS = ["--p_select", "0.5", "--p_drop", "0.1", "--p_loss", "0.2",
+                "--p_gain", "0.8"]
+SUMMARIZE = ["funds", "summarize", "--group_by", "family", "--value", "assets"]
+
+# Every form whose output bytes must not depend on the locale.  The network
+# readers take net.csv, the bytes the generator writes.
+LOCALE_FORMS = {
+    "funds": [*SUMMARIZE, "--input", "funds.csv"],
+    "sir": ["sir", "--preset", "fig6b", "--horizon", "50"],
+    "funds-bom": [*SUMMARIZE, "--input", "bom.csv"],
+    "network-gen": ["network", "gen", "--n", "50", "--density", "0.2", "--seed", "7"],
+    "centrality": ["network", "centrality", "--network", "net.csv", "--horizon", "3"],
+    "eigen": ["network", "eigen", "--network", "net.csv"],
+    "simulate": ["gossip", "simulate", "--network", "net.csv", *LOCALE_PROBS,
+                 "--rounds", "20", "--seed", "42"],
+    "stationary": ["gossip", "stationary", *LOCALE_PROBS, "--p_ext", "0.3"],
+    "fastslow": ["fastslow", "--epsilon", "0.05", "--horizon", "10"],
+    "rd": ["rd", "--length", "4", "--horizon", "1", "--snapshot_every", "100"],
+}
+
+
+@pytest.mark.parametrize("form", LOCALE_FORMS)
+def test_outputs_are_the_same_utf8_bytes_under_an_ascii_locale(form, tmp_path):
+    write_locale_inputs(tmp_path)
+    argv = LOCALE_FORMS[form]
+    rd = argv[0] == "rd"  # rd writes only files: its snapshots and manifest
     got = {}
     for name, env in [("ascii", ASCII_LOCALE), ("utf8", UTF8_MODE)]:
-        status, stdout, err = run_under(env, argv, tmp_path)
+        stdout = None
+        if not rd:
+            status, stdout, err = run_under(env, [*argv, "--quiet"], tmp_path)
+            assert status == 0, err
+        out = f"{name}/wave" if rd else f"{name}/out.csv"
+        status, _, err = run_under(env, [*argv, "--out", out, "--quiet"], tmp_path)
         assert status == 0, err
-        status, _, err = run_under(env, [*argv, "--out", f"{name}.csv", "--quiet"],
-                                   tmp_path)
-        assert status == 0, err
-        got[name] = stdout, (tmp_path / f"{name}.csv").read_bytes()
+        got[name] = stdout, {p.name: p.read_bytes()
+                             for p in sorted((tmp_path / name).iterdir())}
+    # Every file of the run, the manifest and funds' JSON mirror included.
     assert got["ascii"] == got["utf8"]
-    stdout, written = got["ascii"]
-    assert stdout == written
+    stdout, files = got["ascii"]
+    if rd:
+        assert sorted(files) == ["wave.manifest.json",
+                                 *(f"wave_{k:04d}.csv" for k in range(6))]
+        return
+    assert stdout == files["out.csv"]
     if argv[0] == "funds":
-        assert "B\u00e4cker-\u2026".encode() in written
-        assert "B\u00e4cker, S\u00f6hne".encode() in written
+        assert "out.json" in files
+        assert "B\u00e4cker-\u2026".encode() in stdout
+        assert '"B\u00e4cker, '.encode() in stdout  # the quoted family
 
 
 def test_a_reader_that_stops_early_ends_the_run_quietly(tmp_path):
@@ -1352,6 +1424,25 @@ def test_an_output_that_is_not_a_regular_file_exits_3_untouched(
     # Every output is checked before the first is written: the run leaves
     # no file behind, not even the CSV or snapshot before the refused one.
     assert sorted(os.listdir()) == sorted({fifo, out} if out == "link.csv" else {fifo})
+
+
+@pytest.mark.parametrize("directory, out, named", [
+    ("d", "d", "d"),
+    ("d", "link.csv", "link.csv"),  # link.csv -> d
+    ("wave_0001.csv", "wave", "wave_0001.csv"),
+])
+def test_an_output_that_is_a_directory_exits_3_untouched(
+        tmp_path, monkeypatch, capsys, directory, out, named):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir(directory)
+    if out == "link.csv":
+        os.symlink(directory, out)
+    before = sorted(os.listdir())
+    assert cli.main([*(RD_OUT if out == "wave" else SIR_OUT), out]) == 3
+    assert capsys.readouterr().err == (
+        f"error: IsADirectoryError: output path is a directory: {named!r}\n")
+    assert sorted(os.listdir()) == before
+    assert os.listdir(directory) == []
 
 
 GEN_OUT = ["network", "gen", "--n", "12", "--density", "0.4", "--quiet", "--out"]

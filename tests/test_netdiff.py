@@ -164,6 +164,18 @@ def test_periodic_matrix_reports_convergence_error():
     assert err.value.residual is not None
 
 
+def test_power_iteration_out_of_sweeps_carries_its_best_iterate():
+    # One sweep from the uniform start: w v = (0.5, 1.0), so lambda = 1.5
+    # and the residual is 0.25, far above tol.
+    net = netdiff.validate_network([[0, 1], [1, 1]])
+    with pytest.raises(ConvergenceError, match="within 1 sweeps") as err:
+        netdiff.leading_eigenpair(net, max_iter=1)
+    assert err.value.iterations == 1
+    assert err.value.eigenvalue == 1.5
+    assert err.value.residual == 0.25
+    assert list(err.value.eigenvector) == [0.5, 0.5]
+
+
 def test_nilpotent_matrix_converges_to_zero_eigenvalue():
     pair = netdiff.leading_eigenpair(netdiff.validate_network([[0, 1], [0, 0]]))
     assert pair.eigenvalue == 0.0
